@@ -21,14 +21,9 @@
 //
 // Usage: chaos_soak [--side=6] [--seed=7] [--runs=3] [--epochs=24]
 //                   [--outages=6] [--down-frac=0.2] [--link-loss=0.0]
-//                   [--floor=0.5] [--arq-floor=0.99] [--batch-seeds=1]
+//                   [--floor=0.5] [--arq-floor=0.99]
 //                   [--postmortem-dir=DIR]
 //                   [--bench-out=BENCH_reliability.json]
-//
-// --batch-seeds=N runs each cell's seeds through one lockstep batched
-// event loop, N lanes at a time (DESIGN.md note 21).  Results — and hence
-// every invariant verdict — are byte-identical to the serial path; the
-// soak just finishes sooner.
 //
 // With --bench-out the soak instead sweeps a link-loss axis across the
 // three profiles (single seed, same outage plan) and writes the delivery-
@@ -39,11 +34,9 @@
 // invariant (and any fatal signal) dumps the last simulator events, fault
 // transitions, and engine decisions to a postmortem JSON in DIR — the
 // artifact CI attaches when the soak gate fails.
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -184,8 +177,6 @@ int Main(int argc, char** argv) {
   params.link_loss = flags.GetDouble("link-loss", 0.0);
   const double floor = flags.GetDouble("floor", 0.5);
   const double arq_floor = flags.GetDouble("arq-floor", 0.99);
-  const auto batch_seeds =
-      static_cast<std::size_t>(flags.GetInt("batch-seeds", 1));
   const auto bench_out = flags.GetOptional("bench-out");
   obs::ObsSession obs_session(obs::ObsSession::FromFlags(flags));
   if (ReportUnreadFlags(flags)) return 2;
@@ -228,63 +219,13 @@ int Main(int argc, char** argv) {
       {OptimizationMode::kTwoTier, ReliabilityProfile::kHarden},
       {OptimizationMode::kTwoTier, ReliabilityProfile::kArq},
   };
-  const std::size_t num_cells = std::size(cells);
-
-  // Soak outcomes keyed [seed_index][cell_index].  With --batch-seeds=N
-  // each cell's seeds run through one lockstep batched event loop, N lanes
-  // at a time; the batch contract makes every stored run — and hence every
-  // invariant verdict below — byte-identical to the serial path.
-  std::vector<FaultPlan> plans;
-  plans.reserve(runs);
-  for (std::uint64_t r = 0; r < runs; ++r) {
-    plans.push_back(FaultPlan::RandomTransient(params, side * side, duration,
-                                               first_seed + r));
-  }
-  std::vector<std::vector<SoakOutcome>> outcomes(runs);
-  for (auto& row : outcomes) row.resize(num_cells);
-  if (batch_seeds <= 1) {
-    for (std::uint64_t r = 0; r < runs; ++r) {
-      for (std::size_t c = 0; c < num_cells; ++c) {
-        outcomes[r][c] = RunCell(cells[c], side, duration, first_seed + r,
-                                 plans[r], schedule);
-      }
-    }
-  } else {
-    for (std::size_t c = 0; c < num_cells; ++c) {
-      for (std::uint64_t begin = 0; begin < runs; begin += batch_seeds) {
-        const auto lanes = static_cast<std::uint64_t>(
-            std::min<std::uint64_t>(batch_seeds, runs - begin));
-        std::vector<RunConfig> configs;
-        std::vector<std::vector<WorkloadEvent>> schedules;
-        configs.reserve(lanes);
-        schedules.reserve(lanes);
-        for (std::uint64_t l = 0; l < lanes; ++l) {
-          const std::uint64_t r = begin + l;
-          RunConfig config;
-          config.grid_side = side;
-          config.mode = cells[c].mode;
-          config.duration_ms = duration;
-          config.seed = first_seed + r;
-          config.faults = plans[r];
-          config.reliability = cells[c].reliability;
-          config.obs.observers.push_back(&outcomes[r][c].counts);
-          configs.push_back(std::move(config));
-          schedules.push_back(schedule);
-        }
-        std::vector<RunResult> batch = RunExperimentBatch(configs, schedules);
-        for (std::uint64_t l = 0; l < lanes; ++l) {
-          outcomes[begin + l][c].run = std::move(batch[l]);
-        }
-      }
-    }
-  }
-
   for (std::uint64_t seed = first_seed; seed < first_seed + runs; ++seed) {
-    const FaultPlan& plan = plans[seed - first_seed];
+    const FaultPlan plan =
+        FaultPlan::RandomTransient(params, side * side, duration, seed);
 
-    for (std::size_t c = 0; c < num_cells; ++c) {
-      const Cell& cell = cells[c];
-      const SoakOutcome& outcome = outcomes[seed - first_seed][c];
+    for (const Cell& cell : cells) {
+      const SoakOutcome outcome =
+          RunCell(cell, side, duration, seed, plan, schedule);
       const RunResult& run = outcome.run;
       const CountingObserver& counts = outcome.counts;
       const bool arq = cell.reliability == ReliabilityProfile::kArq;

@@ -93,9 +93,7 @@ int Main(int argc, char** argv) {
       config.field = FieldKind::kCorrelated;
       config.duration_ms = kDuration;
       config.seed = seed;
-      for (NodeId n : dead) {
-        config.failures.push_back(NodeFailure{kFailTime, n});
-      }
+      for (NodeId n : dead) config.faults.AddCrash(n, kFailTime);
       const RunResult run = RunExperiment(config, schedule);
       const std::size_t delivered = DeliveredRows(run.results, query.id());
       row.push_back(TablePrinter::Num(

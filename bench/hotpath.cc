@@ -1,8 +1,7 @@
 // Hot-path benchmark for the discrete-event core, in three parts:
 //
 //   A. sweep     — the committed BENCH_sweep.json spec at jobs=1; reports
-//                  serial events/sec and the speedup against the baseline
-//                  recorded before the allocation-free engine landed.
+//                  serial events/sec.
 //   B. dense     — a synthetic worst case the figure sweeps never reach:
 //                  a 10x10 grid where every node multicasts to all of its
 //                  neighbors on a fast period over a colliding (p=0.1),
@@ -15,13 +14,9 @@
 //                  engine's contract is zero heap allocations per event in
 //                  steady state; the probe measures it rather than trusts
 //                  it.
-//   D. batched   — the lockstep multi-seed engine (DESIGN.md note 21):
-//                  eight beacon-driven 10x10 runs, first back-to-back
-//                  through eight solo event loops, then as one 8-lane
-//                  `BatchedNetwork`.  Every lane must reproduce its solo
-//                  run exactly (event counts and ledger totals, bit for
-//                  bit); the aggregate events/sec ratio is the batch
-//                  speedup the artifact commits.
+//
+// The artifact records absolute rates only; compare two builds by running
+// both on the same machine.
 //
 //   $ hotpath                         # full artifact -> BENCH_hotpath.json
 //   $ hotpath --spec="grids=4 ..." --dense-ms=5000 --probe-ms=5000
@@ -30,17 +25,9 @@
 //   --spec=<text|@...>  sweep spec for part A (default: the committed
 //                       BENCH_sweep.json spec)
 //   --out=p.json        artifact path (default BENCH_hotpath.json)
-//   --baseline=N        pre-overhaul serial events/sec to compare against
-//                       (default 735962, from the committed BENCH_sweep.json)
-//   --baseline-from=p   read the baseline from an existing artifact's
-//                       "baseline_events_per_sec" field instead (CI points
-//                       this at the committed BENCH_hotpath.json, so the
-//                       number lives in exactly one place); overrides
-//                       --baseline
 //   --dense-ms=N        simulated duration of part B (default 60000)
 //   --probe-ms=N        simulated warmup and measurement duration of part C
 //                       (default 60000 each)
-//   --batch-ms=N        simulated duration of part D (default 60000)
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -53,7 +40,6 @@
 #include <string>
 #include <vector>
 
-#include "net/batched_network.h"
 #include "net/network.h"
 #include "obs/build_info.h"
 #include "obs/session.h"
@@ -221,89 +207,6 @@ ProbeResult RunProbePart(SimDuration probe_ms) {
   return result;
 }
 
-struct BatchedResult {
-  std::size_t lanes = 0;
-  std::uint64_t events = 0;       ///< batch total across all lanes
-  double wall_ms = 0.0;           ///< one 8-lane RunUntil
-  double serial_wall_ms = 0.0;    ///< eight solo RunUntils, summed
-  bool lanes_match = true;        ///< per-lane equality vs the solo runs
-};
-
-BatchedResult RunBatchedPart(SimDuration duration_ms) {
-  constexpr std::size_t kLanes = 8;
-  std::printf("hotpath: part D — lockstep batch, %zu lanes, %lld sim ms...\n",
-              kLanes, static_cast<long long>(duration_ms));
-  const Topology topology = Topology::Grid(10);
-  ChannelParams channel;
-  channel.collision_prob = 0.02;  // modest: the retry/split path runs too
-
-  BatchedResult result;
-  result.lanes = kLanes;
-
-  // Serial reference: the same eight seeds through eight solo event loops.
-  // Beacon-driven with no receivers, so every event is scheduler dispatch
-  // plus radio accounting — exactly the cost lockstep batching amortizes.
-  std::uint64_t solo_events[kLanes];
-  double solo_tx_ms[kLanes];
-  std::uint64_t solo_retx[kLanes];
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    Network net(topology, RadioParams{}, channel, /*seed=*/1 + l);
-    net.StartMaintenanceBeacons(/*period=*/128, /*payload_bytes=*/24);
-    const auto start = Clock::now();
-    net.sim().RunUntil(duration_ms);
-    result.serial_wall_ms += ElapsedMs(start);
-    solo_events[l] = net.sim().events_executed();
-    solo_tx_ms[l] = net.ledger().TotalTransmitMs();
-    solo_retx[l] = net.ledger().TotalRetransmissions();
-  }
-
-  std::vector<std::uint64_t> seeds;
-  for (std::size_t l = 0; l < kLanes; ++l) seeds.push_back(1 + l);
-  BatchedNetwork batch(topology, RadioParams{}, channel, seeds);
-  batch.StartMaintenanceBeacons(/*period=*/128, /*payload_bytes=*/24);
-  const auto start = Clock::now();
-  batch.RunUntil(duration_ms);
-  result.wall_ms = ElapsedMs(start);
-
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    Network& lane = batch.lane(static_cast<std::uint32_t>(l));
-    const std::uint64_t events = lane.sim().events_executed();
-    result.events += events;
-    // Bit-exact, not approximate: byte-identical per-seed results are the
-    // batch engine's hard contract, and the bench enforces it on every run.
-    if (events != solo_events[l] ||
-        lane.ledger().TotalTransmitMs() != solo_tx_ms[l] ||
-        lane.ledger().TotalRetransmissions() != solo_retx[l]) {
-      result.lanes_match = false;
-      std::fprintf(stderr,
-                   "hotpath: lane %zu diverged from its solo run "
-                   "(events %llu vs %llu, retx %llu vs %llu)\n",
-                   l, static_cast<unsigned long long>(events),
-                   static_cast<unsigned long long>(solo_events[l]),
-                   static_cast<unsigned long long>(
-                       lane.ledger().TotalRetransmissions()),
-                   static_cast<unsigned long long>(solo_retx[l]));
-    }
-  }
-  return result;
-}
-
-// Reads "baseline_events_per_sec" back out of a previously written
-// artifact, so the committed BENCH_hotpath.json is the single home of the
-// pre-overhaul number.
-double LoadBaselineFrom(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open baseline file: " + path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  const std::string key = "\"baseline_events_per_sec\":";
-  const std::size_t at = text.find(key);
-  if (at == std::string::npos) {
-    throw std::runtime_error("no baseline_events_per_sec in " + path);
-  }
-  return std::strtod(text.c_str() + at + key.size(), nullptr);
-}
-
 std::string LoadSpecText(const std::string& arg) {
   if (arg.empty() || arg[0] != '@') return arg;
   std::ifstream in(arg.substr(1));
@@ -320,16 +223,10 @@ int Main(int argc, char** argv) {
       "grids=4,6,8,10 workloads=C modes=baseline,ttmqo faults=none seeds=1 "
       "base-seed=1 duration-ms=245760 collisions=0.02 alpha=0.6");
   const std::string out_path = flags.GetString("out", "BENCH_hotpath.json");
-  const auto baseline_from = flags.GetOptional("baseline-from");
-  const double baseline = baseline_from.has_value()
-                              ? LoadBaselineFrom(*baseline_from)
-                              : flags.GetDouble("baseline", 735962.0);
   const auto dense_ms = static_cast<SimDuration>(
       flags.GetInt("dense-ms", 60'000));
   const auto probe_ms = static_cast<SimDuration>(
       flags.GetInt("probe-ms", 60'000));
-  const auto batch_ms = static_cast<SimDuration>(
-      flags.GetInt("batch-ms", 60'000));
   obs::ObsSession obs_session(obs::ObsSession::FromFlags(flags));
   if (ReportUnreadFlags(flags)) return 2;
 
@@ -340,10 +237,6 @@ int Main(int argc, char** argv) {
   const double sweep_eps = EventsPerSec(sweep.events, sweep.wall_ms);
   const DenseResult dense = RunDensePart(dense_ms);
   const ProbeResult probe = RunProbePart(probe_ms);
-  const BatchedResult batched = RunBatchedPart(batch_ms);
-  const double batched_eps = EventsPerSec(batched.events, batched.wall_ms);
-  const double batched_serial_eps =
-      EventsPerSec(batched.events, batched.serial_wall_ms);
   const double allocs_per_event =
       static_cast<double>(probe.allocations) /
       static_cast<double>(probe.events);
@@ -357,16 +250,12 @@ int Main(int argc, char** argv) {
   out << "  \"build\": ";
   obs::WriteBuildInfoJson(out);
   out << ",\n";
-  std::snprintf(buf, sizeof(buf), "  \"baseline_events_per_sec\": %.0f,\n",
-                baseline);
-  out << buf;
   std::snprintf(
       buf, sizeof(buf),
       "  \"sweep\": {\"tasks\": %zu, \"events_executed\": %llu, "
-      "\"wall_ms\": %.1f, \"events_per_sec\": %.0f, "
-      "\"speedup_vs_baseline\": %.3f},\n",
+      "\"wall_ms\": %.1f, \"events_per_sec\": %.0f},\n",
       sweep.tasks, static_cast<unsigned long long>(sweep.events),
-      sweep.wall_ms, sweep_eps, sweep_eps / baseline);
+      sweep.wall_ms, sweep_eps);
   out << buf;
   std::snprintf(
       buf, sizeof(buf),
@@ -382,45 +271,23 @@ int Main(int argc, char** argv) {
   std::snprintf(
       buf, sizeof(buf),
       "  \"alloc_probe\": {\"sim_ms\": %lld, \"events_measured\": %llu, "
-      "\"allocations\": %llu, \"allocs_per_event\": %g},\n",
+      "\"allocations\": %llu, \"allocs_per_event\": %g}\n",
       static_cast<long long>(probe_ms),
       static_cast<unsigned long long>(probe.events),
       static_cast<unsigned long long>(probe.allocations), allocs_per_event);
   out << buf;
-  std::snprintf(
-      buf, sizeof(buf),
-      "  \"batched\": {\"lanes\": %zu, \"sim_ms\": %lld, "
-      "\"events_executed\": %llu, \"wall_ms\": %.1f, "
-      "\"events_per_sec\": %.0f, \"serial_wall_ms\": %.1f, "
-      "\"serial_events_per_sec\": %.0f, \"aggregate_speedup\": %.3f, "
-      "\"lanes_match\": %s}\n",
-      batched.lanes, static_cast<long long>(batch_ms),
-      static_cast<unsigned long long>(batched.events), batched.wall_ms,
-      batched_eps, batched.serial_wall_ms, batched_serial_eps,
-      batched_eps / batched_serial_eps,
-      batched.lanes_match ? "true" : "false");
-  out << buf;
   out << "}\n";
 
   std::printf(
-      "hotpath: sweep %.0f events/sec (x%.2f vs baseline %.0f); dense %.0f "
-      "events/sec, %llu retransmissions, %llu link drops; probe %llu allocs "
-      "over %llu events (%g/event); batched %.0f events/sec (x%.2f vs %.0f "
-      "solo, %zu lanes); wrote %s\n",
-      sweep_eps, sweep_eps / baseline, baseline,
-      EventsPerSec(dense.events, dense.wall_ms),
+      "hotpath: sweep %.0f events/sec; dense %.0f events/sec, %llu "
+      "retransmissions, %llu link drops; probe %llu allocs over %llu events "
+      "(%g/event); wrote %s\n",
+      sweep_eps, EventsPerSec(dense.events, dense.wall_ms),
       static_cast<unsigned long long>(dense.retransmissions),
       static_cast<unsigned long long>(dense.link_drops),
       static_cast<unsigned long long>(probe.allocations),
       static_cast<unsigned long long>(probe.events), allocs_per_event,
-      batched_eps, batched_eps / batched_serial_eps, batched_serial_eps,
-      batched.lanes, out_path.c_str());
-  if (!batched.lanes_match) {
-    std::fprintf(stderr,
-                 "hotpath: FAILED — lockstep batch diverged from the solo "
-                 "runs (see lane report above)\n");
-    return 1;
-  }
+      out_path.c_str());
   if (probe.allocations != 0) {
     std::fprintf(stderr,
                  "hotpath: WARNING — steady state allocated (%llu allocs); "

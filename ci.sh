@@ -7,7 +7,7 @@
 #   build          -DENABLE_WERROR=ON                     unit/integration/soak tiers
 #   build-asan     ENABLE_SANITIZERS + ENABLE_WERROR      tiers, chaos soak, sweep determinism
 #   build-release  CMAKE_BUILD_TYPE=Release               perf smoke (report-only), obs gate
-#   build-tsan     ENABLE_TSAN + ENABLE_WERROR            sweep pool, batched sweep + fig4 (BLOCKING)
+#   build-tsan     ENABLE_TSAN + ENABLE_WERROR            sweep pool + fig4 (BLOCKING)
 #
 # Static-analysis policy: ttmqo_lint and TSan are blocking; clang-tidy is
 # blocking whenever a clang-tidy binary exists (this container ships none,
@@ -253,25 +253,12 @@ bs_opt_equivalence() {
 }
 run_step "bs-opt-equivalence (asan)" blocking bs_opt_equivalence
 
-# The lockstep batch engine's per-lane byte-equality contract, explicitly
-# under ASan: every lane of RunExperimentBatch must fingerprint identically
-# to its solo RunExperiment, including under a crash fault that diverges
-# one lane while its siblings stay healthy (it also runs in the integration
-# tier above; this dedicated step keeps the gate visible in the summary).
-batch_equivalence() {
-  ./build-asan/tests/batch_equivalence_test
-}
-run_step "batch-equivalence (asan)" blocking batch_equivalence
-
 # The sweep orchestrator's cross-thread determinism check: the same spec at
 # jobs=1 and jobs=hardware must produce byte-identical canonical reports.
-# --batch-seeds routes the replicate axis through the lockstep batch engine
-# inside the bench's third leg, so the canonical comparison also covers
-# serial-vs-batched.
 sweep_determinism() {
   ./build-asan/examples/run_sweep \
     --spec="grids=4 workloads=A,C modes=baseline,ttmqo seeds=1 duration-ms=49152" \
-    --batch-seeds=4 --bench-out=/tmp/ttmqo_sweep_ci.json
+    --bench-out=/tmp/ttmqo_sweep_ci.json
 }
 run_step "sweep-determinism (asan)" blocking sweep_determinism
 
@@ -303,21 +290,19 @@ run_step "bsopt-bench (release)" blocking bsopt_bench
 perf_smoke() {
   ./build-release/bench/hotpath \
     --spec="grids=4,6 workloads=C modes=baseline,ttmqo seeds=1 duration-ms=49152 collisions=0.02" \
-    --dense-ms=5000 --probe-ms=5000 --batch-ms=5000 \
+    --dense-ms=5000 --probe-ms=5000 \
     --out=/tmp/ttmqo_hotpath_ci.json
 }
 run_step "perf-smoke (release)" report perf_smoke
 
 # The committed hotpath artifact must match what the code produces: the
-# event counts of every part — sweep, dense contention, allocation probe,
-# and the 8-lane lockstep batch — are deterministic in the seeds, so CI
-# regenerates the artifact with the committed parameters and diffs the
-# counts exactly (wall clock and derived rates are stripped from both
-# sides; the binary itself exits non-zero if any batch lane diverges from
-# its solo run).
+# event counts of every part — sweep, dense contention, allocation probe —
+# are deterministic in the seeds, so CI regenerates the artifact with the
+# committed parameters and diffs the counts exactly (wall clock and derived
+# rates are stripped from both sides; the binary itself exits non-zero if
+# the steady state allocates).
 hotpath_bench() {
   ./build-release/bench/hotpath \
-    --baseline-from=BENCH_hotpath.json \
     --out="${ARTIFACTS}/BENCH_hotpath.json" &&
     python3 tools/strip_bench_timings.py BENCH_hotpath.json \
       > "${ARTIFACTS}/BENCH_hotpath.committed.json" &&
@@ -372,8 +357,8 @@ tsan_run() {
       tee "${ARTIFACTS}/tsan/fig4_adaptive.log" &&
     ./build-tsan/examples/run_sweep \
       --spec="grids=4 workloads=C modes=baseline,ttmqo seeds=4 duration-ms=36864" \
-      --jobs=4 --batch-seeds=4 --no-timing --out=/dev/null 2>&1 |
-      tee "${ARTIFACTS}/tsan/run_sweep_batched.log"
+      --jobs=4 --no-timing --out=/dev/null 2>&1 |
+      tee "${ARTIFACTS}/tsan/run_sweep.log"
 }
 
 if tsan_canary; then

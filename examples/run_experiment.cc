@@ -134,15 +134,6 @@ int main(int argc, char** argv) {
     config.alpha = flags.GetDouble("alpha", 0.6);
     config.reliability =
         ParseReliabilityProfile(flags.GetString("reliability", "off"));
-    // Deprecated per-feature aliases, superseded by --reliability=harden.
-    // Still parsed so existing scripts keep working, but intentionally
-    // absent from the help text above; a profile overrides them.
-    config.innet.liveness_timeout_ms = flags.GetInt(
-        "liveness-timeout-ms", config.innet.liveness_timeout_ms);
-    config.innet.dissemination_retries = static_cast<int>(flags.GetInt(
-        "dissem-retries", config.innet.dissemination_retries));
-    config.innet.duplicate_suppression = flags.GetBool(
-        "dup-suppress", config.innet.duplicate_suppression);
 
     // Fault injection.
     for (const std::string& spec : flags.GetAll("fail")) {

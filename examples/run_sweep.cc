@@ -11,10 +11,6 @@
 //   --spec=<text|@file>  axes in the spec mini-language (see spec.h); @file
 //                        reads the text from a file
 //   --jobs=N             worker threads (0 = hardware concurrency; default)
-//   --batch-seeds=N      run up to N consecutive same-cell-different-seed
-//                        rows through one lockstep batched event loop
-//                        (execution detail like --jobs: reports are
-//                        byte-identical; default 1, max 64)
 //   --out=p.json         aggregated report as JSON
 //   --csv=p.csv          aggregated report as CSV
 //   --metrics-out=p.json shared MetricsRegistry across all runs, every
@@ -103,7 +99,7 @@ void PrintSummary(const SweepReport& report) {
 }
 
 int WriteBenchArtifact(const SweepSpec& spec, unsigned jobs,
-                       std::size_t batch_seeds, const std::string& path) {
+                       const std::string& path) {
   // At least 2 workers even on a single-core host, so the serial-vs-
   // parallel byte comparison below always crosses real threads (no
   // speedup is expected there, but the determinism check must be real).
@@ -115,10 +111,6 @@ int WriteBenchArtifact(const SweepSpec& spec, unsigned jobs,
   std::printf("bench: running %zu tasks at jobs=%u...\n", spec.TaskCount(),
               parallel_jobs);
   const SweepReport parallel = RunSweep(spec, parallel_jobs);
-  std::printf("bench: running %zu tasks at jobs=1 batch-seeds=%zu...\n",
-              spec.TaskCount(), batch_seeds);
-  const SweepReport batched =
-      RunSweep(spec, 1, /*registry=*/nullptr, batch_seeds);
 
   // The parallel path must reproduce the serial results exactly; a
   // mismatch is a determinism bug and poisons every number below.
@@ -127,14 +119,6 @@ int WriteBenchArtifact(const SweepSpec& spec, unsigned jobs,
                  "bench: jobs=1 and jobs=%u reports differ — determinism "
                  "violation\n",
                  parallel_jobs);
-    return 1;
-  }
-  // So must the lockstep batched path — that is its hard contract.
-  if (serial.Canonical() != batched.Canonical()) {
-    std::fprintf(stderr,
-                 "bench: batch-seeds=1 and batch-seeds=%zu reports differ — "
-                 "lockstep batching broke per-seed determinism\n",
-                 batch_seeds);
     return 1;
   }
 
@@ -170,16 +154,6 @@ int WriteBenchArtifact(const SweepSpec& spec, unsigned jobs,
   std::snprintf(buf, sizeof(buf), "  \"speedup\": %.3f,\n",
                 serial.wall_ms / parallel.wall_ms);
   out << buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"batched\": {\"jobs\": 1, \"batch_seeds\": %zu, "
-                "\"wall_ms\": %.1f, \"runs_per_sec\": %.4f, "
-                "\"events_per_sec\": %.0f},\n",
-                batch_seeds, batched.wall_ms, runs_per_sec(batched),
-                events_per_sec(batched));
-  out << buf;
-  std::snprintf(buf, sizeof(buf), "  \"batch_speedup\": %.3f,\n",
-                serial.wall_ms / batched.wall_ms);
-  out << buf;
   out << "  \"per_run_wall_ms\": [";
   for (std::size_t i = 0; i < serial.rows.size(); ++i) {
     if (i > 0) out << ", ";
@@ -189,12 +163,10 @@ int WriteBenchArtifact(const SweepSpec& spec, unsigned jobs,
   out << "],\n";
   out << "  \"deterministic_across_jobs\": true\n";
   out << "}\n";
-  std::printf("bench: serial %.1f ms, parallel %.1f ms (x%.2f at jobs=%u), "
-              "batched %.1f ms (x%.2f at batch-seeds=%zu); wrote %s\n",
+  std::printf("bench: serial %.1f ms, parallel %.1f ms (x%.2f at jobs=%u); "
+              "wrote %s\n",
               serial.wall_ms, parallel.wall_ms,
-              serial.wall_ms / parallel.wall_ms, parallel.jobs,
-              batched.wall_ms, serial.wall_ms / batched.wall_ms, batch_seeds,
-              path.c_str());
+              serial.wall_ms / parallel.wall_ms, parallel.jobs, path.c_str());
   return 0;
 }
 
@@ -206,8 +178,6 @@ int Main(int argc, char** argv) {
       "grids=4,6,8,10 workloads=C modes=baseline,ttmqo seeds=1 "
       "duration-ms=245760 collisions=0.02");
   const auto jobs = static_cast<unsigned>(flags.GetInt("jobs", 0));
-  const auto batch_seeds =
-      static_cast<std::size_t>(flags.GetInt("batch-seeds", 1));
   const auto out_path = flags.GetOptional("out");
   const auto csv_path = flags.GetOptional("csv");
   const auto metrics_path = flags.GetOptional("metrics-out");
@@ -221,13 +191,12 @@ int Main(int argc, char** argv) {
               spec.TaskCount());
 
   if (bench_out.has_value()) {
-    return WriteBenchArtifact(spec, jobs, std::max<std::size_t>(batch_seeds, 8),
-                              *bench_out);
+    return WriteBenchArtifact(spec, jobs, *bench_out);
   }
 
   MetricsRegistry registry;
-  const SweepReport report = RunSweep(
-      spec, jobs, metrics_path.has_value() ? &registry : nullptr, batch_seeds);
+  const SweepReport report =
+      RunSweep(spec, jobs, metrics_path.has_value() ? &registry : nullptr);
   PrintSummary(report);
   if (metrics_path.has_value()) {
     std::ofstream out = OpenOutput(*metrics_path);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <tuple>
 
 #include "obs/span.h"
 #include "util/check.h"
@@ -492,110 +491,6 @@ BaseStationOptimizer::Actions BaseStationOptimizer::InsertUserQuery(
   InsertBundle(query, std::move(members), actions);
   Deduplicate(actions);
   return actions;
-}
-
-std::vector<std::pair<QueryId, BaseStationOptimizer::Actions>>
-BaseStationOptimizer::InsertBatch(const std::vector<Query>& queries) {
-  TTMQO_SPAN("tier1.insert_batch");
-  // Sort arrivals by (epoch, structural signature, id): structurally
-  // identical queries become adjacent, and the ascending-id order within a
-  // group keeps the covered path's running benefit sum on the exact
-  // floating-point op sequence the one-at-a-time inserts would execute.
-  struct Arrival {
-    SimDuration epoch;
-    std::string key;
-    QueryId id;
-    std::size_t index;
-  };
-  std::vector<Arrival> order;
-  order.reserve(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    order.push_back(
-        {queries[i].epoch(), StructuralKey(queries[i]), queries[i].id(), i});
-  }
-  std::sort(order.begin(), order.end(),
-            [](const Arrival& a, const Arrival& b) {
-              return std::tie(a.epoch, a.key, a.id) <
-                     std::tie(b.epoch, b.key, b.id);
-            });
-
-  std::vector<std::pair<QueryId, Actions>> out;
-  out.reserve(queries.size());
-  // Why the sharing is sound: after a group member's full insert, let S be
-  // the synthetic serving it.  When S structurally covers a later member
-  // (checked at runtime), sequential insertion would take the covered
-  // branch with exactly S: a cover scores exactly 1.0 and beats every
-  // merge (clamped strictly below 1), and S is the lowest-id cover of the
-  // signature — if the full insert was itself covered, S is the lowest-id
-  // cover the ascending scan found, which the next member's scan would
-  // find again; otherwise nothing covered the signature before (a cover
-  // would have made that insert covered) and the insert only removed
-  // merged-away synthetics, leaving S as the unique cover.  When S does
-  // NOT cover the member, sequential insertion would run the full search —
-  // coverage is asymmetric (an acquisition whose predicate reads an
-  // unselected attribute never covers even its own duplicates; such
-  // arrivals merge instead) — so the batch falls back to exactly that, and
-  // the fallback's synthetic serves the rest of the group.
-  const std::string* group_key = nullptr;
-  QueryId group_first = kInvalidQueryId;
-  for (const Arrival& a : order) {
-    const Query& query = queries[a.index];
-    if (group_key != nullptr && *group_key == a.key) {
-      const QueryId sid = user_to_synthetic_.at(group_first);
-      if (Covers(synthetics_.at(sid).query, query)) {
-        out.emplace_back(query.id(), InsertCovered(query, sid));
-        continue;
-      }
-    }
-    out.emplace_back(query.id(), InsertUserQuery(query));
-    group_key = &a.key;
-    group_first = query.id();
-  }
-  return out;
-}
-
-BaseStationOptimizer::Actions BaseStationOptimizer::InsertCovered(
-    const Query& query, QueryId sid) {
-  TTMQO_SPAN("tier1.insert");
-  CheckArg(query.id() < options_.first_synthetic_id,
-           "InsertUserQuery: user id collides with the synthetic id space");
-  CheckArg(!user_to_synthetic_.contains(query.id()),
-           "InsertUserQuery: duplicate user query id");
-  SyncStatsVersion();
-  // Precondition (checked by InsertBatch): Covers(sq.query, query).
-  SyntheticQuery& sq = synthetics_.at(sid);
-  ++istats_.batch_shared_probes;
-  if (options_.use_index) ++istats_.coverage_hits;
-  if (trace_ != nullptr) {
-    trace_->Emit(TraceEvent("tier1.benefit_estimate")
-                     .With("query", static_cast<std::int64_t>(query.id()))
-                     .With("candidate", static_cast<std::int64_t>(sid))
-                     .With("rate", 1.0));
-  }
-  // The covered branch of InsertBundle, specialized to a single member.
-  ++decisions_.covered;
-  if (trace_ != nullptr) {
-    trace_->Emit(TraceEvent("tier1.insert")
-                     .With("query", static_cast<std::int64_t>(query.id()))
-                     .With("action", std::string("covered"))
-                     .With("synthetic", static_cast<std::int64_t>(sid))
-                     .With("rate", 1.0));
-  }
-  const bool append = options_.use_index && sq.member_cost_valid &&
-                      sq.member_cost_version == stats_version_ &&
-                      query.id() > sq.member_cost_last_uid;
-  user_to_synthetic_[query.id()] = sid;
-  if (append) {
-    sq.member_cost_sum += CostOf(query);
-    sq.member_cost_last_uid = query.id();
-  }
-  sq.members.emplace(query.id(), query);
-  if (append) {
-    sq.benefit = sq.member_cost_sum - CostOf(sq.query);
-  } else {
-    RecomputeBenefit(sq);
-  }
-  return Actions{};
 }
 
 BaseStationOptimizer::Actions BaseStationOptimizer::TerminateUserQuery(

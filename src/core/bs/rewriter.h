@@ -107,21 +107,6 @@ class BaseStationOptimizer {
   /// `first_synthetic_id`.
   Actions InsertUserQuery(const Query& query);
 
-  /// Batched Algorithm 1: sorts the arrivals by (epoch, structural
-  /// signature, id) and inserts them in that order, sharing the candidate
-  /// search across structurally identical queries — once a group's first
-  /// query is placed, every later member of the group is covered by the
-  /// synthetic query now serving it, so the coverage-bucket probe and merge
-  /// scan are skipped (counted in `index_stats().batch_shared_probes`).
-  ///
-  /// Element i of the result is the (user id, Actions) pair that
-  /// `InsertUserQuery` would have produced for that query at that position
-  /// of the sorted order; decision counts and all optimizer state are
-  /// byte-identical to the equivalent sequence of one-at-a-time inserts
-  /// (tests/bs_opt_equivalence_test.cc checks this differentially).
-  std::vector<std::pair<QueryId, Actions>> InsertBatch(
-      const std::vector<Query>& queries);
-
   /// Algorithm 2.
   Actions TerminateUserQuery(QueryId user);
 
@@ -168,15 +153,13 @@ class BaseStationOptimizer {
   const DecisionStats& decision_stats() const { return decisions_; }
 
   /// Work accounting for the indexed search path (all zero when
-  /// `use_index` is off, except `batch_shared_probes`, which counts in
-  /// both modes — the sharing is structural, not index-dependent).
+  /// `use_index` is off).
   struct IndexStats {
     std::uint64_t coverage_hits = 0;  ///< inserts resolved by bucket lookup
     std::uint64_t memo_hits = 0;      ///< cost + benefit-rate memo hits
     std::uint64_t pruned_candidates = 0;  ///< merge candidates bound away
     std::uint64_t exact_evaluations = 0;  ///< full Eq. 1-3 rate evaluations
     std::uint64_t index_rebuilds = 0;     ///< cost-order rebuilds (stats moved)
-    std::uint64_t batch_shared_probes = 0;  ///< InsertBatch searches elided
   };
 
   /// Index/memo/pruning counters since construction.
@@ -201,10 +184,6 @@ class BaseStationOptimizer {
 
   void InsertBundle(Query net_query, std::map<QueryId, Query> members,
                     Actions& actions);
-  // The covered branch of InsertBundle specialized to one member whose
-  // cover `sid` the caller already established (InsertBatch's shared
-  // probe); precondition: Covers(synthetics_.at(sid).query, query).
-  Actions InsertCovered(const Query& query, QueryId sid);
   Best FindBestNaive(const Query& net_query);
   Best FindBestIndexed(const Query& net_query);
   std::optional<QueryId> CoverageLookup(const Query& net_query) const;

@@ -11,17 +11,18 @@
 // charged to the sender as retransmissions, reproducing the paper's
 // "retransmission messages due to transmission failure" accounting.
 //
-// Since the batched multi-seed engine (DESIGN.md note 21), `Network` is a
-// *lane view*: all node state lives in a `BatchedNetwork` as
-// structure-of-arrays keyed [node][lane], and this class is the per-lane
-// interface engine code holds a reference to.  The classic constructor
-// builds a private single-lane batch, which executes the exact serial
-// event/RNG sequence the pre-batching engine did (golden-checked).
+// The network owns its event loop and its per-node radio state (plain
+// node-indexed vectors).  Transmission completions, collision retries and
+// maintenance beacon ticks are ordinary pooled events on that loop, whose
+// captures fit the event slab's inline buffer, so the steady state never
+// allocates.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <map>
+#include <utility>
+#include <vector>
 
 #include "net/ledger.h"
 #include "net/link_quality.h"
@@ -30,12 +31,11 @@
 #include "net/radio.h"
 #include "net/simulator.h"
 #include "net/topology.h"
+#include "util/rng.h"
 
 namespace ttmqo {
 
-class BatchedNetwork;
-
-/// One lane's view of the radio channel of one deployment.
+/// The radio channel of one deployment.
 class Network {
  public:
   /// Receives a delivered or overheard message.  `addressed` is true when
@@ -43,36 +43,30 @@ class Network {
   using Receiver =
       std::function<void(const Message& msg, bool addressed)>;
 
-  /// A self-contained single-lane deployment (the serial engine).
-  /// `seed` drives the collision model only.
+  /// `seed` drives the collision and link-loss models and the link-quality
+  /// perturbation.  `topology` must outlive the network.
   Network(const Topology& topology, RadioParams radio, ChannelParams channel,
           std::uint64_t seed);
-
-  /// Lane `lane`'s view of `batch` (created by `BatchedNetwork`; the batch
-  /// must outlive the view).
-  Network(BatchedNetwork& batch, std::uint32_t lane);
-
-  ~Network();
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  /// The event loop (scheduling, Now()) — this lane's view of it.
+  /// The event loop (scheduling, Now()).
   Simulator& sim() { return sim_; }
   const Simulator& sim() const { return sim_; }
 
-  /// The deployment (shared by all lanes).
-  const Topology& topology() const;
+  /// The deployment.
+  const Topology& topology() const { return *topology_; }
 
   /// Per-link quality estimates (for parent selection / tie breaking).
-  const LinkQualityMap& link_quality() const;
+  const LinkQualityMap& link_quality() const { return link_quality_; }
 
-  /// Radio accounting of this lane.
-  RadioLedger& ledger();
-  const RadioLedger& ledger() const;
+  /// Radio accounting.
+  RadioLedger& ledger() { return ledger_; }
+  const RadioLedger& ledger() const { return ledger_; }
 
   /// Radio timing parameters.
-  const RadioParams& radio() const;
+  const RadioParams& radio() const { return radio_; }
 
   /// Installs the message handler of `node` (replacing any previous one).
   void SetReceiver(NodeId node, Receiver receiver);
@@ -83,7 +77,7 @@ class Network {
   void SetAsleep(NodeId node, bool asleep);
 
   /// True when the node is currently asleep.
-  bool IsAsleep(NodeId node) const;
+  bool IsAsleep(NodeId node) const { return asleep_.at(node) != 0; }
 
   /// Permanently kills a node (crash fault): it stops receiving, and its
   /// transmissions — including already queued retries — silently vanish.
@@ -92,10 +86,10 @@ class Network {
 
   /// True when the node has been failed.  Engines may consult this when
   /// selecting routes, modelling beacon-based neighbor failure detection.
-  bool IsFailed(NodeId node) const;
+  bool IsFailed(NodeId node) const { return failed_.at(node) != 0; }
 
   /// Number of failed nodes.
-  std::size_t NumFailed() const;
+  std::size_t NumFailed() const { return num_failed_; }
 
   /// Begins a transient outage: the node neither sends, receives, nor
   /// overhears until `Recover`.  Unlike `FailNode` the outage is *silent* —
@@ -107,10 +101,12 @@ class Network {
   void Recover(NodeId node);
 
   /// True when the node is currently unreachable (failed or in an outage).
-  bool IsDown(NodeId node) const;
+  bool IsDown(NodeId node) const {
+    return failed_.at(node) != 0 || down_.at(node) != 0;
+  }
 
   /// Number of nodes currently in a transient outage.
-  std::size_t NumDown() const;
+  std::size_t NumDown() const { return num_down_; }
 
   /// Probability that a delivery on any link without a per-link override is
   /// lost (independent per receiver; the sender never notices).
@@ -126,8 +122,8 @@ class Network {
   /// Effective loss probability of the link a—b.
   double LinkLossOf(NodeId a, NodeId b) const;
 
-  /// Deliveries lost to lossy links so far (all links, this lane).
-  std::uint64_t link_drops() const;
+  /// Deliveries lost to lossy links so far (all links).
+  std::uint64_t link_drops() const { return link_drops_; }
 
   /// Queues `msg` for transmission from `msg.sender`.  Destinations must be
   /// radio neighbors of the sender.  The transmission starts when the
@@ -138,8 +134,7 @@ class Network {
   /// Starts a periodic per-node maintenance broadcast (neighbor beacons /
   /// time sync) of `payload_bytes`, one per node per `period`, with node
   /// index staggering.  Models the paper's "periodical network maintenance
-  /// messages".  (Beacons for this lane only; the batch harness starts the
-  /// coalesced all-lane beacons through `BatchedNetwork` instead.)
+  /// messages".
   void StartMaintenanceBeacons(SimDuration period, std::size_t payload_bytes);
 
   /// Closes every open accounting span at `Now()` — currently the sleep
@@ -149,33 +144,58 @@ class Network {
   /// The experiment harness calls this before summarizing a run.
   void FinalizeAccounting();
 
-  /// Number of transmissions currently in flight (diagnostics, this lane).
-  std::size_t in_flight() const;
+  /// Number of transmissions currently in flight (diagnostics).
+  std::size_t in_flight() const { return total_flights_; }
 
-  /// The event observer fan-out of this lane.  Any number of observers
-  /// (trace writers, metric collectors, samplers) may be attached
-  /// concurrently via `observers().Add(...)`; none is owned.
-  ObserverMux& observers();
-  const ObserverMux& observers() const;
-
-  /// Legacy single-observer slot: replaces the previously set observer
-  /// (nullptr to remove) while leaving observers added through
-  /// `observers()` untouched.
-  void SetObserver(NetworkObserver* observer);
-
-  /// The batch this view belongs to.
-  BatchedNetwork& batch() { return *batch_; }
-
-  /// This view's lane index.
-  std::uint32_t lane() const { return lane_; }
+  /// The event observer fan-out.  Any number of observers (trace writers,
+  /// metric collectors, samplers) may be attached concurrently via
+  /// `observers().Add(...)`; none is owned.
+  ObserverMux& observers() { return observers_; }
+  const ObserverMux& observers() const { return observers_; }
 
  private:
-  /// Set only by the serial constructor.
-  std::unique_ptr<BatchedNetwork> owned_;
-  BatchedNetwork* batch_;
-  std::uint32_t lane_;
+  void BeginAttempt(Message msg, int attempt);
+  void CompleteAttempt(Message msg, int attempt, SimTime started);
+  void Deliver(const Message& msg);
+  void BeaconTick(NodeId node, SimDuration period, std::size_t payload_bytes);
+  std::size_t CountInterferers(NodeId sender, SimTime started) const;
+  void AddFlight(NodeId sender, SimTime end);
+  void RemoveFlight(NodeId sender, SimTime end);
+
   Simulator sim_;
-  NetworkObserver* legacy_observer_ = nullptr;
+  const Topology* topology_;
+  RadioParams radio_;
+  ChannelParams channel_;
+  LinkQualityMap link_quality_;
+  RadioLedger ledger_;
+  Rng rng_;
+  Rng loss_rng_;
+  ObserverMux observers_;
+  std::size_t num_failed_ = 0;
+  std::size_t num_down_ = 0;
+  double default_link_loss_ = 0.0;
+  /// Per-link loss overrides, keyed by the normalized (low, high) pair.
+  std::map<std::pair<NodeId, NodeId>, double> link_loss_;
+  std::uint64_t link_drops_ = 0;
+  std::size_t total_flights_ = 0;
+  /// Compact list of senders with at least one active flight —
+  /// `CountInterferers` walks only those.
+  std::vector<NodeId> active_senders_;
+  // ---- Per-node state, indexed by node id. ----
+  std::vector<Receiver> receivers_;
+  std::vector<std::uint8_t> asleep_;
+  std::vector<std::uint8_t> failed_;
+  std::vector<std::uint8_t> down_;
+  std::vector<SimTime> down_since_;
+  std::vector<SimTime> sleep_since_;
+  std::vector<SimTime> busy_until_;
+  /// O(1) flight tracking: per-sender end times (appended at begin,
+  /// swap-removed at complete; capacity is retained, so steady state never
+  /// allocates) plus each sender's slot in `active_senders_`.
+  std::vector<std::vector<SimTime>> flight_ends_;
+  std::vector<std::uint32_t> active_slot_;
+  /// Scratch for sorted destination lookups on large multicasts.
+  std::vector<NodeId> dest_scratch_;
 };
 
 }  // namespace ttmqo

@@ -1,6 +1,5 @@
 #include "net/simulator.h"
 
-#include <bit>
 #include <limits>
 #include <utility>
 
@@ -9,58 +8,43 @@
 
 namespace ttmqo {
 
-SimCore::SimCore(std::uint32_t lanes)
-    : lanes_(lanes), lane_executed_(lanes, 0) {
-  CheckArg(lanes >= 1 && lanes <= kMaxLanes,
-           "SimCore: lanes must be in [1, 64]");
-}
-
-SimCore::~SimCore() {
+Simulator::~Simulator() {
   // Drop this thread's flight records: a postmortem from the *next*
   // in-process run (e.g. the following sweep task) must not show this
   // run's tail as if it led up to the failure.
   obs::ClearThreadFlightRing();
 }
 
-void SimCore::ScheduleLaneAt(SimTime t, std::uint32_t lane, EventFn fn) {
-  CheckArg(t >= now_, "SimCore::ScheduleLaneAt: cannot schedule in the past");
-  CheckArg(lane < lanes_, "SimCore::ScheduleLaneAt: bad lane");
+void Simulator::ScheduleAt(SimTime t, EventFn fn) {
+  CheckArg(t >= now_, "Simulator::ScheduleAt: cannot schedule in the past");
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   } else {
     Check(slab_.size() < std::numeric_limits<std::uint32_t>::max(),
-          "SimCore: event slab exhausted");
+          "Simulator: event slab exhausted");
     slot = static_cast<std::uint32_t>(slab_.size());
     slab_.emplace_back();
   }
   slab_[slot] = std::move(fn);
-  Push(QueuedEvent{t, next_seq_++, slot, lane});
+  Push(QueuedEvent{t, next_seq_++, slot});
 }
 
-void SimCore::ScheduleGroupAt(SimTime t, std::uint32_t slot) {
-  CheckArg(t >= now_, "SimCore::ScheduleGroupAt: cannot schedule in the past");
-  Check(dispatcher_ != nullptr,
-        "SimCore::ScheduleGroupAt: no group dispatcher registered");
-  Push(QueuedEvent{t, next_seq_++, slot, kGroupLane});
+void Simulator::ScheduleAfter(SimDuration delay, EventFn fn) {
+  CheckArg(delay >= 0, "Simulator::ScheduleAfter: delay must be >= 0");
+  ScheduleAt(now_ + delay, std::move(fn));
 }
 
-void SimCore::RunUntil(SimTime until) {
-  CheckArg(until >= now_, "SimCore::RunUntil: until must be >= Now()");
+void Simulator::RunUntil(SimTime until) {
+  CheckArg(until >= now_, "Simulator::RunUntil: until must be >= Now()");
   while (!heap_.empty() && heap_.front().time <= until) {
     Step();
   }
   now_ = until;
 }
 
-void SimCore::AddExecuted(std::uint64_t mask) {
-  for (std::uint64_t m = mask; m != 0; m &= m - 1) {
-    ++lane_executed_[static_cast<std::uint32_t>(std::countr_zero(m))];
-  }
-}
-
-bool SimCore::Step() {
+bool Simulator::Step() {
   if (heap_.empty()) return false;
   const QueuedEvent event = heap_.front();
   heap_.front() = heap_.back();
@@ -71,28 +55,22 @@ bool SimCore::Step() {
                     static_cast<std::int64_t>(event.seq),
                     static_cast<std::int64_t>(event.slot));
   TTMQO_SPAN_SAMPLED("sim.event", 8);
-  if (event.lane == kGroupLane) {
-    // The dispatcher recycles the group slot itself (mirroring the slab
-    // discipline below) and bumps each member lane's executed count.
-    dispatcher_->DispatchGroup(event.slot);
-    return true;
-  }
   // Move the callable out and recycle its slot *before* invoking: the
   // handler may schedule new events, which can reuse the slot or grow the
   // slab (invalidating slab references, never this local).
   EventFn fn = std::move(slab_[event.slot]);
   free_slots_.push_back(event.slot);
-  ++lane_executed_[event.lane];
+  ++executed_;
   fn();
   return true;
 }
 
-void SimCore::Push(QueuedEvent event) {
+void Simulator::Push(QueuedEvent event) {
   heap_.push_back(event);
   SiftUp(heap_.size() - 1);
 }
 
-void SimCore::SiftUp(std::size_t i) {
+void Simulator::SiftUp(std::size_t i) {
   const QueuedEvent e = heap_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
@@ -103,7 +81,7 @@ void SimCore::SiftUp(std::size_t i) {
   heap_[i] = e;
 }
 
-void SimCore::SiftDown(std::size_t i) {
+void Simulator::SiftDown(std::size_t i) {
   const QueuedEvent e = heap_[i];
   const std::size_t n = heap_.size();
   for (;;) {
@@ -115,19 +93,6 @@ void SimCore::SiftDown(std::size_t i) {
     i = child;
   }
   heap_[i] = e;
-}
-
-Simulator::Simulator()
-    : owned_(std::make_unique<SimCore>(1)), core_(owned_.get()), lane_(0) {}
-
-Simulator::Simulator(SimCore& core, std::uint32_t lane)
-    : core_(&core), lane_(lane) {
-  CheckArg(lane < core.lanes(), "Simulator: lane out of range");
-}
-
-void Simulator::ScheduleAfter(SimDuration delay, EventFn fn) {
-  CheckArg(delay >= 0, "Simulator::ScheduleAfter: delay must be >= 0");
-  ScheduleAt(Now() + delay, std::move(fn));
 }
 
 }  // namespace ttmqo

@@ -4,26 +4,10 @@
 // (time, insertion-sequence) order, so equal-time events run in the order
 // they were scheduled and every run is exactly reproducible.
 //
-// Since the batched multi-seed engine (DESIGN.md note 21) the loop is split
-// in two layers:
-//
-//   - `SimCore` owns the heap, the callable slab, the clock, and the
-//     per-lane executed counters.  It serves 1..64 *lanes* — independent
-//     simulation runs advancing in lockstep through one queue.  Records are
-//     either *lane events* (a pooled callable belonging to one lane — the
-//     engine/workload/fault events of that run) or *group events* (a slot
-//     into the registered `GroupDispatcher`'s own slab, carrying a lane
-//     mask — the radio-internal events the batched network coalesces across
-//     lanes whose schedules coincide).
-//   - `Simulator` is a per-lane view: the scheduling interface engine code
-//     holds a reference to.  A default-constructed `Simulator` owns a
-//     private single-lane core, which is exactly the pre-batching serial
-//     loop — same record ordering, same counts.
-//
 // Internals are built for an allocation-free steady state:
 //   - The priority queue is a hand-rolled binary heap of 24-byte
-//     `QueuedEvent` records (time, sequence, slot, lane) — sifting moves
-//     plain integers, never callables.
+//     `QueuedEvent` records (time, sequence, slot) — sifting moves plain
+//     integers, never callables.
 //   - Callables live in a slab of pooled `EventFn` slots recycled through a
 //     free list; `EventFn` stores small captures inline (see
 //     `InlineCallable`), so scheduling and firing an event performs no
@@ -32,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "util/check.h"
@@ -41,50 +24,27 @@
 
 namespace ttmqo {
 
-/// Handles coalesced group events.  The dispatcher owns its own slot slab;
-/// the core only stores (time, seq, slot) and calls back on fire.  The
-/// dispatcher must call `SimCore::AddExecuted` with the group's lane mask
-/// exactly once per dispatch so per-lane counts match a serial run.
-class GroupDispatcher {
- public:
-  virtual ~GroupDispatcher() = default;
-  virtual void DispatchGroup(std::uint32_t slot) = 0;
-};
-
-/// The shared event loop of one lane batch.  Not thread-safe (by design:
-/// determinism).
-class SimCore {
+/// The event loop.  Not thread-safe (by design: determinism).
+class Simulator {
  public:
   /// An event handler.  The inline capacity is sized for the hot paths'
   /// largest captures (see the static_asserts at the capture sites); bigger
   /// captures still work but fall back to one heap allocation.
   using EventFn = InlineCallable<104>;
 
-  /// Hard lane cap: group masks are one 64-bit word.
-  static constexpr std::uint32_t kMaxLanes = 64;
+  Simulator() = default;
+  ~Simulator();
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
 
-  explicit SimCore(std::uint32_t lanes = 1);
-  ~SimCore();
-  SimCore(const SimCore&) = delete;
-  SimCore& operator=(const SimCore&) = delete;
-
-  /// Number of lanes this core serves.
-  std::uint32_t lanes() const { return lanes_; }
-
-  /// Current simulated time (shared by all lanes).
+  /// Current simulated time.
   SimTime Now() const { return now_; }
 
-  /// Schedules `fn` for `lane` at absolute time `t` (>= Now()).
-  void ScheduleLaneAt(SimTime t, std::uint32_t lane, EventFn fn);
+  /// Schedules `fn` at absolute time `t` (>= Now()).
+  void ScheduleAt(SimTime t, EventFn fn);
 
-  /// Schedules group slot `slot` of the registered dispatcher at `t`.
-  void ScheduleGroupAt(SimTime t, std::uint32_t slot);
-
-  /// Registers the group-event dispatcher (required before the first
-  /// `ScheduleGroupAt`; not owned).
-  void SetGroupDispatcher(GroupDispatcher* dispatcher) {
-    dispatcher_ = dispatcher;
-  }
+  /// Schedules `fn` `delay` ms from now (delay >= 0).
+  void ScheduleAfter(SimDuration delay, EventFn fn);
 
   /// Runs events until the queue empties or simulated time would exceed
   /// `until`; afterwards Now() == `until` (events at exactly `until` run).
@@ -93,30 +53,21 @@ class SimCore {
   /// Runs a single event; returns false when the queue is empty.
   bool Step();
 
-  /// Events executed on behalf of `lane` (group fires count once per lane
-  /// in the group's mask — exactly the events a serial run would execute).
-  std::uint64_t lane_events_executed(std::uint32_t lane) const {
-    return lane_executed_.at(lane);
-  }
+  /// Number of events executed so far.
+  std::uint64_t events_executed() const { return executed_; }
 
-  /// Called by the dispatcher at group fire with the group's lane mask.
-  void AddExecuted(std::uint64_t mask);
-
-  /// Number of records waiting (all lanes).
+  /// Number of events waiting.
   std::size_t pending() const { return heap_.size(); }
 
  private:
-  /// One heap record.  The callable (or the dispatcher's group slot) stays
-  /// put while this trivially-copyable record percolates through the heap.
-  /// `lane` is the owning lane, or `kGroupLane` when `slot` indexes the
-  /// dispatcher's group slab.
+  /// One heap record.  The callable stays put in the slab while this
+  /// trivially-copyable record percolates through the heap.  Alignment pads
+  /// the record to 24 bytes; the 4 bytes after `slot` are unused.
   struct QueuedEvent {
     SimTime time;
     std::uint64_t seq;
     std::uint32_t slot;
-    std::uint32_t lane;
   };
-  static constexpr std::uint32_t kGroupLane = 0xffffffffu;
 
   static bool Earlier(const QueuedEvent& a, const QueuedEvent& b) {
     if (a.time != b.time) return a.time < b.time;
@@ -127,73 +78,15 @@ class SimCore {
   void SiftUp(std::size_t i);
   void SiftDown(std::size_t i);
 
-  std::uint32_t lanes_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::vector<std::uint64_t> lane_executed_;
-  GroupDispatcher* dispatcher_ = nullptr;
+  std::uint64_t executed_ = 0;
   /// Min-heap on (time, seq).
   std::vector<QueuedEvent> heap_;
-  /// Pooled callable storage indexed by `QueuedEvent::slot` (lane events).
+  /// Pooled callable storage indexed by `QueuedEvent::slot`.
   std::vector<EventFn> slab_;
   /// Recycled slab slots.
   std::vector<std::uint32_t> free_slots_;
-};
-
-/// One lane's view of the event loop: the scheduling interface engines,
-/// workloads, and fault plans hold.  A default-constructed `Simulator`
-/// owns a private single-lane `SimCore` — the serial configuration.
-class Simulator {
- public:
-  using EventFn = SimCore::EventFn;
-
-  /// A self-contained single-lane loop (the serial engine).
-  Simulator();
-
-  /// Lane `lane`'s view of `core` (which must outlive the view).
-  Simulator(SimCore& core, std::uint32_t lane);
-
-  Simulator(const Simulator&) = delete;
-  Simulator& operator=(const Simulator&) = delete;
-
-  /// Current simulated time.
-  SimTime Now() const { return core_->Now(); }
-
-  /// Schedules `fn` for this lane at absolute time `t` (>= Now()).
-  void ScheduleAt(SimTime t, EventFn fn) {
-    core_->ScheduleLaneAt(t, lane_, std::move(fn));
-  }
-
-  /// Schedules `fn` `delay` ms from now (delay >= 0).
-  void ScheduleAfter(SimDuration delay, EventFn fn);
-
-  /// Runs events until the queue empties or simulated time would exceed
-  /// `until`.  On a shared core this advances *every* lane of the batch —
-  /// lanes share one clock; the batch harness calls it exactly once.
-  void RunUntil(SimTime until) { core_->RunUntil(until); }
-
-  /// Runs a single event (any lane); returns false when the queue is empty.
-  bool Step() { return core_->Step(); }
-
-  /// Number of events executed on behalf of this lane.
-  std::uint64_t events_executed() const {
-    return core_->lane_events_executed(lane_);
-  }
-
-  /// Number of events waiting (all lanes of the underlying core).
-  std::size_t pending() const { return core_->pending(); }
-
-  /// The underlying core.
-  SimCore& core() { return *core_; }
-
-  /// This view's lane index.
-  std::uint32_t lane() const { return lane_; }
-
- private:
-  /// Set only by the default (serial) constructor.
-  std::unique_ptr<SimCore> owned_;
-  SimCore* core_;
-  std::uint32_t lane_;
 };
 
 }  // namespace ttmqo

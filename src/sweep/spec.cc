@@ -453,7 +453,7 @@ std::uint64_t SweepReport::TotalEvents() const {
 }
 
 SweepReport RunSweep(const SweepSpec& spec, unsigned jobs,
-                     MetricsRegistry* registry, std::size_t batch_seeds) {
+                     MetricsRegistry* registry) {
   std::vector<RunUnit> units = spec.Expand();
   if (registry != nullptr) {
     std::size_t index = 0;
@@ -485,8 +485,7 @@ SweepReport RunSweep(const SweepSpec& spec, unsigned jobs,
   // Wall-clock feeds only the timing (non-canonical) report section.
   // ttmqo-lint: allow(wall-clock): sweep timing metadata
   const auto start = std::chrono::steady_clock::now();
-  std::vector<TimedRunResult> results =
-      RunMany(units, jobs, &pool, batch_seeds);
+  std::vector<TimedRunResult> results = RunMany(units, jobs, &pool);
   const double wall_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - start)  // ttmqo-lint: allow(wall-clock): sweep timing
                              .count();

@@ -120,13 +120,7 @@ struct SweepReport {
 /// (grid/workload/mode/fault/replicate) — `MetricsRegistry` is
 /// thread-safe by contract and its sorted export is deterministic even
 /// though runs finish in any order.
-///
-/// `batch_seeds` is an execution parameter like `jobs`, not part of the
-/// spec: up to that many consecutive same-cell-different-seed rows run
-/// through one lockstep batched event loop, and the canonical report is
-/// byte-identical for every value.
 SweepReport RunSweep(const SweepSpec& spec, unsigned jobs,
-                     MetricsRegistry* registry = nullptr,
-                     std::size_t batch_seeds = 1);
+                     MetricsRegistry* registry = nullptr);
 
 }  // namespace ttmqo

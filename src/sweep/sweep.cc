@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "obs/span.h"
-#include "util/check.h"
 
 namespace ttmqo {
 
@@ -72,28 +71,9 @@ double PoolReport::Utilization() const {
 }
 
 std::vector<TimedRunResult> RunMany(const std::vector<RunUnit>& units,
-                                    unsigned jobs, PoolReport* pool,
-                                    std::size_t batch_lanes) {
-  CheckArg(batch_lanes >= 1 && batch_lanes <= SimCore::kMaxLanes,
-           "RunMany: batch_lanes must be in [1, 64]");
+                                    unsigned jobs, PoolReport* pool) {
   std::vector<TimedRunResult> results(units.size());
-
-  // Partition the units into groups of consecutive batch-compatible
-  // configs, each at most `batch_lanes` wide.  Sweep expansion puts the
-  // replicate (seed) axis innermost, so same-everything-but-seed rows are
-  // adjacent and coalesce into full batches; a group is one pool task.
-  std::vector<std::pair<std::size_t, std::size_t>> groups;  // [begin, end)
-  for (std::size_t i = 0; i < units.size(); ++i) {
-    if (!groups.empty() && groups.back().second - groups.back().first <
-                               batch_lanes &&
-        BatchCompatible(units[groups.back().first].config, units[i].config)) {
-      ++groups.back().second;
-    } else {
-      groups.emplace_back(i, i + 1);
-    }
-  }
-
-  const unsigned n = NumPoolWorkers(groups.size(), jobs);
+  const unsigned n = NumPoolWorkers(units.size(), jobs);
   std::vector<WorkerStat> workers(n);
   for (unsigned w = 0; w < n; ++w) workers[w].worker = w;
 
@@ -101,41 +81,18 @@ std::vector<TimedRunResult> RunMany(const std::vector<RunUnit>& units,
   // never the simulated results.
   // ttmqo-lint: allow(wall-clock): pool timing metadata
   const auto pool_start = std::chrono::steady_clock::now();
-  ParallelForWorkers(groups.size(), jobs, [&](std::size_t g, unsigned worker) {
+  ParallelForWorkers(units.size(), jobs, [&](std::size_t i, unsigned worker) {
     TTMQO_SPAN("sweep.task");
-    const auto [begin, end] = groups[g];
-    const std::size_t lanes = end - begin;
     const auto start = std::chrono::steady_clock::now();  // ttmqo-lint: allow(wall-clock): task timing
-    if (lanes == 1) {
-      results[begin].run =
-          RunExperiment(units[begin].config, units[begin].schedule);
-    } else {
-      std::vector<RunConfig> configs;
-      std::vector<std::vector<WorkloadEvent>> schedules;
-      configs.reserve(lanes);
-      schedules.reserve(lanes);
-      for (std::size_t i = begin; i < end; ++i) {
-        configs.push_back(units[i].config);
-        schedules.push_back(units[i].schedule);
-      }
-      std::vector<RunResult> batch = RunExperimentBatch(configs, schedules);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        results[begin + l].run = std::move(batch[l]);
-      }
-    }
-    const double group_ms =
+    results[i].run = RunExperiment(units[i].config, units[i].schedule);
+    results[i].wall_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - start)  // ttmqo-lint: allow(wall-clock): task timing
             .count();
-    // A batched group's wall time is split evenly across its rows, so the
-    // timing section stays per-row shaped.
-    for (std::size_t i = begin; i < end; ++i) {
-      results[i].wall_ms = group_ms / static_cast<double>(lanes);
-    }
     // `workers[worker]` is touched only by the thread holding that index;
     // no synchronization needed.
-    workers[worker].tasks += lanes;
-    workers[worker].busy_ms += group_ms;
+    ++workers[worker].tasks;
+    workers[worker].busy_ms += results[i].wall_ms;
   });
   if (pool != nullptr) {
     pool->wall_ms = std::chrono::duration<double, std::milli>(

@@ -80,15 +80,8 @@ struct TimedRunResult {
 /// writer is not — serialize trace-capturing sweeps with `jobs = 1`).
 /// When `pool` is non-null it receives per-worker task counts and busy
 /// time.
-///
-/// `batch_lanes > 1` runs up to that many consecutive `BatchCompatible`
-/// units through one lockstep batched event loop (DESIGN.md note 21) —
-/// an execution detail, like `jobs`: per-unit results are byte-identical
-/// to `batch_lanes = 1`.  A batched group's wall time is split evenly
-/// across its rows.
 std::vector<TimedRunResult> RunMany(const std::vector<RunUnit>& units,
                                     unsigned jobs,
-                                    PoolReport* pool = nullptr,
-                                    std::size_t batch_lanes = 1);
+                                    PoolReport* pool = nullptr);
 
 }  // namespace ttmqo

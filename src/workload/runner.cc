@@ -1,12 +1,11 @@
 #include "workload/runner.h"
 
 #include <algorithm>
-#include <deque>
 #include <memory>
 #include <optional>
 
 #include "metrics/metrics_observer.h"
-#include "net/batched_network.h"
+#include "net/network.h"
 #include "net/topology.h"
 #include "obs/flight_recorder.h"
 #include "obs/span.h"
@@ -127,9 +126,9 @@ void ExportRunMetrics(MetricsRegistry& registry, const MetricLabels& labels,
 /// outage) therefore count against completeness, which is the point.
 void FillDeliveryCompleteness(RunResult& run, const RunConfig& config,
                               const std::vector<WorkloadEvent>& schedule,
-                              const FaultPlan& plan,
                               const Topology& topology,
                               const FieldModel& field) {
+  const FaultPlan& plan = config.faults;
   std::map<QueryId, SimTime> terminate_at;
   for (const WorkloadEvent& event : schedule) {
     if (event.kind == WorkloadEvent::Kind::kTerminate) {
@@ -215,15 +214,6 @@ RunResult RunExperiment(const RunConfig& config,
   setup_span.emplace("phase.setup", /*with_cpu=*/true);
 #endif
 
-  // Merge the legacy crash list into the declarative plan and validate the
-  // whole schedule up front: a fault targeting the base station, a dead
-  // node, or a window outside the run fails here with a clear message
-  // instead of throwing from inside the event loop.
-  FaultPlan faults = config.faults;
-  for (const NodeFailure& failure : config.failures) {
-    faults.AddCrash(failure.node, failure.time);
-  }
-
   const Topology topology =
       config.topology == TopologyKind::kGrid
           ? Topology::Grid(config.grid_side, config.grid_spacing_feet,
@@ -232,7 +222,10 @@ RunResult RunExperiment(const RunConfig& config,
                                     config.random_side_feet,
                                     config.radio.range_feet,
                                     config.seed ^ 0x70b0ULL);
-  faults.Validate(topology, config.duration_ms);
+  // Validate the whole fault schedule up front: a fault targeting the base
+  // station, a dead node, or a window outside the run fails here with a
+  // clear message instead of throwing from inside the event loop.
+  config.faults.Validate(topology, config.duration_ms);
   Network network(topology, config.radio, config.channel, config.seed);
   const std::unique_ptr<FieldModel> field =
       MakeFieldModel(config.field, config.seed);
@@ -304,7 +297,7 @@ RunResult RunExperiment(const RunConfig& config,
   }
 
   // Fault injection (crashes, outages, link loss, partitions).
-  faults.ScheduleOn(network, config.obs.trace);
+  config.faults.ScheduleOn(network, config.obs.trace);
 
   // Periodic statistics sampler (time-weighted averages).  The recurring
   // tick lives on this stack frame and reschedules itself through the
@@ -357,7 +350,7 @@ RunResult RunExperiment(const RunConfig& config,
           : 0.0;
   run.final_benefit_ratio = engine.BenefitRatio();
   run.events_executed = network.sim().events_executed();
-  FillDeliveryCompleteness(run, config, schedule, faults, topology, *field);
+  FillDeliveryCompleteness(run, config, schedule, topology, *field);
 
   // Coverage accounting: only epochs the engine annotated (arq profile)
   // contribute, so off/harden summaries stay byte-identical to the seed.
@@ -389,261 +382,6 @@ RunResult RunExperiment(const RunConfig& config,
                     static_cast<std::int64_t>(run.events_executed),
                     static_cast<std::int64_t>(run.summary.total_messages));
   return run;
-}
-
-bool BatchCompatible(const RunConfig& a, const RunConfig& b) {
-  return a.topology == TopologyKind::kGrid &&
-         b.topology == TopologyKind::kGrid && a.grid_side == b.grid_side &&
-         a.grid_spacing_feet == b.grid_spacing_feet &&
-         a.radio.start_ms == b.radio.start_ms &&
-         a.radio.per_byte_ms == b.radio.per_byte_ms &&
-         a.radio.header_bytes == b.radio.header_bytes &&
-         a.radio.range_feet == b.radio.range_feet &&
-         a.channel.collision_prob == b.channel.collision_prob &&
-         a.channel.max_retries == b.channel.max_retries &&
-         a.channel.backoff_ms == b.channel.backoff_ms &&
-         a.duration_ms == b.duration_ms &&
-         a.maintenance_period_ms == b.maintenance_period_ms &&
-         a.maintenance_payload_bytes == b.maintenance_payload_bytes;
-}
-
-namespace {
-
-/// The batch twin of `RunExperiment`'s stack-local sampler: one per lane,
-/// address-stable in the lane deque so the self-rescheduling tick can hold
-/// a plain pointer.
-struct BatchStatsSampler {
-  TtmqoEngine* engine = nullptr;
-  Simulator* sim = nullptr;
-  SimDuration period = 0;
-  double sum_network_queries = 0.0;
-  double sum_benefit_ratio = 0.0;
-  std::uint64_t samples = 0;
-
-  void Tick() {
-    if (engine->NumUserQueries() > 0) {
-      sum_network_queries += static_cast<double>(engine->NumNetworkQueries());
-      sum_benefit_ratio += engine->BenefitRatio();
-      ++samples;
-    }
-    sim->ScheduleAfter(period, [this] { Tick(); });
-  }
-};
-
-/// Everything one lane owns for the duration of a batched run.
-struct LaneRun {
-  const RunConfig* config = nullptr;
-  const std::vector<WorkloadEvent>* schedule = nullptr;
-  FaultPlan faults;
-  std::unique_ptr<FieldModel> field;
-  std::optional<MetricsObserver> metrics_observer;
-  RunResult run;
-  std::unique_ptr<TtmqoEngine> engine;
-  std::size_t active_users = 0;
-  BatchStatsSampler stats;
-};
-
-}  // namespace
-
-std::vector<RunResult> RunExperimentBatch(
-    const std::vector<RunConfig>& configs,
-    const std::vector<std::vector<WorkloadEvent>>& schedules) {
-  CheckArg(!configs.empty() && configs.size() <= SimCore::kMaxLanes,
-           "RunExperimentBatch: lane count must be in [1, 64]");
-  CheckArg(configs.size() == schedules.size(),
-           "RunExperimentBatch: one schedule per config");
-  const RunConfig& shared = configs.front();
-  CheckArg(shared.topology == TopologyKind::kGrid,
-           "RunExperimentBatch: batching requires a grid topology (random "
-           "deployments derive node placement from the per-lane seed)");
-  for (const RunConfig& config : configs) {
-    CheckArg(config.duration_ms > 0,
-             "RunExperiment: duration must be positive");
-    CheckArg(BatchCompatible(shared, config),
-             "RunExperimentBatch: configs are not batch-compatible");
-  }
-
-#ifndef TTMQO_DISABLE_SPANS
-  std::optional<obs::SpanScope> setup_span;
-  setup_span.emplace("phase.setup", /*with_cpu=*/true);
-#endif
-
-  const Topology topology = Topology::Grid(
-      shared.grid_side, shared.grid_spacing_feet, shared.radio.range_feet);
-  std::vector<std::uint64_t> seeds;
-  seeds.reserve(configs.size());
-  for (const RunConfig& config : configs) seeds.push_back(config.seed);
-  BatchedNetwork batch(topology, shared.radio, shared.channel, seeds);
-
-  // Per-lane setup, in exactly the serial `RunExperiment` order so each
-  // lane's event sequence numbers keep their serial relative order:
-  // observability/sampler first, then (below, batch-wide) maintenance
-  // beacons, then the workload, then faults, then the stats tick.
-  std::deque<LaneRun> lane_runs;
-  for (std::uint32_t l = 0; l < configs.size(); ++l) {
-    const RunConfig& config = configs[l];
-    LaneRun& lane = lane_runs.emplace_back();
-    lane.config = &config;
-    lane.schedule = &schedules[l];
-    obs::RecordFlight("run.start", 0, static_cast<std::int64_t>(config.seed),
-                      static_cast<std::int64_t>(lane.schedule->size()), 0,
-                      OptimizationModeName(config.mode).data());
-    lane.faults = config.faults;
-    for (const NodeFailure& failure : config.failures) {
-      lane.faults.AddCrash(failure.node, failure.time);
-    }
-    lane.faults.Validate(topology, config.duration_ms);
-    lane.field = MakeFieldModel(config.field, config.seed);
-
-    Network& network = batch.lane(l);
-    for (NetworkObserver* observer : config.obs.observers) {
-      network.observers().Add(observer);
-    }
-    if (config.obs.registry != nullptr) {
-      lane.metrics_observer.emplace(*config.obs.registry, config.obs.labels);
-      network.observers().Add(&*lane.metrics_observer);
-    }
-    if (config.obs.sampler != nullptr) {
-      config.obs.sampler->Start(network, config.obs.sample_period_ms);
-    }
-
-    TtmqoOptions options;
-    options.mode = config.mode;
-    options.alpha = config.alpha;
-    options.tier1_use_index = config.tier1_use_index;
-    options.innet = config.innet;
-    ApplyReliabilityProfile(config.reliability, options.innet);
-    if (options.innet.arq.seed == 0) {
-      options.innet.arq.seed = config.seed ^ 0xa59aULL;
-    }
-    lane.engine = std::make_unique<TtmqoEngine>(network, *lane.field,
-                                                &lane.run.results, options);
-    if (config.obs.trace != nullptr) {
-      lane.engine->SetTraceSink(config.obs.trace);
-      config.obs.trace->Emit(
-          TraceEvent("run.start")
-              .With("mode", std::string(OptimizationModeName(config.mode)))
-              .With("nodes", static_cast<std::int64_t>(topology.size()))
-              .With("duration_ms", config.duration_ms)
-              .With("seed", static_cast<std::int64_t>(config.seed)));
-    }
-  }
-
-  // One coalesced beacon-tick group per node covers every lane.
-  if (shared.maintenance_period_ms > 0) {
-    batch.StartMaintenanceBeacons(shared.maintenance_period_ms,
-                                  shared.maintenance_payload_bytes);
-  }
-
-  for (std::uint32_t l = 0; l < configs.size(); ++l) {
-    LaneRun& lane = lane_runs[l];
-    Network& network = batch.lane(l);
-    for (const WorkloadEvent& event : *lane.schedule) {
-      CheckArg(event.time >= 0 && event.time < lane.config->duration_ms,
-               "RunExperiment: workload event outside the run window");
-      if (event.kind == WorkloadEvent::Kind::kSubmit) {
-        CheckArg(event.query.has_value(),
-                 "RunExperiment: submit event without a query");
-        const Query query = *event.query;
-        network.sim().ScheduleAt(event.time, [&lane, query]() {
-          lane.engine->SubmitQuery(query);
-          ++lane.active_users;
-          lane.run.peak_user_queries =
-              std::max(lane.run.peak_user_queries, lane.active_users);
-        });
-      } else {
-        const QueryId id = event.id;
-        network.sim().ScheduleAt(event.time, [&lane, id]() {
-          lane.engine->TerminateQuery(id);
-          --lane.active_users;
-        });
-      }
-    }
-  }
-
-  for (std::uint32_t l = 0; l < configs.size(); ++l) {
-    lane_runs[l].faults.ScheduleOn(batch.lane(l), configs[l].obs.trace);
-  }
-
-  for (std::uint32_t l = 0; l < configs.size(); ++l) {
-    LaneRun& lane = lane_runs[l];
-    Network& network = batch.lane(l);
-    lane.stats.engine = lane.engine.get();
-    lane.stats.sim = &network.sim();
-    lane.stats.period = lane.config->stats_sample_period_ms;
-    if (lane.config->stats_sample_period_ms > 0) {
-      network.sim().ScheduleAfter(lane.config->stats_sample_period_ms,
-                                  [s = &lane.stats] { s->Tick(); });
-    }
-  }
-
-#ifndef TTMQO_DISABLE_SPANS
-  setup_span.reset();
-#endif
-  {
-    TTMQO_PHASE_SPAN("phase.event_loop");
-    batch.RunUntil(shared.duration_ms);
-  }
-
-  TTMQO_PHASE_SPAN("phase.summarize");
-  std::vector<RunResult> results;
-  results.reserve(configs.size());
-  for (std::uint32_t l = 0; l < configs.size(); ++l) {
-    LaneRun& lane = lane_runs[l];
-    const RunConfig& config = configs[l];
-    Network& network = batch.lane(l);
-    network.FinalizeAccounting();
-    RunResult& run = lane.run;
-    run.summary =
-        RunSummary::FromLedger(network.ledger(), config.duration_ms);
-    run.avg_network_queries =
-        lane.stats.samples > 0
-            ? lane.stats.sum_network_queries /
-                  static_cast<double>(lane.stats.samples)
-            : 0.0;
-    run.avg_benefit_ratio =
-        lane.stats.samples > 0
-            ? lane.stats.sum_benefit_ratio /
-                  static_cast<double>(lane.stats.samples)
-            : 0.0;
-    run.final_benefit_ratio = lane.engine->BenefitRatio();
-    run.events_executed = network.sim().events_executed();
-    FillDeliveryCompleteness(run, config, *lane.schedule, lane.faults,
-                             topology, *lane.field);
-
-    for (const EpochResult* result : run.results.All()) {
-      if (result->coverage < 0) continue;
-      QueryCoverage& coverage = run.summary.coverage[result->query];
-      ++coverage.epochs;
-      if (result->coverage < 1.0) ++coverage.partial_epochs;
-      coverage.coverage_sum += result->coverage;
-      coverage.min_coverage =
-          std::min(coverage.min_coverage, result->coverage);
-    }
-
-    if (config.obs.registry != nullptr) {
-      ExportRunMetrics(*config.obs.registry, config.obs.labels, run,
-                       *lane.engine);
-    }
-    if (config.obs.trace != nullptr) {
-      TraceEvent end("run.end");
-      end.time = config.duration_ms;
-      config.obs.trace->Emit(
-          end.With("mode", std::string(OptimizationModeName(config.mode)))
-              .With("avg_tx_fraction", run.summary.avg_transmission_fraction)
-              .With("messages",
-                    static_cast<std::int64_t>(run.summary.total_messages))
-              .With("retransmissions",
-                    static_cast<std::int64_t>(run.summary.retransmissions))
-              .With("results",
-                    static_cast<std::int64_t>(run.results.size())));
-    }
-    obs::RecordFlight("run.end", config.duration_ms,
-                      static_cast<std::int64_t>(run.events_executed),
-                      static_cast<std::int64_t>(run.summary.total_messages));
-    results.push_back(std::move(run));
-  }
-  return results;
 }
 
 }  // namespace ttmqo

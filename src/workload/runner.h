@@ -28,12 +28,6 @@ enum class FieldKind { kUniform, kCorrelated, kHotspot };
 std::unique_ptr<FieldModel> MakeFieldModel(FieldKind kind,
                                            std::uint64_t master_seed);
 
-/// A scheduled crash fault.
-struct NodeFailure {
-  SimTime time = 0;
-  NodeId node = 0;
-};
-
 /// How nodes are deployed.
 enum class TopologyKind {
   kGrid,    ///< the paper's n x n grid
@@ -95,9 +89,6 @@ struct RunConfig {
   std::size_t maintenance_payload_bytes = 6;
   /// Master seed (field, link quality, channel).
   std::uint64_t seed = 1;
-  /// Crash faults injected during the run (legacy shorthand; merged into
-  /// `faults` as crashes before the run starts).
-  std::vector<NodeFailure> failures;
   /// Declarative fault schedule (crashes, outages, link loss, partitions).
   /// Validated up front against the deployment and duration; a bad
   /// schedule fails fast with a clear error instead of mid-run.
@@ -129,19 +120,5 @@ struct RunResult {
 /// deterministic in the config.
 RunResult RunExperiment(const RunConfig& config,
                         const std::vector<WorkloadEvent>& schedule);
-
-/// True when `a` and `b` can share one lockstep batched event loop: the
-/// engine-shared parameters — grid deployment, radio, channel, duration,
-/// maintenance beacons — must match.  Per-lane parameters (seed, mode,
-/// alpha, reliability, faults, workload, observability, ...) may differ.
-bool BatchCompatible(const RunConfig& a, const RunConfig& b);
-
-/// Runs `configs[l]` under `schedules[l]` for every lane `l` (1..64 lanes)
-/// through one lockstep batched event loop (DESIGN.md note 21).  All
-/// configs must be pairwise `BatchCompatible`.  Results are byte-identical
-/// to calling `RunExperiment` once per lane.
-std::vector<RunResult> RunExperimentBatch(
-    const std::vector<RunConfig>& configs,
-    const std::vector<std::vector<WorkloadEvent>>& schedules);
 
 }  // namespace ttmqo

@@ -109,49 +109,6 @@ class BsOptEquivalenceTest : public ::testing::Test {
     EXPECT_EQ(naive.index_stats().exact_evaluations, 0u);
   }
 
-  // Feeds `count` queries in batches of `batch_size` through `InsertBatch`
-  // and, on a twin optimizer, one at a time in the exact order the batch
-  // reports back (its sorted processing order).  Every Actions pair, the
-  // final populations, the decision counters, and every index counter
-  // except `batch_shared_probes` must match.
-  void RunBatchDifferential(const QueryModelParams& params,
-                            std::uint64_t seed, std::size_t count,
-                            std::size_t batch_size, bool use_index) {
-    BaseStationOptimizer batched = Make(use_index);
-    BaseStationOptimizer sequential = Make(use_index);
-    RandomQueryModel model(params, seed);
-    QueryId next_id = 1;
-    for (std::size_t done = 0; done < count; done += batch_size) {
-      std::vector<Query> group;
-      std::map<QueryId, Query> by_id;
-      for (std::size_t i = 0; i < batch_size && done + i < count; ++i) {
-        const Query q = model.Next(next_id++);
-        by_id.emplace(q.id(), q);
-        group.push_back(q);
-      }
-      const auto results = batched.InsertBatch(group);
-      ASSERT_EQ(results.size(), group.size());
-      for (const auto& [qid, actions] : results) {
-        const auto expected = sequential.InsertUserQuery(by_id.at(qid));
-        ASSERT_EQ(Render(actions), Render(expected))
-            << "query " << qid << " seed " << seed
-            << " use_index=" << use_index;
-      }
-    }
-    ASSERT_EQ(Render(batched), Render(sequential))
-        << "seed " << seed << " use_index=" << use_index;
-    ASSERT_EQ(Render(batched.decision_stats()),
-              Render(sequential.decision_stats()))
-        << "seed " << seed << " use_index=" << use_index;
-    const auto& bi = batched.index_stats();
-    const auto& si = sequential.index_stats();
-    EXPECT_EQ(bi.coverage_hits, si.coverage_hits);
-    EXPECT_EQ(bi.memo_hits, si.memo_hits);
-    EXPECT_EQ(bi.pruned_candidates, si.pruned_candidates);
-    EXPECT_EQ(bi.exact_evaluations, si.exact_evaluations);
-    EXPECT_EQ(si.batch_shared_probes, 0u);
-  }
-
   Topology topology_;
   SelectivityEstimator estimator_;
   CostModel cost_;
@@ -181,97 +138,6 @@ TEST_F(BsOptEquivalenceTest, TwentySeedsAcrossFourShapesAgree) {
       RunDifferential(*shape, seed, 120);
       if (HasFatalFailure()) return;
     }
-  }
-}
-
-// InsertBatch vs one-at-a-time inserts, both index modes, across the same
-// workload shapes the sequential differential uses.  The skewed template
-// pool makes structurally identical arrivals common, so batches actually
-// exercise the shared-probe path.
-TEST_F(BsOptEquivalenceTest, BatchInsertMatchesSequentialSortedOrder) {
-  QueryModelParams mixed;
-  mixed.predicate_selectivity = 1.0;
-  mixed.randomize_selectivity = true;
-
-  QueryModelParams skewed = mixed;
-  skewed.template_pool = 8;
-
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    for (const QueryModelParams* shape : {&mixed, &skewed}) {
-      for (const bool use_index : {true, false}) {
-        RunBatchDifferential(*shape, seed, /*count=*/90, /*batch_size=*/30,
-                             use_index);
-        if (HasFatalFailure()) return;
-      }
-    }
-  }
-}
-
-// A handcrafted batch with known duplicate groups: the probe-sharing
-// arithmetic is pinned exactly — one search per group, every other member
-// resolved without one.  The groups use the ThousandDeep shape (kMax
-// aggregations over pairwise-distinct predicates), which never merge with
-// each other, so every group's first insert is standalone.
-TEST_F(BsOptEquivalenceTest, BatchSharesProbesAcrossDuplicateGroups) {
-  const auto agg = [](QueryId qid, double hi) {
-    return Query::Aggregation(
-        qid, {{AggregateOp::kMax, Attribute::kLight}},
-        PredicateSet::Of({{Attribute::kTemp, Interval(0.0, hi)}}), 8192);
-  };
-  BaseStationOptimizer opt = Make(true);
-  // Three groups: {1,4,6} at hi=5, {2,5} at hi=10, {3} at hi=15.
-  const std::vector<Query> batch = {agg(1, 5.0),  agg(2, 10.0), agg(3, 15.0),
-                                    agg(4, 5.0),  agg(5, 10.0), agg(6, 5.0)};
-  const auto results = opt.InsertBatch(batch);
-  ASSERT_EQ(results.size(), batch.size());
-  for (const auto& [qid, actions] : results) {
-    EXPECT_TRUE(actions.abort.empty()) << "query " << qid;
-  }
-  // One standalone insert (and injection) per group; every other member is
-  // a shared-probe coverage with no actions at all.
-  EXPECT_EQ(opt.decision_stats().standalone, 3u);
-  EXPECT_EQ(opt.decision_stats().covered, 3u);
-  EXPECT_EQ(opt.index_stats().batch_shared_probes, 3u);
-  EXPECT_EQ(opt.index_stats().coverage_hits, 3u);
-  EXPECT_EQ(opt.NumSynthetic(), 3u);
-  EXPECT_EQ(opt.NumUserQueries(), 6u);
-}
-
-// Coverage is asymmetric: an acquisition whose predicate reads an
-// unselected attribute does not cover even an exact duplicate of itself
-// (the duplicate's acquired set includes the predicate attribute, the
-// synthetic's reported columns do not).  Sequential insertion merges such
-// arrivals; the batch path must fall back to the full search and match it
-// byte for byte instead of shortcutting.
-TEST_F(BsOptEquivalenceTest, BatchFallsBackWhenSyntheticCannotCoverDuplicates) {
-  const auto acq = [](QueryId qid) {
-    return Query::Acquisition(
-        qid, {Attribute::kTemp},
-        PredicateSet::Of({{Attribute::kLight, Interval(100, 400)}}), 4096);
-  };
-  for (const bool use_index : {true, false}) {
-    BaseStationOptimizer batched = Make(use_index);
-    BaseStationOptimizer sequential = Make(use_index);
-    const std::vector<Query> batch = {acq(1), acq(2), acq(3)};
-    const auto results = batched.InsertBatch(batch);
-    ASSERT_EQ(results.size(), batch.size());
-    for (const auto& [qid, actions] : results) {
-      const auto expected =
-          sequential.InsertUserQuery(acq(qid));
-      ASSERT_EQ(Render(actions), Render(expected))
-          << "query " << qid << " use_index=" << use_index;
-    }
-    ASSERT_EQ(Render(batched), Render(sequential)) << "use_index=" << use_index;
-    ASSERT_EQ(Render(batched.decision_stats()),
-              Render(sequential.decision_stats()))
-        << "use_index=" << use_index;
-    // q1 stands alone; q2 is NOT covered by q1's synthetic (the fallback
-    // under test) and merges with it — and the merged synthetic acquires
-    // the predicate attribute too, so it covers q3 and the shortcut
-    // legitimately fires once.
-    EXPECT_EQ(batched.index_stats().batch_shared_probes, 1u);
-    EXPECT_EQ(batched.decision_stats().merged, 1u);
-    EXPECT_EQ(batched.decision_stats().covered, 1u);
   }
 }
 

@@ -93,13 +93,13 @@ TEST(FaultPlanValidateTest, RunnerValidatesUpFront) {
       StaticSchedule({ParseQuery(1, "SELECT light EPOCH DURATION 4096")});
   RunConfig config;
   config.duration_ms = 8 * 4096;
-  config.failures.push_back(NodeFailure{1000, kBaseStationId});
+  config.faults.AddCrash(kBaseStationId, 1000);
   EXPECT_THROW(RunExperiment(config, schedule), std::invalid_argument);
 
-  config.failures = {NodeFailure{1000, 5}, NodeFailure{2000, 5}};
+  config.faults = FaultPlan().AddCrash(5, 1000).AddCrash(5, 2000);
   EXPECT_THROW(RunExperiment(config, schedule), std::invalid_argument);
 
-  config.failures = {NodeFailure{1000, 5}};
+  config.faults = FaultPlan().AddCrash(5, 1000);
   EXPECT_NO_THROW(RunExperiment(config, schedule));
 }
 

@@ -1,4 +1,4 @@
-// Golden-run regression suite: three pinned scenarios whose canonical
+// Golden-run regression suite: six pinned scenarios whose canonical
 // fingerprints (see sweep/fingerprint.h) are stored under tests/golden/.
 // Any change to simulated behavior — row counts, message totals,
 // transmission time, delivery completeness — fails here with a diffable
@@ -152,6 +152,45 @@ TEST(GoldenRegressionTest, DenseContentionRun) {
   // silently pin a clean-channel run.
   EXPECT_GT(run.summary.retransmissions, 0u);
   CheckGolden("dense_contention_5x5.txt", FingerprintRun(run));
+}
+
+// Scenario 5: the TinyDB baseline — WORKLOAD_B on a 6x6 grid over a
+// contended channel.  The scenarios above all run tier 2, so without this
+// one nothing pins the baseline engine's routing and per-query traffic.
+TEST(GoldenRegressionTest, BaselineSixBySix) {
+  RunConfig config;
+  config.grid_side = 6;
+  config.mode = OptimizationMode::kBaseline;
+  config.field = FieldKind::kCorrelated;
+  config.channel.collision_prob = 0.02;
+  config.duration_ms = 8 * 12288;
+  config.seed = 5;
+  const RunResult run = RunExperiment(config, StaticSchedule(WorkloadB()));
+  EXPECT_GT(run.summary.retransmissions, 0u);
+  CheckGolden("baseline_6x6.txt", FingerprintRun(run));
+}
+
+// Scenario 6: the arq transport — WORKLOAD_C on a 6x6 grid with 10% loss
+// on every link, random transient outages and a contended channel.  Pins
+// acks, retries and gap repair, which the reliability=off scenarios never
+// run.
+TEST(GoldenRegressionTest, ArqLossySixBySix) {
+  RunConfig config;
+  config.grid_side = 6;
+  config.mode = OptimizationMode::kTwoTier;
+  config.field = FieldKind::kCorrelated;
+  config.reliability = ReliabilityProfile::kArq;
+  config.channel.collision_prob = 0.02;
+  config.duration_ms = 8 * 12288;
+  config.seed = 13;
+  RandomFaultParams params;
+  params.link_loss = 0.10;
+  config.faults = FaultPlan::RandomTransient(params, 6 * 6, config.duration_ms,
+                                             config.seed);
+  const RunResult run = RunExperiment(config, StaticSchedule(WorkloadC()));
+  EXPECT_GT(run.summary.control_messages, 0u);
+  EXPECT_FALSE(run.summary.coverage.empty());
+  CheckGolden("arq_lossy_6x6.txt", FingerprintRun(run));
 }
 
 }  // namespace

@@ -199,27 +199,6 @@ TEST(ObserverMuxTest, FansOutToAllObservers) {
   EXPECT_EQ(network.observers().size(), 1u);
 }
 
-TEST(ObserverMuxTest, LegacySetObserverReplacesOnlyItsOwnSlot) {
-  const Topology topology = Topology::Grid(3);
-  Network network(topology, RadioParams{}, ChannelParams{}, 1);
-  CountingObserver muxed, legacy1, legacy2;
-  network.observers().Add(&muxed);
-  network.SetObserver(&legacy1);
-  network.SetObserver(&legacy2);  // replaces legacy1, keeps muxed
-  EXPECT_EQ(network.observers().size(), 2u);
-
-  Message msg;
-  msg.mode = AddressMode::kBroadcast;
-  msg.sender = 4;
-  msg.payload_bytes = 8;
-  network.Send(std::move(msg));
-  network.sim().RunUntil(1000);
-
-  EXPECT_EQ(muxed.transmissions, 1u);
-  EXPECT_EQ(legacy1.transmissions, 0u);
-  EXPECT_EQ(legacy2.transmissions, 1u);
-}
-
 // ------------------------------------------------------ epoch sampler --
 
 TEST(EpochSamplerTest, OneRowPerEpochAndDeltasSumToLedger) {

@@ -31,14 +31,6 @@ TEST(SweepDeterminismTest, CanonicalReportIdenticalAcrossJobCounts) {
   EXPECT_EQ(serial.Canonical(), parallel.Canonical());
 }
 
-TEST(SweepDeterminismTest, CanonicalReportIdenticalAcrossBatchSeeds) {
-  const SweepSpec spec = TestSpec();
-  const SweepReport serial = RunSweep(spec, 1);
-  const SweepReport batched =
-      RunSweep(spec, 1, /*registry=*/nullptr, /*batch_seeds=*/4);
-  EXPECT_EQ(serial.Canonical(), batched.Canonical());
-}
-
 TEST(SweepDeterminismTest, RepeatedParallelRunsAgree) {
   const SweepSpec spec = TestSpec();
   const SweepReport first = RunSweep(spec, 4);

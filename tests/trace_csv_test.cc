@@ -16,7 +16,7 @@ TEST(TraceTest, JsonlWriterRecordsTransmissionsAndLifecycle) {
   Network network(topology, RadioParams{}, ChannelParams{}, 1);
   std::ostringstream trace;
   JsonlTraceWriter writer(trace);
-  network.SetObserver(&writer);
+  network.observers().Add(&writer);
 
   Message msg;
   msg.mode = AddressMode::kUnicast;
@@ -45,7 +45,7 @@ TEST(TraceTest, CountingObserverSeesEngineTraffic) {
   const Topology topology = Topology::Grid(4);
   Network network(topology, RadioParams{}, ChannelParams{}, 1);
   CountingObserver counter;
-  network.SetObserver(&counter);
+  network.observers().Add(&counter);
   UniformFieldModel field(2);
   ResultLog log;
   InNetworkEngine engine(network, field, &log);
@@ -62,7 +62,7 @@ TEST(TraceTest, RetransmissionsAreFlagged) {
   channel.collision_prob = 0.5;
   Network network(topology, RadioParams{}, channel, 7);
   CountingObserver counter;
-  network.SetObserver(&counter);
+  network.observers().Add(&counter);
   for (NodeId n = 0; n < topology.size(); ++n) {
     Message msg;
     msg.mode = AddressMode::kBroadcast;

@@ -20,15 +20,10 @@ VOLATILE_KEYS = {
     # Hotpath/sweep artifacts: wall clock, derived rates, and host shape
     # vary per machine; event and decision counts must not.
     "wall_ms",
-    "serial_wall_ms",
     "per_run_wall_ms",
     "events_per_sec",
-    "serial_events_per_sec",
     "runs_per_sec",
     "speedup",
-    "speedup_vs_baseline",
-    "batch_speedup",
-    "aggregate_speedup",
     "hardware_concurrency",
 }
 
