@@ -10,10 +10,26 @@
 //
 // Usage: scalability [--duration-ms=N] [--seed=N] [--collisions=P]
 //                    [--jobs=N]  (0 = hardware concurrency)
+//
+// With --scale-out=FILE it instead measures the per-event cost curve of
+// tier 2 and writes it as a BENCH_*.json artifact (BENCH_scale.json):
+// ttmqo WorkloadC on n x n grids, n in {10, 20, 30, 40, 60}, 81920 sim-ms,
+// seed 7, collisions 0.02, one run at a time in increasing n.  Per grid it
+// records the executed events, the run's wall time, ns per event and the
+// process's peak RSS (ru_maxrss) after the run.  Event counts are
+// deterministic; timings and RSS depend on the host.
+//
+//   $ scalability --scale-out=BENCH_scale.json
+#include <sys/resource.h>
+
+#include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <iostream>
+#include <stdexcept>
 
 #include "metrics/table.h"
+#include "obs/build_info.h"
 #include "obs/session.h"
 #include "sweep/sweep.h"
 #include "util/flags.h"
@@ -26,8 +42,84 @@ namespace {
 constexpr OptimizationMode kModes[] = {OptimizationMode::kBaseline,
                                        OptimizationMode::kTwoTier};
 
+// The scale curve's fixed parameters (see the header comment).
+constexpr std::size_t kScaleSides[] = {10, 20, 30, 40, 60};
+constexpr SimDuration kScaleDurationMs = 81920;
+constexpr std::uint64_t kScaleSeed = 7;
+constexpr double kScaleCollisions = 0.02;
+
+long MaxRssKb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;  // kilobytes on Linux
+}
+
+int WriteScaleCurve(const std::string& path) {
+  std::ofstream out(path);
+  if (!out) throw std::runtime_error("cannot open output file: " + path);
+  out << "{\n";
+  out << "  \"bench\": \"scale\",\n";
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "  \"config\": {\"mode\": \"ttmqo\", \"workload\": \"C\", "
+                "\"duration_ms\": %lld, \"seed\": %llu, \"collisions\": %.2f},"
+                "\n",
+                static_cast<long long>(kScaleDurationMs),
+                static_cast<unsigned long long>(kScaleSeed), kScaleCollisions);
+  out << buf;
+  out << "  \"build\": ";
+  obs::WriteBuildInfoJson(out);
+  out << ",\n";
+  out << "  \"grids\": [\n";
+  TablePrinter table({"grid", "events", "wall ms", "ns/event", "maxrss MB"});
+  for (std::size_t i = 0; i < std::size(kScaleSides); ++i) {
+    const std::size_t side = kScaleSides[i];
+    RunConfig config;
+    config.grid_side = side;
+    config.mode = OptimizationMode::kTwoTier;
+    config.duration_ms = kScaleDurationMs;
+    config.seed = kScaleSeed;
+    config.channel.collision_prob = kScaleCollisions;
+    const auto start = std::chrono::steady_clock::now();
+    const RunResult run = RunExperiment(config, StaticSchedule(WorkloadC()));
+    const double wall_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    const double ns_per_event =
+        wall_ms * 1e6 / static_cast<double>(run.events_executed);
+    const long rss_kb = MaxRssKb();
+    std::snprintf(buf, sizeof(buf),
+                  "    {\"n\": %zu, \"events_executed\": %llu, "
+                  "\"wall_ms\": %.1f, \"ns_per_event\": %.0f, "
+                  "\"ru_maxrss_kb\": %ld}%s\n",
+                  side, static_cast<unsigned long long>(run.events_executed),
+                  wall_ms, ns_per_event, rss_kb,
+                  i + 1 < std::size(kScaleSides) ? "," : "");
+    out << buf;
+    table.AddRow({std::to_string(side) + "x" + std::to_string(side),
+                  std::to_string(run.events_executed),
+                  TablePrinter::Num(wall_ms, 1),
+                  TablePrinter::Num(ns_per_event, 0),
+                  TablePrinter::Num(static_cast<double>(rss_kb) / 1024.0, 1)});
+  }
+  out << "  ]\n";
+  out << "}\n";
+  std::printf("Tier-2 scale curve (ttmqo WORKLOAD_C, %lld sim-ms, seed %llu, "
+              "collisions=%.2f)\n\n",
+              static_cast<long long>(kScaleDurationMs),
+              static_cast<unsigned long long>(kScaleSeed), kScaleCollisions);
+  table.Print(std::cout);
+  std::printf("wrote %s\n", path.c_str());
+  return 0;
+}
+
 int Main(int argc, char** argv) {
   const Flags flags = Flags::Parse(argc, argv);
+  if (const auto scale_out = flags.GetOptional("scale-out")) {
+    obs::ObsSession obs_session(obs::ObsSession::FromFlags(flags));
+    if (ReportUnreadFlags(flags)) return 2;
+    return WriteScaleCurve(*scale_out);
+  }
   const SimDuration duration = flags.GetInt("duration-ms", 20 * 12288);
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 77));
   const double collisions = flags.GetDouble("collisions", 0.02);
@@ -120,4 +212,11 @@ int Main(int argc, char** argv) {
 }  // namespace
 }  // namespace ttmqo
 
-int main(int argc, char** argv) { return ttmqo::Main(argc, argv); }
+int main(int argc, char** argv) {
+  try {
+    return ttmqo::Main(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "scalability: %s\n", e.what());
+    return 1;
+  }
+}

@@ -29,15 +29,12 @@ void MergePartialVectors(std::vector<PartialAggregate>& into,
   for (std::size_t i = 0; i < into.size(); ++i) into[i].Merge(from[i]);
 }
 
-std::vector<QueryId> AllQueriesOf(
-    const std::map<NodeId, std::vector<QueryId>>& dest_queries) {
-  std::vector<QueryId> queries;
-  for (const auto& [dest, qs] : dest_queries) {
-    queries.insert(queries.end(), qs.begin(), qs.end());
-  }
-  std::sort(queries.begin(), queries.end());
-  queries.erase(std::unique(queries.begin(), queries.end()), queries.end());
-  return queries;
+// Erases the entries of a tick-keyed container older than `horizon`.  The
+// keys sort tick first, so they form one prefix: the cost is the number of
+// entries erased, not the container's size.
+template <typename Container, typename Key>
+void ErasePrefix(Container& container, const Key& horizon) {
+  container.erase(container.begin(), container.lower_bound(horizon));
 }
 
 }  // namespace
@@ -222,12 +219,13 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
   if (options_.liveness_timeout_ms > 0) NoteAlive(self, msg.sender);
 
   if (const auto* prop =
-          dynamic_cast<const InNetPropagationPayload*>(msg.payload.get())) {
+          PayloadAs<InNetPropagationPayload>(msg.payload.get())) {
     const QueryId id = prop->query.id();
     // Piggybacked data bit: learn it from every copy of the flood, even
     // duplicates, but only about upper-level neighbors.
     if (prop->sender_has_data) {
-      NoteHasData(self, msg.sender, {id}, network_.sim().Now());
+      NoteHasData(self, msg.sender, std::span<const QueryId>(&id, 1),
+                  network_.sim().Now());
     }
     // A terminated query must never be reinstalled by a late re-flood.
     if (state.seen_abort.contains(id)) return;
@@ -273,7 +271,7 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
   }
 
   if (const auto* abort =
-          dynamic_cast<const QueryAbortPayload*>(msg.payload.get())) {
+          PayloadAs<QueryAbortPayload>(msg.payload.get())) {
     if (state.seen_abort.contains(abort->query)) return;
     state.seen_abort.insert(abort->query);
     if (self == kBaseStationId) return;
@@ -297,7 +295,7 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
   }
 
   if (const auto* row =
-          dynamic_cast<const SharedRowPayload*>(msg.payload.get())) {
+          PayloadAs<SharedRowPayload>(msg.payload.get())) {
     // The broadcast channel teaches us who has data: a row batch heard
     // from a neighbor that contains the neighbor's own reading marks it.
     for (const RowEntry& entry : row->entries) {
@@ -314,49 +312,48 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
       return;
     }
     // Keep only the (row, query) pairs this node is responsible for,
-    // dropping (query, epoch, source) keys already relayed once.
-    std::vector<RowEntry> mine;
+    // dropping (query, epoch, source) keys already relayed once.  While our
+    // packing slot has not fired yet, the kept rows ride along with our own
+    // reading in one message; otherwise they leave right away.
+    const SimTime t = row->epoch_time;
+    const bool ride_along = options_.shared_messages &&
+                            state.slot_scheduled.contains(t) &&
+                            !state.slot_done.contains(t);
+    std::vector<RowEntry> direct;
+    std::vector<RowEntry>* mine = nullptr;
+    std::vector<QueryId>& kept = kept_scratch_;
     for (const RowEntry& entry : row->entries) {
-      RowEntry kept;
-      kept.row = entry.row;
+      kept.clear();
       for (QueryId q : entry.queries) {
         if (std::find(it->second.begin(), it->second.end(), q) ==
             it->second.end()) {
           continue;
         }
         if (options_.duplicate_suppression &&
-            !state.seen_rows
-                 .emplace(q, row->epoch_time, entry.row.node())
-                 .second) {
+            !state.seen_rows.emplace(t, q, entry.row.node()).second) {
           ++duplicates_suppressed_;
           continue;
         }
-        kept.queries.push_back(q);
+        kept.push_back(q);
       }
-      if (!kept.queries.empty()) mine.push_back(std::move(kept));
+      if (kept.empty()) continue;
+      if (mine == nullptr) mine = ride_along ? &state.row_buffer[t] : &direct;
+      mine->push_back(
+          RowEntry{entry.row, std::vector<QueryId>(kept.begin(), kept.end())});
     }
-    if (mine.empty()) return;
+    if (mine == nullptr) return;
     state.last_relay = network_.sim().Now();
-    const SimTime t = row->epoch_time;
-    if (options_.shared_messages && state.slot_scheduled.contains(t) &&
-        !state.slot_done.contains(t)) {
-      // Our packing slot has not fired yet: the relayed rows ride along
-      // with our own reading in one message.
-      auto& buffer = state.row_buffer[t];
-      buffer.insert(buffer.end(), std::make_move_iterator(mine.begin()),
-                    std::make_move_iterator(mine.end()));
-    } else {
-      SendRows(self, t, std::move(mine));
-    }
+    if (!ride_along) SendRows(self, t, std::move(direct));
     return;
   }
 
   if (const auto* agg =
-          dynamic_cast<const SharedAggPayload*>(msg.payload.get())) {
+          PayloadAs<SharedAggPayload>(msg.payload.get())) {
     // Any carrier of partials for q is a good parent for q: forwarding to
     // it lets the aggregates merge one hop earlier.
-    NoteHasData(self, msg.sender, AllQueriesOf(agg->dest_queries),
-                agg->epoch_time);
+    for (const auto& [dest, qs] : agg->dest_queries) {
+      NoteHasData(self, msg.sender, qs, agg->epoch_time);
+    }
     if (!addressed) return;
     const auto it = agg->dest_queries.find(self);
     if (it == agg->dest_queries.end() || it->second.empty()) return;
@@ -389,7 +386,7 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
   }
 
   if (const auto* req =
-          dynamic_cast<const RepairRequestPayload*>(msg.payload.get())) {
+          PayloadAs<RepairRequestPayload>(msg.payload.get())) {
     if (!addressed || self == kBaseStationId) return;
     if (network_.IsAsleep(self)) network_.SetAsleep(self, false);
     HandleRepairRequest(self, *req);
@@ -397,7 +394,7 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
   }
 
   if (const auto* reply =
-          dynamic_cast<const RepairReplyPayload*>(msg.payload.get())) {
+          PayloadAs<RepairReplyPayload>(msg.payload.get())) {
     if (!addressed) return;
     if (network_.IsAsleep(self)) network_.SetAsleep(self, false);
     HandleRepairReply(self, msg, *reply);
@@ -552,20 +549,15 @@ void InNetworkEngine::OnTick(NodeId self, SimTime t) {
   }
   state.matched_last_tick = any_match;
 
-  // Prune stale per-tick bookkeeping.
+  // Prune stale per-tick bookkeeping: ticks before the horizon, as one
+  // range per container.
   const SimTime horizon = t - kPruneHorizonMs;
-  std::erase_if(state.slot_scheduled,
-                [horizon](SimTime s) { return s < horizon; });
-  std::erase_if(state.slot_done, [horizon](SimTime s) { return s < horizon; });
-  std::erase_if(state.agg_buffer,
-                [horizon](const auto& e) { return e.first < horizon; });
-  std::erase_if(state.row_buffer,
-                [horizon](const auto& e) { return e.first < horizon; });
-  std::erase_if(state.seen_rows, [horizon](const auto& key) {
-    return std::get<1>(key) < horizon;
-  });
-  std::erase_if(state.own_rows,
-                [horizon](const auto& e) { return e.first < horizon; });
+  ErasePrefix(state.slot_scheduled, horizon);
+  ErasePrefix(state.slot_done, horizon);
+  ErasePrefix(state.agg_buffer, horizon);
+  ErasePrefix(state.row_buffer, horizon);
+  ErasePrefix(state.seen_rows, std::tuple(horizon, QueryId{0}, NodeId{0}));
+  ErasePrefix(state.own_rows, horizon);
 
   ScheduleTick(self);
 
@@ -621,22 +613,18 @@ void InNetworkEngine::OnSlot(NodeId self, SimTime t) {
 // Route selection and transmission
 // -----------------------------------------------------------------------
 
-std::map<NodeId, std::vector<QueryId>> InNetworkEngine::ChooseParents(
-    NodeId self, std::vector<QueryId> queries) {
-  std::map<NodeId, std::vector<QueryId>> groups;
-  if (!options_.query_aware_routing) {
-    groups.emplace(tree_.ParentOf(self), std::move(queries));
-    return groups;
-  }
-  const NodeState& state = nodes_[self];
+std::span<const NodeId> InNetworkEngine::UsableParents(NodeId self) {
+  if (!options_.query_aware_routing) return {};
   // Beacon-based failure detection plus liveness: dead neighbors are never
   // candidates, and neighbors silent past the liveness timeout are
   // blacklisted with bounded backoff.  When every upper-level neighbor is
   // suspect, fall back to the merely-not-failed set; when all are dead the
   // node is cut off — fall back to the full list (the messages will be
   // lost, which is the truth).
-  std::vector<NodeId> upper;
-  for (NodeId candidate : levels_.UpperNeighbors(self)) {
+  const std::vector<NodeId>& all = levels_.UpperNeighbors(self);
+  std::vector<NodeId>& upper = upper_scratch_;
+  upper.clear();
+  for (NodeId candidate : all) {
     if (!network_.IsFailed(candidate) && !SuspectParent(self, candidate) &&
         !(arq_ && candidate != kBaseStationId &&
           arq_->IsQuarantined(self, candidate))) {
@@ -644,19 +632,31 @@ std::map<NodeId, std::vector<QueryId>> InNetworkEngine::ChooseParents(
     }
   }
   if (upper.empty()) {
-    for (NodeId candidate : levels_.UpperNeighbors(self)) {
+    for (NodeId candidate : all) {
       if (!network_.IsFailed(candidate)) upper.push_back(candidate);
     }
   }
-  if (upper.empty()) upper = levels_.UpperNeighbors(self);
+  if (upper.empty()) upper.assign(all.begin(), all.end());
   Check(!upper.empty(), "every non-root node has an upper-level neighbor");
+  return upper;
+}
+
+void InNetworkEngine::ChooseParents(NodeId self, std::span<const NodeId> upper,
+                                    std::span<const QueryId> queries,
+                                    DestQueries& out) {
+  out.clear();
+  if (!options_.query_aware_routing) {
+    out.emplace(tree_.ParentOf(self),
+                std::vector<QueryId>(queries.begin(), queries.end()));
+    return;
+  }
+  const NodeState& state = nodes_[self];
   const SimTime now = network_.sim().Now();
 
-  auto is_fresh = [&](NodeId neighbor, QueryId q) {
-    const auto nb_it = state.has_data.find(neighbor);
-    if (nb_it == state.has_data.end()) return false;
-    const auto q_it = nb_it->second.find(q);
-    if (q_it == nb_it->second.end()) return false;
+  // Whether `known` (one neighbor's has-data facts) is fresh for q.
+  auto is_fresh = [&](const std::map<QueryId, SimTime>& known, QueryId q) {
+    const auto q_it = known.find(q);
+    if (q_it == known.end()) return false;
     const auto active_it = state.active.find(q);
     if (active_it == state.active.end()) return false;
     const SimDuration ttl = static_cast<SimDuration>(
@@ -665,57 +665,86 @@ std::map<NodeId, std::vector<QueryId>> InNetworkEngine::ChooseParents(
     return q_it->second + ttl >= now;
   };
 
-  std::vector<QueryId> remaining = std::move(queries);
+  std::vector<QueryId>& remaining = remaining_scratch_;
+  std::vector<QueryId>& covered = covered_scratch_;
+  std::vector<QueryId>& best_covered = best_covered_scratch_;
+  remaining.assign(queries.begin(), queries.end());
   while (!remaining.empty()) {
     NodeId best = upper.front();
-    std::vector<QueryId> best_covered;
+    best_covered.clear();
     double best_quality = -1.0;
     for (NodeId candidate : upper) {
-      std::vector<QueryId> covered;
-      for (QueryId q : remaining) {
-        if (is_fresh(candidate, q)) covered.push_back(q);
+      covered.clear();
+      const auto nb_it = state.has_data.find(candidate);
+      if (nb_it != state.has_data.end()) {
+        for (QueryId q : remaining) {
+          if (is_fresh(nb_it->second, q)) covered.push_back(q);
+        }
       }
       const double quality = network_.link_quality().Quality(self, candidate);
       if (covered.size() > best_covered.size() ||
           (covered.size() == best_covered.size() &&
            quality > best_quality)) {
         best = candidate;
-        best_covered = std::move(covered);
+        std::swap(best_covered, covered);
         best_quality = quality;
       }
     }
     if (best_covered.empty()) {
       // Nobody advertises data for the rest: give it to the most stable
       // link (this degenerates to TinyDB's choice on a cold start).
-      auto& bucket = groups[best];
+      auto& bucket = out[best];
       bucket.insert(bucket.end(), remaining.begin(), remaining.end());
       break;
     }
-    auto& bucket = groups[best];
+    auto& bucket = out[best];
     bucket.insert(bucket.end(), best_covered.begin(), best_covered.end());
     std::erase_if(remaining, [&](QueryId q) {
       return std::find(best_covered.begin(), best_covered.end(), q) !=
              best_covered.end();
     });
   }
-  for (auto& [parent, qs] : groups) std::sort(qs.begin(), qs.end());
-  return groups;
+  for (auto& [parent, qs] : out) std::sort(qs.begin(), qs.end());
 }
 
 void InNetworkEngine::SendRows(NodeId self, SimTime t,
                                std::vector<RowEntry> entries) {
   // Rows whose queries route to the same next-hop split pack into one
-  // transmission; distinct splits become distinct messages.
-  std::map<std::map<NodeId, std::vector<QueryId>>, std::vector<RowEntry>>
-      groups;
-  for (RowEntry& entry : entries) {
-    groups[ChooseParents(self, entry.queries)].push_back(std::move(entry));
+  // transmission; distinct splits become distinct messages.  A split
+  // depends only on the query set, and at one instant the candidates do
+  // not change, so they are filtered once and each distinct query set is
+  // split once.
+  if (entries.empty()) return;
+  const std::span<const NodeId> upper = UsableParents(self);
+  std::map<DestQueries, std::vector<RowEntry>> groups;
+  std::vector<std::size_t>& reps = set_reps_scratch_;
+  std::vector<std::vector<RowEntry>*>& group_of = row_group_scratch_;
+  reps.clear();
+  group_of.clear();
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    std::vector<RowEntry>* group = nullptr;
+    for (std::size_t rep : reps) {
+      if (entries[rep].queries == entries[i].queries) {
+        group = group_of[rep];
+        break;
+      }
+    }
+    if (group == nullptr) {
+      ChooseParents(self, upper, entries[i].queries, split_scratch_);
+      group = &groups[split_scratch_];
+      reps.push_back(i);
+    }
+    group_of.push_back(group);
   }
-  for (auto& [dest_queries, rows] : groups) {
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    group_of[i]->push_back(std::move(entries[i]));
+  }
+  while (!groups.empty()) {
+    auto group = groups.extract(groups.begin());
     auto payload = std::make_shared<SharedRowPayload>();
     payload->epoch_time = t;
-    payload->entries = std::move(rows);
-    payload->dest_queries = dest_queries;
+    payload->entries = std::move(group.mapped());
+    payload->dest_queries = std::move(group.key());
 
     Message msg;
     msg.cls = MessageClass::kResult;
@@ -735,13 +764,14 @@ void InNetworkEngine::SendRows(NodeId self, SimTime t,
 void InNetworkEngine::SendAgg(
     NodeId self, SimTime t,
     std::map<QueryId, std::vector<PartialAggregate>> partials) {
-  std::vector<QueryId> queries;
+  std::vector<QueryId>& queries = kept_scratch_;
+  queries.clear();
   for (const auto& [q, p] : partials) queries.push_back(q);
 
   auto payload = std::make_shared<SharedAggPayload>();
   payload->epoch_time = t;
   payload->partials = std::move(partials);
-  payload->dest_queries = ChooseParents(self, std::move(queries));
+  ChooseParents(self, UsableParents(self), queries, payload->dest_queries);
 
   Message msg;
   msg.cls = MessageClass::kResult;
@@ -769,9 +799,8 @@ void InNetworkEngine::ReliableSend(Message msg, SimTime deadline) {
   }
 }
 
-SimTime InNetworkEngine::ResultDeadline(
-    NodeId self, SimTime t,
-    const std::map<NodeId, std::vector<QueryId>>& dest_queries) const {
+SimTime InNetworkEngine::ResultDeadline(NodeId self, SimTime t,
+                                        const DestQueries& dest_queries) const {
   // A result for tick t is useful until the earliest epoch close among the
   // queries it serves.  Relays may carry queries they never installed
   // (SRT-pruned); fall back to the shortest possible epoch for those.
@@ -802,7 +831,7 @@ void InNetworkEngine::OnArqGiveUp(const ArqTransport::GiveUpInfo& info) {
   }
   current_reroute_ = info.reroutes + 1;
   if (const auto* row =
-          dynamic_cast<const SharedRowPayload*>(info.inner.get())) {
+          PayloadAs<SharedRowPayload>(info.inner.get())) {
     // Keep only the (row, query) pairs whose destination never acked; the
     // quarantine the give-up produced steers ChooseParents elsewhere.
     std::set<QueryId> lost;
@@ -824,7 +853,7 @@ void InNetworkEngine::OnArqGiveUp(const ArqTransport::GiveUpInfo& info) {
       SendRows(info.sender, row->epoch_time, std::move(entries));
     }
   } else if (const auto* agg =
-                 dynamic_cast<const SharedAggPayload*>(info.inner.get())) {
+                 PayloadAs<SharedAggPayload>(info.inner.get())) {
     std::set<QueryId> lost;
     for (NodeId dest : info.unacked) {
       const auto it = agg->dest_queries.find(dest);
@@ -838,7 +867,7 @@ void InNetworkEngine::OnArqGiveUp(const ArqTransport::GiveUpInfo& info) {
     if (!partials.empty()) {
       SendAgg(info.sender, agg->epoch_time, std::move(partials));
     }
-  } else if (dynamic_cast<const RepairReplyPayload*>(info.inner.get()) !=
+  } else if (PayloadAs<RepairReplyPayload>(info.inner.get()) !=
              nullptr) {
     // The quarantined hop is now avoided by ControlParent; try another.
     ForwardRepairReply(
@@ -1091,7 +1120,7 @@ bool InNetworkEngine::SuspectParent(NodeId self, NodeId candidate) {
 }
 
 void InNetworkEngine::NoteHasData(NodeId self, NodeId sender,
-                                  const std::vector<QueryId>& queries,
+                                  std::span<const QueryId> queries,
                                   SimTime when) {
   // Only upper-level neighbors are parent candidates.
   if (levels_.LevelOf(sender) + 1 != levels_.LevelOf(self)) return;
@@ -1121,7 +1150,7 @@ void InNetworkEngine::MaybeSleep(NodeId self, SimTime t) {
 
 void InNetworkEngine::BsAccept(const Message& msg) {
   if (const auto* row =
-          dynamic_cast<const SharedRowPayload*>(msg.payload.get())) {
+          PayloadAs<SharedRowPayload>(msg.payload.get())) {
     const auto it = row->dest_queries.find(kBaseStationId);
     if (it == row->dest_queries.end()) return;
     for (const RowEntry& entry : row->entries) {
@@ -1156,7 +1185,7 @@ void InNetworkEngine::BsAccept(const Message& msg) {
     return;
   }
   if (const auto* agg =
-          dynamic_cast<const SharedAggPayload*>(msg.payload.get())) {
+          PayloadAs<SharedAggPayload>(msg.payload.get())) {
     const auto it = agg->dest_queries.find(kBaseStationId);
     if (it == agg->dest_queries.end()) return;
     for (QueryId q : it->second) {

@@ -28,6 +28,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -141,6 +142,9 @@ class InNetworkEngine final : public QueryEngine {
   const ArqTransport* arq() const { return arq_ ? &*arq_ : nullptr; }
 
  private:
+  /// Which queries each addressed next hop is responsible for.
+  using DestQueries = std::map<NodeId, std::vector<QueryId>>;
+
   /// Liveness suspicion of one parent candidate.
   struct Suspicion {
     SimTime blacklisted_until = 0;
@@ -175,9 +179,10 @@ class InNetworkEngine final : public QueryEngine {
     std::map<NodeId, SimTime> last_heard;
     /// Currently / previously blacklisted parent candidates.
     std::map<NodeId, Suspicion> suspicion;
-    /// (query, epoch, source) row keys already relayed (duplicate
-    /// suppression); pruned with the per-tick horizon.
-    std::set<std::tuple<QueryId, SimTime, NodeId>> seen_rows;
+    /// Row keys already relayed (duplicate suppression), ordered epoch
+    /// first — (epoch, query, source) — so the per-tick prune erases the
+    /// expired prefix as one range.
+    std::set<std::tuple<SimTime, QueryId, NodeId>> seen_rows;
     /// The node's own matched reading per tick, cached for gap-repair
     /// replies (arq profile only); pruned with the per-tick horizon.
     std::map<SimTime, RowEntry> own_rows;
@@ -223,10 +228,18 @@ class InNetworkEngine final : public QueryEngine {
   void SendRows(NodeId self, SimTime t, std::vector<RowEntry> entries);
   void SendAgg(NodeId self, SimTime t,
                std::map<QueryId, std::vector<PartialAggregate>> partials);
-  std::map<NodeId, std::vector<QueryId>> ChooseParents(
-      NodeId self, std::vector<QueryId> queries);
+  /// The upper-level neighbors `self` may route through now: dead, suspect
+  /// and quarantined candidates are filtered out (with fallbacks when that
+  /// leaves none).  Empty when query-aware routing is off.  The span views
+  /// scratch that the next call overwrites.
+  std::span<const NodeId> UsableParents(NodeId self);
+  /// Splits `queries` among `upper` (one `UsableParents` result): each
+  /// query goes to the candidate known to have data for it, else to the
+  /// most stable link.  Writes the per-destination split to `out`.
+  void ChooseParents(NodeId self, std::span<const NodeId> upper,
+                     std::span<const QueryId> queries, DestQueries& out);
   void NoteHasData(NodeId self, NodeId sender,
-                   const std::vector<QueryId>& queries, SimTime when);
+                   std::span<const QueryId> queries, SimTime when);
   /// Liveness tracking: records that `self` heard from `sender` now and
   /// clears any suspicion of it.
   void NoteAlive(NodeId self, NodeId sender);
@@ -246,8 +259,7 @@ class InNetworkEngine final : public QueryEngine {
   /// Retry deadline of a result message for tick `t`: the earliest epoch
   /// close among the queries it serves.
   SimTime ResultDeadline(NodeId self, SimTime t,
-                         const std::map<NodeId, std::vector<QueryId>>&
-                             dest_queries) const;
+                         const DestQueries& dest_queries) const;
   /// A reliable send exhausted its budget: re-route the surviving payload
   /// through fresh parents (bounded re-route chain).
   void OnArqGiveUp(const ArqTransport::GiveUpInfo& info);
@@ -294,6 +306,16 @@ class InNetworkEngine final : public QueryEngine {
   std::optional<ArqTransport> arq_;
   /// Re-route depth of the send currently in flight (give-up chains cap).
   int current_reroute_ = 0;
+  /// Reused scratch of the send and receive paths (capacity persists, so
+  /// steady-state route choices and relay filtering do not allocate).
+  std::vector<NodeId> upper_scratch_;
+  std::vector<QueryId> remaining_scratch_;
+  std::vector<QueryId> covered_scratch_;
+  std::vector<QueryId> best_covered_scratch_;
+  std::vector<QueryId> kept_scratch_;
+  std::vector<std::size_t> set_reps_scratch_;
+  std::vector<std::vector<RowEntry>*> row_group_scratch_;
+  DestQueries split_scratch_;
   std::uint64_t duplicates_suppressed_ = 0;
   std::uint64_t late_drops_ = 0;
   std::uint64_t repair_requests_ = 0;

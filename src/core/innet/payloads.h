@@ -23,8 +23,12 @@ namespace ttmqo {
 /// Query propagation with the piggybacked "sender has data" bit the DAG
 /// bootstrap relies on (Section 3.2.2, Query Propagation Phase).
 struct InNetPropagationPayload final : Payload {
+  static constexpr PayloadKind kKind = PayloadKind::kInNetPropagation;
   InNetPropagationPayload(Query q, bool has_data, int r = 0)
-      : query(std::move(q)), sender_has_data(has_data), round(r) {}
+      : Payload(kKind),
+        query(std::move(q)),
+        sender_has_data(has_data),
+        round(r) {}
   Query query;
   /// Whether the forwarding node's current reading satisfies the query.
   bool sender_has_data;
@@ -48,6 +52,8 @@ struct RowEntry {
 /// transmissions" of Section 1; a node's own reading and the rows it
 /// relays ride together.
 struct SharedRowPayload final : Payload {
+  static constexpr PayloadKind kKind = PayloadKind::kSharedRow;
+  SharedRowPayload() : Payload(kKind) {}
   SimTime epoch_time = 0;
   /// The packed rows.
   std::vector<RowEntry> entries;
@@ -58,6 +64,8 @@ struct SharedRowPayload final : Payload {
 
 /// Partial aggregation state of several queries for one epoch tick.
 struct SharedAggPayload final : Payload {
+  static constexpr PayloadKind kKind = PayloadKind::kSharedAgg;
+  SharedAggPayload() : Payload(kKind) {}
   SimTime epoch_time = 0;
   /// Partial state per query (vector ordered by the query's aggregate list).
   std::map<QueryId, std::vector<PartialAggregate>> partials;
@@ -70,6 +78,8 @@ struct SharedAggPayload final : Payload {
 /// the routing tree hop by hop (each relay keeps its own subtree's targets
 /// and forwards the rest), ARQ-protected, as `MessageClass::kControl`.
 struct RepairRequestPayload final : Payload {
+  static constexpr PayloadKind kKind = PayloadKind::kRepairRequest;
+  RepairRequestPayload() : Payload(kKind) {}
   QueryId query = kInvalidQueryId;
   SimTime epoch_time = 0;
   /// Epoch close time at the base station; replies past it are pointless.
@@ -82,6 +92,8 @@ struct RepairRequestPayload final : Payload {
 /// affirms "no data" — both make the node *accounted* in the base
 /// station's coverage ledger.
 struct RepairReplyPayload final : Payload {
+  static constexpr PayloadKind kKind = PayloadKind::kRepairReply;
+  RepairReplyPayload() : Payload(kKind) {}
   QueryId query = kInvalidQueryId;
   SimTime epoch_time = 0;
   SimTime deadline = 0;

@@ -31,12 +31,50 @@ inline constexpr std::size_t kNumMessageClasses = 5;
 /// Display name of a message class.
 std::string_view MessageClassName(MessageClass cls);
 
-/// Base class of typed message payloads; engines define concrete payloads
-/// and downcast on receipt.
+/// Concrete type of a payload, fixed at construction.  Receivers dispatch
+/// on it with `PayloadAs` instead of a `dynamic_cast` chain.  Payloads
+/// defined outside the engines (test probes) keep `kOther`.
+enum class PayloadKind : std::uint8_t {
+  kOther = 0,
+  // tinydb/payloads.h
+  kQueryPropagation,
+  kQueryAbort,
+  kRow,
+  kAgg,
+  // core/innet/payloads.h
+  kInNetPropagation,
+  kSharedRow,
+  kSharedAgg,
+  kRepairRequest,
+  kRepairReply,
+  // reliable/arq.h
+  kArqData,
+  kArqAck,
+};
+
+/// Base class of typed message payloads.  Each concrete payload declares
+/// `static constexpr PayloadKind kKind` and passes it to this constructor.
 class Payload {
  public:
+  explicit Payload(PayloadKind kind = PayloadKind::kOther) : kind_(kind) {}
   virtual ~Payload() = default;
+
+  PayloadKind kind() const { return kind_; }
+
+ private:
+  PayloadKind kind_;
 };
+
+/// `payload` as a `T` when its kind is `T::kKind`, nullptr otherwise
+/// (including a null payload).
+template <typename T>
+const T* PayloadAs(const Payload* payload) {
+  static_assert(T::kKind != PayloadKind::kOther,
+                "only kinded payloads can be dispatched on");
+  return payload != nullptr && payload->kind() == T::kKind
+             ? static_cast<const T*>(payload)
+             : nullptr;
+}
 
 /// How a transmission addresses its receivers.
 enum class AddressMode : std::uint8_t {

@@ -131,7 +131,7 @@ void ArqTransport::OnTimeout(std::uint32_t index, std::uint32_t generation) {
 void ArqTransport::OnReceive(NodeId self, const Message& msg,
                              bool addressed) {
   if (const auto* data =
-          dynamic_cast<const ArqDataPayload*>(msg.payload.get())) {
+          PayloadAs<ArqDataPayload>(msg.payload.get())) {
     // Reconstruct the application-level message so the engine sees exactly
     // what it would without the transport (overhearing included).
     Message inner;
@@ -171,7 +171,7 @@ void ArqTransport::OnReceive(NodeId self, const Message& msg,
   }
 
   if (const auto* ack =
-          dynamic_cast<const ArqAckPayload*>(msg.payload.get())) {
+          PayloadAs<ArqAckPayload>(msg.payload.get())) {
     if (addressed) {
       auto& live = live_[self];
       const auto it = live.find(ack->seq);

@@ -77,15 +77,17 @@ struct ArqOptions {
 
 /// The reliable wrapper around an application payload.
 struct ArqDataPayload final : Payload {
+  static constexpr PayloadKind kKind = PayloadKind::kArqData;
   ArqDataPayload(std::uint32_t s, std::shared_ptr<const Payload> p)
-      : seq(s), inner(std::move(p)) {}
+      : Payload(kKind), seq(s), inner(std::move(p)) {}
   std::uint32_t seq;
   std::shared_ptr<const Payload> inner;
 };
 
 /// Acknowledgement of one (sender, seq); travels as kControl.
 struct ArqAckPayload final : Payload {
-  explicit ArqAckPayload(std::uint32_t s) : seq(s) {}
+  static constexpr PayloadKind kKind = PayloadKind::kArqAck;
+  explicit ArqAckPayload(std::uint32_t s) : Payload(kKind), seq(s) {}
   std::uint32_t seq;
 };
 

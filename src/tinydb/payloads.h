@@ -19,20 +19,24 @@ namespace ttmqo {
 
 /// Floods a new query from the base station into the network.
 struct QueryPropagationPayload final : Payload {
-  explicit QueryPropagationPayload(Query q) : query(std::move(q)) {}
+  static constexpr PayloadKind kKind = PayloadKind::kQueryPropagation;
+  explicit QueryPropagationPayload(Query q)
+      : Payload(kKind), query(std::move(q)) {}
   Query query;
 };
 
 /// Floods the termination of a query.
 struct QueryAbortPayload final : Payload {
-  explicit QueryAbortPayload(QueryId q) : query(q) {}
+  static constexpr PayloadKind kKind = PayloadKind::kQueryAbort;
+  explicit QueryAbortPayload(QueryId q) : Payload(kKind), query(q) {}
   QueryId query;
 };
 
 /// One acquisition result row for one query, forwarded hop by hop.
 struct RowPayload final : Payload {
+  static constexpr PayloadKind kKind = PayloadKind::kRow;
   RowPayload(QueryId q, SimTime epoch, Reading r)
-      : query(q), epoch_time(epoch), row(std::move(r)) {}
+      : Payload(kKind), query(q), epoch_time(epoch), row(std::move(r)) {}
   QueryId query;
   SimTime epoch_time;
   Reading row;
@@ -40,8 +44,9 @@ struct RowPayload final : Payload {
 
 /// Partial aggregation state for one query and epoch, merged on the way up.
 struct AggPayload final : Payload {
+  static constexpr PayloadKind kKind = PayloadKind::kAgg;
   AggPayload(QueryId q, SimTime epoch, std::vector<PartialAggregate> p)
-      : query(q), epoch_time(epoch), partials(std::move(p)) {}
+      : Payload(kKind), query(q), epoch_time(epoch), partials(std::move(p)) {}
   QueryId query;
   SimTime epoch_time;
   std::vector<PartialAggregate> partials;

@@ -1,6 +1,7 @@
 #include "tinydb/tinydb_engine.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/check.h"
 #include "util/mathx.h"
@@ -107,7 +108,7 @@ void TinyDbEngine::HandleMessage(NodeId self, const Message& msg,
   if (!addressed) return;  // the baseline never exploits overhearing
 
   if (const auto* prop =
-          dynamic_cast<const QueryPropagationPayload*>(msg.payload.get())) {
+          PayloadAs<QueryPropagationPayload>(msg.payload.get())) {
     NodeState& state = nodes_[self];
     if (state.seen_propagation.contains(prop->query.id())) return;
     state.seen_propagation.insert(prop->query.id());
@@ -131,7 +132,7 @@ void TinyDbEngine::HandleMessage(NodeId self, const Message& msg,
   }
 
   if (const auto* abort =
-          dynamic_cast<const QueryAbortPayload*>(msg.payload.get())) {
+          PayloadAs<QueryAbortPayload>(msg.payload.get())) {
     NodeState& state = nodes_[self];
     if (state.seen_abort.contains(abort->query)) return;
     state.seen_abort.insert(abort->query);
@@ -157,12 +158,12 @@ void TinyDbEngine::HandleMessage(NodeId self, const Message& msg,
     return;
   }
 
-  if (const auto* row = dynamic_cast<const RowPayload*>(msg.payload.get())) {
+  if (const auto* row = PayloadAs<RowPayload>(msg.payload.get())) {
     ForwardRow(self, *row);
     return;
   }
 
-  if (const auto* agg = dynamic_cast<const AggPayload*>(msg.payload.get())) {
+  if (const auto* agg = PayloadAs<AggPayload>(msg.payload.get())) {
     NodeState& state = nodes_[self];
     const auto key = std::make_pair(agg->query, agg->epoch_time);
     if (state.agg_slot_done.contains(key) || !state.active.contains(agg->query)) {
@@ -203,10 +204,12 @@ void TinyDbEngine::InstallQuery(NodeId self, const Query& query) {
 void TinyDbEngine::RemoveQuery(NodeId self, QueryId id) {
   NodeState& state = nodes_[self];
   state.active.erase(id);
-  std::erase_if(state.agg_buffer,
-                [id](const auto& entry) { return entry.first.first == id; });
-  std::erase_if(state.agg_slot_done,
-                [id](const auto& key) { return key.first == id; });
+  const QueryEpoch first{id, std::numeric_limits<SimTime>::min()};
+  const QueryEpoch last{id, std::numeric_limits<SimTime>::max()};
+  state.agg_buffer.erase(state.agg_buffer.lower_bound(first),
+                         state.agg_buffer.upper_bound(last));
+  state.agg_slot_done.erase(state.agg_slot_done.lower_bound(first),
+                            state.agg_slot_done.upper_bound(last));
 }
 
 void TinyDbEngine::ScheduleNextEpoch(NodeId self, QueryId id) {
@@ -278,11 +281,13 @@ void TinyDbEngine::OnEpoch(NodeId self, QueryId id, SimTime epoch_time) {
                               });
   }
 
-  // Prune stale per-epoch bookkeeping.
+  // Prune stale per-epoch bookkeeping: this query's epochs before the
+  // horizon, one range of the query-first keys.
   const SimTime horizon = epoch_time - 4 * query.epoch();
-  std::erase_if(state.agg_slot_done, [id, horizon](const auto& key) {
-    return key.first == id && key.second < horizon;
-  });
+  state.agg_slot_done.erase(
+      state.agg_slot_done.lower_bound(
+          {id, std::numeric_limits<SimTime>::min()}),
+      state.agg_slot_done.lower_bound({id, horizon}));
 
   ScheduleNextEpoch(self, id);
 }
@@ -336,13 +341,13 @@ void TinyDbEngine::ForwardPartials(NodeId self, QueryId id,
 // ---------------------------------------------------------------------
 
 void TinyDbEngine::BsAccept(const Message& msg) {
-  if (const auto* row = dynamic_cast<const RowPayload*>(msg.payload.get())) {
+  if (const auto* row = PayloadAs<RowPayload>(msg.payload.get())) {
     auto it = bs_queries_.find(row->query);
     if (it == bs_queries_.end() || it->second.terminated) return;
     it->second.rows[row->epoch_time].try_emplace(row->row.node(), row->row);
     return;
   }
-  if (const auto* agg = dynamic_cast<const AggPayload*>(msg.payload.get())) {
+  if (const auto* agg = PayloadAs<AggPayload>(msg.payload.get())) {
     auto it = bs_queries_.find(agg->query);
     if (it == bs_queries_.end() || it->second.terminated) return;
     auto& buffer = it->second.partials[agg->epoch_time];

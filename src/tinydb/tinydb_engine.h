@@ -26,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "net/network.h"
@@ -71,6 +72,10 @@ class TinyDbEngine final : public QueryEngine {
   std::vector<QueryId> ActiveQueries() const;
 
  private:
+  /// Key of per-(query, epoch) bookkeeping.  It sorts query first, so one
+  /// query's entries (or its epochs before some horizon) form one range.
+  using QueryEpoch = std::pair<QueryId, SimTime>;
+
   struct NodeState {
     /// Queries installed on this node.
     std::map<QueryId, Query> active;
@@ -81,11 +86,10 @@ class TinyDbEngine final : public QueryEngine {
     /// the same prune).
     std::set<QueryId> relayed_propagation;
     /// Buffered child partials per (query, epoch), merged at the agg slot.
-    std::map<std::pair<QueryId, SimTime>, std::vector<PartialAggregate>>
-        agg_buffer;
+    std::map<QueryEpoch, std::vector<PartialAggregate>> agg_buffer;
     /// (query, epoch) pairs whose aggregation slot already fired; late
     /// partials are forwarded immediately.
-    std::set<std::pair<QueryId, SimTime>> agg_slot_done;
+    std::set<QueryEpoch> agg_slot_done;
   };
 
   struct BsQueryState {

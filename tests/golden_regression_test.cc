@@ -1,4 +1,4 @@
-// Golden-run regression suite: six pinned scenarios whose canonical
+// Golden-run regression suite: seven pinned scenarios whose canonical
 // fingerprints (see sweep/fingerprint.h) are stored under tests/golden/.
 // Any change to simulated behavior — row counts, message totals,
 // transmission time, delivery completeness — fails here with a diffable
@@ -191,6 +191,23 @@ TEST(GoldenRegressionTest, ArqLossySixBySix) {
   EXPECT_GT(run.summary.control_messages, 0u);
   EXPECT_FALSE(run.summary.coverage.empty());
   CheckGolden("arq_lossy_6x6.txt", FingerprintRun(run));
+}
+
+// Scenario 7: tier 2 at scale — WORKLOAD_C on a 16x16 grid over a
+// contended channel.  On the small grids above a relay holds a few dozen
+// duplicate-suppression keys and a packed send rarely splits across query
+// sets; here relays near the sink carry hundreds of rows per tick, so the
+// pinned event count catches any reordering of their sends.
+TEST(GoldenRegressionTest, TtmqoSixteenBySixteen) {
+  RunConfig config;
+  config.grid_side = 16;
+  config.mode = OptimizationMode::kTwoTier;
+  config.field = FieldKind::kCorrelated;
+  config.channel.collision_prob = 0.02;
+  config.duration_ms = 8 * 12288;
+  config.seed = 42;
+  const RunResult run = RunExperiment(config, StaticSchedule(WorkloadC()));
+  CheckGolden("ttmqo_16x16.txt", FingerprintRun(run));
 }
 
 }  // namespace

@@ -25,6 +25,34 @@ class InNetEngineTest : public ::testing::Test {
     network_.sim().RunUntil(until);
   }
 
+  // Hands `to` the row of `source` for (`query`, `epoch`) from the neighbor
+  // `from`, shaped exactly like a child's packed slot transmission.
+  void SendRow(NodeId from, NodeId to, QueryId query, SimTime epoch,
+               NodeId source) {
+    auto payload = std::make_shared<SharedRowPayload>();
+    payload->epoch_time = epoch;
+    RowEntry entry;
+    entry.row = Reading(source, epoch);
+    entry.row.Set(Attribute::kLight, 42.0);
+    entry.queries = {query};
+    payload->entries.push_back(std::move(entry));
+    payload->dest_queries[to] = {query};
+    Message msg;
+    msg.cls = MessageClass::kResult;
+    msg.mode = AddressMode::kUnicast;
+    msg.sender = from;
+    msg.destinations = {to};
+    msg.payload_bytes = SharedRowBytes(*payload);
+    msg.payload = std::move(payload);
+    if (network_.IsAsleep(from)) network_.SetAsleep(from, false);
+    network_.Send(std::move(msg));
+  }
+
+  std::uint64_t ResultsSentBy(NodeId node) const {
+    return network_.ledger().StatsOf(node).sent_by_class[static_cast<
+        std::size_t>(MessageClass::kResult)];
+  }
+
   Topology topology_;
   Network network_;
   UniformFieldModel field_;
@@ -198,6 +226,74 @@ TEST_F(InNetEngineTest, DynamicArrivalMidRunIsServed) {
   const EpochResult* r = log_.Find(2, 5 * 4096);
   ASSERT_FALSE(r->aggregates.empty());
   EXPECT_TRUE(r->aggregates.front().second.has_value());
+}
+
+// Readings never exceed the light range's upper end, so under this query
+// the hand-built rows are the only data in the network, while every node
+// still installs it and ticks.
+constexpr std::string_view kNoMatchQuery =
+    "SELECT light WHERE light > 1000 EPOCH DURATION 2048";
+
+TEST_F(InNetEngineTest, RelayForwardsARepeatedRowOnce) {
+  InNetworkEngine engine(network_, field_, &log_);
+  const NodeId child = 15;
+  const NodeId relay = engine.level_graph().UpperNeighbors(child).front();
+  ASSERT_NE(relay, kBaseStationId);
+  network_.sim().ScheduleAt(2100, [&] { SendRow(child, relay, 1, 2048, child); });
+  network_.sim().ScheduleAt(2300, [&] { SendRow(child, relay, 1, 2048, child); });
+  network_.sim().RunUntil(4096);
+  EXPECT_EQ(ResultsSentBy(child), 2u);
+  EXPECT_EQ(ResultsSentBy(relay), 1u);
+  EXPECT_EQ(engine.duplicates_suppressed(), 1u);
+}
+
+TEST_F(InNetEngineTest, BaseStationDropsARepeatedRow) {
+  InNetworkEngine engine(network_, field_, &log_);
+  engine.SubmitQuery(ParseQuery(1, kNoMatchQuery));
+  const NodeId child = 1;
+  ASSERT_TRUE(topology_.AreNeighbors(child, kBaseStationId));
+  // Epoch 2048 closes at 4096: both copies arrive while it is open.
+  network_.sim().ScheduleAt(2100, [&] {
+    SendRow(child, kBaseStationId, 1, 2048, child);
+  });
+  network_.sim().ScheduleAt(2300, [&] {
+    SendRow(child, kBaseStationId, 1, 2048, child);
+  });
+  network_.sim().RunUntil(3 * 2048);
+  EXPECT_EQ(engine.duplicates_suppressed(), 1u);
+  const EpochResult* result = log_.Find(1, 2048);
+  ASSERT_NE(result, nullptr);
+  ASSERT_EQ(result->rows.size(), 1u);
+  EXPECT_EQ(result->rows.front().node(), child);
+}
+
+TEST_F(InNetEngineTest, RowRepeatedPastThePruneHorizonIsRelayedAgain) {
+  InNetworkEngine engine(network_, field_, &log_);
+  // The relay prunes its duplicate keys on its own ticks, so it must run a
+  // query.
+  engine.SubmitQuery(ParseQuery(1, kNoMatchQuery));
+  const NodeId child = 15;
+  const NodeId relay = engine.level_graph().UpperNeighbors(child).front();
+  ASSERT_NE(relay, kBaseStationId);
+  constexpr SimTime kEpoch = 2048;
+  constexpr SimDuration kPruneHorizon = 32 * 2048;
+  const auto send_at = [&](SimTime at) {
+    network_.sim().ScheduleAt(at, [&] {
+      SendRow(child, relay, 1, kEpoch, child);
+    });
+    network_.sim().RunUntil(at + 1024);
+  };
+  send_at(kEpoch + 300);
+  EXPECT_EQ(ResultsSentBy(relay), 1u);
+  // The tick at kEpoch + horizon prunes only older epochs: still a repeat.
+  send_at(kEpoch + kPruneHorizon + 300);
+  EXPECT_EQ(ResultsSentBy(relay), 1u);
+  EXPECT_EQ(engine.duplicates_suppressed(), 1u);
+  // One tick later the key is forgotten: the row is relayed again and is
+  // not counted as a duplicate.
+  send_at(kEpoch + kPruneHorizon + 2048 + 300);
+  EXPECT_EQ(ResultsSentBy(relay), 2u);
+  EXPECT_EQ(engine.duplicates_suppressed(), 1u);
 }
 
 }  // namespace
