@@ -29,12 +29,41 @@ void MergePartialVectors(std::vector<PartialAggregate>& into,
   for (std::size_t i = 0; i < into.size(); ++i) into[i].Merge(from[i]);
 }
 
+// Packs a (query, source) row key for the per-epoch duplicate buckets.
+std::uint64_t RowKey(QueryId query, NodeId source) {
+  static_assert(sizeof(QueryId) + sizeof(NodeId) <= sizeof(std::uint64_t));
+  return (std::uint64_t{query} << std::numeric_limits<NodeId>::digits) |
+         source;
+}
+
+// Small per-node key sets are ascending vectors: a lookup touches a few
+// cache lines and an insert allocates only when the vector grows.
+//
+// Inserts `key` into the ascending `keys`; false when it was already there.
+template <typename T>
+bool InsertSorted(std::vector<T>& keys, T key) {
+  const auto it = std::lower_bound(keys.begin(), keys.end(), key);
+  if (it != keys.end() && *it == key) return false;
+  keys.insert(it, key);
+  return true;
+}
+
+template <typename T>
+bool ContainsSorted(const std::vector<T>& keys, T key) {
+  return std::binary_search(keys.begin(), keys.end(), key);
+}
+
 // Erases the entries of a tick-keyed container older than `horizon`.  The
 // keys sort tick first, so they form one prefix: the cost is the number of
 // entries erased, not the container's size.
-template <typename Container, typename Key>
-void ErasePrefix(Container& container, const Key& horizon) {
+template <typename Container>
+void ErasePrefix(Container& container, SimTime horizon) {
   container.erase(container.begin(), container.lower_bound(horizon));
+}
+
+void ErasePrefix(std::vector<SimTime>& ticks, SimTime horizon) {
+  ticks.erase(ticks.begin(),
+              std::lower_bound(ticks.begin(), ticks.end(), horizon));
 }
 
 }  // namespace
@@ -217,13 +246,17 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
   // Liveness: anything heard on the broadcast channel proves the sender is
   // alive (only tracked when the failover knob is on).
   if (options_.liveness_timeout_ms > 0) NoteAlive(self, msg.sender);
+  // Only upper-level neighbors are parent candidates, so only their traffic
+  // teaches "has data" facts.
+  const bool from_upper =
+      levels_.LevelOf(msg.sender) + 1 == levels_.LevelOf(self);
 
   if (const auto* prop =
           PayloadAs<InNetPropagationPayload>(msg.payload.get())) {
     const QueryId id = prop->query.id();
     // Piggybacked data bit: learn it from every copy of the flood, even
     // duplicates, but only about upper-level neighbors.
-    if (prop->sender_has_data) {
+    if (prop->sender_has_data && from_upper) {
       NoteHasData(self, msg.sender, std::span<const QueryId>(&id, 1),
                   network_.sim().Now());
     }
@@ -298,9 +331,11 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
           PayloadAs<SharedRowPayload>(msg.payload.get())) {
     // The broadcast channel teaches us who has data: a row batch heard
     // from a neighbor that contains the neighbor's own reading marks it.
-    for (const RowEntry& entry : row->entries) {
-      if (entry.row.node() == msg.sender) {
-        NoteHasData(self, msg.sender, entry.queries, row->epoch_time);
+    if (from_upper) {
+      for (const RowEntry& entry : row->entries) {
+        if (entry.row.node() == msg.sender) {
+          NoteHasData(self, msg.sender, entry.queries, row->epoch_time);
+        }
       }
     }
     if (!addressed) return;
@@ -316,11 +351,10 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
     // packing slot has not fired yet, the kept rows ride along with our own
     // reading in one message; otherwise they leave right away.
     const SimTime t = row->epoch_time;
-    const bool ride_along = options_.shared_messages &&
-                            state.slot_scheduled.contains(t) &&
-                            !state.slot_done.contains(t);
+    const bool ride_along = options_.shared_messages && SlotPending(state, t);
     std::vector<RowEntry> direct;
     std::vector<RowEntry>* mine = nullptr;
+    std::vector<std::uint64_t>* seen = nullptr;
     std::vector<QueryId>& kept = kept_scratch_;
     for (const RowEntry& entry : row->entries) {
       kept.clear();
@@ -329,10 +363,12 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
             it->second.end()) {
           continue;
         }
-        if (options_.duplicate_suppression &&
-            !state.seen_rows.emplace(t, q, entry.row.node()).second) {
-          ++duplicates_suppressed_;
-          continue;
+        if (options_.duplicate_suppression) {
+          if (seen == nullptr) seen = &state.seen_rows[t];
+          if (!InsertSorted(*seen, RowKey(q, entry.row.node()))) {
+            ++duplicates_suppressed_;
+            continue;
+          }
         }
         kept.push_back(q);
       }
@@ -351,8 +387,10 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
           PayloadAs<SharedAggPayload>(msg.payload.get())) {
     // Any carrier of partials for q is a good parent for q: forwarding to
     // it lets the aggregates merge one hop earlier.
-    for (const auto& [dest, qs] : agg->dest_queries) {
-      NoteHasData(self, msg.sender, qs, agg->epoch_time);
+    if (from_upper) {
+      for (const auto& [dest, qs] : agg->dest_queries) {
+        NoteHasData(self, msg.sender, qs, agg->epoch_time);
+      }
     }
     if (!addressed) return;
     const auto it = agg->dest_queries.find(self);
@@ -371,7 +409,7 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
             "shared agg payload lacks partials for an addressed query");
       mine.emplace(q, part_it->second);
     }
-    if (state.slot_scheduled.contains(t) && !state.slot_done.contains(t)) {
+    if (SlotPending(state, t)) {
       // Our own shared slot for this tick has not fired: merge and ride
       // along (the in-network aggregation saving).
       auto& buffer = state.agg_buffer[t];
@@ -510,8 +548,7 @@ void InNetworkEngine::OnTick(NodeId self, SimTime t) {
     // One shared transmission slot per tick, staggered bottom-up so that
     // children's rows and partials arrive before parents transmit and ride
     // along in the parents' packed messages.
-    if (!state.slot_scheduled.contains(t)) {
-      state.slot_scheduled.insert(t);
+    if (InsertSorted(state.slot_scheduled, t)) {
       network_.sim().ScheduleAt(t + SlotOffset(self),
                                 [this, self, t]() { OnSlot(self, t); });
     }
@@ -556,7 +593,7 @@ void InNetworkEngine::OnTick(NodeId self, SimTime t) {
   ErasePrefix(state.slot_done, horizon);
   ErasePrefix(state.agg_buffer, horizon);
   ErasePrefix(state.row_buffer, horizon);
-  ErasePrefix(state.seen_rows, std::tuple(horizon, QueryId{0}, NodeId{0}));
+  ErasePrefix(state.seen_rows, horizon);
   ErasePrefix(state.own_rows, horizon);
 
   ScheduleTick(self);
@@ -570,11 +607,15 @@ void InNetworkEngine::OnTick(NodeId self, SimTime t) {
   }
 }
 
+bool InNetworkEngine::SlotPending(const NodeState& state, SimTime t) {
+  return ContainsSorted(state.slot_scheduled, t) &&
+         !ContainsSorted(state.slot_done, t);
+}
+
 void InNetworkEngine::OnSlot(NodeId self, SimTime t) {
   NodeState& state = nodes_[self];
   if (network_.IsDown(self)) return;  // crashed or in an outage
-  if (state.slot_done.contains(t)) return;
-  state.slot_done.insert(t);
+  if (!InsertSorted(state.slot_done, t)) return;
 
   // Packed rows (own reading plus everything relayed before the slot).
   const auto row_it = state.row_buffer.find(t);
@@ -736,8 +777,13 @@ void InNetworkEngine::SendRows(NodeId self, SimTime t,
     }
     group_of.push_back(group);
   }
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    group_of[i]->push_back(std::move(entries[i]));
+  if (groups.size() == 1) {
+    // One split serves every row (the common case): the batch moves whole.
+    groups.begin()->second = std::move(entries);
+  } else {
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      group_of[i]->push_back(std::move(entries[i]));
+    }
   }
   while (!groups.empty()) {
     auto group = groups.extract(groups.begin());
@@ -1122,8 +1168,6 @@ bool InNetworkEngine::SuspectParent(NodeId self, NodeId candidate) {
 void InNetworkEngine::NoteHasData(NodeId self, NodeId sender,
                                   std::span<const QueryId> queries,
                                   SimTime when) {
-  // Only upper-level neighbors are parent candidates.
-  if (levels_.LevelOf(sender) + 1 != levels_.LevelOf(self)) return;
   auto& per_neighbor = nodes_[self].has_data[sender];
   for (QueryId q : queries) {
     SimTime& last = per_neighbor[q];

@@ -24,12 +24,12 @@
 // listening: the sender's preamble wakes them) but do not overhear.
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <optional>
 #include <set>
 #include <span>
-#include <tuple>
 #include <vector>
 
 #include "core/innet/payloads.h"
@@ -166,8 +166,9 @@ class InNetworkEngine final : public QueryEngine {
         agg_buffer;
     /// Per tick: own + relayed rows packed at the slot.
     std::map<SimTime, std::vector<RowEntry>> row_buffer;
-    std::set<SimTime> slot_scheduled;
-    std::set<SimTime> slot_done;
+    /// Ticks whose packing slot is scheduled / has fired (ascending).
+    std::vector<SimTime> slot_scheduled;
+    std::vector<SimTime> slot_done;
     /// Guard for the single pending tick event (-1 = none).
     SimTime tick_scheduled_for = -1;
     /// Last time this node forwarded someone else's traffic.
@@ -179,10 +180,11 @@ class InNetworkEngine final : public QueryEngine {
     std::map<NodeId, SimTime> last_heard;
     /// Currently / previously blacklisted parent candidates.
     std::map<NodeId, Suspicion> suspicion;
-    /// Row keys already relayed (duplicate suppression), ordered epoch
-    /// first — (epoch, query, source) — so the per-tick prune erases the
-    /// expired prefix as one range.
-    std::set<std::tuple<SimTime, QueryId, NodeId>> seen_rows;
+    /// Row keys already relayed (duplicate suppression): per epoch, the
+    /// packed (query, source) pairs as a sorted vector.  Keyed epoch first,
+    /// so the per-tick prune drops expired epochs as one range, and a
+    /// relayed row costs no tree node of its own.
+    std::map<SimTime, std::vector<std::uint64_t>> seen_rows;
     /// The node's own matched reading per tick, cached for gap-repair
     /// replies (arq profile only); pruned with the per-tick horizon.
     std::map<SimTime, RowEntry> own_rows;
@@ -223,6 +225,9 @@ class InNetworkEngine final : public QueryEngine {
   void ScheduleTick(NodeId self);
   void OnTick(NodeId self, SimTime t);
   void OnSlot(NodeId self, SimTime t);
+  /// True while the packing slot of tick `t` is scheduled and has not
+  /// fired: relayed traffic for `t` can still ride along.
+  static bool SlotPending(const NodeState& state, SimTime t);
   /// Groups `entries` by their next-hop choice and transmits one packed
   /// message per group.
   void SendRows(NodeId self, SimTime t, std::vector<RowEntry> entries);
@@ -238,6 +243,8 @@ class InNetworkEngine final : public QueryEngine {
   /// most stable link.  Writes the per-destination split to `out`.
   void ChooseParents(NodeId self, std::span<const NodeId> upper,
                      std::span<const QueryId> queries, DestQueries& out);
+  /// Records that `sender`, an upper-level neighbor of `self`, had data
+  /// for `queries` at `when`.
   void NoteHasData(NodeId self, NodeId sender,
                    std::span<const QueryId> queries, SimTime when);
   /// Liveness tracking: records that `self` heard from `sender` now and
