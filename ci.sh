@@ -6,7 +6,9 @@
 #   -------------  -------------------------------------  -------------------------------
 #   build          -DENABLE_WERROR=ON                     unit/integration/soak tiers
 #   build-asan     ENABLE_SANITIZERS + ENABLE_WERROR      tiers, chaos soak, sweep determinism
-#   build-release  CMAKE_BUILD_TYPE=Release               perf smoke (report-only), obs gate
+#   build-release  CMAKE_BUILD_TYPE=Release               bench artifact diffs, perfbench
+#                                                         fidelity, perf smoke (report-only),
+#                                                         obs gate
 #   build-tsan     ENABLE_TSAN + ENABLE_WERROR            sweep pool + fig4 (BLOCKING)
 #
 # Static-analysis policy: ttmqo_lint and TSan are blocking; clang-tidy is
@@ -263,12 +265,14 @@ sweep_determinism() {
 run_step "sweep-determinism (asan)" blocking sweep_determinism
 
 # ---------------------------------------------------------------------------
-# Matrix leg 3: Release — perf smoke (report-only; wall-clock numbers depend
-# on host load) and the observability-overhead gate (blocking at 3%).
+# Matrix leg 3: Release — the committed bench artifacts' count diffs and the
+# perfbench fidelity test (blocking), perf smoke (report-only; wall-clock
+# numbers depend on host load) and the observability-overhead gate
+# (blocking at 3%).
 
 run_step "build-release" blocking \
   configure_and_build build-release -DCMAKE_BUILD_TYPE=Release \
-  -- hotpath obs_overhead obs_overhead_nospans micro_bs_opt
+  -- hotpath obs_overhead obs_overhead_nospans micro_bs_opt scalability
 
 # The committed optimizer-scaling artifact must match what the code
 # produces: regenerate the insert-throughput curve and compare the decision
@@ -312,6 +316,30 @@ hotpath_bench() {
       "${ARTIFACTS}/BENCH_hotpath.fresh.json"
 }
 run_step "hotpath-bench (release)" blocking hotpath_bench
+
+# The committed tier-2 scale curve must match what the code produces: the
+# event count of every grid is deterministic, so CI regenerates
+# BENCH_scale.json and diffs it with timings and RSS stripped.
+scale_bench() {
+  ./build-release/bench/scalability \
+    --scale-out="${ARTIFACTS}/BENCH_scale.json" &&
+    python3 tools/strip_bench_timings.py BENCH_scale.json \
+      > "${ARTIFACTS}/BENCH_scale.committed.json" &&
+    python3 tools/strip_bench_timings.py "${ARTIFACTS}/BENCH_scale.json" \
+      > "${ARTIFACTS}/BENCH_scale.fresh.json" &&
+    diff -u "${ARTIFACTS}/BENCH_scale.committed.json" \
+      "${ARTIFACTS}/BENCH_scale.fresh.json"
+}
+run_step "scale-curve (release)" blocking scale_bench
+
+# The benchmark's own fidelity test: its replay of every workload must
+# match RunExperiment on events_executed and the run fingerprint, and the
+# answer oracle must catch its mutations.  It builds perfbench (Release)
+# into .bench_build/.
+perfbench_fidelity() {
+  python3 perfbench/run.py --test
+}
+run_step "perfbench-fidelity (release)" blocking perfbench_fidelity
 
 obs_overhead_gate() {
   ./build-release/bench/obs_overhead --max-overhead=3 \

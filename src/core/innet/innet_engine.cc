@@ -355,7 +355,7 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
     std::vector<RowEntry> direct;
     std::vector<RowEntry>* mine = nullptr;
     std::vector<std::uint64_t>* seen = nullptr;
-    std::vector<QueryId>& kept = kept_scratch_;
+    std::vector<QueryId>& kept = scratch_.queries;
     for (const RowEntry& entry : row->entries) {
       kept.clear();
       for (QueryId q : entry.queries) {
@@ -663,7 +663,7 @@ std::span<const NodeId> InNetworkEngine::UsableParents(NodeId self) {
   // node is cut off — fall back to the full list (the messages will be
   // lost, which is the truth).
   const std::vector<NodeId>& all = levels_.UpperNeighbors(self);
-  std::vector<NodeId>& upper = upper_scratch_;
+  std::vector<NodeId>& upper = scratch_.upper;
   upper.clear();
   for (NodeId candidate : all) {
     if (!network_.IsFailed(candidate) && !SuspectParent(self, candidate) &&
@@ -706,9 +706,9 @@ void InNetworkEngine::ChooseParents(NodeId self, std::span<const NodeId> upper,
     return q_it->second + ttl >= now;
   };
 
-  std::vector<QueryId>& remaining = remaining_scratch_;
-  std::vector<QueryId>& covered = covered_scratch_;
-  std::vector<QueryId>& best_covered = best_covered_scratch_;
+  std::vector<QueryId>& remaining = scratch_.remaining;
+  std::vector<QueryId>& covered = scratch_.covered;
+  std::vector<QueryId>& best_covered = scratch_.best_covered;
   remaining.assign(queries.begin(), queries.end());
   while (!remaining.empty()) {
     NodeId best = upper.front();
@@ -758,8 +758,8 @@ void InNetworkEngine::SendRows(NodeId self, SimTime t,
   if (entries.empty()) return;
   const std::span<const NodeId> upper = UsableParents(self);
   std::map<DestQueries, std::vector<RowEntry>> groups;
-  std::vector<std::size_t>& reps = set_reps_scratch_;
-  std::vector<std::vector<RowEntry>*>& group_of = row_group_scratch_;
+  std::vector<std::size_t>& reps = scratch_.set_reps;
+  std::vector<std::vector<RowEntry>*>& group_of = scratch_.row_group;
   reps.clear();
   group_of.clear();
   for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -771,8 +771,8 @@ void InNetworkEngine::SendRows(NodeId self, SimTime t,
       }
     }
     if (group == nullptr) {
-      ChooseParents(self, upper, entries[i].queries, split_scratch_);
-      group = &groups[split_scratch_];
+      ChooseParents(self, upper, entries[i].queries, scratch_.split);
+      group = &groups[scratch_.split];
       reps.push_back(i);
     }
     group_of.push_back(group);
@@ -810,7 +810,7 @@ void InNetworkEngine::SendRows(NodeId self, SimTime t,
 void InNetworkEngine::SendAgg(
     NodeId self, SimTime t,
     std::map<QueryId, std::vector<PartialAggregate>> partials) {
-  std::vector<QueryId>& queries = kept_scratch_;
+  std::vector<QueryId>& queries = scratch_.queries;
   queries.clear();
   for (const auto& [q, p] : partials) queries.push_back(q);
 

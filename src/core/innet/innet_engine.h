@@ -313,16 +313,19 @@ class InNetworkEngine final : public QueryEngine {
   std::optional<ArqTransport> arq_;
   /// Re-route depth of the send currently in flight (give-up chains cap).
   int current_reroute_ = 0;
-  /// Reused scratch of the send and receive paths (capacity persists, so
-  /// steady-state route choices and relay filtering do not allocate).
-  std::vector<NodeId> upper_scratch_;
-  std::vector<QueryId> remaining_scratch_;
-  std::vector<QueryId> covered_scratch_;
-  std::vector<QueryId> best_covered_scratch_;
-  std::vector<QueryId> kept_scratch_;
-  std::vector<std::size_t> set_reps_scratch_;
-  std::vector<std::vector<RowEntry>*> row_group_scratch_;
-  DestQueries split_scratch_;
+  /// Buffers of the send and receive paths, reused across calls: their
+  /// capacity persists, so steady-state route choices and relay filtering
+  /// do not allocate.
+  struct Scratch {
+    std::vector<NodeId> upper;          // UsableParents' result
+    std::vector<QueryId> remaining;     // ChooseParents
+    std::vector<QueryId> covered;       // ChooseParents
+    std::vector<QueryId> best_covered;  // ChooseParents
+    std::vector<QueryId> queries;       // relay filtering, SendAgg
+    std::vector<std::size_t> set_reps;  // SendRows: first row of each set
+    std::vector<std::vector<RowEntry>*> row_group;  // SendRows
+    DestQueries split;                  // SendRows
+  } scratch_;
   std::uint64_t duplicates_suppressed_ = 0;
   std::uint64_t late_drops_ = 0;
   std::uint64_t repair_requests_ = 0;

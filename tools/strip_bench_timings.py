@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Strips the machine-dependent fields from a bench artifact.
 
-CI regenerates committed bench JSON (BENCH_bsopt.json) and diffs it against
-the checked-in copy.  Decision counts must match exactly — they are
+CI regenerates committed bench JSON (BENCH_bsopt.json, BENCH_hotpath.json,
+BENCH_scale.json) and diffs it against the checked-in copy.  Decision counts must match exactly — they are
 deterministic in the workload seed — but wall-clock timings, derived rates,
 and build provenance differ per host and per commit, so both sides of the
 diff pass through this filter first.
@@ -17,14 +17,16 @@ VOLATILE_KEYS = {
     "inserts_per_sec",
     "speedup_x",
     "build",
-    # Hotpath/sweep artifacts: wall clock, derived rates, and host shape
-    # vary per machine; event and decision counts must not.
+    # Hotpath/sweep/scale artifacts: wall clock, derived rates, memory and
+    # host shape vary per machine; event and decision counts must not.
     "wall_ms",
     "per_run_wall_ms",
     "events_per_sec",
     "runs_per_sec",
     "speedup",
     "hardware_concurrency",
+    "ns_per_event",
+    "ru_maxrss_kb",
 }
 
 
