@@ -48,11 +48,6 @@ bool InsertSorted(std::vector<T>& keys, T key) {
   return true;
 }
 
-template <typename T>
-bool ContainsSorted(const std::vector<T>& keys, T key) {
-  return std::binary_search(keys.begin(), keys.end(), key);
-}
-
 // Erases the entries of a tick-keyed container older than `horizon`.  The
 // keys sort tick first, so they form one prefix: the cost is the number of
 // entries erased, not the container's size.
@@ -303,8 +298,7 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
     return;
   }
 
-  if (const auto* abort =
-          PayloadAs<QueryAbortPayload>(msg.payload.get())) {
+  if (const auto* abort = PayloadAs<QueryAbortPayload>(msg.payload.get())) {
     if (state.seen_abort.contains(abort->query)) return;
     state.seen_abort.insert(abort->query);
     if (self == kBaseStationId) return;
@@ -327,8 +321,7 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
     return;
   }
 
-  if (const auto* row =
-          PayloadAs<SharedRowPayload>(msg.payload.get())) {
+  if (const auto* row = PayloadAs<SharedRowPayload>(msg.payload.get())) {
     // The broadcast channel teaches us who has data: a row batch heard
     // from a neighbor that contains the neighbor's own reading marks it.
     if (from_upper) {
@@ -383,8 +376,7 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
     return;
   }
 
-  if (const auto* agg =
-          PayloadAs<SharedAggPayload>(msg.payload.get())) {
+  if (const auto* agg = PayloadAs<SharedAggPayload>(msg.payload.get())) {
     // Any carrier of partials for q is a good parent for q: forwarding to
     // it lets the aggregates merge one hop earlier.
     if (from_upper) {
@@ -423,16 +415,14 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
     return;
   }
 
-  if (const auto* req =
-          PayloadAs<RepairRequestPayload>(msg.payload.get())) {
+  if (const auto* req = PayloadAs<RepairRequestPayload>(msg.payload.get())) {
     if (!addressed || self == kBaseStationId) return;
     if (network_.IsAsleep(self)) network_.SetAsleep(self, false);
     HandleRepairRequest(self, *req);
     return;
   }
 
-  if (const auto* reply =
-          PayloadAs<RepairReplyPayload>(msg.payload.get())) {
+  if (const auto* reply = PayloadAs<RepairReplyPayload>(msg.payload.get())) {
     if (!addressed) return;
     if (network_.IsAsleep(self)) network_.SetAsleep(self, false);
     HandleRepairReply(self, msg, *reply);
@@ -608,8 +598,10 @@ void InNetworkEngine::OnTick(NodeId self, SimTime t) {
 }
 
 bool InNetworkEngine::SlotPending(const NodeState& state, SimTime t) {
-  return ContainsSorted(state.slot_scheduled, t) &&
-         !ContainsSorted(state.slot_done, t);
+  return std::binary_search(state.slot_scheduled.begin(),
+                            state.slot_scheduled.end(), t) &&
+         !std::binary_search(state.slot_done.begin(), state.slot_done.end(),
+                             t);
 }
 
 void InNetworkEngine::OnSlot(NodeId self, SimTime t) {
@@ -876,8 +868,7 @@ void InNetworkEngine::OnArqGiveUp(const ArqTransport::GiveUpInfo& info) {
                         static_cast<std::int64_t>(info.reroutes + 1)));
   }
   current_reroute_ = info.reroutes + 1;
-  if (const auto* row =
-          PayloadAs<SharedRowPayload>(info.inner.get())) {
+  if (const auto* row = PayloadAs<SharedRowPayload>(info.inner.get())) {
     // Keep only the (row, query) pairs whose destination never acked; the
     // quarantine the give-up produced steers ChooseParents elsewhere.
     std::set<QueryId> lost;
@@ -898,8 +889,7 @@ void InNetworkEngine::OnArqGiveUp(const ArqTransport::GiveUpInfo& info) {
     if (!entries.empty()) {
       SendRows(info.sender, row->epoch_time, std::move(entries));
     }
-  } else if (const auto* agg =
-                 PayloadAs<SharedAggPayload>(info.inner.get())) {
+  } else if (const auto* agg = PayloadAs<SharedAggPayload>(info.inner.get())) {
     std::set<QueryId> lost;
     for (NodeId dest : info.unacked) {
       const auto it = agg->dest_queries.find(dest);
@@ -1193,8 +1183,7 @@ void InNetworkEngine::MaybeSleep(NodeId self, SimTime t) {
 // -----------------------------------------------------------------------
 
 void InNetworkEngine::BsAccept(const Message& msg) {
-  if (const auto* row =
-          PayloadAs<SharedRowPayload>(msg.payload.get())) {
+  if (const auto* row = PayloadAs<SharedRowPayload>(msg.payload.get())) {
     const auto it = row->dest_queries.find(kBaseStationId);
     if (it == row->dest_queries.end()) return;
     for (const RowEntry& entry : row->entries) {
@@ -1228,8 +1217,7 @@ void InNetworkEngine::BsAccept(const Message& msg) {
     }
     return;
   }
-  if (const auto* agg =
-          PayloadAs<SharedAggPayload>(msg.payload.get())) {
+  if (const auto* agg = PayloadAs<SharedAggPayload>(msg.payload.get())) {
     const auto it = agg->dest_queries.find(kBaseStationId);
     if (it == agg->dest_queries.end()) return;
     for (QueryId q : it->second) {

@@ -130,8 +130,7 @@ void ArqTransport::OnTimeout(std::uint32_t index, std::uint32_t generation) {
 
 void ArqTransport::OnReceive(NodeId self, const Message& msg,
                              bool addressed) {
-  if (const auto* data =
-          PayloadAs<ArqDataPayload>(msg.payload.get())) {
+  if (const auto* data = PayloadAs<ArqDataPayload>(msg.payload.get())) {
     // Reconstruct the application-level message so the engine sees exactly
     // what it would without the transport (overhearing included).
     Message inner;
@@ -170,8 +169,7 @@ void ArqTransport::OnReceive(NodeId self, const Message& msg,
     return;
   }
 
-  if (const auto* ack =
-          PayloadAs<ArqAckPayload>(msg.payload.get())) {
+  if (const auto* ack = PayloadAs<ArqAckPayload>(msg.payload.get())) {
     if (addressed) {
       auto& live = live_[self];
       const auto it = live.find(ack->seq);

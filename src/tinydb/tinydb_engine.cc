@@ -131,8 +131,7 @@ void TinyDbEngine::HandleMessage(NodeId self, const Message& msg,
     return;
   }
 
-  if (const auto* abort =
-          PayloadAs<QueryAbortPayload>(msg.payload.get())) {
+  if (const auto* abort = PayloadAs<QueryAbortPayload>(msg.payload.get())) {
     NodeState& state = nodes_[self];
     if (state.seen_abort.contains(abort->query)) return;
     state.seen_abort.insert(abort->query);

@@ -239,8 +239,12 @@ TEST_F(InNetEngineTest, RelayForwardsARepeatedRowOnce) {
   const NodeId child = 15;
   const NodeId relay = engine.level_graph().UpperNeighbors(child).front();
   ASSERT_NE(relay, kBaseStationId);
-  network_.sim().ScheduleAt(2100, [&] { SendRow(child, relay, 1, 2048, child); });
-  network_.sim().ScheduleAt(2300, [&] { SendRow(child, relay, 1, 2048, child); });
+  network_.sim().ScheduleAt(2100, [&] {
+    SendRow(child, relay, 1, 2048, child);
+  });
+  network_.sim().ScheduleAt(2300, [&] {
+    SendRow(child, relay, 1, 2048, child);
+  });
   network_.sim().RunUntil(4096);
   EXPECT_EQ(ResultsSentBy(child), 2u);
   EXPECT_EQ(ResultsSentBy(relay), 1u);
