@@ -61,6 +61,14 @@ class Payload {
 
   PayloadKind kind() const { return kind_; }
 
+ protected:
+  // Concrete payloads copy (a relay forwards a copy); a bare Payload never
+  // does, so a copy cannot slice off the concrete part.
+  Payload(const Payload&) = default;
+  Payload(Payload&&) = default;
+  Payload& operator=(const Payload&) = default;
+  Payload& operator=(Payload&&) = default;
+
  private:
   PayloadKind kind_;
 };
