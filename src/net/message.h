@@ -32,8 +32,8 @@ inline constexpr std::size_t kNumMessageClasses = 5;
 std::string_view MessageClassName(MessageClass cls);
 
 /// Concrete type of a payload, fixed at construction.  Receivers dispatch
-/// on it with `PayloadAs` instead of a `dynamic_cast` chain.  Payloads
-/// defined outside the engines (test probes) keep `kOther`.
+/// on it with `PayloadAs`: one compare per candidate type, no RTTI walk.
+/// Payloads defined outside the engines (test probes) keep `kOther`.
 enum class PayloadKind : std::uint8_t {
   kOther = 0,
   // tinydb/payloads.h
