@@ -1,6 +1,8 @@
 // End-to-end tests of the in-network (tier 2) engine.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/innet/innet_engine.h"
 #include "query/parser.h"
 #include "test_helpers.h"
@@ -298,6 +300,36 @@ TEST_F(InNetEngineTest, RowRepeatedPastThePruneHorizonIsRelayedAgain) {
   send_at(kEpoch + kPruneHorizon + 2048 + 300);
   EXPECT_EQ(ResultsSentBy(relay), 2u);
   EXPECT_EQ(engine.duplicates_suppressed(), 1u);
+}
+
+// Receivers static_cast on a tag match, so two payload types sharing a
+// kind would be undefined behaviour: every engine payload gets its own.
+TEST(PayloadKindTest, EveryEnginePayloadHasItsOwnKind) {
+  const Query q = ParseQuery(1, "SELECT light EPOCH DURATION 4096");
+  const QueryPropagationPayload propagation(q);
+  const QueryAbortPayload abort(1);
+  const RowPayload row(1, 0, Reading(1, 0));
+  const AggPayload agg(1, 0, {});
+  const InNetPropagationPayload innet_propagation(q, false);
+  const SharedRowPayload shared_row;
+  const SharedAggPayload shared_agg;
+  const RepairRequestPayload repair_request;
+  const RepairReplyPayload repair_reply;
+  const ArqDataPayload arq_data(0, nullptr);
+  const ArqAckPayload arq_ack(0);
+  const std::vector<const Payload*> all = {
+      &propagation,       &abort,      &row,        &agg,
+      &innet_propagation, &shared_row, &shared_agg, &repair_request,
+      &repair_reply,      &arq_data,   &arq_ack};
+  std::set<PayloadKind> kinds;
+  for (const Payload* payload : all) {
+    EXPECT_NE(payload->kind(), PayloadKind::kOther);
+    kinds.insert(payload->kind());
+  }
+  EXPECT_EQ(kinds.size(), all.size());
+  EXPECT_EQ(PayloadAs<SharedRowPayload>(&shared_row), &shared_row);
+  EXPECT_EQ(PayloadAs<SharedRowPayload>(&shared_agg), nullptr);
+  EXPECT_EQ(PayloadAs<SharedRowPayload>(nullptr), nullptr);
 }
 
 }  // namespace

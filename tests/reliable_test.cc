@@ -133,6 +133,10 @@ TEST_F(ArqTransportTest, LosslessUnicastDeliversOnceWithoutRetries) {
       dynamic_cast<const ProbePayload*>(delivered_[1][0].payload.get());
   ASSERT_NE(probe, nullptr);
   EXPECT_EQ(probe->value, 17);
+  // A payload defined outside the engines keeps the default kind, so no
+  // engine accessor ever claims it.
+  EXPECT_EQ(probe->kind(), PayloadKind::kOther);
+  EXPECT_EQ(PayloadAs<ArqDataPayload>(probe), nullptr);
   EXPECT_EQ(delivered_[1][0].payload_bytes, 8u);
 
   EXPECT_EQ(arq_.sends(), 1u);
