@@ -769,13 +769,8 @@ void InNetworkEngine::SendRows(NodeId self, SimTime t,
     }
     group_of.push_back(group);
   }
-  if (groups.size() == 1) {
-    // One split serves every row (the common case): the batch moves whole.
-    groups.begin()->second = std::move(entries);
-  } else {
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      group_of[i]->push_back(std::move(entries[i]));
-    }
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    group_of[i]->push_back(std::move(entries[i]));
   }
   while (!groups.empty()) {
     auto group = groups.extract(groups.begin());
