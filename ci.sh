@@ -216,8 +216,8 @@ run_step "build-asan (werror)" blocking \
 run_step "tests: build-asan" blocking run_tiers build-asan
 
 # Chaos soak under the sanitizers: random transient outages plus link loss,
-# three seeds each, the full reliability matrix (baseline, and two-tier
-# under off/harden/arq) per seed; non-zero exit on any reliability-
+# three seeds each, the full reliability matrix (baseline/off, ttmqo/off
+# and ttmqo/arq) per seed; non-zero exit on any reliability-
 # invariant violation — including the arq completeness floor and the
 # every-epoch coverage-annotation check.  The flight recorder dumps
 # postmortems into the artifacts dir on failure.

@@ -15,12 +15,12 @@
 // The resolved fault plan is recorded under "fault_plan" in --metrics-out.
 //
 // Reliability:
-//   --reliability=off|harden|arq   named profile: "harden" bundles the
-//                          loss-hardening knobs (liveness failover,
-//                          dissemination re-floods, duplicate suppression);
-//                          "arq" adds the per-hop ack/retransmit transport
-//                          with base-station gap repair and per-epoch
-//                          coverage accounting.  Default: off.
+//   --reliability=off|arq  named profile: "arq" adds the per-hop
+//                          ack/retransmit transport with base-station gap
+//                          repair and per-epoch coverage accounting, plus
+//                          liveness failover and dissemination re-floods.
+//                          Duplicate suppression is always on.  Default:
+//                          off.
 //
 // Observability outputs (all optional):
 //   --metrics-out=m.json   per-node/per-class counters, run gauges, and the

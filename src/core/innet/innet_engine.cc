@@ -22,6 +22,29 @@ constexpr int kMaxReroutes = 2;
 // nodes whose readings merely drifted out of the predicate range.
 constexpr int kRepairHistoryEpochs = 3;
 
+// A sleeping node wakes this many ms before its next scheduled tick.
+constexpr SimDuration kSleepGuardMs = 8;
+
+// An overheard "neighbor has data for q" fact stays fresh for this many
+// epochs of q.
+constexpr int kHasDataTtlEpochs = 2;
+
+// Liveness failover (arq profile): a parent candidate silent on the
+// broadcast channel for longer than this is blacklisted and routed around.
+// It exceeds the maintenance-beacon period to avoid false positives.
+constexpr SimDuration kLivenessTimeoutMs = 8192;
+
+// First blacklist duration, doubled on every repeated offence up to the
+// cap: a recovered parent is re-tried within the cap at the latest.
+constexpr SimDuration kBlacklistBaseBackoffMs = 4096;
+constexpr SimDuration kBlacklistMaxBackoffMs = 32768;
+
+// Dissemination re-floods (arq profile): each query is flooded again this
+// many times, this far apart, so nodes that were unreachable during the
+// initial flood still learn it.
+constexpr int kDisseminationRetries = 2;
+constexpr SimDuration kDisseminationRetryIntervalMs = 8192;
+
 void MergePartialVectors(std::vector<PartialAggregate>& into,
                          const std::vector<PartialAggregate>& from) {
   Check(into.size() == from.size(),
@@ -65,20 +88,7 @@ void ErasePrefix(std::vector<SimTime>& ticks, SimTime horizon) {
 
 void ApplyReliabilityProfile(ReliabilityProfile profile,
                              InNetOptions& options) {
-  switch (profile) {
-    case ReliabilityProfile::kOff:
-      return;
-    case ReliabilityProfile::kArq:
-      options.arq.enabled = true;
-      [[fallthrough]];
-    case ReliabilityProfile::kHarden:
-      // The hardening bundle the chaos soak validates: liveness-driven
-      // parent failover, dissemination re-floods, duplicate suppression.
-      options.liveness_timeout_ms = 8192;
-      options.dissemination_retries = 2;
-      options.duplicate_suppression = true;
-      return;
-  }
+  if (profile == ReliabilityProfile::kArq) options.arq.enabled = true;
 }
 
 InNetworkEngine::InNetworkEngine(Network& network, const FieldModel& field,
@@ -130,16 +140,10 @@ InNetworkEngine::InNetworkEngine(Network& network, const FieldModel& field,
   }
 }
 
-SimDuration InNetworkEngine::SourceJitter(NodeId node) const {
-  if (options_.source_jitter_ms <= 0) return 0;
-  return (static_cast<SimDuration>(node) * 37) %
-         (options_.source_jitter_ms + 1);
-}
-
 SimDuration InNetworkEngine::SlotOffset(NodeId node) const {
   return static_cast<SimDuration>(network_.topology().MaxDepth() -
                                   levels_.LevelOf(node)) *
-             options_.agg_slot_ms +
+             kAggSlotMs +
          SourceJitter(node);
 }
 
@@ -175,13 +179,14 @@ void InNetworkEngine::SubmitQuery(const Query& query) {
       query, /*has_data=*/false);
   network_.Send(std::move(msg));
 
-  // Dissemination retries: re-flood with an advancing round number so
-  // nodes that were unreachable during the initial flood (transient
-  // outages) still learn the query; termination aborts the retry chain.
-  for (int round = 1; round <= options_.dissemination_retries; ++round) {
+  // Dissemination retries (arq profile): re-flood with an advancing round
+  // number so nodes that were unreachable during the initial flood
+  // (transient outages) still learn the query; termination aborts the
+  // retry chain.
+  const int retries = arq_ ? kDisseminationRetries : 0;
+  for (int round = 1; round <= retries; ++round) {
     network_.sim().ScheduleAfter(
-        static_cast<SimDuration>(round) *
-            options_.dissemination_retry_interval_ms,
+        static_cast<SimDuration>(round) * kDisseminationRetryIntervalMs,
         [this, id = query.id(), round]() {
           const auto it = bs_queries_.find(id);
           if (it == bs_queries_.end() || it->second.terminated) return;
@@ -239,8 +244,8 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
                                     bool addressed) {
   NodeState& state = nodes_[self];
   // Liveness: anything heard on the broadcast channel proves the sender is
-  // alive (only tracked when the failover knob is on).
-  if (options_.liveness_timeout_ms > 0) NoteAlive(self, msg.sender);
+  // alive (only tracked under the arq profile).
+  if (arq_) NoteAlive(self, msg.sender);
   // Only upper-level neighbors are parent candidates, so only their traffic
   // teaches "has data" facts.
   const bool from_upper =
@@ -356,12 +361,10 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
             it->second.end()) {
           continue;
         }
-        if (options_.duplicate_suppression) {
-          if (seen == nullptr) seen = &state.seen_rows[t];
-          if (!InsertSorted(*seen, RowKey(q, entry.row.node()))) {
-            ++duplicates_suppressed_;
-            continue;
-          }
+        if (seen == nullptr) seen = &state.seen_rows[t];
+        if (!InsertSorted(*seen, RowKey(q, entry.row.node()))) {
+          ++duplicates_suppressed_;
+          continue;
         }
         kept.push_back(q);
       }
@@ -591,7 +594,7 @@ void InNetworkEngine::OnTick(NodeId self, SimTime t) {
   // Decide about sleeping once this tick's forwarding duties are over.
   if (options_.enable_sleep) {
     const SimDuration idle_check =
-        SlotOffset(self) + options_.agg_slot_ms + options_.source_jitter_ms;
+        SlotOffset(self) + kAggSlotMs + kSourceJitterMs;
     network_.sim().ScheduleAt(t + idle_check,
                               [this, self, t]() { MaybeSleep(self, t); });
   }
@@ -692,9 +695,7 @@ void InNetworkEngine::ChooseParents(NodeId self, std::span<const NodeId> upper,
     if (q_it == known.end()) return false;
     const auto active_it = state.active.find(q);
     if (active_it == state.active.end()) return false;
-    const SimDuration ttl = static_cast<SimDuration>(
-                                options_.has_data_ttl_epochs) *
-                            active_it->second.epoch();
+    const SimDuration ttl = kHasDataTtlEpochs * active_it->second.epoch();
     return q_it->second + ttl >= now;
   };
 
@@ -1115,26 +1116,26 @@ void InNetworkEngine::NoteAlive(NodeId self, NodeId sender) {
 }
 
 bool InNetworkEngine::SuspectParent(NodeId self, NodeId candidate) {
+  // Liveness and the ARQ quarantine hook, the two sources of blacklist
+  // entries, both run under the arq profile only.
+  if (!arq_) return false;
   NodeState& state = nodes_[self];
   const SimTime now = network_.sim().Now();
-  // An existing blacklist entry applies even without liveness tracking:
-  // the ARQ quarantine hook writes here too.
   const auto susp_it = state.suspicion.find(candidate);
   if (susp_it != state.suspicion.end() &&
       now < susp_it->second.blacklisted_until) {
     return true;
   }
-  if (options_.liveness_timeout_ms <= 0) return false;
   const auto heard_it = state.last_heard.find(candidate);
   const SimTime last = heard_it != state.last_heard.end() ? heard_it->second
                                                           : 0;
-  if (now - last <= options_.liveness_timeout_ms) return false;
+  if (now - last <= kLivenessTimeoutMs) return false;
   // Silent past the timeout: blacklist with a doubling, bounded backoff.
   Suspicion& suspicion = state.suspicion[candidate];
   suspicion.backoff =
       suspicion.backoff == 0
-          ? options_.blacklist_base_backoff_ms
-          : std::min(suspicion.backoff * 2, options_.blacklist_max_backoff_ms);
+          ? kBlacklistBaseBackoffMs
+          : std::min(suspicion.backoff * 2, kBlacklistMaxBackoffMs);
   suspicion.blacklisted_until = now + suspicion.backoff;
   // Optimistic probe: pretend the candidate was heard at expiry so it gets
   // one fresh chance before the next (doubled) blacklist — bounded
@@ -1165,7 +1166,7 @@ void InNetworkEngine::MaybeSleep(NodeId self, SimTime t) {
   if (state.matched_last_tick) return;
   if (state.last_relay >= t) return;  // relayed during this tick
   if (state.tick_scheduled_for <= network_.sim().Now()) return;
-  const SimTime wake_at = state.tick_scheduled_for - options_.sleep_guard_ms;
+  const SimTime wake_at = state.tick_scheduled_for - kSleepGuardMs;
   if (wake_at <= network_.sim().Now()) return;
   network_.SetAsleep(self, true);
   network_.sim().ScheduleAt(wake_at, [this, self]() {

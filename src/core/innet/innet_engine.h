@@ -44,12 +44,10 @@
 
 namespace ttmqo {
 
-/// Tuning and ablation knobs of the in-network tier.
+/// Ablation switches of the in-network tier, plus its reliability
+/// transport.  Timing and failover tuning are constants of
+/// `innet_engine.cc`.
 struct InNetOptions {
-  /// Slot width for depth-staggered aggregate transmissions.
-  SimDuration agg_slot_ms = 128;
-  /// Maximum per-node jitter for source transmissions (deterministic).
-  SimDuration source_jitter_ms = 64;
   /// Ablation: query-aware DAG parent selection; when false, messages
   /// follow the fixed routing-tree parent (but packing still applies).
   bool query_aware_routing = true;
@@ -58,47 +56,20 @@ struct InNetOptions {
   bool shared_messages = true;
   /// Idle nodes sleep between ticks.
   bool enable_sleep = true;
-  /// Wake this many ms before the next scheduled tick.
-  SimDuration sleep_guard_ms = 8;
-  /// An overheard "neighbor has data for q" fact stays fresh for this many
-  /// epochs of q.
-  int has_data_ttl_epochs = 2;
   /// Semantic Routing Tree pruning for node-id-based queries (as in the
   /// baseline; Section 3.2.2).
   bool use_semantic_routing = true;
-  /// Liveness-driven failover: a parent candidate silent (nothing heard on
-  /// the broadcast channel) for longer than this is blacklisted and routed
-  /// around.  0 disables liveness tracking entirely (the default: only
-  /// known-failed nodes are avoided).  Pick a timeout larger than the
-  /// maintenance-beacon period to avoid false positives.
-  SimDuration liveness_timeout_ms = 0;
-  /// First blacklist duration; doubled on every repeated offence.
-  SimDuration blacklist_base_backoff_ms = 4096;
-  /// Upper bound of the blacklist backoff (bounded re-selection: a
-  /// recovered parent is re-tried within this horizon at the latest).
-  SimDuration blacklist_max_backoff_ms = 32768;
-  /// Re-flood each query this many times after submission so nodes that
-  /// were unreachable during the initial dissemination still learn it.
-  /// 0 disables retries (the default keeps message counts unchanged).
-  int dissemination_retries = 0;
-  /// Spacing between dissemination re-floods.
-  SimDuration dissemination_retry_interval_ms = 8192;
-  /// Suppress duplicate (query, epoch, source) rows at relays and the base
-  /// station.
-  bool duplicate_suppression = true;
   /// Per-hop ARQ transport (acks, retransmits, quarantine) plus the
   /// base-station epoch ledger with NACK-driven gap repair and coverage
-  /// annotation.  Off by default; `--reliability=arq` turns it on.
+  /// annotation, liveness-driven parent failover and dissemination
+  /// re-floods.  Off by default; `--reliability=arq` turns it on.
   ArqOptions arq;
 };
 
 /// Applies a named reliability profile on top of `options`:
-///  * kOff     — leaves everything untouched (the golden-pinned default).
-///  * kHarden  — the loss-hardening bundle proven out by the chaos soak:
-///               liveness failover, dissemination re-floods, duplicate
-///               suppression.
-///  * kArq     — kHarden plus the per-hop ARQ transport and base-station
-///               gap repair.
+///  * kOff — leaves everything untouched (the golden-pinned default).
+///  * kArq — turns on the ARQ transport and with it liveness failover,
+///           dissemination re-floods and base-station gap repair.
 void ApplyReliabilityProfile(ReliabilityProfile profile, InNetOptions& options);
 
 /// The tier-2 engine.  API mirrors `TinyDbEngine`.
@@ -123,7 +94,7 @@ class InNetworkEngine final : public QueryEngine {
   const RoutingTree& routing_tree() const { return tree_; }
 
   /// Duplicate (query, epoch, source) rows dropped at relays and the base
-  /// station (only counted while `duplicate_suppression` is on).
+  /// station.
   std::uint64_t duplicates_suppressed() const {
     return duplicates_suppressed_;
   }
@@ -176,7 +147,7 @@ class InNetworkEngine final : public QueryEngine {
     /// Whether the node produced data at its last tick.
     bool matched_last_tick = false;
     /// Liveness: last time anything was heard from each neighbor (only
-    /// maintained when `liveness_timeout_ms > 0`).
+    /// maintained under the arq profile).
     std::map<NodeId, SimTime> last_heard;
     /// Currently / previously blacklisted parent candidates.
     std::map<NodeId, Suspicion> suspicion;
@@ -247,16 +218,15 @@ class InNetworkEngine final : public QueryEngine {
   /// for `queries` at `when`.
   void NoteHasData(NodeId self, NodeId sender,
                    std::span<const QueryId> queries, SimTime when);
-  /// Liveness tracking: records that `self` heard from `sender` now and
-  /// clears any suspicion of it.
+  /// Liveness tracking (arq profile): records that `self` heard from
+  /// `sender` now and clears any suspicion of it.
   void NoteAlive(NodeId self, NodeId sender);
-  /// True when `self` should avoid routing through `candidate` because it
-  /// has been silent past the liveness timeout.  Blacklists with bounded
-  /// exponential backoff; the candidate is optimistically re-tried when the
-  /// blacklist expires.
+  /// True when `self` should avoid routing through `candidate` (arq profile
+  /// only): it is quarantined, or it has been silent past the liveness
+  /// timeout.  Blacklists with bounded exponential backoff; the candidate
+  /// is optimistically re-tried when the blacklist expires.
   bool SuspectParent(NodeId self, NodeId candidate);
   void MaybeSleep(NodeId self, SimTime t);
-  SimDuration SourceJitter(NodeId node) const;
   SimDuration SlotOffset(NodeId node) const;
 
   // --- reliability (arq profile) ----------------------------------------
@@ -308,8 +278,8 @@ class InNetworkEngine final : public QueryEngine {
   LevelGraph levels_;
   std::vector<NodeState> nodes_;
   std::map<QueryId, BsQueryState> bs_queries_;
-  /// Present only under the arq profile; the off/harden paths talk to the
-  /// network directly and stay byte-identical to the pinned goldens.
+  /// Present only under the arq profile; the off path talks to the network
+  /// directly and stays byte-identical to the pinned goldens.
   std::optional<ArqTransport> arq_;
   /// Re-route depth of the send currently in flight (give-up chains cap).
   int current_reroute_ = 0;

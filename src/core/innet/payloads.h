@@ -22,13 +22,9 @@ namespace ttmqo {
 
 /// Query propagation with the piggybacked "sender has data" bit the DAG
 /// bootstrap relies on (Section 3.2.2, Query Propagation Phase).
-struct InNetPropagationPayload final : Payload {
-  static constexpr PayloadKind kKind = PayloadKind::kInNetPropagation;
+struct InNetPropagationPayload final : TaggedPayload<InNetPropagationPayload> {
   InNetPropagationPayload(Query q, bool has_data, int r = 0)
-      : Payload(kKind),
-        query(std::move(q)),
-        sender_has_data(has_data),
-        round(r) {}
+      : query(std::move(q)), sender_has_data(has_data), round(r) {}
   Query query;
   /// Whether the forwarding node's current reading satisfies the query.
   bool sender_has_data;
@@ -51,9 +47,7 @@ struct RowEntry {
 /// message per next-hop group — the "combination of several query
 /// transmissions" of Section 1; a node's own reading and the rows it
 /// relays ride together.
-struct SharedRowPayload final : Payload {
-  static constexpr PayloadKind kKind = PayloadKind::kSharedRow;
-  SharedRowPayload() : Payload(kKind) {}
+struct SharedRowPayload final : TaggedPayload<SharedRowPayload> {
   SimTime epoch_time = 0;
   /// The packed rows.
   std::vector<RowEntry> entries;
@@ -63,9 +57,7 @@ struct SharedRowPayload final : Payload {
 };
 
 /// Partial aggregation state of several queries for one epoch tick.
-struct SharedAggPayload final : Payload {
-  static constexpr PayloadKind kKind = PayloadKind::kSharedAgg;
-  SharedAggPayload() : Payload(kKind) {}
+struct SharedAggPayload final : TaggedPayload<SharedAggPayload> {
   SimTime epoch_time = 0;
   /// Partial state per query (vector ordered by the query's aggregate list).
   std::map<QueryId, std::vector<PartialAggregate>> partials;
@@ -77,9 +69,7 @@ struct SharedAggPayload final : Payload {
 /// for (`query`, `epoch_time`) — report before `deadline`".  Travels down
 /// the routing tree hop by hop (each relay keeps its own subtree's targets
 /// and forwards the rest), ARQ-protected, as `MessageClass::kControl`.
-struct RepairRequestPayload final : Payload {
-  static constexpr PayloadKind kKind = PayloadKind::kRepairRequest;
-  RepairRequestPayload() : Payload(kKind) {}
+struct RepairRequestPayload final : TaggedPayload<RepairRequestPayload> {
   QueryId query = kInvalidQueryId;
   SimTime epoch_time = 0;
   /// Epoch close time at the base station; replies past it are pointless.
@@ -91,9 +81,7 @@ struct RepairRequestPayload final : Payload {
 /// to the base station.  Either re-delivers the cached epoch row or
 /// affirms "no data" — both make the node *accounted* in the base
 /// station's coverage ledger.
-struct RepairReplyPayload final : Payload {
-  static constexpr PayloadKind kKind = PayloadKind::kRepairReply;
-  RepairReplyPayload() : Payload(kKind) {}
+struct RepairReplyPayload final : TaggedPayload<RepairReplyPayload> {
   QueryId query = kInvalidQueryId;
   SimTime epoch_time = 0;
   SimTime deadline = 0;

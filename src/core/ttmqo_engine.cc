@@ -27,7 +27,6 @@ TtmqoEngine::TtmqoEngine(Network& network, const FieldModel& field,
     : network_(network),
       user_sink_(user_sink),
       options_(options),
-      selectivity_(options.selectivity_bins),
       cost_model_(network.topology(), network.radio(), selectivity_),
       network_sink_(this),
       trace_(network.sim()) {

@@ -43,8 +43,6 @@ struct TtmqoOptions {
   OptimizationMode mode = OptimizationMode::kTwoTier;
   /// Tier-1 termination aggressiveness (Algorithm 2); 0.6 per the paper.
   double alpha = 0.6;
-  /// Histogram resolution of the selectivity estimator.
-  std::size_t selectivity_bins = 32;
   /// Learn the data distribution from returned rows (Section 3.1.2,
   /// "Statistics").  Off by default: the paper's experiments use a single
   /// uniform-assumption distribution, "which actually biases against our

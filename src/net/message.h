@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "util/ids.h"
@@ -31,35 +32,14 @@ inline constexpr std::size_t kNumMessageClasses = 5;
 /// Display name of a message class.
 std::string_view MessageClassName(MessageClass cls);
 
-/// Concrete type of a payload, fixed at construction.  Receivers dispatch
-/// on it with `PayloadAs`: one compare per candidate type, no RTTI walk.
-/// Payloads defined outside the engines (test probes) keep `kOther`.
-enum class PayloadKind : std::uint8_t {
-  kOther = 0,
-  // tinydb/payloads.h
-  kQueryPropagation,
-  kQueryAbort,
-  kRow,
-  kAgg,
-  // core/innet/payloads.h
-  kInNetPropagation,
-  kSharedRow,
-  kSharedAgg,
-  kRepairRequest,
-  kRepairReply,
-  // reliable/arq.h
-  kArqData,
-  kArqAck,
-};
-
-/// Base class of typed message payloads.  Each concrete payload declares
-/// `static constexpr PayloadKind kKind` and passes it to this constructor.
+/// Base class of typed message payloads.  Every payload carries the tag of
+/// its concrete type, fixed at construction; receivers dispatch on it with
+/// `PayloadAs`: one pointer compare per candidate type, no RTTI walk.  A
+/// concrete payload `T` derives from `TaggedPayload<T>`, the only way to
+/// construct a `Payload`.
 class Payload {
  public:
-  explicit Payload(PayloadKind kind = PayloadKind::kOther) : kind_(kind) {}
   virtual ~Payload() = default;
-
-  PayloadKind kind() const { return kind_; }
 
  protected:
   // Concrete payloads copy (a relay forwards a copy); a bare Payload never
@@ -70,16 +50,36 @@ class Payload {
   Payload& operator=(Payload&&) = default;
 
  private:
-  PayloadKind kind_;
+  template <typename T>
+  friend class TaggedPayload;
+  template <typename T>
+  friend const T* PayloadAs(const Payload* payload);
+
+  explicit Payload(const void* tag) : tag_(tag) {}
+
+  const void* tag_;
 };
 
-/// `payload` as a `T` when its kind is `T::kKind`, nullptr otherwise
+/// CRTP base of a concrete payload `T`: its tag is the address of `kTag`,
+/// an object of its own for every `T`, so two payload types can never
+/// share a tag.  Only `T` can construct it.
+template <typename T>
+class TaggedPayload : public Payload {
+ public:
+  static constexpr char kTag = 0;
+
+ private:
+  friend T;
+  TaggedPayload() : Payload(&kTag) {}
+};
+
+/// `payload` as a `T` when it was constructed as a `T`, nullptr otherwise
 /// (including a null payload).
 template <typename T>
 const T* PayloadAs(const Payload* payload) {
-  static_assert(T::kKind != PayloadKind::kOther,
-                "only kinded payloads can be dispatched on");
-  return payload != nullptr && payload->kind() == T::kKind
+  static_assert(std::is_base_of_v<TaggedPayload<T>, T>,
+                "a dispatchable payload T derives from TaggedPayload<T>");
+  return payload != nullptr && payload->tag_ == &TaggedPayload<T>::kTag
              ? static_cast<const T*>(payload)
              : nullptr;
 }

@@ -9,9 +9,20 @@
 namespace ttmqo {
 
 namespace {
+
+// A collided transmission is retried at most this many times, then
+// dropped.
+constexpr int kMaxRetries = 5;
+static_assert(kMaxRetries >= 0, "max retries must be >= 0");
+
+// Deterministic linear backoff: retry i waits i * kBackoffMs.
+constexpr SimDuration kBackoffMs = 16;
+static_assert(kBackoffMs >= 0, "backoff must be >= 0");
+
 std::pair<NodeId, NodeId> LinkKey(NodeId a, NodeId b) {
   return {std::min(a, b), std::max(a, b)};
 }
+
 }  // namespace
 
 Network::Network(const Topology& topology, RadioParams radio,
@@ -199,12 +210,11 @@ void Network::CompleteAttempt(Message msg, int attempt, SimTime started) {
   }
   if (!collided) {
     Deliver(msg);
-  } else if (attempt >= channel_.max_retries) {
+  } else if (attempt >= kMaxRetries) {
     ledger_.CountDrop(sender);
     if (!observers_.empty()) observers_.OnDrop(sim_.Now(), msg);
   } else {
-    const auto backoff = static_cast<SimDuration>(
-        std::ceil(channel_.backoff_ms * static_cast<double>(attempt + 1)));
+    const SimDuration backoff = kBackoffMs * (attempt + 1);
     auto retry = [this, msg = std::move(msg), attempt]() mutable {
       BeginAttempt(std::move(msg), attempt + 1);
     };

@@ -37,24 +37,16 @@ struct RadioParams {
 /// Parameters of the optional contention/loss model.  With `collision_prob`
 /// = 0 the channel is lossless, matching the paper's stated assumption; the
 /// experiments additionally count retransmissions, which this model
-/// produces when enabled.
+/// produces when enabled.  The retry budget and backoff are constants of
+/// `network.cc`.
 struct ChannelParams {
   /// Probability that one concurrently in-flight interfering transmission
   /// corrupts a send (losses compose as 1-(1-p)^k for k interferers).
   double collision_prob = 0.0;
 
-  /// Maximum retransmission attempts before a message is dropped.
-  int max_retries = 5;
-
-  /// Base backoff delay before a retransmission, in milliseconds; attempt i
-  /// waits i * backoff_ms (deterministic linear backoff).
-  double backoff_ms = 16.0;
-
   void Validate() const {
     CheckArg(collision_prob >= 0.0 && collision_prob < 1.0,
              "ChannelParams: collision_prob must be in [0,1)");
-    CheckArg(max_retries >= 0, "ChannelParams: max_retries must be >= 0");
-    CheckArg(backoff_ms >= 0.0, "ChannelParams: backoff_ms must be >= 0");
   }
 };
 

@@ -5,19 +5,45 @@
 #include "util/check.h"
 
 namespace ttmqo {
+namespace {
 
-SimDuration ArqRto(const ArqOptions& options, int backoff_exponent,
-                   Rng& rng) {
-  CheckArg(backoff_exponent >= 0, "ArqRto: negative backoff exponent");
-  SimDuration rto = options.base_rto_ms;
-  for (int i = 0; i < backoff_exponent && rto < options.max_rto_ms; ++i) {
-    rto *= 2;
-  }
-  rto = std::min(rto, options.max_rto_ms);
-  if (options.jitter_ms > 0) {
-    rto += rng.UniformInt(0, options.jitter_ms);
-  }
-  return rto;
+// First retransmit timeout; doubled per attempt up to the cap.
+constexpr SimDuration kBaseRtoMs = 256;
+constexpr SimDuration kMaxRtoMs = 4096;
+static_assert(kBaseRtoMs > 0 && kMaxRtoMs >= kBaseRtoMs, "bad RTO bounds");
+
+// Deterministic per-(sender, seq) jitter added to every RTO, in
+// [0, kJitterMs].
+constexpr SimDuration kJitterMs = 32;
+
+// Transmissions per hop before giving up (first send included).
+constexpr int kMaxAttempts = 4;
+static_assert(kMaxAttempts >= 1, "need >= 1 attempt");
+
+// Give-up strikes against one neighbor before it is quarantined.
+constexpr int kQuarantineThreshold = 2;
+
+// First quarantine duration; doubled per quarantine (hysteresis) up to
+// the cap.
+constexpr SimDuration kQuarantineBaseMs = 4096;
+constexpr SimDuration kQuarantineMaxMs = 32768;
+
+// Receiver-side duplicate-detection window per (receiver, sender):
+// sequence numbers more than this far behind the newest seen are
+// forgotten (bounded memory for long-lived runs).
+constexpr std::uint32_t kDedupWindow = 1024;
+
+}  // namespace
+
+SimDuration ArqBackoff(int backoff_exponent) {
+  CheckArg(backoff_exponent >= 0, "ArqBackoff: negative backoff exponent");
+  SimDuration rto = kBaseRtoMs;
+  for (int i = 0; i < backoff_exponent && rto < kMaxRtoMs; ++i) rto *= 2;
+  return std::min(rto, kMaxRtoMs);
+}
+
+SimDuration ArqRto(int backoff_exponent, Rng& rng) {
+  return ArqBackoff(backoff_exponent) + rng.UniformInt(0, kJitterMs);
 }
 
 Rng ArqJitterRng(std::uint64_t seed, NodeId sender, std::uint32_t seq) {
@@ -27,16 +53,12 @@ Rng ArqJitterRng(std::uint64_t seed, NodeId sender, std::uint32_t seq) {
 
 ArqTransport::ArqTransport(Network& network, ArqOptions options)
     : network_(network),
-      options_(options),
+      seed_(options.seed),
       upper_(network.topology().size()),
       next_seq_(network.topology().size(), 0),
       live_(network.topology().size()),
       seen_(network.topology().size()),
-      quarantine_(network.topology().size()) {
-  CheckArg(options_.base_rto_ms > 0 && options_.max_rto_ms >= options_.base_rto_ms,
-           "ArqTransport: bad RTO bounds");
-  CheckArg(options_.max_attempts >= 1, "ArqTransport: need >= 1 attempt");
-}
+      quarantine_(network.topology().size()) {}
 
 void ArqTransport::Attach(NodeId node, Network::Receiver upper) {
   upper_[node] = std::move(upper);
@@ -58,7 +80,7 @@ void ArqTransport::Send(Message msg, SimTime deadline, int reroutes) {
   slot.deadline = deadline;
   slot.attempt = 1;
   slot.reroutes = reroutes;
-  slot.rng = ArqJitterRng(options_.seed, sender, seq);
+  slot.rng = ArqJitterRng(seed_, sender, seq);
   slot.unacked = msg.destinations;
   slot.msg = std::move(msg);
   slot.msg.payload = std::make_shared<ArqDataPayload>(
@@ -77,7 +99,7 @@ void ArqTransport::Send(Message msg, SimTime deadline, int reroutes) {
 
 void ArqTransport::ScheduleTimeout(std::uint32_t index) {
   PendingSlot& slot = slots_[index];
-  const SimDuration rto = ArqRto(options_, slot.attempt - 1, slot.rng);
+  const SimDuration rto = ArqRto(slot.attempt - 1, slot.rng);
   const auto fire = [this, index, generation = slot.generation]() {
     OnTimeout(index, generation);
   };
@@ -92,7 +114,7 @@ void ArqTransport::OnTimeout(std::uint32_t index, std::uint32_t generation) {
   const SimTime now = network_.sim().Now();
   const NodeId sender = slot.msg.sender;
 
-  if (slot.attempt >= options_.max_attempts || now >= slot.deadline) {
+  if (slot.attempt >= kMaxAttempts || now >= slot.deadline) {
     // Budget spent: strike every silent destination, hand the original
     // payload to the engine (it may re-route), and recycle the slot.
     ++give_ups_;
@@ -149,8 +171,8 @@ void ArqTransport::OnReceive(NodeId self, const Message& msg,
     SendAck(self, msg.sender, data->seq);
     SeenWindow& window = seen_[self][msg.sender];
     const bool below_window =
-        window.max_seen > options_.dedup_window &&
-        data->seq < window.max_seen - options_.dedup_window;
+        window.max_seen > kDedupWindow &&
+        data->seq < window.max_seen - kDedupWindow;
     if (below_window || !window.seqs.insert(data->seq).second) {
       ++duplicates_dropped_;
       return;
@@ -159,8 +181,8 @@ void ArqTransport::OnReceive(NodeId self, const Message& msg,
       window.max_seen = data->seq;
       // Slide the window: sequence numbers too old to be live duplicates
       // are forgotten, bounding the table for long-lived runs.
-      if (window.max_seen > options_.dedup_window) {
-        const std::uint32_t floor = window.max_seen - options_.dedup_window;
+      if (window.max_seen > kDedupWindow) {
+        const std::uint32_t floor = window.max_seen - kDedupWindow;
         window.seqs.erase(window.seqs.begin(),
                           window.seqs.lower_bound(floor));
       }
@@ -224,11 +246,11 @@ bool ArqTransport::IsQuarantined(NodeId self, NodeId neighbor) const {
 
 void ArqTransport::Strike(NodeId self, NodeId neighbor) {
   Quarantine& q = quarantine_[self][neighbor];
-  if (++q.strikes < options_.quarantine_threshold) return;
+  if (++q.strikes < kQuarantineThreshold) return;
   q.strikes = 0;
   q.backoff = q.backoff == 0
-                  ? options_.quarantine_base_ms
-                  : std::min(q.backoff * 2, options_.quarantine_max_ms);
+                  ? kQuarantineBaseMs
+                  : std::min(q.backoff * 2, kQuarantineMaxMs);
   q.until = network_.sim().Now() + q.backoff;
   ++quarantines_;
   if (quarantine_hook_) quarantine_hook_(self, neighbor, q.until);

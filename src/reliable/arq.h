@@ -46,55 +46,38 @@ inline constexpr std::size_t kArqHeaderBytes = 2;
 /// Serialized size of an ack (sequence number + sender id).
 inline constexpr std::size_t kArqAckBytes = 3;
 
-/// Tuning of the ARQ transport.  `enabled` false means the transport is
-/// never constructed and the engine talks to the network directly — the
-/// profile-off fast path.
+/// Configuration of the ARQ transport.  `enabled` false means the
+/// transport is never constructed and the engine talks to the network
+/// directly — the profile-off fast path.  Timeouts, budgets and windows
+/// are constants of `arq.cc`.
 struct ArqOptions {
   bool enabled = false;
   /// Seed of the jitter streams (forked per (sender, seq)).  The runner
   /// derives it from the run's master seed.
   std::uint64_t seed = 0;
-  /// First retransmit timeout; doubled per attempt.
-  SimDuration base_rto_ms = 256;
-  /// RTO growth cap.
-  SimDuration max_rto_ms = 4096;
-  /// Deterministic per-(sender, seq) jitter added to every RTO, in
-  /// [0, jitter_ms] — de-synchronizes retry bursts.
-  SimDuration jitter_ms = 32;
-  /// Transmissions per hop before giving up (first send included).
-  int max_attempts = 4;
-  /// Give-up strikes against one neighbor before it is quarantined.
-  int quarantine_threshold = 2;
-  /// First quarantine duration; doubled per quarantine (hysteresis).
-  SimDuration quarantine_base_ms = 4096;
-  /// Quarantine backoff cap.
-  SimDuration quarantine_max_ms = 32768;
-  /// Receiver-side duplicate-detection window per (receiver, sender):
-  /// sequence numbers more than this far behind the newest seen are
-  /// forgotten (bounded memory for long-lived runs).
-  std::uint32_t dedup_window = 1024;
 };
 
 /// The reliable wrapper around an application payload.
-struct ArqDataPayload final : Payload {
-  static constexpr PayloadKind kKind = PayloadKind::kArqData;
+struct ArqDataPayload final : TaggedPayload<ArqDataPayload> {
   ArqDataPayload(std::uint32_t s, std::shared_ptr<const Payload> p)
-      : Payload(kKind), seq(s), inner(std::move(p)) {}
+      : seq(s), inner(std::move(p)) {}
   std::uint32_t seq;
   std::shared_ptr<const Payload> inner;
 };
 
 /// Acknowledgement of one (sender, seq); travels as kControl.
-struct ArqAckPayload final : Payload {
-  static constexpr PayloadKind kKind = PayloadKind::kArqAck;
-  explicit ArqAckPayload(std::uint32_t s) : Payload(kKind), seq(s) {}
+struct ArqAckPayload final : TaggedPayload<ArqAckPayload> {
+  explicit ArqAckPayload(std::uint32_t s) : seq(s) {}
   std::uint32_t seq;
 };
 
-/// The RTO of retry number `backoff_exponent` (0 for the first timeout):
-/// min(base * 2^exponent, max) + jitter drawn from `rng`.  Exposed for the
-/// backoff-arithmetic unit tests.
-SimDuration ArqRto(const ArqOptions& options, int backoff_exponent, Rng& rng);
+/// The un-jittered RTO of retry number `backoff_exponent` (0 for the first
+/// timeout): 256 ms doubled per retry, capped at 4096 ms.
+SimDuration ArqBackoff(int backoff_exponent);
+
+/// `ArqBackoff(backoff_exponent)` plus a jitter in [0, 32] ms drawn from
+/// `rng`, which de-synchronizes retry bursts.
+SimDuration ArqRto(int backoff_exponent, Rng& rng);
 
 /// The jitter stream of one (sender, seq) pair under `seed` — every retry
 /// schedule is a pure function of these three values.
@@ -195,7 +178,8 @@ class ArqTransport {
   void ClearStrikes(NodeId self, NodeId neighbor);
 
   Network& network_;
-  ArqOptions options_;
+  /// Seed of the per-(sender, seq) jitter streams.
+  std::uint64_t seed_;
   std::vector<Network::Receiver> upper_;
   std::vector<std::uint32_t> next_seq_;
   /// Per sender: live seq -> pending slot index.

@@ -10,8 +10,6 @@ std::string_view ReliabilityProfileName(ReliabilityProfile profile) {
   switch (profile) {
     case ReliabilityProfile::kOff:
       return "off";
-    case ReliabilityProfile::kHarden:
-      return "harden";
     case ReliabilityProfile::kArq:
       return "arq";
   }
@@ -21,10 +19,9 @@ std::string_view ReliabilityProfileName(ReliabilityProfile profile) {
 
 ReliabilityProfile ParseReliabilityProfile(const std::string& name) {
   if (name == "off") return ReliabilityProfile::kOff;
-  if (name == "harden") return ReliabilityProfile::kHarden;
   if (name == "arq") return ReliabilityProfile::kArq;
   throw std::invalid_argument("unknown reliability profile '" + name +
-                              "' (off|harden|arq)");
+                              "' (off|arq)");
 }
 
 }  // namespace ttmqo

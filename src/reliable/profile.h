@@ -1,21 +1,19 @@
 // Named reliability profiles of the transport layer.
 //
-// The per-feature hardening knobs of `InNetOptions` (liveness failover,
-// dissemination re-floods, duplicate suppression) and the ARQ transport of
-// `reliable/arq.h` compose into three named operating points every binary
-// exposes as `--reliability=`:
+// Every binary exposes two operating points as `--reliability=`:
 //
-//   off    — the paper's best-effort tier exactly as seeded: no liveness
-//            tracking, no re-floods, no acks.  Byte-identical to the
-//            pre-reliability goldens.
-//   harden — the PR-2 best-effort hardening promoted to a profile:
-//            overheard-traffic liveness with parent blacklisting,
-//            dissemination re-floods, duplicate suppression.
-//   arq    — harden plus the full reliability protocol: per-hop
-//            ack/timeout retransmission with deterministic backoff,
-//            flapping-node quarantine, base-station epoch accounting with
-//            NACK-driven gap repair, and coverage-annotated partial
-//            results.
+//   off — the paper's best-effort tier exactly as seeded: no liveness
+//         tracking, no re-floods, no acks.  Byte-identical to the
+//         pre-reliability goldens.
+//   arq — the full reliability protocol: per-hop ack/timeout
+//         retransmission with deterministic backoff, flapping-node
+//         quarantine, base-station epoch accounting with NACK-driven gap
+//         repair and coverage-annotated partial results, plus the tier-2
+//         engine's overheard-traffic liveness failover and dissemination
+//         re-floods.
+//
+// Duplicate suppression at relays and the base station is part of tier 2
+// itself and runs under both.
 #pragma once
 
 #include <string>
@@ -26,15 +24,14 @@ namespace ttmqo {
 /// Which reliability machinery a run enables.
 enum class ReliabilityProfile {
   kOff,
-  kHarden,
   kArq,
 };
 
-/// Display name ("off" / "harden" / "arq").
+/// Display name ("off" / "arq").
 std::string_view ReliabilityProfileName(ReliabilityProfile profile);
 
 /// Parses a profile name; throws `std::invalid_argument` on anything but
-/// off|harden|arq.
+/// off|arq.
 ReliabilityProfile ParseReliabilityProfile(const std::string& name);
 
 }  // namespace ttmqo

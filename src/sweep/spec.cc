@@ -182,7 +182,7 @@ void WriteRowJson(std::ostream& out, const SweepRow& row,
       << ",\"peak_user_queries\":" << row.run.peak_user_queries
       << ",\"delivery_avg\":" << Num(s.AvgDeliveryCompleteness())
       << ",\"delivery_min\":" << Num(s.MinDeliveryCompleteness())
-      // -1 marks "not tracked" (off/harden); the arq profile reports real
+      // -1 marks "not tracked" (off); the arq profile reports real
       // per-epoch coverage.
       << ",\"coverage_avg\":"
       << Num(s.coverage.empty() ? -1.0 : s.AvgCoverage())

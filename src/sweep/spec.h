@@ -36,7 +36,7 @@ struct SweepSpec {
   /// drawn per replicate via `FaultPlan::RandomTransient`) or "loss:<p>"
   /// (uniform per-delivery link loss with probability p).
   std::vector<std::string> faults = {"none"};
-  /// Reliability profiles ("off", "harden", "arq").  Run seeds derive from
+  /// Reliability profiles ("off", "arq").  Run seeds derive from
   /// the replicate alone, so profiles compare like-for-like on identical
   /// inputs — the delivery-completeness-vs-loss figure's axes.
   std::vector<ReliabilityProfile> reliability = {ReliabilityProfile::kOff};

@@ -93,12 +93,6 @@ void TinyDbEngine::TerminateQuery(QueryId id) {
   network_.Send(std::move(msg));
 }
 
-SimDuration TinyDbEngine::SourceJitter(NodeId node) const {
-  if (options_.source_jitter_ms <= 0) return 0;
-  return (static_cast<SimDuration>(node) * 37) %
-         (options_.source_jitter_ms + 1);
-}
-
 // ---------------------------------------------------------------------
 // Node-side logic
 // ---------------------------------------------------------------------
@@ -272,7 +266,7 @@ void TinyDbEngine::OnEpoch(NodeId self, QueryId id, SimTime epoch_time) {
     const SimDuration offset =
         static_cast<SimDuration>(network_.topology().MaxDepth() -
                                  tree_.DepthOf(self)) *
-            options_.agg_slot_ms +
+            kAggSlotMs +
         SourceJitter(self);
     network_.sim().ScheduleAt(epoch_time + offset,
                               [this, self, id, epoch_time]() {

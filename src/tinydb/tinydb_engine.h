@@ -38,13 +38,8 @@
 
 namespace ttmqo {
 
-/// Tuning knobs of the baseline engine.
+/// Ablation switch of the baseline engine.
 struct TinyDbOptions {
-  /// Slot width for depth-staggered aggregation transmissions.
-  SimDuration agg_slot_ms = 128;
-  /// Maximum per-node jitter applied to source transmissions within an
-  /// epoch (decorrelates senders; deterministic per node).
-  SimDuration source_jitter_ms = 64;
   /// Semantic Routing Tree: node-id-based queries descend only into
   /// subtrees that can contain answer nodes (TinyDB's SRT; Section 3.2.2).
   /// Value-based queries always flood.
@@ -117,7 +112,6 @@ class TinyDbEngine final : public QueryEngine {
   void ForwardRow(NodeId self, const RowPayload& payload);
   void ForwardPartials(NodeId self, QueryId id, SimTime epoch_time,
                        std::vector<PartialAggregate> partials);
-  SimDuration SourceJitter(NodeId node) const;
 
   // --- base-station-side logic ----------------------------------------
   void BsAccept(const Message& msg);

@@ -49,7 +49,7 @@ void ExportRunMetrics(MetricsRegistry& registry, const MetricLabels& labels,
   registry.GetGauge("run_rows_expected", labels).Set(expected);
   registry.GetGauge("run_rows_delivered", labels).Set(delivered);
   // Reliability metrics appear only when the run produced them, so a
-  // registry shared with off/harden runs keeps its pre-reliability shape.
+  // registry shared with off runs keeps its pre-reliability shape.
   if (!run.summary.coverage.empty()) {
     registry.GetGauge("run_coverage_avg", labels)
         .Set(run.summary.AvgCoverage());
@@ -353,7 +353,7 @@ RunResult RunExperiment(const RunConfig& config,
   FillDeliveryCompleteness(run, config, schedule, topology, *field);
 
   // Coverage accounting: only epochs the engine annotated (arq profile)
-  // contribute, so off/harden summaries stay byte-identical to the seed.
+  // contribute, so off summaries stay byte-identical to the seed.
   for (const EpochResult* result : run.results.All()) {
     if (result->coverage < 0) continue;
     QueryCoverage& coverage = run.summary.coverage[result->query];

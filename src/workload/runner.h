@@ -78,9 +78,10 @@ struct RunConfig {
   bool tier1_use_index = true;
   /// In-network ablation switches (applied to modes that use tier 2).
   InNetOptions innet;
-  /// Named reliability profile applied on top of `innet` (off / harden /
-  /// arq).  The ARQ jitter seed is derived from the master seed unless the
-  /// caller pinned one explicitly.
+  /// Named reliability profile applied on top of `innet`: off, or arq
+  /// (the ARQ transport with gap repair, liveness failover and
+  /// dissemination re-floods).  The ARQ jitter seed is derived from the
+  /// master seed unless the caller pinned one explicitly.
   ReliabilityProfile reliability = ReliabilityProfile::kOff;
   /// Simulated duration.
   SimDuration duration_ms = 20 * 60 * 1000;

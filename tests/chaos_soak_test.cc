@@ -1,8 +1,9 @@
 // Chaos-harness invariants: deterministic replay (one fault plan + seed
 // reproduces a byte-identical trace and metrics export), duplicate-free
 // delivery at the base station under faults, and the reliability win of
-// the hardened two-tier scheme (liveness failover + dissemination retries)
-// over the TinyDB baseline when relays drop out.
+// the two-tier scheme under the arq profile (per-hop ARQ, liveness
+// failover, dissemination retries) over the TinyDB baseline when relays
+// drop out.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -51,8 +52,7 @@ RunConfig ChaosConfig(OptimizationMode mode) {
   config.seed = 5;
   config.faults = MixedPlan();
   if (mode != OptimizationMode::kBaseline) {
-    config.innet.liveness_timeout_ms = 2 * kEpoch;
-    config.innet.dissemination_retries = 2;
+    config.reliability = ReliabilityProfile::kArq;
   }
   return config;
 }
@@ -104,7 +104,7 @@ TEST(ChaosInvariantTest, NoDuplicateRowsReachTheBaseStation) {
 
 TEST(ChaosInvariantTest, RandomSoakKeepsCompletenessAndUniqueness) {
   // A miniature of bench/chaos_soak: random transient outages on up to 20%
-  // of the sensors; the hardened two-tier scheme must stay above a
+  // of the sensors; the two-tier scheme under arq must stay above a
   // completeness floor with zero duplicates, on several seeds.
   const auto schedule = StaticSchedule(
       {ParseQuery(1, "SELECT light WHERE light > 400 EPOCH DURATION 4096")});
@@ -119,19 +119,18 @@ TEST(ChaosInvariantTest, RandomSoakKeepsCompletenessAndUniqueness) {
     config.seed = seed;
     config.faults = FaultPlan::RandomTransient(params, 25, config.duration_ms,
                                                seed);
-    config.innet.liveness_timeout_ms = 2 * kEpoch;
-    config.innet.dissemination_retries = 2;
+    config.reliability = ReliabilityProfile::kArq;
     const RunResult run = RunExperiment(config, schedule);
     EXPECT_EQ(DuplicateRows(run.results), 0u) << "seed " << seed;
     EXPECT_GE(run.summary.MinDeliveryCompleteness(), 0.5) << "seed " << seed;
   }
 }
 
-TEST(ChaosFailoverTest, HardenedTwoTierOutdeliversBaselineUnderOutages) {
+TEST(ChaosFailoverTest, ArqTwoTierOutdeliversBaselineUnderOutages) {
   // Outages chosen to hurt both schemes the same way: one sensor is down
   // while the query floods (it must be re-disseminated to ever answer) and
   // two relays drop out mid-run (traffic through them must fail over).
-  // The hardened two-tier engine recovers both; the baseline's fixed tree
+  // The two-tier engine under arq recovers both; the baseline's fixed tree
   // and fire-and-forget dissemination cannot.  The query selects every
   // node so each outage visibly costs rows.
   const auto schedule =
@@ -152,15 +151,14 @@ TEST(ChaosFailoverTest, HardenedTwoTierOutdeliversBaselineUnderOutages) {
     config.seed = 5;
     config.faults = plan;
     if (mode == OptimizationMode::kTwoTier) {
-      config.innet.liveness_timeout_ms = 2 * kEpoch;
-      config.innet.dissemination_retries = 2;
+      config.reliability = ReliabilityProfile::kArq;
     }
     const RunResult run = RunExperiment(config, schedule);
     completeness[i] = run.summary.AvgDeliveryCompleteness();
     EXPECT_EQ(DuplicateRows(run.results), 0u);
   }
   EXPECT_GT(completeness[1], completeness[0])
-      << "hardened two-tier should out-deliver the baseline under outages";
+      << "two-tier under arq should out-deliver the baseline under outages";
   EXPECT_GE(completeness[1], 0.8);
 }
 

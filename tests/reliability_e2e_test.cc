@@ -120,7 +120,7 @@ TEST(ReliabilityE2eTest, RepeatedArqRunsAreByteIdentical) {
 
 TEST(ReliabilityE2eTest, SweepReliabilityAxisDeterministicAcrossJobCounts) {
   const SweepSpec spec = SweepSpec::Parse(
-      "grids=4 workloads=A modes=ttmqo reliability=off,harden,arq "
+      "grids=4 workloads=A modes=ttmqo reliability=off,arq "
       "faults=transient seeds=2 duration-ms=36864");
   const SweepReport serial = RunSweep(spec, 1);
   const SweepReport parallel = RunSweep(spec, 4);

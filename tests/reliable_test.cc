@@ -16,7 +16,7 @@
 namespace ttmqo {
 namespace {
 
-struct ProbePayload final : Payload {
+struct ProbePayload final : TaggedPayload<ProbePayload> {
   explicit ProbePayload(int v) : value(v) {}
   int value;
 };
@@ -32,33 +32,29 @@ ArqOptions TestOptions() {
 // Backoff arithmetic.
 
 TEST(ArqRtoTest, DoublesPerAttemptAndCapsWithoutJitter) {
-  ArqOptions options = TestOptions();
-  options.jitter_ms = 0;
-  Rng rng(1);
-  EXPECT_EQ(ArqRto(options, 0, rng), 256);
-  EXPECT_EQ(ArqRto(options, 1, rng), 512);
-  EXPECT_EQ(ArqRto(options, 2, rng), 1024);
-  EXPECT_EQ(ArqRto(options, 3, rng), 2048);
-  EXPECT_EQ(ArqRto(options, 4, rng), 4096);
-  EXPECT_EQ(ArqRto(options, 5, rng), 4096) << "growth must cap at max_rto";
-  EXPECT_EQ(ArqRto(options, 30, rng), 4096)
+  EXPECT_EQ(ArqBackoff(0), 256);
+  EXPECT_EQ(ArqBackoff(1), 512);
+  EXPECT_EQ(ArqBackoff(2), 1024);
+  EXPECT_EQ(ArqBackoff(3), 2048);
+  EXPECT_EQ(ArqBackoff(4), 4096);
+  EXPECT_EQ(ArqBackoff(5), 4096) << "growth must cap at the max RTO";
+  EXPECT_EQ(ArqBackoff(30), 4096)
       << "large exponents must not overflow past the cap";
 }
 
 TEST(ArqRtoTest, JitterIsBoundedAndDeterministicInTheStream) {
+  constexpr SimDuration kJitterMs = 32;
   const ArqOptions options = TestOptions();
   Rng a = ArqJitterRng(options.seed, 7, 3);
   Rng b = ArqJitterRng(options.seed, 7, 3);
   for (int exponent = 0; exponent < 8; ++exponent) {
-    const SimDuration first = ArqRto(options, exponent, a);
-    const SimDuration second = ArqRto(options, exponent, b);
+    const SimDuration first = ArqRto(exponent, a);
+    const SimDuration second = ArqRto(exponent, b);
     EXPECT_EQ(first, second)
         << "same (seed, sender, seq) must give the same retry schedule";
-    const SimDuration base =
-        std::min(options.base_rto_ms << std::min(exponent, 20),
-                 options.max_rto_ms);
+    const SimDuration base = ArqBackoff(exponent);
     EXPECT_GE(first, base);
-    EXPECT_LE(first, base + options.jitter_ms);
+    EXPECT_LE(first, base + kJitterMs);
   }
 }
 
@@ -133,9 +129,8 @@ TEST_F(ArqTransportTest, LosslessUnicastDeliversOnceWithoutRetries) {
       dynamic_cast<const ProbePayload*>(delivered_[1][0].payload.get());
   ASSERT_NE(probe, nullptr);
   EXPECT_EQ(probe->value, 17);
-  // A payload defined outside the engines keeps the default kind, so no
+  // A payload defined outside the engines has a tag of its own, so no
   // engine accessor ever claims it.
-  EXPECT_EQ(probe->kind(), PayloadKind::kOther);
   EXPECT_EQ(PayloadAs<ArqDataPayload>(probe), nullptr);
   EXPECT_EQ(delivered_[1][0].payload_bytes, 8u);
 
@@ -156,7 +151,7 @@ TEST_F(ArqTransportTest, MulticastRetransmitsOnlyToTheSilentSubset) {
   // were addressed to node 3 only), the dead one struck out.
   EXPECT_EQ(delivered_[1].size(), 1u);
   EXPECT_TRUE(delivered_[3].empty());
-  EXPECT_EQ(arq_.retransmits(), 3u) << "max_attempts=4 means 3 retries";
+  EXPECT_EQ(arq_.retransmits(), 3u) << "4 attempts per hop mean 3 retries";
   EXPECT_EQ(arq_.duplicates_dropped(), 0u)
       << "retries must re-address the silent subset, not every destination";
   ASSERT_EQ(give_ups_.size(), 1u);
@@ -209,10 +204,11 @@ TEST_F(ArqTransportTest, RetrySchedulesAreDeterministicAcrossTransports) {
 }
 
 TEST_F(ArqTransportTest, QuarantineBackoffDoublesThenHysteresisHalves) {
-  const ArqOptions options = TestOptions();
+  // The transport's first quarantine duration.
+  constexpr SimDuration kQuarantineBaseMs = 4096;
   network_.SetDown(3);
 
-  // Two give-ups (= quarantine_threshold strikes) trigger the first
+  // Two give-ups (= the quarantine threshold's strikes) trigger the first
   // quarantine; sends are spaced far enough apart that each budget is
   // fully spent before the next begins.
   auto strike_out = [&](SimTime at, int value) {
@@ -227,7 +223,7 @@ TEST_F(ArqTransportTest, QuarantineBackoffDoublesThenHysteresisHalves) {
   network_.sim().RunUntil(14'000);
 
   ASSERT_EQ(quarantine_spans_.size(), 1u);
-  EXPECT_EQ(quarantine_spans_[0], options.quarantine_base_ms);
+  EXPECT_EQ(quarantine_spans_[0], kQuarantineBaseMs);
   EXPECT_TRUE(arq_.IsQuarantined(4, 3));
   EXPECT_FALSE(arq_.IsQuarantined(3, 4)) << "quarantine is directional";
 
@@ -237,7 +233,7 @@ TEST_F(ArqTransportTest, QuarantineBackoffDoublesThenHysteresisHalves) {
   strike_out(32'768, 4);
   network_.sim().RunUntil(45'056);
   ASSERT_EQ(quarantine_spans_.size(), 2u);
-  EXPECT_EQ(quarantine_spans_[1], 2 * options.quarantine_base_ms);
+  EXPECT_EQ(quarantine_spans_[1], 2 * kQuarantineBaseMs);
 
   // Recovery: one good ack halves the backoff instead of erasing it.  The
   // next quarantine therefore doubles from 4096 again, not from 8192.
@@ -252,7 +248,7 @@ TEST_F(ArqTransportTest, QuarantineBackoffDoublesThenHysteresisHalves) {
   strike_out(69'632, 7);
   network_.sim().RunUntil(81'920);
   ASSERT_EQ(quarantine_spans_.size(), 3u);
-  EXPECT_EQ(quarantine_spans_[2], 2 * options.quarantine_base_ms)
+  EXPECT_EQ(quarantine_spans_[2], 2 * kQuarantineBaseMs)
       << "hysteresis: the halved backoff doubles back to 8192, not 16384";
 
   // Quarantine expires on its own once the backoff elapses.
@@ -265,12 +261,11 @@ TEST_F(ArqTransportTest, QuarantineBackoffDoublesThenHysteresisHalves) {
 
 TEST(ReliabilityProfileTest, NamesRoundTrip) {
   EXPECT_EQ(ParseReliabilityProfile("off"), ReliabilityProfile::kOff);
-  EXPECT_EQ(ParseReliabilityProfile("harden"), ReliabilityProfile::kHarden);
   EXPECT_EQ(ParseReliabilityProfile("arq"), ReliabilityProfile::kArq);
   EXPECT_EQ(ReliabilityProfileName(ReliabilityProfile::kOff), "off");
-  EXPECT_EQ(ReliabilityProfileName(ReliabilityProfile::kHarden), "harden");
   EXPECT_EQ(ReliabilityProfileName(ReliabilityProfile::kArq), "arq");
   EXPECT_THROW(ParseReliabilityProfile("maximal"), std::invalid_argument);
+  EXPECT_THROW(ParseReliabilityProfile("harden"), std::invalid_argument);
 }
 
 }  // namespace

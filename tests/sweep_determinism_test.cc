@@ -92,6 +92,8 @@ TEST(ParallelForTest, PropagatesWorkerExceptions) {
 
 TEST(SweepSpecTest, RejectsUnknownKeys) {
   EXPECT_THROW(SweepSpec::Parse("grids=4 bogus=1"), std::invalid_argument);
+  EXPECT_THROW(SweepSpec::Parse("grids=4 reliability=harden"),
+               std::invalid_argument);
 }
 
 TEST(SweepSpecTest, RoundTripsThroughToString) {
