@@ -355,11 +355,12 @@ obs_nospans() {
 run_step "obs-nospans (release)" report obs_nospans
 
 # ---------------------------------------------------------------------------
-# Matrix leg 4: ThreadSanitizer — BLOCKING.  The parallel sweep pool and the
-# shared CostModel counters (atomic since PR 6) are the cross-thread
-# surfaces; their drivers run under TSan and any reported race fails CI.  A
-# canary compile distinguishes "toolchain cannot TSan" (SKIP) from "the code
-# races" (FAIL), so the gate can never silently rot into report-only.
+# Matrix leg 4: ThreadSanitizer — BLOCKING.  The parallel sweep pool, the
+# shared atomic CostModel counters and the metrics registry the sweep
+# workers export into are the cross-thread surfaces; their drivers run
+# under TSan and any reported race fails CI.  A canary compile
+# distinguishes "toolchain cannot TSan" (SKIP) from "the code races"
+# (FAIL), so the gate can never silently rot into report-only.
 
 tsan_canary() {
   local probe
@@ -385,7 +386,8 @@ tsan_run() {
       tee "${ARTIFACTS}/tsan/fig4_adaptive.log" &&
     ./build-tsan/examples/run_sweep \
       --spec="grids=4 workloads=C modes=baseline,ttmqo seeds=4 duration-ms=36864" \
-      --jobs=4 --no-timing --out=/dev/null 2>&1 |
+      --jobs=4 --no-timing --out=/dev/null \
+      --metrics-out="${ARTIFACTS}/tsan/run_sweep_metrics.json" 2>&1 |
       tee "${ARTIFACTS}/tsan/run_sweep.log"
 }
 

@@ -5,8 +5,8 @@
 //   $ run_experiment --workload=random --queries=40 --concurrency=12
 //   $ run_experiment --workload=A --topology=random --nodes=30
 //
-// Prints the run summary, per-mode savings (when --compare is given), and
-// the energy picture.
+// Prints the run summary and, with --compare, every mode's row plus the
+// two-tier savings over the baseline.
 //
 // Fault injection (all optional, deterministic):
 //   --fail=<node>@<ms>         permanent crash (repeatable)
@@ -23,12 +23,11 @@
 //                          off.
 //
 // Observability outputs (all optional):
-//   --metrics-out=m.json   per-node/per-class counters, run gauges, and the
-//                          per-epoch time series as one JSON document
-//   --prom-out=m.prom      the same registry in Prometheus text format
+//   --metrics-out=m.json   per-node/per-class counters, run gauges, the
+//                          fault plan and the per-epoch time series as one
+//                          JSON document
 //   --trace-out=t.jsonl    radio events + tier-1/tier-2 decision events as
 //                          JSON Lines
-//   --epoch-csv=e.csv      the per-epoch time series as CSV
 //   --trace-chrome=t.json  profiling spans (parse / tier-1 / dissemination /
 //                          event loop / summarize and the sampled hot paths)
 //                          as Chrome trace-event JSON for Perfetto
@@ -44,7 +43,6 @@
 #include <memory>
 
 #include "fault/fault_plan.h"
-#include "metrics/energy.h"
 #include "metrics/epoch_sampler.h"
 #include "metrics/registry.h"
 #include "metrics/table.h"
@@ -148,9 +146,7 @@ int main(int argc, char** argv) {
     if (link_loss > 0.0) config.faults.SetDefaultLinkLoss(link_loss);
 
     const auto metrics_out = flags.GetOptional("metrics-out");
-    const auto prom_out = flags.GetOptional("prom-out");
     const auto trace_out = flags.GetOptional("trace-out");
-    const auto epoch_csv = flags.GetOptional("epoch-csv");
     obs::ObsSession obs_session(obs::ObsSession::FromFlags(flags));
 
     std::vector<WorkloadEvent> schedule;
@@ -192,8 +188,6 @@ int main(int argc, char** argv) {
       trace_file = OpenOutput(*trace_out);
       trace_writer = std::make_unique<JsonlTraceWriter>(trace_file);
     }
-    const bool want_metrics = metrics_out.has_value() || prom_out.has_value();
-    const bool want_epochs = metrics_out.has_value() || epoch_csv.has_value();
 
     TablePrinter table({"mode", "avg tx %", "messages", "retx", "results",
                         "avg net queries", "sleep %", "delivery %",
@@ -202,7 +196,7 @@ int main(int argc, char** argv) {
     for (OptimizationMode mode : modes) {
       config.mode = mode;
       config.obs = RunObservability{};
-      if (want_metrics) {
+      if (metrics_out.has_value()) {
         config.obs.registry = &registry;
         if (compare) {
           config.obs.labels = {
@@ -215,7 +209,7 @@ int main(int argc, char** argv) {
       }
       // One sampler serves one run: under --compare it watches the final
       // (two-tier) run.
-      if (want_epochs && mode == modes.back()) {
+      if (metrics_out.has_value() && mode == modes.back()) {
         config.obs.sampler = &sampler;
       }
       const RunResult run = RunExperiment(config, schedule);
@@ -256,16 +250,6 @@ int main(int argc, char** argv) {
       sampler.WriteJsonArray(out);
       out << "}\n";
       std::printf("wrote metrics JSON to %s\n", metrics_out->c_str());
-    }
-    if (prom_out.has_value()) {
-      std::ofstream out = OpenOutput(*prom_out);
-      registry.WritePrometheus(out);
-      std::printf("wrote Prometheus metrics to %s\n", prom_out->c_str());
-    }
-    if (epoch_csv.has_value()) {
-      std::ofstream out = OpenOutput(*epoch_csv);
-      sampler.WriteCsv(out);
-      std::printf("wrote epoch series to %s\n", epoch_csv->c_str());
     }
     if (trace_writer != nullptr) {
       trace_writer->Flush();

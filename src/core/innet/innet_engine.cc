@@ -8,8 +8,6 @@
 namespace ttmqo {
 namespace {
 
-constexpr std::size_t kAbortPayloadBytes = 2;
-
 // Ticks and slots older than this are pruned from per-node bookkeeping.
 constexpr SimDuration kPruneHorizonMs = 32 * kMinEpochDurationMs;
 
@@ -44,13 +42,6 @@ constexpr SimDuration kBlacklistMaxBackoffMs = 32768;
 // initial flood still learn it.
 constexpr int kDisseminationRetries = 2;
 constexpr SimDuration kDisseminationRetryIntervalMs = 8192;
-
-void MergePartialVectors(std::vector<PartialAggregate>& into,
-                         const std::vector<PartialAggregate>& from) {
-  Check(into.size() == from.size(),
-        "partial aggregate vectors must align by spec");
-  for (std::size_t i = 0; i < into.size(); ++i) into[i].Merge(from[i]);
-}
 
 // Packs a (query, source) row key for the per-epoch duplicate buckets.
 std::uint64_t RowKey(QueryId query, NodeId source) {
@@ -448,11 +439,7 @@ bool InNetworkEngine::ShouldInstall(NodeId self, const Query& query) const {
 bool InNetworkEngine::ShouldForwardPropagation(NodeId self,
                                                const Query& query) const {
   if (!options_.use_semantic_routing) return true;
-  if (!SemanticRoutingTree::IsPrunable(query.predicates())) return true;
-  for (NodeId child : tree_.ChildrenOf(self)) {
-    if (srt_.SubtreeMayMatch(child, query.predicates())) return true;
-  }
-  return false;
+  return srt_.ShouldForward(tree_, self, query.predicates());
 }
 
 void InNetworkEngine::InstallQuery(NodeId self, const Query& query) {

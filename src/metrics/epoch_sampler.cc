@@ -62,51 +62,25 @@ void EpochSampler::Sample(Network& network) {
   previous_ = std::move(now);
 }
 
-void EpochSampler::WriteCsv(std::ostream& out) const {
-  out << "epoch,t_ms,tx_ms,retx_ms,sleep_ms";
-  for (std::size_t cls = 0; cls < kNumMessageClasses; ++cls) {
-    out << ',' << MessageClassName(static_cast<MessageClass>(cls)) << "_msgs";
-  }
-  out << ",retransmissions,drops\n";
-  for (const EpochRow& row : rows_) {
-    out << row.epoch << ',' << row.time << ',' << row.tx_ms << ','
-        << row.retx_ms << ',' << row.sleep_ms;
-    for (std::size_t cls = 0; cls < kNumMessageClasses; ++cls) {
-      out << ',' << row.sent_by_class[cls];
-    }
-    out << ',' << row.retransmissions << ',' << row.drops << '\n';
-  }
-}
-
-void EpochSampler::WriteRowJson(std::ostream& out, const EpochRow& row) const {
-  out << "{\"epoch\":" << row.epoch << ",\"t\":" << row.time
-      << ",\"tx_ms\":" << row.tx_ms << ",\"retx_ms\":" << row.retx_ms
-      << ",\"sleep_ms\":" << row.sleep_ms;
-  for (std::size_t cls = 0; cls < kNumMessageClasses; ++cls) {
-    out << ",\"" << MessageClassName(static_cast<MessageClass>(cls))
-        << "_msgs\":" << row.sent_by_class[cls];
-  }
-  out << ",\"retransmissions\":" << row.retransmissions
-      << ",\"drops\":" << row.drops << ",\"node_tx_ms\":[";
-  for (std::size_t i = 0; i < row.node_tx_ms.size(); ++i) {
-    if (i > 0) out << ',';
-    out << row.node_tx_ms[i];
-  }
-  out << "]}";
-}
-
-void EpochSampler::WriteJsonl(std::ostream& out) const {
-  for (const EpochRow& row : rows_) {
-    WriteRowJson(out, row);
-    out << '\n';
-  }
-}
-
 void EpochSampler::WriteJsonArray(std::ostream& out) const {
   out << '[';
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    if (i > 0) out << ',';
-    WriteRowJson(out, rows_[i]);
+  for (std::size_t r = 0; r < rows_.size(); ++r) {
+    const EpochRow& row = rows_[r];
+    if (r > 0) out << ',';
+    out << "{\"epoch\":" << row.epoch << ",\"t\":" << row.time
+        << ",\"tx_ms\":" << row.tx_ms << ",\"retx_ms\":" << row.retx_ms
+        << ",\"sleep_ms\":" << row.sleep_ms;
+    for (std::size_t cls = 0; cls < kNumMessageClasses; ++cls) {
+      out << ",\"" << MessageClassName(static_cast<MessageClass>(cls))
+          << "_msgs\":" << row.sent_by_class[cls];
+    }
+    out << ",\"retransmissions\":" << row.retransmissions
+        << ",\"drops\":" << row.drops << ",\"node_tx_ms\":[";
+    for (std::size_t i = 0; i < row.node_tx_ms.size(); ++i) {
+      if (i > 0) out << ',';
+      out << row.node_tx_ms[i];
+    }
+    out << "]}";
   }
   out << ']';
 }

@@ -4,8 +4,9 @@
 // Section 4.1); `EpochSampler` additionally snapshots the `RadioLedger`
 // every simulated epoch and records the *delta* — per message class and per
 // node — so a run yields a time series showing where inside the run each
-// tier spends or saves transmissions.  Rows export as CSV (one row per
-// epoch, network-wide columns) or JSONL (same plus the per-node breakdown).
+// tier spends or saves transmissions.  The rows export as one JSON array,
+// network-wide fields plus the per-node breakdown, which the metrics
+// document embeds.
 #pragma once
 
 #include <array>
@@ -51,13 +52,8 @@ class EpochSampler {
   /// The sampling period (0 before `Start`).
   SimDuration period_ms() const { return period_ms_; }
 
-  /// CSV with a header row and one row per epoch (network-wide columns).
-  void WriteCsv(std::ostream& out) const;
-
-  /// One JSON object per line, including the per-node breakdown.
-  void WriteJsonl(std::ostream& out) const;
-
-  /// The same rows as one JSON array (for embedding in a larger document).
+  /// The rows as one JSON array, one object per epoch including the
+  /// per-node breakdown (for embedding in a larger document).
   void WriteJsonArray(std::ostream& out) const;
 
  private:
@@ -74,7 +70,6 @@ class EpochSampler {
   void Sample(Network& network);
   void Tick();
   static Snapshot Capture(const RadioLedger& ledger);
-  void WriteRowJson(std::ostream& out, const EpochRow& row) const;
 
   Network* network_ = nullptr;
   SimDuration period_ms_ = 0;

@@ -1,10 +1,8 @@
 #include "metrics/registry.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
-#include "util/check.h"
 #include "util/tracing.h"
 
 namespace ttmqo {
@@ -19,44 +17,6 @@ void AtomicAdd(std::atomic<double>& target, double delta) {
   }
 }
 
-// Prometheus exposition label-value escaping: exactly `\\`, `\"`, and
-// `\n` — the only escape sequences the format defines.  JsonEscape would
-// also emit `\t` and `\uXXXX`, which Prometheus parsers reject; any other
-// byte is legal raw inside a quoted label value.  The instrument key
-// doubles as the exposition sample line, so it must use this escaping;
-// WriteJson re-escapes the key with WriteJsonString, which keeps the JSON
-// document valid regardless.
-void PrometheusLabelEscape(std::string_view raw, std::string& out) {
-  for (const char c : raw) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-}
-
-// Prometheus-safe rendering of a sample value.
-void WriteNumber(std::ostream& out, double value) {
-  if (!std::isfinite(value)) {
-    out << (std::isnan(value) ? "NaN" : (value > 0 ? "+Inf" : "-Inf"));
-    return;
-  }
-  if (value == std::floor(value) && std::abs(value) < 1e15) {
-    out << static_cast<long long>(value);
-    return;
-  }
-  out << value;
-}
-
 }  // namespace
 
 void Counter::Add(double delta) {
@@ -65,42 +25,6 @@ void Counter::Add(double delta) {
 }
 
 void Gauge::Add(double delta) { AtomicAdd(value_, delta); }
-
-HistogramMetric::HistogramMetric(std::vector<double> upper_bounds)
-    : upper_bounds_(std::move(upper_bounds)),
-      counts_(upper_bounds_.size() + 1, 0) {
-  CheckArg(!upper_bounds_.empty(), "HistogramMetric: needs at least one bucket");
-  CheckArg(std::is_sorted(upper_bounds_.begin(), upper_bounds_.end()) &&
-               std::adjacent_find(upper_bounds_.begin(), upper_bounds_.end()) ==
-                   upper_bounds_.end(),
-           "HistogramMetric: bucket bounds must be strictly increasing");
-}
-
-void HistogramMetric::Observe(double value) {
-  const auto it =
-      std::lower_bound(upper_bounds_.begin(), upper_bounds_.end(), value);
-  const std::size_t bucket =
-      static_cast<std::size_t>(it - upper_bounds_.begin());
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counts_[bucket];
-  ++count_;
-  sum_ += value;
-}
-
-std::vector<std::uint64_t> HistogramMetric::BucketCounts() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counts_;
-}
-
-std::uint64_t HistogramMetric::Count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return count_;
-}
-
-double HistogramMetric::Sum() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sum_;
-}
 
 std::string MetricsRegistry::InstrumentKey(const std::string& name,
                                            const MetricLabels& labels) {
@@ -113,7 +37,25 @@ std::string MetricsRegistry::InstrumentKey(const std::string& name,
     if (i > 0) key += ',';
     key += sorted[i].first;
     key += "=\"";
-    PrometheusLabelEscape(sorted[i].second, key);
+    // Escaping backslash, quote and newline keeps distinct label sets on
+    // distinct keys: no value can spell a closing quote and a second
+    // label.  WriteJson re-escapes the whole key with WriteJsonString, so
+    // the document stays valid whatever bytes a value holds.
+    for (const char c : sorted[i].second) {
+      switch (c) {
+        case '\\':
+          key += "\\\\";
+          break;
+        case '"':
+          key += "\\\"";
+          break;
+        case '\n':
+          key += "\\n";
+          break;
+        default:
+          key += c;
+      }
+    }
     key += '"';
   }
   key += '}';
@@ -153,19 +95,6 @@ Gauge& MetricsRegistry::GetGauge(const std::string& name,
   return *instrument.gauge;
 }
 
-HistogramMetric& MetricsRegistry::GetHistogram(const std::string& name,
-                                         std::vector<double> upper_bounds,
-                                         const MetricLabels& labels) {
-  Instrument& instrument = GetOrCreate(name, labels, Kind::kHistogram);
-  if (instrument.histogram == nullptr) {
-    instrument.histogram = std::make_unique<HistogramMetric>(std::move(upper_bounds));
-  } else {
-    CheckArg(instrument.histogram->upper_bounds() == upper_bounds,
-             "MetricsRegistry: histogram re-registered with different buckets");
-  }
-  return *instrument.histogram;
-}
-
 std::size_t MetricsRegistry::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return instruments_.size();
@@ -173,9 +102,7 @@ std::size_t MetricsRegistry::size() const {
 
 void MetricsRegistry::WriteJson(std::ostream& out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto write_section = [&](const char* title, Kind kind, bool& first) {
-    if (!first) out << ',';
-    first = false;
+  const auto write_section = [&](const char* title, Kind kind) {
     out << '"' << title << "\":{";
     bool first_entry = true;
     for (const auto& [key, instrument] : instruments_) {
@@ -186,82 +113,17 @@ void MetricsRegistry::WriteJson(std::ostream& out) const {
       out << ':';
       if (kind == Kind::kCounter) {
         out << instrument.counter->Value();
-      } else if (kind == Kind::kGauge) {
-        out << instrument.gauge->Value();
       } else {
-        const HistogramMetric& h = *instrument.histogram;
-        const auto counts = h.BucketCounts();
-        out << "{\"sum\":" << h.Sum() << ",\"count\":" << h.Count()
-            << ",\"buckets\":[";
-        for (std::size_t i = 0; i < counts.size(); ++i) {
-          if (i > 0) out << ',';
-          out << "{\"le\":";
-          if (i < h.upper_bounds().size()) {
-            out << h.upper_bounds()[i];
-          } else {
-            out << "\"+Inf\"";
-          }
-          out << ",\"count\":" << counts[i] << '}';
-        }
-        out << "]}";
+        out << instrument.gauge->Value();
       }
     }
     out << '}';
   };
   out << '{';
-  bool first = true;
-  write_section("counters", Kind::kCounter, first);
-  write_section("gauges", Kind::kGauge, first);
-  write_section("histograms", Kind::kHistogram, first);
+  write_section("counters", Kind::kCounter);
+  out << ',';
+  write_section("gauges", Kind::kGauge);
   out << '}';
-}
-
-void MetricsRegistry::WritePrometheus(std::ostream& out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string last_typed_name;
-  for (const auto& [key, instrument] : instruments_) {
-    const std::string name = key.substr(0, key.find('{'));
-    const std::string labels =
-        key.size() > name.size() ? key.substr(name.size()) : std::string();
-    if (name != last_typed_name) {
-      out << "# TYPE " << name << ' '
-          << (instrument.kind == Kind::kCounter
-                  ? "counter"
-                  : instrument.kind == Kind::kGauge ? "gauge" : "histogram")
-          << '\n';
-      last_typed_name = name;
-    }
-    if (instrument.kind == Kind::kCounter) {
-      out << key << ' ';
-      WriteNumber(out, instrument.counter->Value());
-      out << '\n';
-    } else if (instrument.kind == Kind::kGauge) {
-      out << key << ' ';
-      WriteNumber(out, instrument.gauge->Value());
-      out << '\n';
-    } else {
-      const HistogramMetric& h = *instrument.histogram;
-      const auto counts = h.BucketCounts();
-      const std::string inner =
-          labels.empty() ? std::string()
-                         : labels.substr(1, labels.size() - 2) + ",";
-      std::uint64_t cumulative = 0;
-      for (std::size_t i = 0; i < counts.size(); ++i) {
-        cumulative += counts[i];
-        out << name << "_bucket{" << inner << "le=\"";
-        if (i < h.upper_bounds().size()) {
-          WriteNumber(out, h.upper_bounds()[i]);
-        } else {
-          out << "+Inf";
-        }
-        out << "\"} " << cumulative << '\n';
-      }
-      out << name << "_sum" << labels << ' ';
-      WriteNumber(out, h.Sum());
-      out << '\n';
-      out << name << "_count" << labels << ' ' << h.Count() << '\n';
-    }
-  }
 }
 
 }  // namespace ttmqo

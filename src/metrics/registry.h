@@ -1,13 +1,12 @@
-// A process-wide metrics registry: named counters, gauges, and fixed-bucket
-// histograms, with Prometheus-style labels and JSON / Prometheus text
-// exposition.
+// A process-wide metrics registry: named counters and gauges with
+// Prometheus-style labels, exported as one JSON document.
 //
 // Instruments are created on first use and live as long as the registry;
 // the returned references stay valid across further registrations.  All
 // operations are thread-safe: instrument lookup takes the registry mutex,
-// and updates use atomics (counters/gauges) or a per-histogram mutex, so
-// hot paths touching a cached instrument reference never contend on the
-// registry.
+// and updates are atomic, so code holding a cached instrument reference
+// never contends on the registry.  Sweep workers export into one registry
+// concurrently.
 //
 // Metric names follow Prometheus conventions (snake_case, `_total` suffix
 // on counters); labels keep cardinality bounded (node ids, message
@@ -15,7 +14,6 @@
 #pragma once
 
 #include <atomic>
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -34,7 +32,6 @@ class Counter {
  public:
   /// Adds `delta` (must be >= 0; negative deltas are clamped to 0).
   void Add(double delta);
-  void Increment() { Add(1.0); }
   double Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
@@ -52,32 +49,6 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// A fixed-bucket histogram with cumulative Prometheus semantics: bucket i
-/// counts observations <= upper_bounds[i]; an implicit +Inf bucket catches
-/// the rest.
-class HistogramMetric {
- public:
-  /// `upper_bounds` must be strictly increasing and non-empty.
-  explicit HistogramMetric(std::vector<double> upper_bounds);
-
-  void Observe(double value);
-
-  /// Upper bounds, excluding the implicit +Inf bucket.
-  const std::vector<double>& upper_bounds() const { return upper_bounds_; }
-  /// Per-bucket (non-cumulative) counts; size() == upper_bounds().size() + 1,
-  /// the last entry being the +Inf bucket.
-  std::vector<std::uint64_t> BucketCounts() const;
-  std::uint64_t Count() const;
-  double Sum() const;
-
- private:
-  std::vector<double> upper_bounds_;
-  mutable std::mutex mu_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-};
-
 /// The registry.  Instruments are identified by (name, labels); requesting
 /// the same identity twice returns the same instrument.  Registering one
 /// name as two different instrument types throws `std::invalid_argument`.
@@ -89,36 +60,27 @@ class MetricsRegistry {
 
   Counter& GetCounter(const std::string& name, const MetricLabels& labels = {});
   Gauge& GetGauge(const std::string& name, const MetricLabels& labels = {});
-  /// `upper_bounds` is used on first registration of (name, labels) and
-  /// must match on later calls.
-  HistogramMetric& GetHistogram(const std::string& name,
-                          std::vector<double> upper_bounds,
-                          const MetricLabels& labels = {});
 
   /// Number of registered instrument instances.
   std::size_t size() const;
 
   /// JSON object: {"counters":{"name{k=\"v\"}":value,...},
-  /// "gauges":{...},"histograms":{"name{...}":{"sum":s,"count":n,
-  /// "buckets":[{"le":b,"count":c},...]}}}.  Keys are sorted; the document
-  /// is self-contained and parseable.
+  /// "gauges":{...}}.  Keys are sorted; the document is self-contained and
+  /// parseable.
   void WriteJson(std::ostream& out) const;
 
-  /// Prometheus text exposition format (one "# TYPE" line per metric name).
-  void WritePrometheus(std::ostream& out) const;
-
  private:
-  enum class Kind { kCounter, kGauge, kHistogram };
+  enum class Kind { kCounter, kGauge };
 
   struct Instrument {
     Kind kind;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<HistogramMetric> histogram;
   };
 
   /// "name{k=\"v\",...}" (or just "name" without labels); label order is
-  /// normalized by sorting keys so identical sets always collide.
+  /// normalized by sorting keys so identical sets always collide, and
+  /// values escape `\\`, `"` and newline so distinct sets never do.
   static std::string InstrumentKey(const std::string& name,
                                    const MetricLabels& labels);
 

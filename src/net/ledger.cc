@@ -34,6 +34,16 @@ void RadioLedger::AddSleep(NodeId node, double duration_ms) {
   stats_.at(node).sleep_ms += duration_ms;
 }
 
+void RadioLedger::CountSleepTransition(NodeId node) {
+  ++stats_.at(node).sleep_transitions;
+}
+
+void RadioLedger::CountLinkDrop(NodeId node) { ++stats_.at(node).link_drops; }
+
+void RadioLedger::CountOutage(NodeId node) { ++stats_.at(node).outages; }
+
+void RadioLedger::CountRecovery(NodeId node) { ++stats_.at(node).recoveries; }
+
 const NodeRadioStats& RadioLedger::StatsOf(NodeId node) const {
   return stats_.at(node);
 }
@@ -76,6 +86,12 @@ std::uint64_t RadioLedger::TotalMessages() const {
   for (const NodeRadioStats& s : stats_) {
     for (std::uint64_t n : s.sent_by_class) total += n;
   }
+  return total;
+}
+
+std::uint64_t RadioLedger::TotalLinkDrops() const {
+  std::uint64_t total = 0;
+  for (const NodeRadioStats& s : stats_) total += s.link_drops;
   return total;
 }
 

@@ -5,7 +5,9 @@
 // queries over the simulation time" (Section 4.1), counting result,
 // propagation/abort, maintenance, and retransmission traffic.  The channel
 // charges every transmission attempt (including failed ones) to the
-// sender's ledger.
+// sender's ledger.  The ledger is also the run's only count of the other
+// radio events — drops, sleep transitions, link losses and outages — which
+// the experiment harness exports to the metrics registry at run end.
 #pragma once
 
 #include <array>
@@ -35,6 +37,13 @@ struct NodeRadioStats {
   std::uint64_t received = 0;
   /// Milliseconds this node spent in sleep mode.
   double sleep_ms = 0.0;
+  /// Times this node went to sleep.
+  std::uint64_t sleep_transitions = 0;
+  /// Deliveries to this node (as receiver) lost on a lossy link.
+  std::uint64_t link_drops = 0;
+  /// Transient outages this node began, and recovered from.
+  std::uint64_t outages = 0;
+  std::uint64_t recoveries = 0;
 
   /// Total transmit milliseconds including retransmissions.
   double TotalTransmitMs() const;
@@ -58,6 +67,16 @@ class RadioLedger {
 
   /// Adds time spent asleep (spans may not overlap for one node).
   void AddSleep(NodeId node, double duration_ms);
+
+  /// Records `node` going to sleep.
+  void CountSleepTransition(NodeId node);
+
+  /// Records a delivery to `node` lost on a lossy link.
+  void CountLinkDrop(NodeId node);
+
+  /// Records the start and the end of a transient outage of `node`.
+  void CountOutage(NodeId node);
+  void CountRecovery(NodeId node);
 
   /// Stats of one node.
   const NodeRadioStats& StatsOf(NodeId node) const;
@@ -83,6 +102,9 @@ class RadioLedger {
 
   /// Total messages sent (first attempts, all classes).
   std::uint64_t TotalMessages() const;
+
+  /// Sum of link-loss drops over all receivers.
+  std::uint64_t TotalLinkDrops() const;
 
   /// Resets every counter (used between measurement windows).
   void Reset();

@@ -56,6 +56,7 @@ void Network::SetAsleep(NodeId node, bool asleep) {
   asleep_[node] = asleep ? 1 : 0;
   if (!observers_.empty()) observers_.OnSleepChange(sim_.Now(), node, asleep);
   if (asleep) {
+    ledger_.CountSleepTransition(node);
     sleep_since_[node] = sim_.Now();
   } else {
     ledger_.AddSleep(node, static_cast<double>(sim_.Now() - sleep_since_[node]));
@@ -84,6 +85,7 @@ void Network::SetDown(NodeId node) {
   down_[node] = 1;
   down_since_[node] = sim_.Now();
   ++num_down_;
+  ledger_.CountOutage(node);
   obs::RecordFlight("fault.down", sim_.Now(), node);
   if (!observers_.empty()) observers_.OnNodeDown(sim_.Now(), node);
 }
@@ -93,6 +95,7 @@ void Network::Recover(NodeId node) {
   if (failed_[node] || !down_[node]) return;
   down_[node] = 0;
   --num_down_;
+  ledger_.CountRecovery(node);
   const SimDuration down_ms = sim_.Now() - down_since_[node];
   obs::RecordFlight("fault.recover", sim_.Now(), node, down_ms);
   if (!observers_.empty()) observers_.OnNodeRecovered(sim_.Now(), node, down_ms);
@@ -275,7 +278,7 @@ void Network::Deliver(const Message& msg) {
     if (lossy) {
       const double loss = LinkLossOf(msg.sender, neighbor);
       if (loss > 0.0 && loss_rng_.Bernoulli(loss)) {
-        ++link_drops_;
+        ledger_.CountLinkDrop(neighbor);
         if (!observers_.empty()) {
           observers_.OnLinkDrop(sim_.Now(), msg, neighbor);
         }

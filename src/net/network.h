@@ -122,8 +122,8 @@ class Network {
   /// Effective loss probability of the link a—b.
   double LinkLossOf(NodeId a, NodeId b) const;
 
-  /// Deliveries lost to lossy links so far (all links).
-  std::uint64_t link_drops() const { return link_drops_; }
+  /// Deliveries lost to lossy links so far (all links; the ledger's sum).
+  std::uint64_t link_drops() const { return ledger_.TotalLinkDrops(); }
 
   /// Queues `msg` for transmission from `msg.sender`.  Destinations must be
   /// radio neighbors of the sender.  The transmission starts when the
@@ -148,8 +148,8 @@ class Network {
   std::size_t in_flight() const { return total_flights_; }
 
   /// The event observer fan-out.  Any number of observers (trace writers,
-  /// metric collectors, samplers) may be attached concurrently via
-  /// `observers().Add(...)`; none is owned.
+  /// test probes) may be attached concurrently via `observers().Add(...)`;
+  /// none is owned.  Radio counts do not need one: the ledger keeps them.
   ObserverMux& observers() { return observers_; }
   const ObserverMux& observers() const { return observers_; }
 
@@ -176,7 +176,6 @@ class Network {
   double default_link_loss_ = 0.0;
   /// Per-link loss overrides, keyed by the normalized (low, high) pair.
   std::map<std::pair<NodeId, NodeId>, double> link_loss_;
-  std::uint64_t link_drops_ = 0;
   std::size_t total_flights_ = 0;
   /// Compact list of senders with at least one active flight —
   /// `CountInterferers` walks only those.

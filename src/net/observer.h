@@ -1,9 +1,11 @@
 // Radio-level event observation.
 //
 // `NetworkObserver` is the callback interface for radio events (tracing,
-// visualization, metrics, debugging).  `ObserverMux` fans every event out
-// to any number of registered observers, so a trace writer, a metrics
-// collector, and an epoch sampler can all watch one `Network` at once.
+// visualization, debugging).  `ObserverMux` fans every event out to any
+// number of registered observers, so a trace writer and a test probe can
+// both watch one `Network`.  Radio counts need no observer: the
+// `RadioLedger` keeps them, and the run exports them to the metrics
+// registry at its end.
 #pragma once
 
 #include <vector>

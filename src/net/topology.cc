@@ -17,13 +17,12 @@ Topology::Topology(std::vector<Position> positions, double range_feet)
   CheckArg(range_feet > 0, "Topology: range must be positive");
 
   // One O(n^2) distance pass derives both relations: communication
-  // (<= range) and interference (<= 2x range, CSR + bitset).
+  // (<= range) and interference (<= 2x range, bitset).
   const std::size_t n = positions_.size();
   const double interference_feet = kInterferenceRangeFactor * range_feet_;
   neighbors_.resize(n);
   bits_stride_ = (n + 63) / 64;
   interference_bits_.assign(n * bits_stride_, 0);
-  std::vector<std::vector<NodeId>> interferers(n);
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = a + 1; b < n; ++b) {
       const double d = Distance(positions_[a], positions_[b]);
@@ -32,26 +31,11 @@ Topology::Topology(std::vector<Position> positions, double range_feet)
         neighbors_[b].push_back(static_cast<NodeId>(a));
       }
       if (d <= interference_feet) {
-        interferers[a].push_back(static_cast<NodeId>(b));
-        interferers[b].push_back(static_cast<NodeId>(a));
         interference_bits_[a * bits_stride_ + b / 64] |= 1ULL << (b % 64);
         interference_bits_[b * bits_stride_ + a / 64] |= 1ULL << (a % 64);
       }
     }
   }
-  // Pushing ascending ids keeps every per-node list sorted already.
-  interference_offsets_.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    interference_offsets_[i + 1] =
-        interference_offsets_[i] +
-        static_cast<std::uint32_t>(interferers[i].size());
-  }
-  interference_flat_.reserve(interference_offsets_[n]);
-  for (const auto& list : interferers) {
-    interference_flat_.insert(interference_flat_.end(), list.begin(),
-                              list.end());
-  }
-
   // BFS from the base station for hop levels.
   constexpr std::size_t kUnreached = std::numeric_limits<std::size_t>::max();
   levels_.assign(positions_.size(), kUnreached);
@@ -126,12 +110,6 @@ const std::vector<NodeId>& Topology::NeighborsOf(NodeId node) const {
 bool Topology::AreNeighbors(NodeId a, NodeId b) const {
   const auto& list = NeighborsOf(a);
   return std::binary_search(list.begin(), list.end(), b);
-}
-
-std::span<const NodeId> Topology::InterferersOf(NodeId node) const {
-  CheckArg(node < positions_.size(), "Topology: node id out of range");
-  return {interference_flat_.data() + interference_offsets_[node],
-          interference_flat_.data() + interference_offsets_[node + 1]};
 }
 
 std::vector<NodeId> Topology::AllNodes() const {

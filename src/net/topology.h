@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "util/geometry.h"
@@ -57,14 +56,11 @@ class Topology {
   /// True iff `a` and `b` are within radio range (and distinct).
   bool AreNeighbors(NodeId a, NodeId b) const;
 
-  /// Nodes within `kInterferenceRangeFactor * range_feet` of `node`
-  /// (excluding the node itself), ascending.  Precomputed once and stored
-  /// in CSR form, so the channel never re-derives interference geometry.
-  std::span<const NodeId> InterferersOf(NodeId node) const;
-
-  /// True iff `a`'s transmissions can interfere with `b`'s (distinct nodes
-  /// within the interference range).  O(1) bitset membership test with no
-  /// bounds checks — callers pass validated node ids.
+  /// True iff `a`'s transmissions can interfere with `b`'s: distinct nodes
+  /// within `kInterferenceRangeFactor * range_feet`.  Precomputed once, so
+  /// the channel never re-derives interference geometry; an O(1) bitset
+  /// membership test with no bounds checks — callers pass validated node
+  /// ids.
   bool InInterferenceRange(NodeId a, NodeId b) const {
     return (interference_bits_[static_cast<std::size_t>(a) * bits_stride_ +
                                (static_cast<std::size_t>(b) >> 6)] >>
@@ -90,10 +86,8 @@ class Topology {
   std::vector<Position> positions_;
   double range_feet_;
   std::vector<std::vector<NodeId>> neighbors_;
-  /// Interference adjacency, flattened to CSR (offsets + flat id list)
-  /// plus a row-per-node bitset for O(1) membership tests.
-  std::vector<std::uint32_t> interference_offsets_;
-  std::vector<NodeId> interference_flat_;
+  /// Interference adjacency: a row-per-node bitset for O(1) membership
+  /// tests.
   std::vector<std::uint64_t> interference_bits_;
   std::size_t bits_stride_ = 0;
   std::vector<std::size_t> levels_;

@@ -55,6 +55,16 @@ bool SemanticRoutingTree::IsPrunable(const PredicateSet& predicates) {
          predicates.ConstraintOn(Attribute::kY).has_value();
 }
 
+bool SemanticRoutingTree::ShouldForward(
+    const RoutingTree& tree, NodeId node,
+    const PredicateSet& predicates) const {
+  if (!IsPrunable(predicates)) return true;
+  for (NodeId child : tree.ChildrenOf(node)) {
+    if (SubtreeMayMatch(child, predicates)) return true;
+  }
+  return false;
+}
+
 bool NodeMayMatch(NodeId node, const Position& pos,
                   const PredicateSet& predicates) {
   const auto ids = predicates.ConstraintOn(Attribute::kNodeId);

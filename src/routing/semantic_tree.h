@@ -41,6 +41,12 @@ class SemanticRoutingTree {
   /// queries must be flooded.
   static bool IsPrunable(const PredicateSet& predicates);
 
+  /// True iff a propagation flood that reached `node` must be forwarded
+  /// over `tree` (the tree these annotations were built over): the query
+  /// is not prunable, or some child's subtree may hold an answer node.
+  bool ShouldForward(const RoutingTree& tree, NodeId node,
+                     const PredicateSet& predicates) const;
+
  private:
   std::vector<Interval> ids_;
   std::vector<Interval> xs_;

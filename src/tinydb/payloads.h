@@ -4,9 +4,11 @@
 // message types: query propagation/abort floods, raw result rows, and
 // partial-aggregate records.  The TTMQO tier adds shared (multi-query)
 // variants in core/innet.  Both engines also share the transmission
-// schedule defined here: depth-staggered slots plus a per-node jitter.
+// schedule defined here (depth-staggered slots plus a per-node jitter) and
+// the element-wise merge of partial aggregates.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "net/message.h"
@@ -31,6 +33,9 @@ inline constexpr SimDuration kSourceJitterMs = 64;
 constexpr SimDuration SourceJitter(NodeId node) {
   return (static_cast<SimDuration>(node) * 37) % (kSourceJitterMs + 1);
 }
+
+/// Payload bytes of an abort notice: query id only.
+inline constexpr std::size_t kAbortPayloadBytes = 2;
 
 /// Floods a new query from the base station into the network.
 struct QueryPropagationPayload final : TaggedPayload<QueryPropagationPayload> {
@@ -64,5 +69,9 @@ struct AggPayload final : TaggedPayload<AggPayload> {
 
 /// Payload bytes of a partial-aggregate record (epoch tag + each partial).
 std::size_t AggPayloadBytes(const std::vector<PartialAggregate>& partials);
+
+/// Merges `from` into `into` element-wise (same spec order).
+void MergePartialVectors(std::vector<PartialAggregate>& into,
+                         const std::vector<PartialAggregate>& from);
 
 }  // namespace ttmqo

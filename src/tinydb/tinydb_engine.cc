@@ -13,23 +13,19 @@ namespace {
 // an epoch tag (2).
 constexpr std::size_t kResultEnvelopeBytes = 4;
 
-// Payload bytes of an abort notice: query id only.
-constexpr std::size_t kAbortPayloadBytes = 2;
-
-// Merges `from` into `into` element-wise (same spec order).
-void MergePartialVectors(std::vector<PartialAggregate>& into,
-                         const std::vector<PartialAggregate>& from) {
-  Check(into.size() == from.size(),
-        "partial aggregate vectors must align by spec");
-  for (std::size_t i = 0; i < into.size(); ++i) into[i].Merge(from[i]);
-}
-
 }  // namespace
 
 std::size_t AggPayloadBytes(const std::vector<PartialAggregate>& partials) {
   std::size_t bytes = kResultEnvelopeBytes;
   for (const PartialAggregate& p : partials) bytes += p.SerializedSizeBytes();
   return bytes;
+}
+
+void MergePartialVectors(std::vector<PartialAggregate>& into,
+                         const std::vector<PartialAggregate>& from) {
+  Check(into.size() == from.size(),
+        "partial aggregate vectors must align by spec");
+  for (std::size_t i = 0; i < into.size(); ++i) into[i].Merge(from[i]);
 }
 
 TinyDbEngine::TinyDbEngine(Network& network, const FieldModel& field,
@@ -181,11 +177,7 @@ bool TinyDbEngine::ShouldInstall(NodeId self, const Query& query) const {
 bool TinyDbEngine::ShouldForwardPropagation(NodeId self,
                                             const Query& query) const {
   if (!options_.use_semantic_routing) return true;
-  if (!SemanticRoutingTree::IsPrunable(query.predicates())) return true;
-  for (NodeId child : tree_.ChildrenOf(self)) {
-    if (srt_.SubtreeMayMatch(child, query.predicates())) return true;
-  }
-  return false;
+  return srt_.ShouldForward(tree_, self, query.predicates());
 }
 
 void TinyDbEngine::InstallQuery(NodeId self, const Query& query) {

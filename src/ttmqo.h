@@ -23,7 +23,6 @@
 #include "core/bs/rewriter.h"          // Algorithm 1 & 2 (tier 1)
 #include "core/innet/innet_engine.h"   // tier-2 engine
 #include "core/ttmqo_engine.h"         // the user-facing facade
-#include "metrics/csv.h"               // result export
 #include "metrics/energy.h"            // radio energy model
 #include "metrics/run_summary.h"       // the paper's measurements
 #include "metrics/table.h"             // report formatting

@@ -4,7 +4,6 @@
 #include <memory>
 #include <optional>
 
-#include "metrics/metrics_observer.h"
 #include "net/network.h"
 #include "net/topology.h"
 #include "obs/flight_recorder.h"
@@ -15,9 +14,53 @@
 namespace ttmqo {
 namespace {
 
-/// Copies the run's end-of-run measurements into the registry.
+/// Copies the run's end-of-run measurements into the registry: the radio
+/// counts of `network`'s ledger, the summary, and the engines' counts.
 void ExportRunMetrics(MetricsRegistry& registry, const MetricLabels& labels,
-                      const RunResult& run, const TtmqoEngine& engine) {
+                      const RunResult& run, const TtmqoEngine& engine,
+                      const Network& network) {
+  // A per-node radio series appears only once its node counted something;
+  // the three network-wide fault counters always appear.
+  const RadioLedger& ledger = network.ledger();
+  std::uint64_t outages = 0;
+  std::uint64_t recoveries = 0;
+  for (NodeId node = 0; node < ledger.size(); ++node) {
+    const NodeRadioStats& s = ledger.StatsOf(node);
+    outages += s.outages;
+    recoveries += s.recoveries;
+    MetricLabels with_node = labels;
+    with_node.emplace_back("node", std::to_string(node));
+    for (std::size_t cls = 0; cls < kNumMessageClasses; ++cls) {
+      if (s.sent_by_class[cls] == 0) continue;
+      MetricLabels with_class = with_node;
+      const auto name = MessageClassName(static_cast<MessageClass>(cls));
+      with_class.emplace_back("class", std::string(name));
+      registry.GetCounter("net_tx_total", with_class)
+          .Add(static_cast<double>(s.sent_by_class[cls]));
+      registry.GetCounter("net_tx_ms_total", with_class)
+          .Add(s.transmit_ms_by_class[cls]);
+    }
+    if (s.retransmissions > 0) {
+      registry.GetCounter("net_retx_total", with_node)
+          .Add(static_cast<double>(s.retransmissions));
+      registry.GetCounter("net_retx_ms_total", with_node).Add(s.retransmit_ms);
+    }
+    const auto count = [&](const char* name, std::uint64_t n) {
+      if (n > 0) {
+        registry.GetCounter(name, with_node).Add(static_cast<double>(n));
+      }
+    };
+    count("net_drops_total", s.drops);
+    count("net_sleep_transitions_total", s.sleep_transitions);
+    count("net_link_drops_total", s.link_drops);
+  }
+  registry.GetCounter("net_node_failures_total", labels)
+      .Add(static_cast<double>(network.NumFailed()));
+  registry.GetCounter("net_node_down_total", labels)
+      .Add(static_cast<double>(outages));
+  registry.GetCounter("net_node_recovered_total", labels)
+      .Add(static_cast<double>(recoveries));
+
   registry.GetGauge("run_avg_transmission_fraction", labels)
       .Set(run.summary.avg_transmission_fraction);
   registry.GetGauge("run_avg_sleep_fraction", labels)
@@ -230,15 +273,10 @@ RunResult RunExperiment(const RunConfig& config,
   const std::unique_ptr<FieldModel> field =
       MakeFieldModel(config.field, config.seed);
 
-  // Observability hooks: extra observers, registry-fed radio counters, the
-  // per-epoch sampler, and decision tracing.
+  // Observability hooks: extra observers, the per-epoch sampler, and
+  // decision tracing.  The registry is filled once, at run end.
   for (NetworkObserver* observer : config.obs.observers) {
     network.observers().Add(observer);
-  }
-  std::optional<MetricsObserver> metrics_observer;
-  if (config.obs.registry != nullptr) {
-    metrics_observer.emplace(*config.obs.registry, config.obs.labels);
-    network.observers().Add(&*metrics_observer);
   }
   if (config.obs.sampler != nullptr) {
     config.obs.sampler->Start(network, config.obs.sample_period_ms);
@@ -364,7 +402,8 @@ RunResult RunExperiment(const RunConfig& config,
   }
 
   if (config.obs.registry != nullptr) {
-    ExportRunMetrics(*config.obs.registry, config.obs.labels, run, engine);
+    ExportRunMetrics(*config.obs.registry, config.obs.labels, run, engine,
+                     network);
   }
   if (config.obs.trace != nullptr) {
     TraceEvent end("run.end");

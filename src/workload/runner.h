@@ -37,8 +37,8 @@ enum class TopologyKind {
 /// Optional observability hooks of a run.  Everything is borrowed and must
 /// outlive `RunExperiment`; all default to off.
 struct RunObservability {
-  /// When set, the run feeds per-node/per-class radio counters into the
-  /// registry (via an internal `MetricsObserver`), and exports the final
+  /// When set, the run exports into the registry once, at run end: the
+  /// per-node/per-class radio counters of its ledger, the final
   /// `RunSummary`, tier-1 decision counts, and cost-model evaluation
   /// counts as gauges/counters — all tagged with `labels`.
   MetricsRegistry* registry = nullptr;

@@ -1,16 +1,16 @@
 // The fault-injection subsystem: plan validation, outage/link-loss
-// semantics on the network, fault observability (trace events, metrics,
-// recovery-latency histogram), the alive-at oracle, and the random plan
-// generator.  Also covers the runner's up-front fault validation and the
-// retry-exhaustion accounting invariant (a drop is charged exactly once,
-// consistently across the ledger, the registry, and the epoch sampler).
+// semantics on the network, fault observability (trace events, the
+// ledger's outage counts, and the registry's fault counters), the
+// alive-at oracle, and the random plan generator.  Also covers the
+// runner's up-front fault validation and the retry-exhaustion accounting
+// invariant (a drop is charged exactly once, consistently across the
+// ledger, the registry, and the epoch sampler).
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "fault/fault_plan.h"
 #include "metrics/epoch_sampler.h"
-#include "metrics/metrics_observer.h"
 #include "metrics/registry.h"
 #include "metrics/trace.h"
 #include "net/network.h"
@@ -186,9 +186,6 @@ TEST(NetworkLinkLossTest, PerLinkOverrideAndClear) {
 TEST(FaultPlanScheduleTest, EmitsTraceEventsAndMetrics) {
   const Topology topology = Topology::Grid(3);
   Network network = MakeNetwork(topology);
-  MetricsRegistry registry;
-  MetricsObserver metrics(registry);
-  network.observers().Add(&metrics);
   CollectingTraceSink trace;
 
   FaultPlan plan;
@@ -211,17 +208,16 @@ TEST(FaultPlanScheduleTest, EmitsTraceEventsAndMetrics) {
   EXPECT_TRUE(network.IsFailed(8));
   EXPECT_FALSE(network.IsDown(4));  // recovered
   // One plain outage + two partitioned nodes began and ended.
-  EXPECT_DOUBLE_EQ(registry.GetCounter("net_node_down_total").Value(), 3.0);
-  EXPECT_DOUBLE_EQ(registry.GetCounter("net_node_recovered_total").Value(),
-                   3.0);
-  EXPECT_DOUBLE_EQ(registry.GetCounter("net_node_failures_total").Value(),
-                   1.0);
-  // The recovery-latency histogram saw all three outages (2000 ms each).
-  auto& histogram = registry.GetHistogram(
-      "net_node_recovery_latency_ms",
-      {1024.0, 4096.0, 16384.0, 65536.0, 262144.0, 1048576.0});
-  EXPECT_EQ(histogram.Count(), 3u);
-  EXPECT_DOUBLE_EQ(histogram.Sum(), 3 * 2000.0);
+  std::uint64_t outages = 0;
+  std::uint64_t recoveries = 0;
+  for (NodeId node = 0; node < topology.size(); ++node) {
+    outages += network.ledger().StatsOf(node).outages;
+    recoveries += network.ledger().StatsOf(node).recoveries;
+  }
+  EXPECT_EQ(outages, 3u);
+  EXPECT_EQ(recoveries, 3u);
+  EXPECT_EQ(network.ledger().StatsOf(4).outages, 1u);
+  EXPECT_EQ(network.NumFailed(), 1u);
 }
 
 // --- AliveAt oracle -----------------------------------------------------
@@ -330,6 +326,48 @@ TEST(FaultAccountingTest, DropsAgreeAcrossLedgerRegistryAndSampler) {
 
   // Dropped messages were still charged as transmission attempts.
   EXPECT_GT(run.summary.retransmissions, 0u);
+}
+
+TEST(FaultAccountingTest, RegistryFaultCountersMatchPlanAndObserver) {
+  // The registry's fault counters come from the ledger at run end; they
+  // must agree with the plan and with an observer that watched the run.
+  const auto schedule = StaticSchedule(
+      {ParseQuery(1, "SELECT light WHERE light > 300 EPOCH DURATION 4096")});
+  RunConfig config;
+  config.grid_side = 4;
+  config.mode = OptimizationMode::kTwoTier;
+  config.duration_ms = 16 * 4096;
+  config.seed = 5;
+  config.faults.AddCrash(7, 20000)
+      .AddOutage(5, 8192, 24576)
+      .AddOutage(9, 30000, 40000)
+      .SetDefaultLinkLoss(0.1);
+
+  MetricsRegistry registry;
+  CountingObserver counts;
+  config.obs.registry = &registry;
+  config.obs.observers.push_back(&counts);
+  RunExperiment(config, schedule);
+
+  // Every planned outage ends inside the run, so each one recovers.
+  const auto crashes = static_cast<double>(config.faults.crashes().size());
+  const auto outages = static_cast<double>(config.faults.outages().size());
+  EXPECT_EQ(registry.GetCounter("net_node_failures_total").Value(), crashes);
+  EXPECT_EQ(registry.GetCounter("net_node_down_total").Value(), outages);
+  EXPECT_EQ(registry.GetCounter("net_node_recovered_total").Value(), outages);
+  EXPECT_EQ(static_cast<double>(counts.failures), crashes);
+  EXPECT_EQ(static_cast<double>(counts.downs), outages);
+  EXPECT_EQ(static_cast<double>(counts.recoveries), outages);
+
+  double link_drops = 0.0;
+  for (NodeId node = 0; node < 16; ++node) {
+    link_drops += registry
+                      .GetCounter("net_link_drops_total",
+                                  {{"node", std::to_string(node)}})
+                      .Value();
+  }
+  ASSERT_GT(counts.link_drops, 0u) << "10% link loss dropped nothing";
+  EXPECT_EQ(link_drops, static_cast<double>(counts.link_drops));
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 #include "core/bs/rewriter.h"
 #include "json_checker.h"
 #include "metrics/epoch_sampler.h"
-#include "metrics/metrics_observer.h"
 #include "metrics/registry.h"
 #include "metrics/trace.h"
 #include "net/network.h"
@@ -43,7 +42,7 @@ std::vector<std::string> Lines(const std::string& text) {
 TEST(RegistryTest, CountersAccumulateAndIgnoreNegativeDeltas) {
   MetricsRegistry registry;
   Counter& c = registry.GetCounter("messages_total");
-  c.Increment();
+  c.Add(1.0);
   c.Add(4.0);
   c.Add(-10.0);  // clamped: counters never go down
   EXPECT_DOUBLE_EQ(c.Value(), 5.0);
@@ -61,11 +60,24 @@ TEST(RegistryTest, LabelsDistinguishAndNormalize) {
   EXPECT_EQ(registry.size(), 2u);
 }
 
+TEST(RegistryTest, LabelValueCannotForgeASecondLabel) {
+  MetricsRegistry registry;
+  // Unescaped, the value 1",b="2 would spell the key of {a=1, b=2}.
+  Counter& forged = registry.GetCounter("m_total", {{"a", "1\",b=\"2"}});
+  Counter& pair = registry.GetCounter("m_total", {{"a", "1"}, {"b", "2"}});
+  EXPECT_NE(&forged, &pair);
+  EXPECT_EQ(registry.size(), 2u);
+  forged.Add(1.0);
+  pair.Add(2.0);
+  std::ostringstream out;
+  registry.WriteJson(out);
+  EXPECT_TRUE(IsValidJson(out.str())) << out.str();
+}
+
 TEST(RegistryTest, TypeMismatchThrows) {
   MetricsRegistry registry;
   registry.GetCounter("x");
   EXPECT_THROW(registry.GetGauge("x"), std::invalid_argument);
-  EXPECT_THROW(registry.GetHistogram("x", {1.0}), std::invalid_argument);
 }
 
 TEST(RegistryTest, GaugeSetAndAdd) {
@@ -76,56 +88,18 @@ TEST(RegistryTest, GaugeSetAndAdd) {
   EXPECT_DOUBLE_EQ(g.Value(), 4.0);
 }
 
-TEST(RegistryTest, HistogramBucketsAndStats) {
-  MetricsRegistry registry;
-  HistogramMetric& h = registry.GetHistogram("latency_ms", {1.0, 10.0, 100.0});
-  for (double v : {0.5, 5.0, 5.0, 50.0, 500.0}) h.Observe(v);
-  const auto counts = h.BucketCounts();
-  ASSERT_EQ(counts.size(), 4u);  // 3 bounds + the +Inf bucket
-  EXPECT_EQ(counts[0], 1u);
-  EXPECT_EQ(counts[1], 2u);
-  EXPECT_EQ(counts[2], 1u);
-  EXPECT_EQ(counts[3], 1u);
-  EXPECT_EQ(h.Count(), 5u);
-  EXPECT_DOUBLE_EQ(h.Sum(), 560.5);
-  EXPECT_THROW(HistogramMetric({3.0, 2.0}), std::invalid_argument);
-}
-
 TEST(RegistryTest, JsonExportParsesAndContainsEverything) {
   MetricsRegistry registry;
   registry.GetCounter("msgs_total", {{"mode", "ttmqo"}}).Add(3.0);
   registry.GetGauge("tx_fraction").Set(0.125);
-  registry.GetHistogram("dur_ms", {2.0, 8.0}).Observe(4.0);
 
   std::ostringstream out;
   registry.WriteJson(out);
   const std::string json = out.str();
   EXPECT_TRUE(IsValidJson(json)) << json;
-  EXPECT_NE(json.find("msgs_total{mode=\\\"ttmqo\\\"}"), std::string::npos);
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-  EXPECT_NE(json.find("\"count\":1"), std::string::npos);
-}
-
-TEST(RegistryTest, PrometheusExportHasTypesAndCumulativeBuckets) {
-  MetricsRegistry registry;
-  registry.GetCounter("msgs_total").Add(2.0);
-  HistogramMetric& h = registry.GetHistogram("dur_ms", {2.0, 8.0});
-  h.Observe(1.0);
-  h.Observe(4.0);
-  h.Observe(100.0);
-
-  std::ostringstream out;
-  registry.WritePrometheus(out);
-  const std::string text = out.str();
-  EXPECT_NE(text.find("# TYPE msgs_total counter"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE dur_ms histogram"), std::string::npos);
-  // Cumulative semantics: le="8" includes the le="2" observation.
-  EXPECT_NE(text.find("dur_ms_bucket{le=\"2\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("dur_ms_bucket{le=\"8\"} 2"), std::string::npos);
-  EXPECT_NE(text.find("dur_ms_bucket{le=\"+Inf\"} 3"), std::string::npos);
-  EXPECT_NE(text.find("dur_ms_count 3"), std::string::npos);
+  EXPECT_EQ(json,
+            "{\"counters\":{\"msgs_total{mode=\\\"ttmqo\\\"}\":3},"
+            "\"gauges\":{\"tx_fraction\":0.125}}");
 }
 
 // ---------------------------------------------------------- tracing --
@@ -234,6 +208,7 @@ TEST(EpochSamplerTest, OneRowPerEpochAndDeltasSumToLedger) {
   EXPECT_EQ(msgs, network.ledger().TotalMessages());
 }
 
+// The one epoch export is the JSON array the metrics document embeds.
 TEST(EpochSamplerTest, CsvAndJsonlExports) {
   const Topology topology = Topology::Grid(3);
   Network network(topology, RadioParams{}, ChannelParams{}, 5);
@@ -242,24 +217,24 @@ TEST(EpochSamplerTest, CsvAndJsonlExports) {
   sampler.Start(network, 1024);
   network.sim().RunUntil(3 * 1024);
 
-  std::ostringstream csv;
-  sampler.WriteCsv(csv);
-  const auto csv_lines = Lines(csv.str());
-  ASSERT_EQ(csv_lines.size(), 4u);  // header + 3 epochs
-  EXPECT_EQ(csv_lines[0].rfind("epoch,t_ms,", 0), 0u);
-
-  std::ostringstream jsonl;
-  sampler.WriteJsonl(jsonl);
-  const auto rows = Lines(jsonl.str());
-  ASSERT_EQ(rows.size(), 3u);
-  for (const std::string& row : rows) {
-    EXPECT_TRUE(IsValidJson(row)) << row;
-    EXPECT_NE(row.find("\"node_tx_ms\""), std::string::npos);
-  }
-
   std::ostringstream array;
   sampler.WriteJsonArray(array);
-  EXPECT_TRUE(IsValidJson(array.str()));
+  const std::string json = array.str();
+  EXPECT_TRUE(IsValidJson(json)) << json;
+  // One object per epoch, each with the per-node breakdown.
+  ASSERT_EQ(sampler.rows().size(), 3u);
+  EXPECT_EQ(json.front(), '[');
+  EXPECT_EQ(json.back(), ']');
+  const auto occurrences = [&json](const std::string& needle) {
+    std::size_t n = 0;
+    for (auto at = json.find(needle); at != std::string::npos;
+         at = json.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(occurrences("{\"epoch\":"), 3u);
+  EXPECT_EQ(occurrences("\"node_tx_ms\":["), 3u);
 }
 
 // -------------------------------------------------- decision tracing --
@@ -318,6 +293,7 @@ TEST(ObservabilityIntegrationTest, RunExperimentProducesMetricsAndTrace) {
   config.duration_ms = 6 * 4096;
   config.seed = 3;
   config.mode = OptimizationMode::kTwoTier;
+  config.channel.collision_prob = 0.05;  // so retransmissions are counted
   config.obs.registry = &registry;
   config.obs.labels = {{"mode", "ttmqo"}};
   config.obs.trace = &writer;
@@ -327,6 +303,7 @@ TEST(ObservabilityIntegrationTest, RunExperimentProducesMetricsAndTrace) {
 
   const RunResult run = RunExperiment(config, StaticSchedule(WorkloadC()));
   EXPECT_GT(run.summary.total_messages, 0u);
+  EXPECT_GT(run.summary.retransmissions, 0u);
 
   // Every trace line is standalone JSON; the stream brackets the run and
   // contains at least one tier-1 rewriter decision.
@@ -354,28 +331,31 @@ TEST(ObservabilityIntegrationTest, RunExperimentProducesMetricsAndTrace) {
   EXPECT_NE(metrics.find("run_avg_transmission_fraction"), std::string::npos);
   EXPECT_NE(metrics.find("tier1_decisions_total"), std::string::npos);
 
-  std::ostringstream prom;
-  registry.WritePrometheus(prom);
-  EXPECT_NE(prom.str().find("# TYPE net_tx_total counter"), std::string::npos);
-
   // The sampler produced one row per sampling epoch.
   EXPECT_EQ(sampler.rows().size(),
             static_cast<std::size_t>(config.duration_ms / 4096));
 
-  // The registry totals agree with the run summary.
+  // The registry totals agree with the run summary: both read the ledger.
   double tx_total = 0.0;
+  double tx_ms = 0.0;
+  double retx_total = 0.0;
+  double retx_ms = 0.0;
   for (NodeId n = 0; n < 16; ++n) {
-    // Sum over classes for this node: read back the counters.
-    for (const char* cls : {"result", "propagation", "abort", "maintenance"}) {
-      tx_total += registry
-                      .GetCounter("net_tx_ms_total",
-                                  {{"mode", "ttmqo"},
-                                   {"node", std::to_string(n)},
-                                   {"class", cls}})
-                      .Value();
+    const MetricLabels node = {{"mode", "ttmqo"}, {"node", std::to_string(n)}};
+    for (std::size_t cls = 0; cls < kNumMessageClasses; ++cls) {
+      MetricLabels with_class = node;
+      const auto name = MessageClassName(static_cast<MessageClass>(cls));
+      with_class.emplace_back("class", std::string(name));
+      tx_total += registry.GetCounter("net_tx_total", with_class).Value();
+      tx_ms += registry.GetCounter("net_tx_ms_total", with_class).Value();
     }
+    retx_total += registry.GetCounter("net_retx_total", node).Value();
+    retx_ms += registry.GetCounter("net_retx_ms_total", node).Value();
   }
-  EXPECT_GT(tx_total, 0.0);
+  EXPECT_EQ(tx_total, static_cast<double>(run.summary.total_messages));
+  EXPECT_EQ(retx_total, static_cast<double>(run.summary.retransmissions));
+  // Same addends, different summation order.
+  EXPECT_NEAR(tx_ms + retx_ms, run.summary.total_transmit_ms, 1e-9);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "metrics/registry.h"
 #include "sweep/spec.h"
 #include "sweep/sweep.h"
 
@@ -29,6 +30,22 @@ TEST(SweepDeterminismTest, CanonicalReportIdenticalAcrossJobCounts) {
   ASSERT_EQ(serial.rows.size(), spec.TaskCount());
   ASSERT_EQ(parallel.rows.size(), spec.TaskCount());
   EXPECT_EQ(serial.Canonical(), parallel.Canonical());
+}
+
+TEST(SweepDeterminismTest, MetricsIdenticalAcrossJobCounts) {
+  // Workers export into one registry concurrently; each run's series carry
+  // distinct labels, so the document must not depend on the thread count.
+  const SweepSpec spec = TestSpec();
+  MetricsRegistry r1;
+  MetricsRegistry r4;
+  RunSweep(spec, 1, &r1);
+  RunSweep(spec, 4, &r4);
+  std::ostringstream serial;
+  std::ostringstream parallel;
+  r1.WriteJson(serial);
+  r4.WriteJson(parallel);
+  EXPECT_NE(serial.str().find("net_tx_total{"), std::string::npos);
+  EXPECT_EQ(serial.str(), parallel.str());
 }
 
 TEST(SweepDeterminismTest, RepeatedParallelRunsAgree) {

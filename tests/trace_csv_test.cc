@@ -1,10 +1,10 @@
-// Tests for the trace observer and CSV export.
+// Tests for the trace observer, the counting observer, and the base
+// station's answer log.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "core/innet/innet_engine.h"
-#include "metrics/csv.h"
 #include "metrics/trace.h"
 #include "query/parser.h"
 
@@ -76,38 +76,7 @@ TEST(TraceTest, RetransmissionsAreFlagged) {
             network.ledger().TotalRetransmissions());
 }
 
-TEST(CsvTest, ExportsRowsAndAggregates) {
-  ResultLog log;
-  EpochResult acq;
-  acq.query = 1;
-  acq.epoch_time = 4096;
-  acq.kind = QueryKind::kAcquisition;
-  Reading row(5, 4096);
-  row.Set(Attribute::kLight, 321.5);
-  acq.rows.push_back(row);
-  log.OnResult(acq);
-
-  EpochResult agg;
-  agg.query = 2;
-  agg.epoch_time = 8192;
-  agg.kind = QueryKind::kAggregation;
-  agg.aggregates = {
-      {AggregateSpec{AggregateOp::kMax, Attribute::kTemp}, 42.0},
-      {AggregateSpec{AggregateOp::kMin, Attribute::kTemp}, std::nullopt},
-  };
-  log.OnResult(agg);
-
-  std::ostringstream out;
-  WriteResultsCsv(log, out);
-  const std::string text = out.str();
-  EXPECT_NE(text.find("query,epoch_ms,kind,source,field,value"),
-            std::string::npos);
-  EXPECT_NE(text.find("1,4096,row,5,light,321.5"), std::string::npos);
-  EXPECT_NE(text.find("2,8192,agg,,MAX(temp),42"), std::string::npos);
-  EXPECT_NE(text.find("2,8192,agg,,MIN(temp),\n"), std::string::npos);
-}
-
-TEST(CsvTest, AllReturnsEverythingInOrder) {
+TEST(ResultLogTest, AllReturnsEverythingInOrder) {
   ResultLog log;
   for (QueryId q : {2u, 1u}) {
     for (SimTime t : {8192, 4096}) {
