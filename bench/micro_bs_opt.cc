@@ -3,7 +3,7 @@
 // synthetic query list grows.
 //
 //   micro_bs_opt                         # the gbench microbenchmarks
-//   micro_bs_opt --curve-out=PATH        # insert-throughput curve artifact
+//   micro_bs_opt --curve-out=PATH        # insert/terminate curve artifact
 //       [--max-queries=1000000]          # largest indexed curve point
 //       [--naive-max-queries=10000]      # largest naive (oracle) curve point
 //       [--naive-budget-ms=120000]       # per-point naive safety budget
@@ -14,25 +14,32 @@
 // (coverage-heavy: acquisition merges quickly form wide synthetics that
 // cover most arrivals) and "distinct-aggs" (population-heavy: aggregation
 // queries with distinct predicates cannot merge, so the synthetic set grows
-// linearly).  The naive curve stops at --naive-max-queries — a fixed,
-// deterministic cap, so the committed artifact's decision counts never
-// depend on host speed — with --naive-budget-ms as a safety abort.  Both
-// paths must agree exactly on every decision count; the binary exits
-// non-zero on divergence.  The JSON artifact (BENCH_bsopt.json) carries
-// BuildInfo provenance; ci.sh regenerates it and diffs the counts.
+// linearly).  Up to 10^5 queries, each point then terminates every query
+// in a seeded shuffled order (Algorithm 2); 10^6 is insert-only, because a
+// kept termination re-sums its synthetic's member costs, O(members).  The
+// naive curve stops at --naive-max-queries — a fixed, deterministic cap, so
+// the committed artifact's decision counts never depend on host speed —
+// with --naive-budget-ms as a safety abort.  Both paths must agree exactly
+// on every decision count; the binary exits non-zero on divergence.  The
+// JSON artifact (BENCH_bsopt.json) carries BuildInfo provenance; ci.sh
+// regenerates it and diffs the counts.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/bs/cost_model.h"
 #include "core/bs/rewriter.h"
 #include "obs/build_info.h"
 #include "util/flags.h"
+#include "util/rng.h"
 #include "workload/generator.h"
 
 namespace ttmqo {
@@ -151,23 +158,33 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Result of inserting the first `inserted` queries of a profile stream.
-struct InsertRun {
+// Largest curve point that also runs the termination half.
+constexpr std::size_t kMaxTerminateQueries = 100000;
+// Seed of the shuffled termination order.
+constexpr std::uint64_t kTerminateSeed = 11;
+
+/// Result of inserting the first `inserted` queries of a profile stream,
+/// then (when asked) terminating the first `terminated` of them.
+struct CurveRun {
   bool complete = false;      ///< false: the naive safety budget fired
   std::size_t inserted = 0;
-  double seconds = 0.0;
+  double seconds = 0.0;       ///< InsertUserQuery only
   std::size_t synthetics = 0;
-  BaseStationOptimizer::DecisionStats decisions;
-  BaseStationOptimizer::IndexStats index;
+  BaseStationOptimizer::DecisionStats decisions;  ///< after the inserts
+  BaseStationOptimizer::IndexStats index;         ///< after the inserts
+  std::size_t terminated = 0;  ///< 0: the termination half did not run
+  double terminate_seconds = 0.0;  ///< TerminateUserQuery only
+  BaseStationOptimizer::DecisionStats final_decisions;  ///< after both
 };
 
 /// Inserts `count` queries drawn from a fresh model (seed 3, ids 1..count)
-/// into a fresh optimizer.  Query generation happens in untimed chunks so
-/// `seconds` measures only InsertUserQuery.  `budget_seconds` <= 0 means
-/// unlimited.
-InsertRun RunInserts(const CostModel& cost, const QueryModelParams& params,
-                     std::size_t count, bool use_index,
-                     double budget_seconds) {
+/// into a fresh optimizer, then, when `terminate` holds, terminates all of
+/// them in a shuffled order.  Query generation happens in untimed chunks so
+/// `seconds` measures only InsertUserQuery, and terminations are timed in
+/// chunks of the same size.  `budget_seconds` <= 0 means unlimited.
+CurveRun RunChurn(const CostModel& cost, const QueryModelParams& params,
+                  std::size_t count, bool use_index, bool terminate,
+                  double budget_seconds) {
   BaseStationOptimizer::Options options;
   options.use_index = use_index;
   BaseStationOptimizer optimizer(cost, options);
@@ -175,7 +192,11 @@ InsertRun RunInserts(const CostModel& cost, const QueryModelParams& params,
   constexpr std::size_t kChunk = 8192;
   std::vector<Query> chunk;
   chunk.reserve(kChunk);
-  InsertRun run;
+  CurveRun run;
+  const auto over_budget = [&] {
+    return budget_seconds > 0.0 &&
+           run.seconds + run.terminate_seconds > budget_seconds;
+  };
   QueryId next_id = 1;
   while (run.inserted < count) {
     chunk.clear();
@@ -187,27 +208,47 @@ InsertRun RunInserts(const CostModel& cost, const QueryModelParams& params,
     }
     run.seconds += SecondsSince(start);
     run.inserted += n;
-    if (budget_seconds > 0.0 && run.seconds > budget_seconds) break;
+    if (over_budget()) break;
   }
   run.complete = run.inserted == count;
   run.synthetics = optimizer.NumSynthetic();
   run.decisions = optimizer.decision_stats();
   run.index = optimizer.index_stats();
+  if (!terminate || !run.complete) return run;
+
+  std::vector<QueryId> order(count);
+  std::iota(order.begin(), order.end(), QueryId{1});
+  Rng rng(kTerminateSeed);
+  for (std::size_t i = count; i > 1; --i) {
+    std::swap(order[i - 1], order[rng.Index(i)]);
+  }
+  while (run.terminated < count) {
+    const std::size_t end = std::min(count, run.terminated + kChunk);
+    const auto start = Clock::now();
+    for (std::size_t i = run.terminated; i < end; ++i) {
+      benchmark::DoNotOptimize(optimizer.TerminateUserQuery(order[i]));
+    }
+    run.terminate_seconds += SecondsSince(start);
+    run.terminated = end;
+    if (over_budget()) break;
+  }
+  run.complete = run.terminated == count;
+  run.final_decisions = optimizer.decision_stats();
   return run;
 }
 
-void WriteRunJson(std::ostream& out, const char* name, const InsertRun& run,
+void WriteRunJson(std::ostream& out, const char* name, const CurveRun& run,
                   bool with_index_stats) {
-  const double qps =
-      run.seconds > 0.0 ? static_cast<double>(run.inserted) / run.seconds
-                        : 0.0;
+  const auto rate = [](std::size_t n, double seconds) {
+    return seconds > 0.0 ? static_cast<double>(n) / seconds : 0.0;
+  };
   out << "      \"" << name << "\": {\"complete\": "
       << (run.complete ? "true" : "false") << ", \"inserted\": "
       << run.inserted << ", \"seconds\": ";
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.4f", run.seconds);
   out << buf << ", \"inserts_per_sec\": ";
-  std::snprintf(buf, sizeof(buf), "%.0f", qps);
+  std::snprintf(buf, sizeof(buf), "%.0f", rate(run.inserted, run.seconds));
   out << buf << ",\n        \"synthetics\": " << run.synthetics
       << ", \"covered\": " << run.decisions.covered << ", \"merged\": "
       << run.decisions.merged << ", \"standalone\": "
@@ -218,14 +259,29 @@ void WriteRunJson(std::ostream& out, const char* name, const InsertRun& run,
         << ", \"pruned_candidates\": " << run.index.pruned_candidates
         << ", \"exact_evaluations\": " << run.index.exact_evaluations;
   }
+  if (run.terminated > 0) {
+    out << ",\n        \"terminated\": " << run.terminated
+        << ", \"terminate_seconds\": ";
+    std::snprintf(buf, sizeof(buf), "%.4f", run.terminate_seconds);
+    out << buf << ", \"terminations_per_sec\": ";
+    std::snprintf(buf, sizeof(buf), "%.0f",
+                  rate(run.terminated, run.terminate_seconds));
+    out << buf << ",\n        \"retired\": " << run.final_decisions.retired
+        << ", \"rebuilt\": " << run.final_decisions.rebuilt
+        << ", \"kept\": " << run.final_decisions.kept;
+  }
   out << "}";
 }
 
-bool SameDecisions(const InsertRun& a, const InsertRun& b) {
+bool SameDecisions(const CurveRun& a, const CurveRun& b) {
   return a.synthetics == b.synthetics &&
          a.decisions.covered == b.decisions.covered &&
          a.decisions.merged == b.decisions.merged &&
-         a.decisions.standalone == b.decisions.standalone;
+         a.decisions.standalone == b.decisions.standalone &&
+         a.terminated == b.terminated &&
+         a.final_decisions.retired == b.final_decisions.retired &&
+         a.final_decisions.rebuilt == b.final_decisions.rebuilt &&
+         a.final_decisions.kept == b.final_decisions.kept;
 }
 
 int RunCurve(const std::string& out_path, std::size_t max_queries,
@@ -250,7 +306,7 @@ int RunCurve(const std::string& out_path, std::size_t max_queries,
     std::cerr << "cannot open " << out_path << "\n";
     return 1;
   }
-  out << "{\n  \"bench\": \"bs_opt_insert_curve\",\n"
+  out << "{\n  \"bench\": \"bs_opt_churn_curve\",\n"
       << "  \"grid_side\": 8,\n  \"model_seed\": 3,\n"
       << "  \"naive_max_queries\": " << naive_max_queries << ",\n"
       << "  \"build\": ";
@@ -269,8 +325,9 @@ int RunCurve(const std::string& out_path, std::size_t max_queries,
       if (count > max_queries) break;
       std::fprintf(stderr, "curve: %s n=%zu indexed...\n", profile.name,
                    count);
-      const InsertRun indexed =
-          RunInserts(cost, profile.params, count, /*use_index=*/true, 0.0);
+      const bool terminate = count <= kMaxTerminateQueries;
+      const CurveRun indexed = RunChurn(cost, profile.params, count,
+                                        /*use_index=*/true, terminate, 0.0);
       if (!first_point) out << ",\n";
       first_point = false;
       out << "     {\"queries\": " << count << ",\n";
@@ -278,9 +335,9 @@ int RunCurve(const std::string& out_path, std::size_t max_queries,
       if (count <= naive_max_queries) {
         std::fprintf(stderr, "curve: %s n=%zu naive...\n", profile.name,
                      count);
-        const InsertRun naive =
-            RunInserts(cost, profile.params, count, /*use_index=*/false,
-                       naive_budget_ms / 1000.0);
+        const CurveRun naive =
+            RunChurn(cost, profile.params, count, /*use_index=*/false,
+                     terminate, naive_budget_ms / 1000.0);
         out << ",\n";
         WriteRunJson(out, "naive", naive, /*with_index_stats=*/false);
         if (naive.complete && !SameDecisions(indexed, naive)) {

@@ -7,8 +7,8 @@
 #   build          -DENABLE_WERROR=ON                     unit/integration/soak tiers
 #   build-asan     ENABLE_SANITIZERS + ENABLE_WERROR      tiers, chaos soak, sweep determinism
 #   build-release  CMAKE_BUILD_TYPE=Release               bench artifact diffs, perfbench
-#                                                         fidelity, perf smoke (report-only),
-#                                                         obs gate
+#                                                         fidelity + full-size oracle, perf
+#                                                         smoke (report-only), obs gate
 #   build-tsan     ENABLE_TSAN + ENABLE_WERROR            sweep pool + fig4 (BLOCKING)
 #
 # Static-analysis policy: ttmqo_lint and TSan are blocking; clang-tidy is
@@ -340,6 +340,18 @@ perfbench_fidelity() {
   python3 perfbench/run.py --test
 }
 run_step "perfbench-fidelity (release)" blocking perfbench_fidelity
+
+# Answers at full size: --test above checks answer values only at reduced
+# sizes, so run every workload once at its default seed.  run.py exits
+# non-zero on a wrong answer or a run that does not repeat.
+perfbench_oracle() {
+  local workload
+  for workload in paper_sweep tier2_grid query_churn lossy_arq; do
+    python3 perfbench/run.py --workload "${workload}" --seconds 0.1 \
+      --trace 0 || return 1
+  done
+}
+run_step "perfbench-oracle (release)" blocking perfbench_oracle
 
 obs_overhead_gate() {
   ./build-release/bench/obs_overhead --max-overhead=3 \

@@ -398,27 +398,7 @@ void BaseStationOptimizer::InsertBundle(Query net_query,
                 .With("synthetic", static_cast<std::int64_t>(best.id))
                 .With("rate", best.rate));
       }
-      SyntheticQuery& sq = synthetics_.at(best.id);
-      // When every absorbed id extends the ascending member order, the
-      // running sum continues with the same op sequence a full recompute
-      // would execute — O(new members) instead of O(all members).
-      const bool append = options_.use_index && sq.member_cost_valid &&
-                          sq.member_cost_version == stats_version_ &&
-                          !members.empty() &&
-                          members.begin()->first > sq.member_cost_last_uid;
-      for (auto& [uid, uq] : members) {
-        user_to_synthetic_[uid] = best.id;
-        if (append) {
-          sq.member_cost_sum += CostOf(uq);
-          sq.member_cost_last_uid = uid;
-        }
-        sq.members.emplace(uid, std::move(uq));
-      }
-      if (append) {
-        sq.benefit = sq.member_cost_sum - CostOf(sq.query);
-      } else {
-        RecomputeBenefit(sq);
-      }
+      Absorb(best.id, synthetics_.at(best.id), std::move(members));
       return;
     }
 
@@ -465,11 +445,8 @@ void BaseStationOptimizer::InsertBundle(Query net_query,
                              static_cast<std::int64_t>(members.size())));
     }
     SyntheticQuery sq(net_query.WithId(sid));
-    for (auto& [uid, uq] : members) {
-      user_to_synthetic_[uid] = sid;
-      sq.members.emplace(uid, std::move(uq));
-    }
-    RecomputeBenefit(sq);
+    sq.member_cost_version = stats_version_;  // no members yet: current
+    Absorb(sid, sq, std::move(members));
     actions.inject.push_back(sq.query);
     const auto [it, inserted] = synthetics_.emplace(sid, std::move(sq));
     IndexAdd(sid, it->second);
@@ -493,6 +470,64 @@ BaseStationOptimizer::Actions BaseStationOptimizer::InsertUserQuery(
   return actions;
 }
 
+void BaseStationOptimizer::Absorb(QueryId sid, SyntheticQuery& sq,
+                                  std::map<QueryId, Query> members) {
+  // The indexed path costs only the newcomers.  Ids above every current
+  // member (the common case: ids arrive ascending) extend the running sum
+  // with the op sequence a full recompute would execute; any other ids
+  // merge into `member_costs` in order and the cached doubles are re-summed.
+  // Stale costs are re-derived wholesale by RecomputeBenefit.
+  const bool current =
+      options_.use_index && sq.member_cost_version == stats_version_;
+  const std::size_t old_size = sq.member_costs.size();
+  const bool append = old_size == 0 ||
+                      members.begin()->first > sq.member_costs.back().first;
+  for (auto& [uid, uq] : members) {
+    user_to_synthetic_[uid] = sid;
+    if (current) {
+      const double cost = CostOf(uq);
+      sq.member_costs.emplace_back(uid, cost);
+      if (append) sq.member_cost_sum += cost;
+    }
+    sq.members.emplace(uid, std::move(uq));
+  }
+  if (current && append) {
+    sq.benefit = sq.member_cost_sum - CostOf(sq.query);
+    return;
+  }
+  if (current) {
+    std::inplace_merge(
+        sq.member_costs.begin(),
+        sq.member_costs.begin() + static_cast<std::ptrdiff_t>(old_size),
+        sq.member_costs.end());
+  }
+  RecomputeBenefit(sq);
+}
+
+// Removes `user` from `sq` and returns its Eq. 3 cost: the indexed path
+// reads it from `member_costs` (re-costed first if the statistics moved),
+// the oracle evaluates it.
+double BaseStationOptimizer::RemoveMember(SyntheticQuery& sq, QueryId user) {
+  const auto member = sq.members.find(user);
+  double cost = 0.0;
+  if (options_.use_index) {
+    if (sq.member_cost_version != stats_version_) CostMembers(sq);
+    const auto it = std::lower_bound(
+        sq.member_costs.begin(), sq.member_costs.end(), user,
+        [](const std::pair<QueryId, double>& entry, QueryId id) {
+          return entry.first < id;
+        });
+    CheckArg(it != sq.member_costs.end() && it->first == user,
+             "BaseStationOptimizer: member missing from the cost array");
+    cost = it->second;
+    sq.member_costs.erase(it);
+  } else {
+    cost = CostOf(member->second);
+  }
+  sq.members.erase(member);
+  return cost;
+}
+
 BaseStationOptimizer::Actions BaseStationOptimizer::TerminateUserQuery(
     QueryId user) {
   TTMQO_SPAN("tier1.terminate");
@@ -502,13 +537,13 @@ BaseStationOptimizer::Actions BaseStationOptimizer::TerminateUserQuery(
   SyncStatsVersion();
   const QueryId sid = user_it->second;
   SyntheticQuery& sq = synthetics_.at(sid);
+  CheckArg(sq.members.contains(user),
+           "TerminateUserQuery: user query missing from its synthetic's "
+           "members");
+  user_to_synthetic_.erase(user_it);
 
   Actions actions;
-  const Query leaving = sq.members.at(user);
-  user_to_synthetic_.erase(user_it);
-  sq.members.erase(user);
-
-  if (sq.members.empty()) {
+  if (sq.members.size() == 1) {
     // Last member gone: retire the synthetic query.
     ++decisions_.retired;
     if (trace_ != nullptr) {
@@ -520,23 +555,28 @@ BaseStationOptimizer::Actions BaseStationOptimizer::TerminateUserQuery(
     actions.abort.push_back(sid);
     IndexRemove(sid, sq);
     synthetics_.erase(sid);
-    Deduplicate(actions);
     return actions;
   }
 
-  // "Some count decreased to 0" <=> the canonical query of the remaining
-  // members no longer requests everything the running one does.
-  std::vector<Query> remaining;
-  remaining.reserve(sq.members.size());
-  for (const auto& [uid, uq] : sq.members) remaining.push_back(uq);
-  const Query rebuilt = BuildNetworkQuery(sq.query.id(), remaining);
-  const bool requirements_shrank = !SameRequest(rebuilt, sq.query);
-
   // Algorithm 2, line 5: rebuild only when the leaving query's cost
-  // outweighs the synthetic query's benefit, scaled by alpha.
-  const double leaving_cost = CostOf(leaving);
-  const bool rebuild =
-      requirements_shrank && leaving_cost > sq.benefit * options_.alpha;
+  // outweighs the synthetic query's benefit (still its pre-termination
+  // value), scaled by alpha.
+  const double leaving_cost = RemoveMember(sq, user);
+  const bool costly = leaving_cost > sq.benefit * options_.alpha;
+
+  // "Some count decreased to 0" <=> the canonical query of the remaining
+  // members no longer requests everything the running one does.  It only
+  // matters to a costly leaver, so it is derived then — or when the trace
+  // reports it.
+  bool requirements_shrank = false;
+  if (costly || trace_ != nullptr) {
+    std::vector<Query> remaining;
+    remaining.reserve(sq.members.size());
+    for (const auto& [uid, uq] : sq.members) remaining.push_back(uq);
+    requirements_shrank = !SameRequest(
+        BuildNetworkQuery(sq.query.id(), remaining), sq.query);
+  }
+  const bool rebuild = costly && requirements_shrank;
   if (rebuild) {
     ++decisions_.rebuilt;
   } else {
@@ -572,18 +612,33 @@ BaseStationOptimizer::Actions BaseStationOptimizer::TerminateUserQuery(
   return actions;
 }
 
-void BaseStationOptimizer::RecomputeBenefit(SyntheticQuery& sq) {
-  double member_cost = 0.0;
-  QueryId last = kInvalidQueryId;
+// Re-derives `member_costs` from `members` under the current statistics.
+void BaseStationOptimizer::CostMembers(SyntheticQuery& sq) {
+  sq.member_costs.clear();
+  sq.member_costs.reserve(sq.members.size());
   for (const auto& [uid, uq] : sq.members) {
-    member_cost += CostOf(uq);
-    last = uid;
+    sq.member_costs.emplace_back(uid, CostOf(uq));
   }
-  sq.benefit = member_cost - CostOf(sq.query);
-  sq.member_cost_sum = member_cost;
-  sq.member_cost_last_uid = last;
   sq.member_cost_version = stats_version_;
-  sq.member_cost_valid = options_.use_index;
+}
+
+void BaseStationOptimizer::RecomputeBenefit(SyntheticQuery& sq) {
+  // Both paths sum in ascending uid order, so `benefit` is bit-equal; the
+  // indexed one re-costs its members only when the statistics moved.
+  double member_cost = 0.0;
+  if (options_.use_index) {
+    if (sq.member_cost_version != stats_version_) CostMembers(sq);
+    for (const auto& [uid, cost] : sq.member_costs) member_cost += cost;
+  } else {
+    for (const auto& [uid, uq] : sq.members) member_cost += CostOf(uq);
+  }
+  sq.member_cost_sum = member_cost;
+  sq.benefit = member_cost - CostOf(sq.query);
+}
+
+bool BaseStationOptimizer::CostsCurrent(const SyntheticQuery& sq) const {
+  return options_.use_index &&
+         sq.member_cost_version == cost_->StatsVersion();
 }
 
 const SyntheticQuery* BaseStationOptimizer::SyntheticOf(QueryId user) const {
@@ -607,7 +662,11 @@ std::vector<const SyntheticQuery*> BaseStationOptimizer::Synthetics() const {
 double BaseStationOptimizer::TotalUserCost() const {
   double total = 0.0;
   for (const auto& [id, sq] : synthetics_) {
-    for (const auto& [uid, uq] : sq.members) total += cost_->Cost(uq);
+    if (CostsCurrent(sq)) {
+      for (const auto& [uid, cost] : sq.member_costs) total += cost;
+    } else {
+      for (const auto& [uid, uq] : sq.members) total += cost_->Cost(uq);
+    }
   }
   return total;
 }
@@ -615,6 +674,10 @@ double BaseStationOptimizer::TotalUserCost() const {
 double BaseStationOptimizer::TotalBenefit() const {
   double total = 0.0;
   for (const auto& [id, sq] : synthetics_) {
+    if (CostsCurrent(sq)) {
+      total += sq.benefit;
+      continue;
+    }
     double member_cost = 0.0;
     for (const auto& [uid, uq] : sq.members) member_cost += cost_->Cost(uq);
     total += member_cost - cost_->Cost(sq.query);

@@ -31,7 +31,12 @@
 // `count` bookkeeping is realized by keeping each member query in the
 // synthetic query's `members` table and re-deriving the canonical network
 // query; a difference against the current network query is exactly "some
-// count dropped to 0".
+// count dropped to 0".  Algorithm 2 tests cost(q) > benefit * alpha first
+// and re-derives the canonical query only when that test passes (or a trace
+// sink reports `shrank`): a leftover that is tolerated anyway needs no
+// count.  The indexed path keeps each member's Eq. 3 cost beside it
+// (`SyntheticQuery::member_costs`), so a kept termination reads and re-sums
+// cached doubles instead of re-costing every remaining member.
 #pragma once
 
 #include <cstdint>
@@ -63,16 +68,15 @@ struct SyntheticQuery {
   /// sum(cost(member)) - cost(query); maintained by the rewriter.
   double benefit = 0.0;
 
-  /// Optimizer bookkeeping for the indexed path: the ascending-id running
-  /// sum of member costs, so absorbing a member with a higher id extends
-  /// the sum with the exact floating-point op sequence a full recompute
-  /// would execute (the oracle and the indexed path must agree bit-for-bit
-  /// on `benefit`).  Only meaningful while `member_cost_version` matches
-  /// the optimizer's statistics version and `member_cost_valid` holds.
+  /// Indexed-path bookkeeping (left empty by the naive oracle): each
+  /// member's Eq. 3 cost, holding exactly the ids of `members` in ascending
+  /// order, valid while `member_cost_version` equals the statistics
+  /// version.  `member_cost_sum` is their ascending-id running sum — the
+  /// floating-point op sequence the oracle's recompute executes, so the two
+  /// paths agree bit-for-bit on `benefit`.
+  std::vector<std::pair<QueryId, double>> member_costs;
   double member_cost_sum = 0.0;
-  QueryId member_cost_last_uid = kInvalidQueryId;
   std::uint64_t member_cost_version = 0;
-  bool member_cost_valid = false;
 };
 
 /// The tier-1 optimizer.
@@ -126,10 +130,13 @@ class BaseStationOptimizer {
   std::size_t NumUserQueries() const { return user_to_synthetic_.size(); }
 
   /// Sum of the members' standalone costs (Eq. 3) over all synthetics.
+  /// The indexed path reads a synthetic's cached member costs while they
+  /// match the current statistics and costs it afresh otherwise.
   double TotalUserCost() const;
 
   /// Sum of synthetic-query benefits; TotalUserCost() - cost of what
   /// actually runs.  benefit ratio = TotalBenefit() / TotalUserCost().
+  /// Reads cached benefits on the same terms as TotalUserCost().
   double TotalBenefit() const;
 
   /// The benefit rate Beneficial(q_i, q_j) of Algorithm 1: 1 for coverage,
@@ -184,13 +191,18 @@ class BaseStationOptimizer {
 
   void InsertBundle(Query net_query, std::map<QueryId, Query> members,
                     Actions& actions);
+  void Absorb(QueryId sid, SyntheticQuery& sq,
+              std::map<QueryId, Query> members);
+  double RemoveMember(SyntheticQuery& sq, QueryId user);
   Best FindBestNaive(const Query& net_query);
   Best FindBestIndexed(const Query& net_query);
   std::optional<QueryId> CoverageLookup(const Query& net_query) const;
   double RateOf(const Query& qi, const std::string& qi_key, QueryId sid,
                 const SyntheticQuery& sq);
   double CostOf(const Query& query);
+  void CostMembers(SyntheticQuery& sq);
   void RecomputeBenefit(SyntheticQuery& sq);
+  bool CostsCurrent(const SyntheticQuery& sq) const;
   void SyncStatsVersion();
   void RebuildCostOrder();
   void IndexAdd(QueryId sid, const SyntheticQuery& sq);

@@ -2,20 +2,28 @@
 // 20): the indexed path (`Options::use_index`, the default) must be
 // observationally identical to the seed's naive scan — byte-identical
 // Actions for every insert/terminate, equal decision counters, bit-equal
-// benefits, and identical end-to-end run fingerprints.  The naive scan is
-// the oracle; the index is only allowed to find the same answers faster.
+// benefits and cost totals, and identical end-to-end run fingerprints.  The
+// naive scan is the oracle; the index is only allowed to find the same
+// answers faster.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "core/bs/cost_model.h"
 #include "core/bs/rewriter.h"
 #include "metrics/registry.h"
 #include "query/parser.h"
+#include "sensing/attribute.h"
+#include "sensing/reading.h"
 #include "sweep/fingerprint.h"
+#include "util/tracing.h"
 #include "workload/generator.h"
 #include "workload/runner.h"
 
@@ -52,6 +60,14 @@ std::string Render(const BaseStationOptimizer& opt) {
   return out;
 }
 
+// Both cost totals, bit-exactly.
+std::string RenderTotals(const BaseStationOptimizer& opt) {
+  char totals[96];
+  std::snprintf(totals, sizeof(totals), "user_cost=%a benefit=%a",
+                opt.TotalUserCost(), opt.TotalBenefit());
+  return totals;
+}
+
 std::string Render(const BaseStationOptimizer::DecisionStats& d) {
   return "covered=" + std::to_string(d.covered) +
          " merged=" + std::to_string(d.merged) +
@@ -60,6 +76,54 @@ std::string Render(const BaseStationOptimizer::DecisionStats& d) {
          " rebuilt=" + std::to_string(d.rebuilt) +
          " kept=" + std::to_string(d.kept);
 }
+
+// The tier1.terminate events a sink collected, doubles bit-exact.
+std::string RenderTerminations(const CollectingTraceSink& sink) {
+  std::string out;
+  for (const TraceEvent& event : sink.events()) {
+    if (event.kind != "tier1.terminate") continue;
+    for (const auto& [key, value] : event.fields) {
+      out += key + "=";
+      std::visit(
+          [&out](const auto& v) {
+            using T = std::decay_t<decltype(v)>;
+            if constexpr (std::is_same_v<T, std::string>) {
+              out += v;
+            } else if constexpr (std::is_same_v<T, double>) {
+              char buf[40];
+              std::snprintf(buf, sizeof(buf), "%a", v);
+              out += buf;
+            } else {
+              out += std::to_string(v);
+            }
+          },
+          value);
+      out += " ";
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+// Inputs of a differential run beyond the query stream.
+struct Churn {
+  // Every `observe_every`-th step the fixture's estimator folds in one
+  // reading, so the statistics move between a synthetic's re-sum and its
+  // next termination (0: they stand still).
+  QueryId observe_every = 0;
+  // Trace sinks.  On the naive oracle alone, the oracle derives the
+  // canonical query on every termination while the indexed side derives
+  // it only when Algorithm 2's alpha test passes.  On both, every
+  // tier1.terminate event (leaving cost, benefit, shrank) must match.
+  enum class Trace { kNone, kNaive, kBoth } trace = Trace::kNone;
+};
+
+// What a differential run exercised.
+struct Exercised {
+  BaseStationOptimizer::DecisionStats decisions;
+  std::size_t max_members = 0;    // widest synthetic after any step
+  std::uint64_t stats_moves = 0;  // StatsVersion() advances mid-churn
+};
 
 class BsOptEquivalenceTest : public ::testing::Test {
  protected:
@@ -74,21 +138,58 @@ class BsOptEquivalenceTest : public ::testing::Test {
     return BaseStationOptimizer(cost_, options);
   }
 
+  // Folds one reading from the bottom tenth of every sensed attribute's
+  // range into the shared distribution: a skewed sample, so the costs (and
+  // with them the decisions) really move.
+  void ObserveReading(QueryId step) {
+    Reading reading(static_cast<NodeId>(step % 16), 0);
+    const double frac = static_cast<double>(step % 10) / 100.0;
+    for (Attribute attr : kSensedAttributes) {
+      const Interval range = AttributeRange(attr);
+      reading.Set(attr, range.lo() + frac * (range.hi() - range.lo()));
+    }
+    estimator_.shared().Observe(reading);
+  }
+
   // Feeds `count` queries from the model into an indexed and a naive
   // optimizer; every third insert also terminates an earlier live query.
-  // Every action pair and the final populations must match byte for byte.
+  // Every action pair, both cost totals after every step and the final
+  // populations must match byte for byte.
   void RunDifferential(const QueryModelParams& params, std::uint64_t seed,
-                       std::size_t count) {
+                       std::size_t count, const Churn& churn = {},
+                       Exercised* exercised = nullptr) {
     BaseStationOptimizer indexed = Make(true);
     BaseStationOptimizer naive = Make(false);
+    CollectingTraceSink indexed_trace;
+    CollectingTraceSink naive_trace;
+    if (churn.trace != Churn::Trace::kNone) naive.SetTraceSink(&naive_trace);
+    if (churn.trace == Churn::Trace::kBoth) {
+      indexed.SetTraceSink(&indexed_trace);
+    }
     RandomQueryModel model(params, seed);
     std::vector<QueryId> live;
+    Exercised seen;
+    const auto widest = [&] {
+      for (const SyntheticQuery* sq : indexed.Synthetics()) {
+        seen.max_members = std::max(seen.max_members, sq->members.size());
+      }
+    };
     for (QueryId id = 1; id <= count; ++id) {
+      if (churn.observe_every != 0 && id % churn.observe_every == 0) {
+        const std::uint64_t before = cost_.StatsVersion();
+        ObserveReading(id);
+        if (cost_.StatsVersion() != before) ++seen.stats_moves;
+      }
       const Query q = model.Next(id);
       const auto ai = indexed.InsertUserQuery(q);
       const auto an = naive.InsertUserQuery(q);
       ASSERT_EQ(Render(ai), Render(an))
           << "insert " << id << " seed " << seed << ": " << q.ToSql();
+      ASSERT_EQ(RenderTotals(indexed), RenderTotals(naive))
+          << "after insert " << id << " seed " << seed;
+      indexed_trace.Clear();
+      naive_trace.Clear();
+      widest();
       live.push_back(id);
       if (id % 3 == 0) {
         const std::size_t pick = (id * 7) % live.size();
@@ -98,6 +199,18 @@ class BsOptEquivalenceTest : public ::testing::Test {
         const auto tn = naive.TerminateUserQuery(gone);
         ASSERT_EQ(Render(ti), Render(tn))
             << "terminate " << gone << " seed " << seed;
+        ASSERT_EQ(RenderTotals(indexed), RenderTotals(naive))
+            << "after terminate " << gone << " seed " << seed;
+        if (churn.trace != Churn::Trace::kNone) {
+          ASSERT_EQ(naive_trace.CountKind("tier1.terminate"), 1u);
+        }
+        if (churn.trace == Churn::Trace::kBoth) {
+          ASSERT_EQ(RenderTerminations(indexed_trace),
+                    RenderTerminations(naive_trace))
+              << "terminate " << gone << " seed " << seed;
+        }
+        indexed_trace.Clear();
+        naive_trace.Clear();
       }
     }
     ASSERT_EQ(Render(indexed), Render(naive)) << "seed " << seed;
@@ -107,6 +220,8 @@ class BsOptEquivalenceTest : public ::testing::Test {
     EXPECT_EQ(naive.index_stats().coverage_hits, 0u)
         << "the oracle must not touch the index";
     EXPECT_EQ(naive.index_stats().exact_evaluations, 0u);
+    seen.decisions = indexed.decision_stats();
+    if (exercised != nullptr) *exercised = seen;
   }
 
   Topology topology_;
@@ -139,6 +254,37 @@ TEST_F(BsOptEquivalenceTest, TwentySeedsAcrossFourShapesAgree) {
       if (HasFatalFailure()) return;
     }
   }
+}
+
+// Algorithm 2 where it does its work: synthetics hundreds of members wide,
+// statistics that move mid-churn (the cached member costs must go stale
+// together with the memos), and a trace sink on the oracle alone.
+TEST_F(BsOptEquivalenceTest, WideSyntheticsAndMovingStatisticsAgree) {
+  QueryModelParams mixed;
+  mixed.predicate_selectivity = 1.0;
+  mixed.randomize_selectivity = true;
+
+  Exercised wide;
+  RunDifferential(mixed, 3, 2000, {}, &wide);
+  if (HasFatalFailure()) return;
+  EXPECT_GT(wide.decisions.kept, 0u);
+  EXPECT_GT(wide.decisions.rebuilt, 0u);
+  EXPECT_GE(wide.max_members, 100u);
+
+  Exercised moving;
+  RunDifferential(mixed, 3, 1000,
+                  {.observe_every = 7, .trace = Churn::Trace::kBoth},
+                  &moving);
+  if (HasFatalFailure()) return;
+  EXPECT_GT(moving.stats_moves, 0u);
+  EXPECT_GT(moving.decisions.kept, 0u);
+  EXPECT_GT(moving.decisions.rebuilt, 0u);
+
+  Exercised traced;
+  RunDifferential(mixed, 7, 1000, {.trace = Churn::Trace::kNaive}, &traced);
+  if (HasFatalFailure()) return;
+  EXPECT_GT(traced.decisions.kept, 0u);
+  EXPECT_GT(traced.decisions.rebuilt, 0u);
 }
 
 // The paper's q1/q2/q3 chained-merge example replayed at shifted ranges,

@@ -15,6 +15,8 @@ import sys
 VOLATILE_KEYS = {
     "seconds",
     "inserts_per_sec",
+    "terminate_seconds",
+    "terminations_per_sec",
     "speedup_x",
     "build",
     # Hotpath/sweep/scale artifacts: wall clock, derived rates, memory and
