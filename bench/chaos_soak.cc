@@ -41,8 +41,8 @@
 #include <string>
 #include <vector>
 
+#include "metrics/registry.h"
 #include "metrics/table.h"
-#include "metrics/trace.h"
 #include "obs/flight_recorder.h"
 #include "obs/session.h"
 #include "query/parser.h"
@@ -75,9 +75,12 @@ std::size_t UnannotatedEpochs(const ResultLog& log) {
   return unannotated;
 }
 
+/// One soak run plus the fault counts its ledger exported at run end.
 struct SoakOutcome {
   RunResult run;
-  CountingObserver counts;
+  std::uint64_t outages = 0;
+  std::uint64_t recoveries = 0;
+  std::uint64_t link_drops = 0;
 };
 
 struct Cell {
@@ -88,7 +91,7 @@ struct Cell {
 SoakOutcome RunCell(const Cell& cell, std::size_t side, SimDuration duration,
                     std::uint64_t seed, const FaultPlan& plan,
                     const std::vector<WorkloadEvent>& schedule) {
-  SoakOutcome outcome;
+  MetricsRegistry registry;
   RunConfig config;
   config.grid_side = side;
   config.mode = cell.mode;
@@ -96,8 +99,20 @@ SoakOutcome RunCell(const Cell& cell, std::size_t side, SimDuration duration,
   config.seed = seed;
   config.faults = plan;
   config.reliability = cell.reliability;
-  config.obs.observers.push_back(&outcome.counts);
+  config.obs.registry = &registry;
+  SoakOutcome outcome;
   outcome.run = RunExperiment(config, schedule);
+  const auto count = [&registry](const char* name,
+                                 const MetricLabels& labels) {
+    return static_cast<std::uint64_t>(
+        registry.GetCounter(name, labels).Value());
+  };
+  outcome.outages = count("net_node_down_total", {});
+  outcome.recoveries = count("net_node_recovered_total", {});
+  for (NodeId node = 0; node < side * side; ++node) {
+    outcome.link_drops +=
+        count("net_link_drops_total", {{"node", std::to_string(node)}});
+  }
   return outcome;
 }
 
@@ -225,7 +240,6 @@ int Main(int argc, char** argv) {
       const SoakOutcome outcome =
           RunCell(cell, side, duration, seed, plan, schedule);
       const RunResult& run = outcome.run;
-      const CountingObserver& counts = outcome.counts;
       const bool arq = cell.reliability == ReliabilityProfile::kArq;
       const std::size_t duplicates = DuplicateRows(run.results);
       if (duplicates > 0) violate("duplicate rows at the base station", seed);
@@ -236,13 +250,13 @@ int Main(int argc, char** argv) {
       if (by_class != run.summary.total_messages) {
         violate("per-class message counts do not sum to the total", seed);
       }
-      if (counts.downs != plan.outages().size()) {
+      if (outcome.outages != plan.outages().size()) {
         violate("an outage never began", seed);
       }
-      if (counts.recoveries != counts.downs) {
+      if (outcome.recoveries != outcome.outages) {
         violate("an outage never recovered", seed);
       }
-      if (params.link_loss == 0.0 && counts.link_drops != 0) {
+      if (params.link_loss == 0.0 && outcome.link_drops != 0) {
         violate("link drops without injected loss", seed);
       }
       if (arq) {
@@ -268,7 +282,7 @@ int Main(int argc, char** argv) {
                         : TablePrinter::Num(run.summary.AvgCoverage() * 100,
                                             1),
                     std::to_string(duplicates),
-                    std::to_string(counts.link_drops),
+                    std::to_string(outcome.link_drops),
                     std::to_string(run.summary.total_messages)});
     }
   }

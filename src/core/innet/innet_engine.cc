@@ -105,12 +105,12 @@ InNetworkEngine::InNetworkEngine(Network& network, const FieldModel& field,
           Suspicion& suspicion = nodes_[self].suspicion[neighbor];
           suspicion.blacklisted_until =
               std::max(suspicion.blacklisted_until, until);
-          if (trace_ != nullptr) {
-            EmitTrace(TraceEvent("tier2.quarantine")
-                          .With("node", static_cast<std::int64_t>(self))
-                          .With("neighbor",
-                                static_cast<std::int64_t>(neighbor))
-                          .With("until", until));
+          if (network_.tracing()) {
+            network_.Emit(TraceEvent("tier2.quarantine")
+                              .With("node", static_cast<std::int64_t>(self))
+                              .With("neighbor",
+                                    static_cast<std::int64_t>(neighbor))
+                              .With("until", until));
           }
         });
     arq_->SetGiveUpHook([this](const ArqTransport::GiveUpInfo& info) {
@@ -142,23 +142,19 @@ SimDuration InNetworkEngine::SlotOffset(NodeId node) const {
 // Submission / termination (base station API)
 // -----------------------------------------------------------------------
 
-void InNetworkEngine::EmitTrace(TraceEvent event) {
-  event.time = network_.sim().Now();
-  trace_->Emit(event);
-}
-
 void InNetworkEngine::SubmitQuery(const Query& query) {
   CheckArg(!bs_queries_.contains(query.id()),
            "InNetworkEngine: duplicate query id");
   bs_queries_.emplace(query.id(), BsQueryState(query));
   nodes_[kBaseStationId].prop_round[query.id()] =
       std::numeric_limits<int>::max();
-  if (trace_ != nullptr) {
-    EmitTrace(TraceEvent("tier2.submit")
-                  .With("query", static_cast<std::int64_t>(query.id()))
-                  .With("epoch_ms", static_cast<std::int64_t>(query.epoch()))
-                  .With("active",
-                        static_cast<std::int64_t>(bs_queries_.size())));
+  if (network_.tracing()) {
+    network_.Emit(TraceEvent("tier2.submit")
+                      .With("query", static_cast<std::int64_t>(query.id()))
+                      .With("epoch_ms",
+                            static_cast<std::int64_t>(query.epoch()))
+                      .With("active",
+                            static_cast<std::int64_t>(bs_queries_.size())));
   }
 
   Message msg;
@@ -181,10 +177,10 @@ void InNetworkEngine::SubmitQuery(const Query& query) {
         [this, id = query.id(), round]() {
           const auto it = bs_queries_.find(id);
           if (it == bs_queries_.end() || it->second.terminated) return;
-          if (trace_ != nullptr) {
-            EmitTrace(TraceEvent("tier2.redisseminate")
-                          .With("query", static_cast<std::int64_t>(id))
-                          .With("round", static_cast<std::int64_t>(round)));
+          if (network_.tracing()) {
+            network_.Emit(TraceEvent("tier2.redisseminate")
+                              .With("query", static_cast<std::int64_t>(id))
+                              .With("round", static_cast<std::int64_t>(round)));
           }
           Message refresh;
           refresh.cls = MessageClass::kQueryPropagation;
@@ -213,9 +209,9 @@ void InNetworkEngine::TerminateQuery(QueryId id) {
   it->second.last_contributed.clear();
   it->second.agg_counts.clear();
   nodes_[kBaseStationId].seen_abort.insert(id);
-  if (trace_ != nullptr) {
-    EmitTrace(TraceEvent("tier2.terminate")
-                  .With("query", static_cast<std::int64_t>(id)));
+  if (network_.tracing()) {
+    network_.Emit(TraceEvent("tier2.terminate")
+                      .With("query", static_cast<std::int64_t>(id)));
   }
 
   Message msg;
@@ -844,11 +840,11 @@ void InNetworkEngine::OnArqGiveUp(const ArqTransport::GiveUpInfo& info) {
   if (info.reroutes >= kMaxReroutes) return;
   if (network_.sim().Now() >= info.deadline) return;
   if (network_.IsFailed(info.sender) || network_.IsDown(info.sender)) return;
-  if (trace_ != nullptr) {
-    EmitTrace(TraceEvent("tier2.arq_reroute")
-                  .With("node", static_cast<std::int64_t>(info.sender))
-                  .With("attempt",
-                        static_cast<std::int64_t>(info.reroutes + 1)));
+  if (network_.tracing()) {
+    network_.Emit(TraceEvent("tier2.arq_reroute")
+                      .With("node", static_cast<std::int64_t>(info.sender))
+                      .With("attempt",
+                            static_cast<std::int64_t>(info.reroutes + 1)));
   }
   current_reroute_ = info.reroutes + 1;
   if (const auto* row = PayloadAs<SharedRowPayload>(info.inner.get())) {
@@ -956,12 +952,12 @@ void InNetworkEngine::RepairCheck(QueryId id, SimTime epoch_time) {
     missing.push_back(node);
   }
   if (missing.empty()) return;
-  if (trace_ != nullptr) {
-    EmitTrace(TraceEvent("tier2.repair_check")
-                  .With("query", static_cast<std::int64_t>(id))
-                  .With("epoch_t", epoch_time)
-                  .With("missing",
-                        static_cast<std::int64_t>(missing.size())));
+  if (network_.tracing()) {
+    network_.Emit(TraceEvent("tier2.repair_check")
+                      .With("query", static_cast<std::int64_t>(id))
+                      .With("epoch_t", epoch_time)
+                      .With("missing",
+                            static_cast<std::int64_t>(missing.size())));
   }
   // NACK down the fixed tree, one request per first-hop subtree.
   std::map<NodeId, std::vector<NodeId>> by_child;
@@ -1129,11 +1125,11 @@ bool InNetworkEngine::SuspectParent(NodeId self, NodeId candidate) {
   // re-selection after recovery.
   SimTime& heard = state.last_heard[candidate];
   heard = std::max(heard, suspicion.blacklisted_until);
-  if (trace_ != nullptr) {
-    EmitTrace(TraceEvent("tier2.parent_blacklist")
-                  .With("node", static_cast<std::int64_t>(self))
-                  .With("parent", static_cast<std::int64_t>(candidate))
-                  .With("until", suspicion.blacklisted_until));
+  if (network_.tracing()) {
+    network_.Emit(TraceEvent("tier2.parent_blacklist")
+                      .With("node", static_cast<std::int64_t>(self))
+                      .With("parent", static_cast<std::int64_t>(candidate))
+                      .With("until", suspicion.blacklisted_until));
   }
   return true;
 }
@@ -1336,13 +1332,14 @@ void InNetworkEngine::CloseEpoch(QueryId id, SimTime epoch_time) {
                        state.partials.upper_bound(epoch_time));
   state.no_data.erase(state.no_data.begin(),
                       state.no_data.upper_bound(epoch_time));
-  if (trace_ != nullptr) {
-    EmitTrace(TraceEvent("tier2.epoch_close")
-                  .With("query", static_cast<std::int64_t>(id))
-                  .With("epoch_t", epoch_time)
-                  .With("rows", static_cast<std::int64_t>(result.rows.size()))
-                  .With("aggregates",
-                        static_cast<std::int64_t>(result.aggregates.size())));
+  if (network_.tracing()) {
+    network_.Emit(TraceEvent("tier2.epoch_close")
+                      .With("query", static_cast<std::int64_t>(id))
+                      .With("epoch_t", epoch_time)
+                      .With("rows",
+                            static_cast<std::int64_t>(result.rows.size()))
+                      .With("aggregates", static_cast<std::int64_t>(
+                                              result.aggregates.size())));
   }
   if (sink_ != nullptr) sink_->OnResult(result);
   ScheduleEpochClose(id, epoch_time + state.query.epoch());

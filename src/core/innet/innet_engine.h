@@ -82,10 +82,6 @@ class InNetworkEngine final : public QueryEngine {
   void TerminateQuery(QueryId id) override;
   std::string_view name() const override { return "ttmqo-innet"; }
 
-  /// Emits "tier2.submit" / "tier2.terminate" / "tier2.epoch_close" events
-  /// (stamped with simulation time) to `sink`; nullptr disables tracing.
-  void SetTraceSink(TraceSink* sink) override { trace_ = sink; }
-
   /// Level structure of the DAG.
   const LevelGraph& level_graph() const { return levels_; }
 
@@ -265,13 +261,9 @@ class InNetworkEngine final : public QueryEngine {
   void ScheduleEpochClose(QueryId id, SimTime epoch_time);
   void CloseEpoch(QueryId id, SimTime epoch_time);
 
-  /// Builds a time-stamped event when tracing is on (trace_ != nullptr).
-  void EmitTrace(TraceEvent event);
-
   Network& network_;
   const FieldModel& field_;
   ResultSink* sink_;
-  TraceSink* trace_ = nullptr;
   InNetOptions options_;
   RoutingTree tree_;
   SemanticRoutingTree srt_;

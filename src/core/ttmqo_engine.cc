@@ -28,14 +28,17 @@ TtmqoEngine::TtmqoEngine(Network& network, const FieldModel& field,
       user_sink_(user_sink),
       options_(options),
       cost_model_(network.topology(), network.radio(), selectivity_),
-      network_sink_(this),
-      trace_(network.sim()) {
+      network_sink_(this) {
   if (Rewriting()) {
     BaseStationOptimizer::Options opt;
     opt.alpha = options_.alpha;
     opt.use_index = options_.tier1_use_index;
     optimizer_ =
         std::make_unique<BaseStationOptimizer>(cost_model_, opt);
+    // The optimizer has no clock; the network stamps its events.  With a
+    // sink set, Algorithm 2 derives the canonical query on every
+    // termination, so an untraced run leaves the optimizer's sink null.
+    if (network.tracing()) optimizer_->SetTraceSink(&network);
   }
   const bool innet = options_.mode == OptimizationMode::kInNetworkOnly ||
                      options_.mode == OptimizationMode::kTwoTier;
@@ -52,16 +55,6 @@ std::string_view TtmqoEngine::name() const {
   return OptimizationModeName(options_.mode);
 }
 
-void TtmqoEngine::SetTraceSink(TraceSink* sink) {
-  trace_.SetDownstream(sink);
-  // The optimizer checks its sink pointer before building events; leave it
-  // null when tracing is off so the hot insert path pays nothing.
-  if (optimizer_ != nullptr) {
-    optimizer_->SetTraceSink(sink != nullptr ? &trace_ : nullptr);
-  }
-  inner_->SetTraceSink(sink);
-}
-
 void TtmqoEngine::SubmitQuery(const Query& query) {
   obs::RecordFlight("engine.submit", network_.sim().Now(),
                     static_cast<std::int64_t>(query.id()));
@@ -69,12 +62,13 @@ void TtmqoEngine::SubmitQuery(const Query& query) {
   UserState state(query);
   state.submitted_at = network_.sim().Now();
   users_.emplace(query.id(), std::move(state));
-  if (trace_.downstream() != nullptr) {
-    trace_.Emit(TraceEvent("engine.user_submit")
-                    .With("query", static_cast<std::int64_t>(query.id()))
-                    .With("epoch_ms", static_cast<std::int64_t>(query.epoch()))
-                    .With("active_users",
-                          static_cast<std::int64_t>(users_.size())));
+  if (network_.tracing()) {
+    network_.Emit(TraceEvent("engine.user_submit")
+                      .With("query", static_cast<std::int64_t>(query.id()))
+                      .With("epoch_ms",
+                            static_cast<std::int64_t>(query.epoch()))
+                      .With("active_users",
+                            static_cast<std::int64_t>(users_.size())));
   }
 
   // The lifetime clause (FOR <ms>) self-terminates the query.
@@ -98,11 +92,11 @@ void TtmqoEngine::TerminateQuery(QueryId id) {
   const auto it = users_.find(id);
   CheckArg(it != users_.end(), "TtmqoEngine: terminating unknown user query");
   users_.erase(it);
-  if (trace_.downstream() != nullptr) {
-    trace_.Emit(TraceEvent("engine.user_terminate")
-                    .With("query", static_cast<std::int64_t>(id))
-                    .With("active_users",
-                          static_cast<std::int64_t>(users_.size())));
+  if (network_.tracing()) {
+    network_.Emit(TraceEvent("engine.user_terminate")
+                      .With("query", static_cast<std::int64_t>(id))
+                      .With("active_users",
+                            static_cast<std::int64_t>(users_.size())));
   }
 
   if (!Rewriting()) {
@@ -118,20 +112,20 @@ void TtmqoEngine::ApplyActions(const BaseStationOptimizer::Actions& actions) {
   TTMQO_SPAN("tier2.disseminate");
   // Abort superseded synthetic queries before injecting replacements so the
   // channel is never loaded with both.
-  const bool tracing = trace_.downstream() != nullptr;
+  const bool tracing = network_.tracing();
   for (QueryId id : actions.abort) {
     if (tracing) {
-      trace_.Emit(TraceEvent("engine.synthetic_abort")
-                      .With("synthetic", static_cast<std::int64_t>(id)));
+      network_.Emit(TraceEvent("engine.synthetic_abort")
+                        .With("synthetic", static_cast<std::int64_t>(id)));
     }
     inner_->TerminateQuery(id);
   }
   for (const Query& query : actions.inject) {
     if (tracing) {
-      trace_.Emit(TraceEvent("engine.synthetic_inject")
-                      .With("synthetic", static_cast<std::int64_t>(query.id()))
-                      .With("epoch_ms",
-                            static_cast<std::int64_t>(query.epoch())));
+      network_.Emit(
+          TraceEvent("engine.synthetic_inject")
+              .With("synthetic", static_cast<std::int64_t>(query.id()))
+              .With("epoch_ms", static_cast<std::int64_t>(query.epoch())));
     }
     inner_->SubmitQuery(query);
   }

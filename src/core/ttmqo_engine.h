@@ -62,7 +62,11 @@ struct TtmqoOptions {
 /// The user-facing engine.
 class TtmqoEngine final : public QueryEngine {
  public:
-  /// `network`, `field` and `user_sink` must outlive the engine.
+  /// `network`, `field` and `user_sink` must outlive the engine.  The
+  /// engine's decision events ("engine.*", "tier1.*", "tier2.*") go to the
+  /// network's trace sink; the optimizer is wired to it only when the
+  /// network is already tracing here, so an untraced optimizer keeps a
+  /// null sink and skips its trace-only work.
   TtmqoEngine(Network& network, const FieldModel& field,
               ResultSink* user_sink, TtmqoOptions options = {});
 
@@ -73,11 +77,6 @@ class TtmqoEngine final : public QueryEngine {
   void TerminateQuery(QueryId id) override;
 
   std::string_view name() const override;
-
-  /// Routes tier-1 (rewriter) and tier-2 (inner engine) decision events to
-  /// `sink`, stamped with the network's simulation time.  Pass nullptr to
-  /// disable tracing.
-  void SetTraceSink(TraceSink* sink) override;
 
   /// The tier-1 optimizer; nullptr when the mode does not rewrite.
   const BaseStationOptimizer* optimizer() const { return optimizer_.get(); }
@@ -106,24 +105,6 @@ class TtmqoEngine final : public QueryEngine {
   }
 
  private:
-  /// Stamps optimizer events (which carry time 0; the optimizer has no
-  /// clock) with the simulator's current time before forwarding.
-  class StampingTraceSink final : public TraceSink {
-   public:
-    explicit StampingTraceSink(const Simulator& sim) : sim_(&sim) {}
-    void SetDownstream(TraceSink* sink) { down_ = sink; }
-    TraceSink* downstream() const { return down_; }
-    void Emit(const TraceEvent& event) override {
-      if (down_ == nullptr) return;
-      TraceEvent stamped = event;
-      stamped.time = sim_->Now();
-      down_->Emit(stamped);
-    }
-
-   private:
-    const Simulator* sim_;
-    TraceSink* down_ = nullptr;
-  };
   struct UserState {
     explicit UserState(Query q) : query(std::move(q)) {}
     Query query;
@@ -157,7 +138,6 @@ class TtmqoEngine final : public QueryEngine {
   SelectivityEstimator selectivity_;
   CostModel cost_model_;
   NetworkSink network_sink_;
-  StampingTraceSink trace_;
   std::unique_ptr<BaseStationOptimizer> optimizer_;
   std::unique_ptr<QueryEngine> inner_;
   std::map<QueryId, UserState> users_;

@@ -22,14 +22,13 @@ void CheckProb(double p, const char* what) {
   }
 }
 
-void EmitFault(TraceSink* trace, SimTime now, const char* kind,
+void EmitFault(Network& network, const char* kind,
                std::initializer_list<std::pair<const char*, std::int64_t>>
                    fields) {
-  if (trace == nullptr) return;
+  if (!network.tracing()) return;
   TraceEvent event(kind);
-  event.time = now;
   for (const auto& [key, value] : fields) event.With(key, value);
-  trace->Emit(event);
+  network.Emit(event);
 }
 
 }  // namespace
@@ -164,62 +163,60 @@ void FaultPlan::Validate(const Topology& topology,
   }
 }
 
-void FaultPlan::ScheduleOn(Network& network, TraceSink* trace) const {
+void FaultPlan::ScheduleOn(Network& network) const {
   Simulator& sim = network.sim();
   if (default_link_loss_ > 0.0) {
     network.SetDefaultLinkLoss(default_link_loss_);
   }
   for (const CrashEvent& c : crashes_) {
-    sim.ScheduleAt(c.time, [&network, trace, c]() {
+    sim.ScheduleAt(c.time, [&network, c]() {
       network.FailNode(c.node);
-      EmitFault(trace, network.sim().Now(), "fault.crash",
+      EmitFault(network, "fault.crash",
                 {{"node", static_cast<std::int64_t>(c.node)}});
     });
   }
   for (const OutageEvent& o : outages_) {
-    sim.ScheduleAt(o.from, [&network, trace, o]() {
+    sim.ScheduleAt(o.from, [&network, o]() {
       network.SetDown(o.node);
-      EmitFault(trace, network.sim().Now(), "fault.down",
+      EmitFault(network, "fault.down",
                 {{"node", static_cast<std::int64_t>(o.node)},
                  {"until", static_cast<std::int64_t>(o.until)}});
     });
-    sim.ScheduleAt(o.until, [&network, trace, o]() {
+    sim.ScheduleAt(o.until, [&network, o]() {
       network.Recover(o.node);
-      EmitFault(trace, network.sim().Now(), "fault.recover",
+      EmitFault(network, "fault.recover",
                 {{"node", static_cast<std::int64_t>(o.node)}});
     });
   }
   for (const LinkLossEvent& e : link_events_) {
-    sim.ScheduleAt(e.from, [&network, trace, e]() {
+    sim.ScheduleAt(e.from, [&network, e]() {
       network.SetLinkLoss(e.a, e.b, e.prob);
-      if (trace != nullptr) {
-        TraceEvent event("fault.link_degrade");
-        event.time = network.sim().Now();
-        event.With("a", static_cast<std::int64_t>(e.a))
-            .With("b", static_cast<std::int64_t>(e.b))
-            .With("prob", e.prob);
-        trace->Emit(event);
+      if (network.tracing()) {
+        network.Emit(TraceEvent("fault.link_degrade")
+                         .With("a", static_cast<std::int64_t>(e.a))
+                         .With("b", static_cast<std::int64_t>(e.b))
+                         .With("prob", e.prob));
       }
     });
     if (e.until != 0) {
-      sim.ScheduleAt(e.until, [&network, trace, e]() {
+      sim.ScheduleAt(e.until, [&network, e]() {
         network.ClearLinkLoss(e.a, e.b);
-        EmitFault(trace, network.sim().Now(), "fault.link_restore",
+        EmitFault(network, "fault.link_restore",
                   {{"a", static_cast<std::int64_t>(e.a)},
                    {"b", static_cast<std::int64_t>(e.b)}});
       });
     }
   }
   for (const PartitionEvent& p : partitions_) {
-    sim.ScheduleAt(p.from, [&network, trace, p]() {
+    sim.ScheduleAt(p.from, [&network, p]() {
       for (NodeId node : p.nodes) network.SetDown(node);
-      EmitFault(trace, network.sim().Now(), "fault.partition",
+      EmitFault(network, "fault.partition",
                 {{"nodes", static_cast<std::int64_t>(p.nodes.size())},
                  {"until", static_cast<std::int64_t>(p.until)}});
     });
-    sim.ScheduleAt(p.until, [&network, trace, p]() {
+    sim.ScheduleAt(p.until, [&network, p]() {
       for (NodeId node : p.nodes) network.Recover(node);
-      EmitFault(trace, network.sim().Now(), "fault.heal",
+      EmitFault(network, "fault.heal",
                 {{"nodes", static_cast<std::int64_t>(p.nodes.size())}});
     });
   }

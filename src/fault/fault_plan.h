@@ -22,7 +22,6 @@
 #include "net/topology.h"
 #include "util/ids.h"
 #include "util/time.h"
-#include "util/tracing.h"
 
 namespace ttmqo {
 
@@ -115,9 +114,9 @@ class FaultPlan {
   void Validate(const Topology& topology, SimDuration duration_ms) const;
 
   /// Schedules every event on `network`'s simulator (call once, before the
-  /// run).  Applies `default_link_loss` immediately.  When `trace` is set,
-  /// each event also emits a stamped "fault.*" trace event.
-  void ScheduleOn(Network& network, TraceSink* trace = nullptr) const;
+  /// run).  Applies `default_link_loss` immediately.  When the network is
+  /// tracing, each event also emits a "fault.*" trace event through it.
+  void ScheduleOn(Network& network) const;
 
   /// True when `node` is reachable at time `t` under this plan: not crashed
   /// at or before `t` and not inside any outage or partition window.

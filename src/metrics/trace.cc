@@ -1,76 +1,10 @@
 #include "metrics/trace.h"
 
 namespace ttmqo {
-namespace {
-
-void WriteDestinations(std::ostream& out, const Message& msg) {
-  out << "\"dests\":[";
-  for (std::size_t i = 0; i < msg.destinations.size(); ++i) {
-    if (i > 0) out << ',';
-    out << msg.destinations[i];
-  }
-  out << ']';
-}
-
-}  // namespace
 
 JsonlTraceWriter::~JsonlTraceWriter() { Flush(); }
 
 void JsonlTraceWriter::Flush() { out_->flush(); }
-
-void JsonlTraceWriter::OnTransmit(SimTime time, const Message& msg,
-                                  double duration_ms, bool retransmission) {
-  ++events_;
-  *out_ << "{\"event\":\"tx\",\"t\":" << time << ",\"from\":" << msg.sender
-        << ",\"class\":";
-  WriteJsonString(*out_, MessageClassName(msg.cls));
-  *out_ << ",\"bytes\":" << msg.payload_bytes << ",\"ms\":" << duration_ms
-        << ",\"retx\":" << (retransmission ? "true" : "false") << ',';
-  WriteDestinations(*out_, msg);
-  *out_ << "}\n";
-}
-
-void JsonlTraceWriter::OnDrop(SimTime time, const Message& msg) {
-  ++events_;
-  *out_ << "{\"event\":\"drop\",\"t\":" << time << ",\"from\":" << msg.sender
-        << ",\"class\":";
-  WriteJsonString(*out_, MessageClassName(msg.cls));
-  *out_ << "}\n";
-}
-
-void JsonlTraceWriter::OnSleepChange(SimTime time, NodeId node, bool asleep) {
-  ++events_;
-  *out_ << "{\"event\":\"" << (asleep ? "sleep" : "wake") << "\",\"t\":"
-        << time << ",\"node\":" << node << "}\n";
-}
-
-void JsonlTraceWriter::OnNodeFailed(SimTime time, NodeId node) {
-  ++events_;
-  *out_ << "{\"event\":\"fail\",\"t\":" << time << ",\"node\":" << node
-        << "}\n";
-}
-
-void JsonlTraceWriter::OnNodeDown(SimTime time, NodeId node) {
-  ++events_;
-  *out_ << "{\"event\":\"down\",\"t\":" << time << ",\"node\":" << node
-        << "}\n";
-}
-
-void JsonlTraceWriter::OnNodeRecovered(SimTime time, NodeId node,
-                                       SimDuration down_ms) {
-  ++events_;
-  *out_ << "{\"event\":\"recover\",\"t\":" << time << ",\"node\":" << node
-        << ",\"down_ms\":" << down_ms << "}\n";
-}
-
-void JsonlTraceWriter::OnLinkDrop(SimTime time, const Message& msg,
-                                  NodeId receiver) {
-  ++events_;
-  *out_ << "{\"event\":\"linkdrop\",\"t\":" << time << ",\"from\":"
-        << msg.sender << ",\"to\":" << receiver << ",\"class\":";
-  WriteJsonString(*out_, MessageClassName(msg.cls));
-  *out_ << "}\n";
-}
 
 void JsonlTraceWriter::Emit(const TraceEvent& event) {
   ++events_;

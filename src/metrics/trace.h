@@ -1,24 +1,23 @@
-// Radio event and decision tracing.
+// JSON Lines trace writer.
 //
-// `JsonlTraceWriter` streams one JSON object per event to an
-// `std::ostream` — suitable for offline visualization or debugging of an
-// experiment's message flow.  It is both a `NetworkObserver` (radio events:
-// tx/drop/sleep/wake/fail) and a `TraceSink` (structured decision events
-// from the optimizer tiers), so one JSONL file interleaves the network's
-// physical activity with the decisions that caused it.  All string fields
-// are JSON-escaped and the stream is flushed on destruction, so the output
-// is always parseable line-by-line.
+// `JsonlTraceWriter` is the sink a run's `Network` forwards its trace to:
+// radio events (tx/drop/linkdrop/sleep/wake/fail/down/recover), fault
+// events, tier-1/tier-2 decisions and run brackets, one JSON object per
+// line — suitable for offline visualization or debugging of an
+// experiment's message flow.  All string fields are JSON-escaped and the
+// stream is flushed on destruction, so the output is always parseable
+// line-by-line.
 #pragma once
 
+#include <cstdint>
 #include <ostream>
 
-#include "net/observer.h"
 #include "util/tracing.h"
 
 namespace ttmqo {
 
-/// Streams radio events and trace events as JSON Lines.
-class JsonlTraceWriter final : public NetworkObserver, public TraceSink {
+/// Streams trace events as JSON Lines.
+class JsonlTraceWriter final : public TraceSink {
  public:
   /// `out` must outlive the writer.  Nothing is buffered beyond the
   /// stream's own buffering.
@@ -30,17 +29,6 @@ class JsonlTraceWriter final : public NetworkObserver, public TraceSink {
   JsonlTraceWriter(const JsonlTraceWriter&) = delete;
   JsonlTraceWriter& operator=(const JsonlTraceWriter&) = delete;
 
-  // NetworkObserver:
-  void OnTransmit(SimTime time, const Message& msg, double duration_ms,
-                  bool retransmission) override;
-  void OnDrop(SimTime time, const Message& msg) override;
-  void OnSleepChange(SimTime time, NodeId node, bool asleep) override;
-  void OnNodeFailed(SimTime time, NodeId node) override;
-  void OnNodeDown(SimTime time, NodeId node) override;
-  void OnNodeRecovered(SimTime time, NodeId node, SimDuration down_ms) override;
-  void OnLinkDrop(SimTime time, const Message& msg, NodeId receiver) override;
-
-  // TraceSink:
   void Emit(const TraceEvent& event) override;
 
   /// Explicitly flushes the underlying stream.
@@ -52,33 +40,6 @@ class JsonlTraceWriter final : public NetworkObserver, public TraceSink {
  private:
   std::ostream* out_;
   std::uint64_t events_ = 0;
-};
-
-/// A counting observer for tests and quick statistics.
-class CountingObserver final : public NetworkObserver {
- public:
-  void OnTransmit(SimTime, const Message&, double, bool retransmission)
-      override {
-    ++transmissions;
-    if (retransmission) ++retransmissions;
-  }
-  void OnDrop(SimTime, const Message&) override { ++drops; }
-  void OnSleepChange(SimTime, NodeId, bool asleep) override {
-    if (asleep) ++sleeps;
-  }
-  void OnNodeFailed(SimTime, NodeId) override { ++failures; }
-  void OnNodeDown(SimTime, NodeId) override { ++downs; }
-  void OnNodeRecovered(SimTime, NodeId, SimDuration) override { ++recoveries; }
-  void OnLinkDrop(SimTime, const Message&, NodeId) override { ++link_drops; }
-
-  std::uint64_t transmissions = 0;
-  std::uint64_t retransmissions = 0;
-  std::uint64_t drops = 0;
-  std::uint64_t sleeps = 0;
-  std::uint64_t failures = 0;
-  std::uint64_t downs = 0;
-  std::uint64_t recoveries = 0;
-  std::uint64_t link_drops = 0;
 };
 
 }  // namespace ttmqo

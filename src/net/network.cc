@@ -23,6 +23,11 @@ std::pair<NodeId, NodeId> LinkKey(NodeId a, NodeId b) {
   return {std::min(a, b), std::max(a, b)};
 }
 
+// A radio event about `node`, e.g. {"event":"fail","t":..,"node":3}.
+TraceEvent NodeEvent(const char* kind, NodeId node) {
+  return TraceEvent(kind).With("node", static_cast<std::int64_t>(node));
+}
+
 }  // namespace
 
 Network::Network(const Topology& topology, RadioParams radio,
@@ -50,11 +55,18 @@ void Network::SetReceiver(NodeId node, Receiver receiver) {
   receivers_.at(node) = std::move(receiver);
 }
 
+void Network::Emit(const TraceEvent& event) {
+  if (trace_ == nullptr) return;
+  TraceEvent stamped = event;
+  stamped.time = sim_.Now();
+  trace_->Emit(stamped);
+}
+
 void Network::SetAsleep(NodeId node, bool asleep) {
   if (failed_.at(node) || down_.at(node)) return;  // no power state while dark
   if ((asleep_.at(node) != 0) == asleep) return;
   asleep_[node] = asleep ? 1 : 0;
-  if (!observers_.empty()) observers_.OnSleepChange(sim_.Now(), node, asleep);
+  if (tracing()) Emit(NodeEvent(asleep ? "sleep" : "wake", node));
   if (asleep) {
     ledger_.CountSleepTransition(node);
     sleep_since_[node] = sim_.Now();
@@ -74,7 +86,7 @@ void Network::FailNode(NodeId node) {
   failed_[node] = 1;
   ++num_failed_;
   obs::RecordFlight("fault.crash", sim_.Now(), node);
-  if (!observers_.empty()) observers_.OnNodeFailed(sim_.Now(), node);
+  if (tracing()) Emit(NodeEvent("fail", node));
 }
 
 void Network::SetDown(NodeId node) {
@@ -87,7 +99,7 @@ void Network::SetDown(NodeId node) {
   ++num_down_;
   ledger_.CountOutage(node);
   obs::RecordFlight("fault.down", sim_.Now(), node);
-  if (!observers_.empty()) observers_.OnNodeDown(sim_.Now(), node);
+  if (tracing()) Emit(NodeEvent("down", node));
 }
 
 void Network::Recover(NodeId node) {
@@ -98,7 +110,7 @@ void Network::Recover(NodeId node) {
   ledger_.CountRecovery(node);
   const SimDuration down_ms = sim_.Now() - down_since_[node];
   obs::RecordFlight("fault.recover", sim_.Now(), node, down_ms);
-  if (!observers_.empty()) observers_.OnNodeRecovered(sim_.Now(), node, down_ms);
+  if (tracing()) Emit(NodeEvent("recover", node).With("down_ms", down_ms));
 }
 
 void Network::SetDefaultLinkLoss(double p) {
@@ -181,8 +193,19 @@ void Network::BeginAttempt(Message msg, int attempt) {
   busy_until_[sender] = start + duration;
   ledger_.ChargeTransmit(sender, msg.cls, duration_ms,
                          /*is_retransmission=*/attempt > 0);
-  if (!observers_.empty()) {
-    observers_.OnTransmit(start, msg, duration_ms, attempt > 0);
+  if (tracing()) {
+    // Stamped with the attempt's start, which is later than Now() while
+    // the sender's radio is busy, so it bypasses the stamping `Emit`.
+    TraceEvent tx("tx");
+    tx.time = start;
+    tx.With("from", static_cast<std::int64_t>(sender))
+        .With("class", std::string(MessageClassName(msg.cls)))
+        .With("bytes", static_cast<std::int64_t>(msg.payload_bytes))
+        .With("ms", duration_ms)
+        .With("retx", attempt > 0)
+        .With("dests", std::vector<std::int64_t>(msg.destinations.begin(),
+                                                 msg.destinations.end()));
+    trace_->Emit(tx);
   }
   AddFlight(sender, start + duration);
   auto complete = [this, msg = std::move(msg), attempt, start]() mutable {
@@ -215,7 +238,11 @@ void Network::CompleteAttempt(Message msg, int attempt, SimTime started) {
     Deliver(msg);
   } else if (attempt >= kMaxRetries) {
     ledger_.CountDrop(sender);
-    if (!observers_.empty()) observers_.OnDrop(sim_.Now(), msg);
+    if (tracing()) {
+      Emit(TraceEvent("drop")
+               .With("from", static_cast<std::int64_t>(sender))
+               .With("class", std::string(MessageClassName(msg.cls))));
+    }
   } else {
     const SimDuration backoff = kBackoffMs * (attempt + 1);
     auto retry = [this, msg = std::move(msg), attempt]() mutable {
@@ -279,8 +306,11 @@ void Network::Deliver(const Message& msg) {
       const double loss = LinkLossOf(msg.sender, neighbor);
       if (loss > 0.0 && loss_rng_.Bernoulli(loss)) {
         ledger_.CountLinkDrop(neighbor);
-        if (!observers_.empty()) {
-          observers_.OnLinkDrop(sim_.Now(), msg, neighbor);
+        if (tracing()) {
+          Emit(TraceEvent("linkdrop")
+                   .With("from", static_cast<std::int64_t>(msg.sender))
+                   .With("to", static_cast<std::int64_t>(neighbor))
+                   .With("class", std::string(MessageClassName(msg.cls))));
         }
         continue;
       }

@@ -16,6 +16,11 @@
 // maintenance beacon ticks are ordinary pooled events on that loop, whose
 // captures fit the event slab's inline buffer, so the steady state never
 // allocates.
+//
+// The network is also the run's one trace path.  With a sink installed it
+// emits its radio events as `TraceEvent`s, and its `Emit` stamps every
+// other layer's events (engines, fault plan, optimizer, runner) with the
+// simulation time before forwarding them.
 #pragma once
 
 #include <cstdint>
@@ -27,16 +32,16 @@
 #include "net/ledger.h"
 #include "net/link_quality.h"
 #include "net/message.h"
-#include "net/observer.h"
 #include "net/radio.h"
 #include "net/simulator.h"
 #include "net/topology.h"
 #include "util/rng.h"
+#include "util/tracing.h"
 
 namespace ttmqo {
 
 /// The radio channel of one deployment.
-class Network {
+class Network final : public TraceSink {
  public:
   /// Receives a delivered or overheard message.  `addressed` is true when
   /// this node is an intended destination (broadcasts address everyone).
@@ -147,11 +152,20 @@ class Network {
   /// Number of transmissions currently in flight (diagnostics).
   std::size_t in_flight() const { return total_flights_; }
 
-  /// The event observer fan-out.  Any number of observers (trace writers,
-  /// test probes) may be attached concurrently via `observers().Add(...)`;
-  /// none is owned.  Radio counts do not need one: the ledger keeps them.
-  ObserverMux& observers() { return observers_; }
-  const ObserverMux& observers() const { return observers_; }
+  /// Installs the sink that receives every trace event of the run: the
+  /// network's radio events and, through `Emit`, everyone else's.  The
+  /// sink is borrowed; nullptr turns tracing off.  Install it before
+  /// building engines: the TTMQO engine wires its optimizer to the network
+  /// only when `tracing()` is true at construction.
+  void SetTraceSink(TraceSink* sink) { trace_ = sink; }
+
+  /// True when a trace sink is installed.  Emitters check this before
+  /// building an event, so an untraced run builds none.
+  bool tracing() const { return trace_ != nullptr; }
+
+  /// Stamps `event` with the current simulation time and forwards it to
+  /// the installed sink; a no-op without one.
+  void Emit(const TraceEvent& event) override;
 
  private:
   void BeginAttempt(Message msg, int attempt);
@@ -170,7 +184,7 @@ class Network {
   RadioLedger ledger_;
   Rng rng_;
   Rng loss_rng_;
-  ObserverMux observers_;
+  TraceSink* trace_ = nullptr;
   std::size_t num_failed_ = 0;
   std::size_t num_down_ = 0;
   double default_link_loss_ = 0.0;

@@ -9,7 +9,6 @@
 
 #include "query/query.h"
 #include "query/result.h"
-#include "util/tracing.h"
 
 namespace ttmqo {
 
@@ -27,10 +26,6 @@ class QueryEngine {
 
   /// Human-readable engine name for reports.
   virtual std::string_view name() const = 0;
-
-  /// Installs a sink for the engine's structured decision events (nullptr
-  /// disables tracing).  Engines without decision points may ignore it.
-  virtual void SetTraceSink(TraceSink* /*sink*/) {}
 };
 
 /// Serialized size of a query descriptor inside a propagation message:

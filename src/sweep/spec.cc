@@ -10,6 +10,7 @@
 #include "obs/build_info.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/tracing.h"
 #include "workload/static_workloads.h"
 
 namespace ttmqo {
@@ -123,21 +124,11 @@ FaultPlan MakeFaultPlan(const std::string& scenario, std::size_t nodes,
                               scenario + "' (none|transient|loss:<p>)");
 }
 
-std::string JsonEscape(const std::string& s) {
+/// `s` JSON-escaped, without the surrounding quotes.
+std::string Escaped(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out.push_back(c);
-    }
-  }
+  JsonEscape(s, out);
   return out;
 }
 
@@ -165,9 +156,9 @@ void WriteRowJson(std::ostream& out, const SweepRow& row,
                   bool include_timing) {
   const RunSummary& s = row.run.summary;
   out << "{\"index\":" << row.index << ",\"grid\":" << row.grid_side
-      << ",\"workload\":\"" << JsonEscape(row.workload) << "\",\"mode\":\""
-      << JsonEscape(row.mode) << "\",\"fault\":\"" << JsonEscape(row.fault)
-      << "\",\"reliability\":\"" << JsonEscape(row.reliability)
+      << ",\"workload\":\"" << Escaped(row.workload) << "\",\"mode\":\""
+      << Escaped(row.mode) << "\",\"fault\":\"" << Escaped(row.fault)
+      << "\",\"reliability\":\"" << Escaped(row.reliability)
       << "\",\"replicate\":" << row.replicate << ",\"seed\":" << row.seed
       << ",\"avg_tx_fraction\":" << Num(s.avg_transmission_fraction)
       << ",\"avg_sleep_fraction\":" << Num(s.avg_sleep_fraction)
@@ -291,9 +282,9 @@ std::size_t SweepSpec::TaskCount() const {
          reliability.size() * seeds;
 }
 
-std::vector<RunUnit> SweepSpec::Expand() const {
-  std::vector<RunUnit> units;
-  units.reserve(TaskCount());
+std::vector<SweepCell> SweepSpec::Expand() const {
+  std::vector<SweepCell> cells;
+  cells.reserve(TaskCount());
   const Rng root(base_seed);
   for (const std::size_t side : grid_sides) {
     for (const std::string& workload : workloads) {
@@ -301,42 +292,44 @@ std::vector<RunUnit> SweepSpec::Expand() const {
         for (const std::string& fault : faults) {
           for (const ReliabilityProfile profile : reliability) {
             for (std::size_t replicate = 0; replicate < seeds; ++replicate) {
-              // All streams of a replicate derive from (base seed,
-              // coordinates); the run/workload/fault seeds are shared
-              // across the mode and reliability axes so schemes compare
-              // like-for-like on identical inputs.
-              const std::uint64_t run_seed =
-                  root.Fork(0x10000 + replicate).seed();
-              const std::uint64_t workload_seed =
-                  root.Fork(0x20000 + replicate).seed();
-              const std::uint64_t fault_seed =
-                  root.Fork(0x30000 + replicate).seed() ^ (side << 8);
-
-              RunUnit unit;
-              unit.config.grid_side = side;
-              unit.config.mode = mode;
-              unit.config.alpha = alpha;
-              unit.config.duration_ms = duration_ms;
-              unit.config.seed = run_seed;
-              unit.config.channel.collision_prob = collisions;
-              unit.config.reliability = profile;
-              unit.config.faults = MakeFaultPlan(fault, side * side,
-                                                 duration_ms, fault_seed);
-              unit.schedule = MakeWorkload(workload, workload_seed);
-              std::ostringstream label;
-              label << "grid=" << side << " workload=" << workload << " mode="
-                    << ShortModeName(mode) << " fault=" << fault
-                    << " reliability=" << ReliabilityProfileName(profile)
-                    << " replicate=" << replicate;
-              unit.label = label.str();
-              units.push_back(std::move(unit));
+              cells.push_back(
+                  {side, workload, mode, fault, profile, replicate, {}});
             }
           }
         }
       }
     }
   }
-  return units;
+  for (SweepCell& cell : cells) {
+    // All streams of a replicate derive from (base seed, coordinates); the
+    // run/workload/fault seeds are shared across the mode and reliability
+    // axes so schemes compare like-for-like on identical inputs.
+    const std::uint64_t run_seed = root.Fork(0x10000 + cell.replicate).seed();
+    const std::uint64_t workload_seed =
+        root.Fork(0x20000 + cell.replicate).seed();
+    const std::uint64_t fault_seed =
+        root.Fork(0x30000 + cell.replicate).seed() ^ (cell.grid_side << 8);
+
+    RunUnit& unit = cell.unit;
+    unit.config.grid_side = cell.grid_side;
+    unit.config.mode = cell.mode;
+    unit.config.alpha = alpha;
+    unit.config.duration_ms = duration_ms;
+    unit.config.seed = run_seed;
+    unit.config.channel.collision_prob = collisions;
+    unit.config.reliability = cell.reliability;
+    unit.config.faults =
+        MakeFaultPlan(cell.fault, cell.grid_side * cell.grid_side,
+                      duration_ms, fault_seed);
+    unit.schedule = MakeWorkload(cell.workload, workload_seed);
+    std::ostringstream label;
+    label << "grid=" << cell.grid_side << " workload=" << cell.workload
+          << " mode=" << ShortModeName(cell.mode) << " fault=" << cell.fault
+          << " reliability=" << ReliabilityProfileName(cell.reliability)
+          << " replicate=" << cell.replicate;
+    unit.label = label.str();
+  }
+  return cells;
 }
 
 std::vector<std::size_t> SweepReport::Stragglers(double k) const {
@@ -356,7 +349,7 @@ std::vector<std::size_t> SweepReport::Stragglers(double k) const {
 }
 
 void SweepReport::WriteJson(std::ostream& out, bool include_timing) const {
-  out << "{\"spec\":\"" << JsonEscape(spec_text) << "\",\"tasks\":"
+  out << "{\"spec\":\"" << Escaped(spec_text) << "\",\"tasks\":"
       << rows.size();
   if (include_timing) {
     out << ",\"jobs\":" << jobs << ",\"wall_ms\":" << Num(wall_ms);
@@ -389,15 +382,15 @@ void SweepReport::WriteJson(std::ostream& out, bool include_timing) const {
     for (std::size_t i = 0; i < stragglers.size(); ++i) {
       if (i > 0) out << ",";
       out << "{\"index\":" << stragglers[i] << ",\"label\":\""
-          << JsonEscape(rows[stragglers[i]].workload) << "\",\"wall_ms\":"
+          << Escaped(rows[stragglers[i]].workload) << "\",\"wall_ms\":"
           << Num(rows[stragglers[i]].wall_ms) << "}";
     }
     out << "]";
     const obs::BuildInfo& build = obs::GetBuildInfo();
-    out << ",\"build\":{\"git_sha\":\"" << JsonEscape(build.git_sha)
-        << "\",\"compiler\":\"" << JsonEscape(build.compiler)
-        << "\",\"build_type\":\"" << JsonEscape(build.build_type)
-        << "\",\"hostname\":\"" << JsonEscape(build.hostname)
+    out << ",\"build\":{\"git_sha\":\"" << Escaped(build.git_sha)
+        << "\",\"compiler\":\"" << Escaped(build.compiler)
+        << "\",\"build_type\":\"" << Escaped(build.build_type)
+        << "\",\"hostname\":\"" << Escaped(build.hostname)
         << "\",\"hardware_concurrency\":" << build.hardware_concurrency
         << "}";
   }
@@ -454,32 +447,22 @@ std::uint64_t SweepReport::TotalEvents() const {
 
 SweepReport RunSweep(const SweepSpec& spec, unsigned jobs,
                      MetricsRegistry* registry) {
-  std::vector<RunUnit> units = spec.Expand();
-  if (registry != nullptr) {
-    std::size_t index = 0;
-    for (const std::size_t side : spec.grid_sides) {
-      for (const std::string& workload : spec.workloads) {
-        for (const OptimizationMode mode : spec.modes) {
-          for (const std::string& fault : spec.faults) {
-            for (const ReliabilityProfile profile : spec.reliability) {
-              for (std::size_t replicate = 0; replicate < spec.seeds;
-                   ++replicate) {
-                RunUnit& unit = units[index++];
-                unit.config.obs.registry = registry;
-                unit.config.obs.labels = {
-                    {"grid", std::to_string(side)},
-                    {"workload", workload},
-                    {"mode", std::string(ShortModeName(mode))},
-                    {"fault", fault},
-                    {"reliability",
-                     std::string(ReliabilityProfileName(profile))},
-                    {"replicate", std::to_string(replicate)}};
-              }
-            }
-          }
-        }
-      }
+  std::vector<SweepCell> cells = spec.Expand();
+  std::vector<RunUnit> units;
+  units.reserve(cells.size());
+  for (SweepCell& cell : cells) {
+    if (registry != nullptr) {
+      cell.unit.config.obs.registry = registry;
+      cell.unit.config.obs.labels = {
+          {"grid", std::to_string(cell.grid_side)},
+          {"workload", cell.workload},
+          {"mode", std::string(ShortModeName(cell.mode))},
+          {"fault", cell.fault},
+          {"reliability",
+           std::string(ReliabilityProfileName(cell.reliability))},
+          {"replicate", std::to_string(cell.replicate)}};
     }
+    units.push_back(std::move(cell.unit));
   }
   PoolReport pool;
   // Wall-clock feeds only the timing (non-canonical) report section.
@@ -495,33 +478,21 @@ SweepReport RunSweep(const SweepSpec& spec, unsigned jobs,
   report.jobs = jobs == 0 ? HardwareJobs() : jobs;
   report.wall_ms = wall_ms;
   report.pool = std::move(pool);
-  report.rows.reserve(units.size());
-  std::size_t index = 0;
-  for (const std::size_t side : spec.grid_sides) {
-    for (const std::string& workload : spec.workloads) {
-      for (const OptimizationMode mode : spec.modes) {
-        for (const std::string& fault : spec.faults) {
-          for (const ReliabilityProfile profile : spec.reliability) {
-            for (std::size_t replicate = 0; replicate < spec.seeds;
-                 ++replicate) {
-              SweepRow row;
-              row.index = index;
-              row.grid_side = side;
-              row.workload = workload;
-              row.mode = std::string(OptimizationModeName(mode));
-              row.fault = fault;
-              row.reliability = std::string(ReliabilityProfileName(profile));
-              row.replicate = replicate;
-              row.seed = units[index].config.seed;
-              row.run = std::move(results[index].run);
-              row.wall_ms = results[index].wall_ms;
-              report.rows.push_back(std::move(row));
-              ++index;
-            }
-          }
-        }
-      }
-    }
+  report.rows.reserve(cells.size());
+  for (std::size_t index = 0; index < cells.size(); ++index) {
+    const SweepCell& cell = cells[index];
+    SweepRow row;
+    row.index = index;
+    row.grid_side = cell.grid_side;
+    row.workload = cell.workload;
+    row.mode = std::string(OptimizationModeName(cell.mode));
+    row.fault = cell.fault;
+    row.reliability = std::string(ReliabilityProfileName(cell.reliability));
+    row.replicate = cell.replicate;
+    row.seed = units[index].config.seed;
+    row.run = std::move(results[index].run);
+    row.wall_ms = results[index].wall_ms;
+    report.rows.push_back(std::move(row));
   }
   return report;
 }

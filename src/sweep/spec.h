@@ -21,6 +21,18 @@
 
 namespace ttmqo {
 
+/// One cell of the sweep matrix: its coordinates on every axis and the run
+/// they configure.
+struct SweepCell {
+  std::size_t grid_side = 0;
+  std::string workload;
+  OptimizationMode mode = OptimizationMode::kTwoTier;
+  std::string fault;
+  ReliabilityProfile reliability = ReliabilityProfile::kOff;
+  std::size_t replicate = 0;
+  RunUnit unit;
+};
+
 /// The cartesian axes of one sweep.  Defaults reproduce a small
 /// scalability matrix.
 struct SweepSpec {
@@ -64,8 +76,8 @@ struct SweepSpec {
 
   /// Expands the axes (grid, then workload, then mode, then fault, then
   /// reliability, then replicate; the last axis varies fastest) into
-  /// independent run units.
-  std::vector<RunUnit> Expand() const;
+  /// independent cells, each carrying its coordinates.
+  std::vector<SweepCell> Expand() const;
 };
 
 /// One executed cell of the sweep matrix.

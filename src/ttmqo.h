@@ -23,10 +23,9 @@
 #include "core/bs/rewriter.h"          // Algorithm 1 & 2 (tier 1)
 #include "core/innet/innet_engine.h"   // tier-2 engine
 #include "core/ttmqo_engine.h"         // the user-facing facade
-#include "metrics/energy.h"            // radio energy model
 #include "metrics/run_summary.h"       // the paper's measurements
 #include "metrics/table.h"             // report formatting
-#include "metrics/trace.h"             // radio event tracing
+#include "metrics/trace.h"             // JSONL trace writer
 #include "net/network.h"               // the simulated radio network
 #include "net/topology.h"              // deployments
 #include "query/engine.h"              // engine interface

@@ -60,24 +60,33 @@ std::int64_t Flags::GetInt(const std::string& name,
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   it->second.second = true;
+  // The whole value must parse: stoll alone reads "5e5" as 5.
+  const std::string& v = it->second.first;
   try {
-    return std::stoll(it->second.first);
+    std::size_t used = 0;
+    const std::int64_t parsed = std::stoll(v, &used);
+    if (used == v.size()) return parsed;
   } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name + " expects an integer, got '" +
-                                it->second.first + "'");
+    // Reported below, like a partial parse.
   }
+  throw std::invalid_argument("flag --" + name + " expects an integer, got '" +
+                              v + "'");
 }
 
 double Flags::GetDouble(const std::string& name, double fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   it->second.second = true;
+  const std::string& v = it->second.first;
   try {
-    return std::stod(it->second.first);
+    std::size_t used = 0;
+    const double parsed = std::stod(v, &used);
+    if (used == v.size()) return parsed;
   } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name + " expects a number, got '" +
-                                it->second.first + "'");
+    // Reported below, like a partial parse.
   }
+  throw std::invalid_argument("flag --" + name + " expects a number, got '" +
+                              v + "'");
 }
 
 bool Flags::GetBool(const std::string& name, bool fallback) const {

@@ -28,10 +28,11 @@ class Flags {
   std::optional<std::string> GetOptional(const std::string& name) const;
 
   /// Returns the flag as int64 or `fallback` when absent; throws when the
-  /// value is present but not numeric.
+  /// value is present but is not an integer as a whole ("4x", "5e5").
   std::int64_t GetInt(const std::string& name, std::int64_t fallback) const;
 
-  /// Returns the flag as double or `fallback` when absent.
+  /// Returns the flag as double or `fallback` when absent; throws when the
+  /// value is present but is not a number as a whole ("0.02abc").
   double GetDouble(const std::string& name, double fallback) const;
 
   /// Returns the flag as bool ("true"/"false"/"1"/"0"); bare `--name` is true.

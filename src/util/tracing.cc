@@ -66,6 +66,13 @@ void WriteJsonValue(std::ostream& out, const TraceValue& value) {
           } else {
             out << "null";
           }
+        } else if constexpr (std::is_same_v<T, std::vector<std::int64_t>>) {
+          out << '[';
+          for (std::size_t i = 0; i < v.size(); ++i) {
+            if (i > 0) out << ',';
+            out << v[i];
+          }
+          out << ']';
         } else {
           out << v;
         }

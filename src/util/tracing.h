@@ -1,15 +1,18 @@
-// Structured decision tracing.
+// Structured tracing.
 //
 // A `TraceEvent` is a timestamped, named bag of typed fields; a `TraceSink`
-// consumes them.  The optimizer tiers emit events such as "tier1.insert"
-// (query merged / covered / run standalone, with the benefit estimate that
-// drove the choice) and "tier1.terminate" (the Algorithm 2 alpha decision),
-// and the runner brackets each run with "run.start"/"run.end".  Sinks live
-// above this layer — `JsonlTraceWriter` in metrics streams events as JSON
-// Lines next to the radio events it already records.
+// consumes them.  Every layer of a run emits through one sink, the run's
+// `Network`: the radio ("tx", "drop", "linkdrop", "sleep"/"wake",
+// "fail"/"down"/"recover"), the fault plan ("fault.*"), the tier-2 engine
+// ("tier2.*"), the TTMQO engine ("engine.*"), the tier-1 optimizer
+// ("tier1.insert", "tier1.terminate", ...) and the runner's
+// "run.start"/"run.end" brackets.  The network stamps each event with the
+// simulation time and forwards it to the sink installed on it —
+// `JsonlTraceWriter` in metrics writes one JSON line per event, so a
+// decision sits beside the radio events it caused.
 //
-// Tracing is opt-in: emitters hold a `TraceSink*` that defaults to null and
-// skip event construction entirely when no sink is installed.
+// Tracing is opt-in: emitters check for a sink before building an event,
+// so an untraced run builds none.
 #pragma once
 
 #include <cstdint>
@@ -23,12 +26,14 @@
 
 namespace ttmqo {
 
-/// One typed field value of a trace event.
-using TraceValue = std::variant<std::int64_t, double, bool, std::string>;
+/// One typed field value of a trace event (the integer list holds node
+/// ids, e.g. a transmission's destinations).
+using TraceValue = std::variant<std::int64_t, double, bool, std::string,
+                                std::vector<std::int64_t>>;
 
 /// A structured, timestamped event.
 struct TraceEvent {
-  /// Simulation time of the event (stamped by the emitter or an adapter).
+  /// Simulation time of the event (stamped by the network).
   SimTime time = 0;
   /// Dotted event kind, e.g. "tier1.insert".
   std::string kind;
@@ -38,9 +43,11 @@ struct TraceEvent {
   TraceEvent() = default;
   explicit TraceEvent(std::string k) : kind(std::move(k)) {}
 
-  /// Appends a field (chainable).
-  TraceEvent& With(std::string key, TraceValue value) {
-    fields.emplace_back(std::move(key), std::move(value));
+  /// Appends a field (chainable).  The value is built in place: moving a
+  /// list-holding `TraceValue` trips GCC 12's -Wmaybe-uninitialized.
+  template <typename V>
+  TraceEvent& With(std::string key, V&& value) {
+    fields.emplace_back(std::move(key), std::forward<V>(value));
     return *this;
   }
 };
@@ -75,7 +82,8 @@ void JsonEscape(std::string_view raw, std::string& out);
 /// Writes `raw` as a quoted, escaped JSON string.
 void WriteJsonString(std::ostream& out, std::string_view raw);
 
-/// Writes one `TraceValue` as a JSON scalar.
+/// Writes one `TraceValue` as a JSON scalar, or an integer list as an
+/// array.
 void WriteJsonValue(std::ostream& out, const TraceValue& value);
 
 /// Writes `event` as one JSON object: {"event":kind,"t":time,fields...}.

@@ -273,11 +273,11 @@ RunResult RunExperiment(const RunConfig& config,
   const std::unique_ptr<FieldModel> field =
       MakeFieldModel(config.field, config.seed);
 
-  // Observability hooks: extra observers, the per-epoch sampler, and
-  // decision tracing.  The registry is filled once, at run end.
-  for (NetworkObserver* observer : config.obs.observers) {
-    network.observers().Add(observer);
-  }
+  // Observability hooks: the trace sink and the per-epoch sampler.  The
+  // sink goes in before the engine is built, which wires its optimizer to
+  // the network only when the network is tracing.  The registry is filled
+  // once, at run end.
+  network.SetTraceSink(config.obs.trace);
   if (config.obs.sampler != nullptr) {
     config.obs.sampler->Start(network, config.obs.sample_period_ms);
   }
@@ -295,9 +295,8 @@ RunResult RunExperiment(const RunConfig& config,
     options.innet.arq.seed = config.seed ^ 0xa59aULL;
   }
   TtmqoEngine engine(network, *field, &run.results, options);
-  if (config.obs.trace != nullptr) {
-    engine.SetTraceSink(config.obs.trace);
-    config.obs.trace->Emit(
+  if (network.tracing()) {
+    network.Emit(
         TraceEvent("run.start")
             .With("mode", std::string(OptimizationModeName(config.mode)))
             .With("nodes", static_cast<std::int64_t>(topology.size()))
@@ -335,7 +334,7 @@ RunResult RunExperiment(const RunConfig& config,
   }
 
   // Fault injection (crashes, outages, link loss, partitions).
-  config.faults.ScheduleOn(network, config.obs.trace);
+  config.faults.ScheduleOn(network);
 
   // Periodic statistics sampler (time-weighted averages).  The recurring
   // tick lives on this stack frame and reschedules itself through the
@@ -405,11 +404,12 @@ RunResult RunExperiment(const RunConfig& config,
     ExportRunMetrics(*config.obs.registry, config.obs.labels, run, engine,
                      network);
   }
-  if (config.obs.trace != nullptr) {
-    TraceEvent end("run.end");
-    end.time = config.duration_ms;
-    config.obs.trace->Emit(
-        end.With("mode", std::string(OptimizationModeName(config.mode)))
+  if (network.tracing()) {
+    // RunUntil left the clock at the run's end, so this stamps
+    // `duration_ms`.
+    network.Emit(
+        TraceEvent("run.end")
+            .With("mode", std::string(OptimizationModeName(config.mode)))
             .With("avg_tx_fraction", run.summary.avg_transmission_fraction)
             .With("messages",
                   static_cast<std::int64_t>(run.summary.total_messages))

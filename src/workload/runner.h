@@ -11,7 +11,6 @@
 #include "metrics/epoch_sampler.h"
 #include "metrics/registry.h"
 #include "metrics/run_summary.h"
-#include "net/observer.h"
 #include "net/radio.h"
 #include "query/result.h"
 #include "util/tracing.h"
@@ -45,12 +44,12 @@ struct RunObservability {
   /// Extra labels for everything the run writes into `registry`
   /// (e.g. {{"mode","ttmqo"}} when several runs share one registry).
   MetricLabels labels;
-  /// When set, receives the engines' decision events ("tier1.*",
-  /// "tier2.*", "engine.*") plus "run.start"/"run.end" brackets.  To also
-  /// capture radio events, add the same `JsonlTraceWriter` to `observers`.
+  /// When set, the run's one trace sink: the network installs it and
+  /// forwards every event of the run to it — radio ("tx", "drop",
+  /// "linkdrop", "sleep"/"wake", "fail"/"down"/"recover"), fault
+  /// ("fault.*"), decision ("tier1.*", "tier2.*", "engine.*") and the
+  /// "run.start"/"run.end" brackets.
   TraceSink* trace = nullptr;
-  /// Additional network observers attached for the duration of the run.
-  std::vector<NetworkObserver*> observers;
   /// When set, `sampler->Start(network, sample_period_ms)` is called before
   /// the run, producing the per-epoch time series.  A sampler can serve
   /// only one run.

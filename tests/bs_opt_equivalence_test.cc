@@ -93,6 +93,9 @@ std::string RenderTerminations(const CollectingTraceSink& sink) {
               char buf[40];
               std::snprintf(buf, sizeof(buf), "%a", v);
               out += buf;
+            } else if constexpr (std::is_same_v<T,
+                                                std::vector<std::int64_t>>) {
+              for (const std::int64_t x : v) out += std::to_string(x) + ",";
             } else {
               out += std::to_string(v);
             }

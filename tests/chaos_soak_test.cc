@@ -71,7 +71,6 @@ TEST(ChaosDeterminismTest, SamePlanAndSeedReplayByteIdentically) {
     JsonlTraceWriter writer(trace_out);
     MetricsRegistry registry;
     config.obs.trace = &writer;
-    config.obs.observers.push_back(&writer);
     config.obs.registry = &registry;
     const RunResult run = RunExperiment(config, schedule);
     writer.Flush();

@@ -194,7 +194,8 @@ TEST(FaultPlanScheduleTest, EmitsTraceEventsAndMetrics) {
       .AddLinkLoss(1, 2, 0.5, 500, 1500)
       .AddPartition({5, 6}, 2000, 4000);
   plan.Validate(topology, 10000);
-  plan.ScheduleOn(network, &trace);
+  network.SetTraceSink(&trace);
+  plan.ScheduleOn(network);
   network.sim().RunUntil(10000);
 
   EXPECT_EQ(trace.CountKind("fault.crash"), 1u);
@@ -304,13 +305,14 @@ TEST(FaultAccountingTest, DropsAgreeAcrossLedgerRegistryAndSampler) {
 
   MetricsRegistry registry;
   EpochSampler sampler;
-  CountingObserver counts;
+  CollectingTraceSink trace;
   config.obs.registry = &registry;
   config.obs.sampler = &sampler;
-  config.obs.observers.push_back(&counts);
+  config.obs.trace = &trace;
   const RunResult run = RunExperiment(config, schedule);
+  const std::size_t drops = trace.CountKind("drop");
 
-  ASSERT_GT(counts.drops, 0u) << "channel not harsh enough to exhaust retries";
+  ASSERT_GT(drops, 0u) << "channel not harsh enough to exhaust retries";
 
   double registry_drops = 0.0;
   for (NodeId node = 0; node < 16; ++node) {
@@ -318,11 +320,11 @@ TEST(FaultAccountingTest, DropsAgreeAcrossLedgerRegistryAndSampler) {
         registry.GetCounter("net_drops_total", {{"node", std::to_string(node)}})
             .Value();
   }
-  EXPECT_DOUBLE_EQ(registry_drops, static_cast<double>(counts.drops));
+  EXPECT_DOUBLE_EQ(registry_drops, static_cast<double>(drops));
 
   std::uint64_t sampled_drops = 0;
   for (const EpochRow& row : sampler.rows()) sampled_drops += row.drops;
-  EXPECT_EQ(sampled_drops, counts.drops);
+  EXPECT_EQ(sampled_drops, drops);
 
   // Dropped messages were still charged as transmission attempts.
   EXPECT_GT(run.summary.retransmissions, 0u);
@@ -330,7 +332,7 @@ TEST(FaultAccountingTest, DropsAgreeAcrossLedgerRegistryAndSampler) {
 
 TEST(FaultAccountingTest, RegistryFaultCountersMatchPlanAndObserver) {
   // The registry's fault counters come from the ledger at run end; they
-  // must agree with the plan and with an observer that watched the run.
+  // must agree with the plan and with the radio events the run traced.
   const auto schedule = StaticSchedule(
       {ParseQuery(1, "SELECT light WHERE light > 300 EPOCH DURATION 4096")});
   RunConfig config;
@@ -344,9 +346,9 @@ TEST(FaultAccountingTest, RegistryFaultCountersMatchPlanAndObserver) {
       .SetDefaultLinkLoss(0.1);
 
   MetricsRegistry registry;
-  CountingObserver counts;
+  CollectingTraceSink trace;
   config.obs.registry = &registry;
-  config.obs.observers.push_back(&counts);
+  config.obs.trace = &trace;
   RunExperiment(config, schedule);
 
   // Every planned outage ends inside the run, so each one recovers.
@@ -355,9 +357,9 @@ TEST(FaultAccountingTest, RegistryFaultCountersMatchPlanAndObserver) {
   EXPECT_EQ(registry.GetCounter("net_node_failures_total").Value(), crashes);
   EXPECT_EQ(registry.GetCounter("net_node_down_total").Value(), outages);
   EXPECT_EQ(registry.GetCounter("net_node_recovered_total").Value(), outages);
-  EXPECT_EQ(static_cast<double>(counts.failures), crashes);
-  EXPECT_EQ(static_cast<double>(counts.downs), outages);
-  EXPECT_EQ(static_cast<double>(counts.recoveries), outages);
+  EXPECT_EQ(static_cast<double>(trace.CountKind("fail")), crashes);
+  EXPECT_EQ(static_cast<double>(trace.CountKind("down")), outages);
+  EXPECT_EQ(static_cast<double>(trace.CountKind("recover")), outages);
 
   double link_drops = 0.0;
   for (NodeId node = 0; node < 16; ++node) {
@@ -366,8 +368,8 @@ TEST(FaultAccountingTest, RegistryFaultCountersMatchPlanAndObserver) {
                                   {{"node", std::to_string(node)}})
                       .Value();
   }
-  ASSERT_GT(counts.link_drops, 0u) << "10% link loss dropped nothing";
-  EXPECT_EQ(link_drops, static_cast<double>(counts.link_drops));
+  ASSERT_GT(trace.CountKind("linkdrop"), 0u) << "10% link loss dropped nothing";
+  EXPECT_EQ(link_drops, static_cast<double>(trace.CountKind("linkdrop")));
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Golden-run regression suite: seven pinned scenarios whose canonical
-// fingerprints (see sweep/fingerprint.h) are stored under tests/golden/.
+// fingerprints (see sweep/fingerprint.h) are stored under tests/golden/,
+// plus the JSONL trace of one of them.
 // Any change to simulated behavior — row counts, message totals,
 // transmission time, delivery completeness — fails here with a diffable
 // before/after, so refactors that were supposed to be behavior-preserving
@@ -13,15 +14,19 @@
 // every changed line is a behavior change you are signing off on.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "core/innet/innet_engine.h"
 #include "fault/fault_plan.h"
 #include "metrics/run_summary.h"
+#include "metrics/trace.h"
 #include "query/parser.h"
 #include "sensing/field_model.h"
 #include "sweep/fingerprint.h"
@@ -59,6 +64,43 @@ void CheckGolden(const std::string& name, const std::string& fingerprint) {
       << "behavior drifted from " << path
       << "; if intentional, refresh with TTMQO_UPDATE_GOLDEN=1 and review "
          "the diff";
+}
+
+// The shape of a JSONL trace: its line count, the lines of each event
+// kind, and the FNV-1a 64 hash of its bytes, so a byte-level drift fails
+// with a diff that names the kinds whose counts moved.
+std::string TraceFingerprint(std::string_view jsonl) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : jsonl) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  constexpr std::string_view kPrefix = "{\"event\":\"";
+  std::map<std::string, std::size_t> kinds;
+  std::size_t lines = 0;
+  std::size_t begin = 0;
+  while (begin < jsonl.size()) {
+    std::size_t end = jsonl.find('\n', begin);
+    if (end == std::string_view::npos) end = jsonl.size();
+    const std::string_view line = jsonl.substr(begin, end - begin);
+    ++lines;
+    if (line.starts_with(kPrefix)) {
+      const std::string_view rest = line.substr(kPrefix.size());
+      ++kinds[std::string(rest.substr(0, rest.find('"')))];
+    } else {
+      ++kinds["(malformed)"];
+    }
+    begin = end + 1;
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx",
+                static_cast<unsigned long long>(hash));
+  std::string out = "lines=" + std::to_string(lines) + "\n";
+  for (const auto& [kind, count] : kinds) {
+    out += "kind " + kind + " " + std::to_string(count) + "\n";
+  }
+  out += "fnv1a64=" + std::string(hex) + "\n";
+  return out;
 }
 
 // The Figure 2 field: a fixed far-corner cluster holds elevated light
@@ -174,7 +216,7 @@ TEST(GoldenRegressionTest, BaselineSixBySix) {
 // on every link, random transient outages and a contended channel.  Pins
 // acks, retries and gap repair, which the reliability=off scenarios never
 // run.
-TEST(GoldenRegressionTest, ArqLossySixBySix) {
+RunConfig ArqLossyConfig() {
   RunConfig config;
   config.grid_side = 6;
   config.mode = OptimizationMode::kTwoTier;
@@ -187,10 +229,31 @@ TEST(GoldenRegressionTest, ArqLossySixBySix) {
   params.link_loss = 0.10;
   config.faults = FaultPlan::RandomTransient(params, 6 * 6, config.duration_ms,
                                              config.seed);
-  const RunResult run = RunExperiment(config, StaticSchedule(WorkloadC()));
+  return config;
+}
+
+TEST(GoldenRegressionTest, ArqLossySixBySix) {
+  const RunResult run =
+      RunExperiment(ArqLossyConfig(), StaticSchedule(WorkloadC()));
   EXPECT_GT(run.summary.control_messages, 0u);
   EXPECT_FALSE(run.summary.coverage.empty());
   CheckGolden("arq_lossy_6x6.txt", FingerprintRun(run));
+}
+
+// The same run's JSONL trace: radio, fault, tier-1/tier-2 decision and
+// run events, pinned by line counts per kind and a hash of the bytes.  The
+// trace is the one artifact that puts each decision beside the radio
+// events it caused, so a change to its interleaving, field order or number
+// formatting fails here.
+TEST(GoldenRegressionTest, ArqLossySixBySixTrace) {
+  std::ostringstream jsonl;
+  {
+    JsonlTraceWriter writer(jsonl);
+    RunConfig config = ArqLossyConfig();
+    config.obs.trace = &writer;
+    RunExperiment(config, StaticSchedule(WorkloadC()));
+  }
+  CheckGolden("trace_arq_lossy_6x6.txt", TraceFingerprint(jsonl.str()));
 }
 
 // Scenario 7: tier 2 at scale — WORKLOAD_C on a 16x16 grid over a

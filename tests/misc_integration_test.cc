@@ -1,9 +1,13 @@
 // Cross-cutting integration cases that do not fit a single module:
 // node-id query rewriting, unsatisfiable predicates, maintenance traffic
-// under sleep/failures, and propagation-size accounting.
+// under sleep/failures, propagation-size accounting, and the busiest
+// sensor's transmission time.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/bs/rewriter.h"
+#include "core/ttmqo_engine.h"
 #include "query/parser.h"
 #include "test_helpers.h"
 #include "workload/runner.h"
@@ -108,6 +112,39 @@ TEST(WithLifetimeTest, ValidationAndPreservation) {
   EXPECT_EQ(limited.lifetime(), 8192);
   // WithId keeps the lifetime.
   EXPECT_EQ(limited.WithId(9).lifetime(), 8192);
+}
+
+TEST(EnergyIntegrationTest, TtmqoLowersTheLifetimeBottleneck) {
+  // The sensor that transmits most drains its battery first (transmission
+  // time is the paper's energy metric); TTMQO lowers its bill too.
+  const std::vector<Query> queries = {
+      ParseQuery(1, "SELECT light EPOCH DURATION 4096"),
+      ParseQuery(2, "SELECT light EPOCH DURATION 4096"),
+      ParseQuery(3, "SELECT light, temp EPOCH DURATION 8192"),
+      ParseQuery(4, "SELECT MAX(light) EPOCH DURATION 4096"),
+  };
+  const Topology topology = Topology::Grid(4);
+  const auto field = MakeFieldModel(FieldKind::kCorrelated, 6);
+  double busiest_ms[2] = {0.0, 0.0};
+  int i = 0;
+  for (OptimizationMode mode :
+       {OptimizationMode::kTwoTier, OptimizationMode::kBaseline}) {
+    Network network(topology, RadioParams{}, ChannelParams{}, 6);
+    ResultLog log;
+    TtmqoOptions options;
+    options.mode = mode;
+    TtmqoEngine engine(network, *field, &log, options);
+    for (const Query& q : queries) engine.SubmitQuery(q);
+    network.sim().RunUntil(20 * 8192);
+    for (NodeId node = 1; node < topology.size(); ++node) {
+      const double transmit_ms =
+          network.ledger().StatsOf(node).TotalTransmitMs();
+      busiest_ms[i] = std::max(busiest_ms[i], transmit_ms);
+    }
+    ++i;
+  }
+  EXPECT_GT(busiest_ms[1], 0.0);
+  EXPECT_LT(busiest_ms[0], busiest_ms[1]);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Tests for the observability layer: metrics registry, epoch sampler,
-// observer fan-out, decision tracing, and the JSONL trace round-trip.
+// the network's trace sink, decision tracing, and the JSONL trace
+// round-trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -117,7 +118,9 @@ TEST(TracingTest, TraceEventSerializesAllValueTypes) {
   event.With("i", std::int64_t{7})
       .With("d", 0.5)
       .With("b", true)
-      .With("s", std::string("x\"y"));
+      .With("s", std::string("x\"y"))
+      .With("l", std::vector<std::int64_t>{3, 0})
+      .With("e", std::vector<std::int64_t>{});
   std::ostringstream out;
   WriteTraceEventJson(out, event);
   const std::string json = out.str();
@@ -125,6 +128,7 @@ TEST(TracingTest, TraceEventSerializesAllValueTypes) {
   EXPECT_NE(json.find("\"event\":\"test.kind\""), std::string::npos);
   EXPECT_NE(json.find("\"t\":42"), std::string::npos);
   EXPECT_NE(json.find("\"s\":\"x\\\"y\""), std::string::npos);
+  EXPECT_NE(json.find("\"l\":[3,0],\"e\":[]}"), std::string::npos);
 }
 
 TEST(TracingTest, NonFiniteDoublesBecomeNull) {
@@ -136,19 +140,16 @@ TEST(TracingTest, NonFiniteDoublesBecomeNull) {
   EXPECT_TRUE(IsValidJson(out.str()));
 }
 
-// ------------------------------------------------------- observer mux --
+// --------------------------------------------------- network trace sink --
 
-TEST(ObserverMuxTest, FansOutToAllObservers) {
+TEST(NetworkTraceSinkTest, RadioEventsMatchTheLedgerUntilTheSinkIsRemoved) {
   const Topology topology = Topology::Grid(3);
   ChannelParams channel;
   channel.collision_prob = 0.99;  // concurrent sends almost surely collide
   Network network(topology, RadioParams{}, channel, 11);
-
-  CountingObserver first, second;
-  network.observers().Add(&first);
-  network.observers().Add(&second);
-  network.observers().Add(&first);  // duplicate: ignored
-  EXPECT_EQ(network.observers().size(), 2u);
+  CollectingTraceSink sink;
+  network.SetTraceSink(&sink);
+  EXPECT_TRUE(network.tracing());
 
   for (NodeId sender : topology.AllNodes()) {
     Message msg;
@@ -160,17 +161,25 @@ TEST(ObserverMuxTest, FansOutToAllObservers) {
   network.FailNode(8);
   network.sim().RunUntil(60'000);
 
-  EXPECT_GT(first.transmissions, 0u);
-  EXPECT_GT(first.drops, 0u);  // certain collision exhausts the retries
-  EXPECT_EQ(first.failures, 1u);
-  // Both observers saw the identical stream.
-  EXPECT_EQ(first.transmissions, second.transmissions);
-  EXPECT_EQ(first.drops, second.drops);
-  EXPECT_EQ(first.failures, second.failures);
+  // Every attempt, first or retried, is one "tx" line.
+  EXPECT_EQ(sink.CountKind("tx"), network.ledger().TotalMessages() +
+                                      network.ledger().TotalRetransmissions());
+  EXPECT_GT(sink.CountKind("drop"), 0u);  // certain collision exhausts retries
+  EXPECT_EQ(sink.CountKind("fail"), 1u);
 
-  EXPECT_TRUE(network.observers().Remove(&second));
-  EXPECT_FALSE(network.observers().Remove(&second));
-  EXPECT_EQ(network.observers().size(), 1u);
+  // Without a sink the network emits nothing, radio or forwarded.
+  network.SetTraceSink(nullptr);
+  EXPECT_FALSE(network.tracing());
+  const std::size_t before = sink.events().size();
+  Message msg;
+  msg.mode = AddressMode::kBroadcast;
+  msg.sender = 1;
+  msg.payload_bytes = 16;
+  network.Send(std::move(msg));
+  network.FailNode(7);
+  network.Emit(TraceEvent("test.forwarded"));
+  network.sim().RunUntil(120'000);
+  EXPECT_EQ(sink.events().size(), before);
 }
 
 // ------------------------------------------------------ epoch sampler --
@@ -282,6 +291,29 @@ TEST(DecisionTraceTest, Tier1InsertAndTerminateEmitStructuredEvents) {
 
 // --------------------------------------------- end-to-end round trip --
 
+TEST(ObservabilityIntegrationTest, OneTraceSinkCarriesEveryLayer) {
+  // `obs.trace` alone receives radio, fault, decision and run events.
+  std::ostringstream trace_stream;
+  JsonlTraceWriter writer(trace_stream);
+  RunConfig config;
+  config.grid_side = 4;
+  config.duration_ms = 6 * 4096;
+  config.seed = 3;
+  config.mode = OptimizationMode::kTwoTier;
+  config.faults.AddOutage(5, 4096, 3 * 4096);
+  config.obs.trace = &writer;
+  RunExperiment(config, StaticSchedule(WorkloadC()));
+
+  const std::string text = trace_stream.str();
+  for (const char* kind :
+       {"tx", "down", "fault.down", "tier1.insert", "tier2.epoch_close",
+        "engine.user_submit", "run.start", "run.end"}) {
+    EXPECT_NE(text.find("{\"event\":\"" + std::string(kind) + "\""),
+              std::string::npos)
+        << "no " << kind << " line";
+  }
+}
+
 TEST(ObservabilityIntegrationTest, RunExperimentProducesMetricsAndTrace) {
   std::ostringstream trace_stream;
   JsonlTraceWriter writer(trace_stream);
@@ -297,7 +329,6 @@ TEST(ObservabilityIntegrationTest, RunExperimentProducesMetricsAndTrace) {
   config.obs.registry = &registry;
   config.obs.labels = {{"mode", "ttmqo"}};
   config.obs.trace = &writer;
-  config.obs.observers.push_back(&writer);
   config.obs.sampler = &sampler;
   config.obs.sample_period_ms = 4096;
 

@@ -1,8 +1,10 @@
-// Tests for the trace observer, the counting observer, and the base
-// station's answer log.
+// Tests for the JSONL trace writer, the network's radio trace events, and
+// the base station's answer log.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <variant>
 
 #include "core/innet/innet_engine.h"
 #include "metrics/trace.h"
@@ -11,12 +13,24 @@
 namespace ttmqo {
 namespace {
 
+// The "tx" events flagged as retransmissions.
+std::size_t CountRetransmissions(const CollectingTraceSink& sink) {
+  return static_cast<std::size_t>(std::count_if(
+      sink.events().begin(), sink.events().end(), [](const TraceEvent& e) {
+        if (e.kind != "tx") return false;
+        for (const auto& [key, value] : e.fields) {
+          if (key == "retx") return std::get<bool>(value);
+        }
+        return false;
+      }));
+}
+
 TEST(TraceTest, JsonlWriterRecordsTransmissionsAndLifecycle) {
   const Topology topology = Topology::Grid(3);
   Network network(topology, RadioParams{}, ChannelParams{}, 1);
   std::ostringstream trace;
   JsonlTraceWriter writer(trace);
-  network.observers().Add(&writer);
+  network.SetTraceSink(&writer);
 
   Message msg;
   msg.mode = AddressMode::kUnicast;
@@ -41,19 +55,22 @@ TEST(TraceTest, JsonlWriterRecordsTransmissionsAndLifecycle) {
             writer.events());
 }
 
-TEST(TraceTest, CountingObserverSeesEngineTraffic) {
+TEST(TraceTest, NetworkSinkSeesEngineTraffic) {
   const Topology topology = Topology::Grid(4);
   Network network(topology, RadioParams{}, ChannelParams{}, 1);
-  CountingObserver counter;
-  network.observers().Add(&counter);
+  CollectingTraceSink sink;
+  network.SetTraceSink(&sink);
   UniformFieldModel field(2);
   ResultLog log;
   InNetworkEngine engine(network, field, &log);
   engine.SubmitQuery(ParseQuery(1, "SELECT light EPOCH DURATION 4096"));
   network.sim().RunUntil(4 * 4096);
-  EXPECT_EQ(counter.transmissions, network.ledger().TotalMessages() +
-                                       network.ledger().TotalRetransmissions());
-  EXPECT_EQ(counter.retransmissions, 0u);
+  EXPECT_EQ(sink.CountKind("tx"), network.ledger().TotalMessages() +
+                                      network.ledger().TotalRetransmissions());
+  EXPECT_EQ(CountRetransmissions(sink), 0u);
+  // The engine's decisions share the stream with its radio events.
+  EXPECT_EQ(sink.CountKind("tier2.submit"), 1u);
+  EXPECT_GT(sink.CountKind("tier2.epoch_close"), 0u);
 }
 
 TEST(TraceTest, RetransmissionsAreFlagged) {
@@ -61,8 +78,8 @@ TEST(TraceTest, RetransmissionsAreFlagged) {
   ChannelParams channel;
   channel.collision_prob = 0.5;
   Network network(topology, RadioParams{}, channel, 7);
-  CountingObserver counter;
-  network.observers().Add(&counter);
+  CollectingTraceSink sink;
+  network.SetTraceSink(&sink);
   for (NodeId n = 0; n < topology.size(); ++n) {
     Message msg;
     msg.mode = AddressMode::kBroadcast;
@@ -71,8 +88,8 @@ TEST(TraceTest, RetransmissionsAreFlagged) {
     network.Send(std::move(msg));
   }
   network.sim().RunUntil(20'000);
-  EXPECT_GT(counter.retransmissions, 0u);
-  EXPECT_EQ(counter.retransmissions,
+  EXPECT_GT(CountRetransmissions(sink), 0u);
+  EXPECT_EQ(CountRetransmissions(sink),
             network.ledger().TotalRetransmissions());
 }
 

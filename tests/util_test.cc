@@ -192,6 +192,24 @@ TEST(FlagsTest, FallbacksAndErrors) {
   EXPECT_THROW(flags.GetBool("x", false), std::invalid_argument);
 }
 
+TEST(FlagsTest, TrailingGarbageIsRejected) {
+  const char* argv[] = {"prog", "--side=4x", "--collisions=0.02abc",
+                        "--duration-ms=5e5", "--ok=12", "--rate=0.5"};
+  const Flags flags = Flags::Parse(6, argv);
+  EXPECT_THROW(flags.GetInt("side", 0), std::invalid_argument);
+  EXPECT_THROW(flags.GetDouble("collisions", 0.0), std::invalid_argument);
+  // An integer flag does not take scientific notation.
+  try {
+    (void)flags.GetInt("duration-ms", 0);
+    ADD_FAILURE() << "5e5 parsed as an integer";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "flag --duration-ms expects an integer, got '5e5'");
+  }
+  EXPECT_EQ(flags.GetInt("ok", 0), 12);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("rate", 0.0), 0.5);
+}
+
 TEST(FlagsTest, UnreadFlagsDetected) {
   const char* argv[] = {"prog", "--used=1", "--typo=2"};
   const Flags flags = Flags::Parse(3, argv);

@@ -80,6 +80,13 @@ class FixtureTest(unittest.TestCase):
         # One throw-in-body, one noexcept(false) declaration.
         self.assertEqual(len(dtor), 2)
 
+    def test_orphan_header_rule_fires(self):
+        # Only orphan.h: its own .cc, a test and the umbrella include it.
+        # used.h has a bench includer; the umbrella src/ttmqo.h is exempt.
+        code, found = self.lint_fixture("src/util", "src/ttmqo.h")
+        self.assertEqual(code, 1)
+        self.assertEqual(found, [("src/util/orphan.h", 1, "orphan-header")])
+
     def test_clean_fixture_is_clean(self):
         code, found = self.lint_fixture("src/core/clean.cc")
         self.assertEqual(code, 0)
@@ -111,13 +118,14 @@ class FixtureTest(unittest.TestCase):
             "unordered-container": 2,
             "raw-alloc": 5,
             "throwing-dtor": 2,
+            "orphan-header": 1,
         })
 
     def test_list_rules(self):
         code, stdout, _ = run_lint("--list-rules")
         self.assertEqual(code, 0)
         for rule in ("wall-clock", "unordered-container", "raw-alloc",
-                     "throwing-dtor"):
+                     "throwing-dtor", "orphan-header"):
             self.assertIn(rule, stdout)
 
 
