@@ -1,14 +1,14 @@
-// Google-benchmark microbenchmarks for the tier-1 optimizer: cost model
-// evaluation, benefit-rate computation, and Algorithm 1/2 throughput as the
-// synthetic query list grows.
+// The tier-1 optimizer's scaling curve: Algorithm 1/2 throughput as the
+// synthetic query list grows, written as the BENCH_bsopt.json artifact.
 //
-//   micro_bs_opt                         # the gbench microbenchmarks
 //   micro_bs_opt --curve-out=PATH        # insert/terminate curve artifact
 //       [--max-queries=1000000]          # largest indexed curve point
 //       [--naive-max-queries=10000]      # largest naive (oracle) curve point
 //       [--naive-budget-ms=120000]       # per-point naive safety budget
 //
-// Curve mode inserts 10^2..10^6 user queries into a fresh optimizer, once
+// Without --curve-out it prints this usage and exits.
+//
+// The curve inserts 10^2..10^6 user queries into a fresh optimizer, once
 // with the synthetic-query index (Options::use_index, the default) and once
 // with the seed's naive scan, over two workload profiles: "mixed"
 // (coverage-heavy: acquisition merges quickly form wide synthetics that
@@ -23,8 +23,6 @@
 // on every decision count; the binary exits non-zero on divergence.  The
 // JSON artifact (BENCH_bsopt.json) carries BuildInfo provenance; ci.sh
 // regenerates it and diffs the counts.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -52,105 +50,6 @@ QueryModelParams BenchModelParams() {
   params.randomize_selectivity = true;
   return params;
 }
-
-void BM_CostModelEvaluate(benchmark::State& state) {
-  const Topology topology = Topology::Grid(8);
-  const SelectivityEstimator estimator;
-  const CostModel cost(topology, RadioParams{}, estimator);
-  RandomQueryModel model(BenchModelParams(), 1);
-  std::vector<Query> queries;
-  for (QueryId i = 1; i <= 64; ++i) queries.push_back(model.Next(i));
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cost.Cost(queries[i++ % queries.size()]));
-  }
-}
-BENCHMARK(BM_CostModelEvaluate);
-
-void BM_BenefitRate(benchmark::State& state) {
-  const Topology topology = Topology::Grid(8);
-  const SelectivityEstimator estimator;
-  const CostModel cost(topology, RadioParams{}, estimator);
-  BaseStationOptimizer optimizer(cost);
-  RandomQueryModel model(BenchModelParams(), 2);
-  for (QueryId i = 1; i <= 8; ++i) {
-    (void)optimizer.InsertUserQuery(model.Next(i));
-  }
-  const Query probe = model.Next(1000);
-  const SyntheticQuery* sq = optimizer.Synthetics().front();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(optimizer.BenefitRate(probe, *sq));
-  }
-}
-BENCHMARK(BM_BenefitRate);
-
-// Insert `range(0)` user queries into a fresh optimizer; reports the cost
-// of Algorithm 1 as the workload grows.  `range(1)` selects the candidate
-// search: 1 = indexed (default), 0 = the naive oracle scan.
-void BM_InsertQueries(benchmark::State& state) {
-  const Topology topology = Topology::Grid(8);
-  const SelectivityEstimator estimator;
-  const CostModel cost(topology, RadioParams{}, estimator);
-  const auto count = static_cast<std::size_t>(state.range(0));
-  BaseStationOptimizer::Options options;
-  options.use_index = state.range(1) != 0;
-  RandomQueryModel model(BenchModelParams(), 3);
-  std::vector<Query> queries;
-  for (QueryId i = 1; i <= count; ++i) queries.push_back(model.Next(i));
-  for (auto _ : state) {
-    BaseStationOptimizer optimizer(cost, options);
-    for (const Query& q : queries) {
-      benchmark::DoNotOptimize(optimizer.InsertUserQuery(q));
-    }
-    state.counters["synthetics"] =
-        static_cast<double>(optimizer.NumSynthetic());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(count));
-}
-BENCHMARK(BM_InsertQueries)
-    ->Args({8, 1})
-    ->Args({32, 1})
-    ->Args({128, 1})
-    ->Args({512, 1})
-    ->Args({512, 0});
-
-// Full churn: insert then terminate every query (Algorithm 1 + 2).
-void BM_InsertTerminateChurn(benchmark::State& state) {
-  const Topology topology = Topology::Grid(8);
-  const SelectivityEstimator estimator;
-  const CostModel cost(topology, RadioParams{}, estimator);
-  const auto count = static_cast<std::size_t>(state.range(0));
-  RandomQueryModel model(BenchModelParams(), 4);
-  std::vector<Query> queries;
-  for (QueryId i = 1; i <= count; ++i) queries.push_back(model.Next(i));
-  for (auto _ : state) {
-    BaseStationOptimizer optimizer(cost);
-    for (const Query& q : queries) {
-      benchmark::DoNotOptimize(optimizer.InsertUserQuery(q));
-    }
-    for (const Query& q : queries) {
-      benchmark::DoNotOptimize(optimizer.TerminateUserQuery(q.id()));
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(2 * count));
-}
-BENCHMARK(BM_InsertTerminateChurn)->Arg(8)->Arg(64)->Arg(256);
-
-void BM_IntegrateQueries(benchmark::State& state) {
-  RandomQueryModel model(BenchModelParams(), 5);
-  const Query a = model.Next(1);
-  Query b = model.Next(2);
-  while (!IsRewritable(a, b)) b = model.Next(2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Integrate(100, a, b));
-  }
-}
-BENCHMARK(BM_IntegrateQueries);
-
-// ---------------------------------------------------------------------------
-// Curve mode (--curve-out): the BENCH_bsopt.json artifact.
 
 using Clock = std::chrono::steady_clock;
 
@@ -204,7 +103,7 @@ CurveRun RunChurn(const CostModel& cost, const QueryModelParams& params,
     for (std::size_t i = 0; i < n; ++i) chunk.push_back(model.Next(next_id++));
     const auto start = Clock::now();
     for (const Query& q : chunk) {
-      benchmark::DoNotOptimize(optimizer.InsertUserQuery(q));
+      (void)optimizer.InsertUserQuery(q);
     }
     run.seconds += SecondsSince(start);
     run.inserted += n;
@@ -226,7 +125,7 @@ CurveRun RunChurn(const CostModel& cost, const QueryModelParams& params,
     const std::size_t end = std::min(count, run.terminated + kChunk);
     const auto start = Clock::now();
     for (std::size_t i = run.terminated; i < end; ++i) {
-      benchmark::DoNotOptimize(optimizer.TerminateUserQuery(order[i]));
+      (void)optimizer.TerminateUserQuery(order[i]);
     }
     run.terminate_seconds += SecondsSince(start);
     run.terminated = end;
@@ -365,15 +264,9 @@ int RunCurve(const std::string& out_path, std::size_t max_queries,
 }  // namespace ttmqo
 
 int main(int argc, char** argv) {
-  // Curve mode bypasses google-benchmark entirely (its flag parser rejects
-  // ours and vice versa).
-  bool curve = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]).rfind("--curve-out", 0) == 0) curve = true;
-  }
-  if (curve) {
+  try {
     const ttmqo::Flags flags = ttmqo::Flags::Parse(argc, argv);
-    const std::string out = flags.GetString("curve-out", "BENCH_bsopt.json");
+    const auto out = flags.GetOptional("curve-out");
     const auto max_queries =
         static_cast<std::size_t>(flags.GetInt("max-queries", 1000000));
     const auto naive_max = static_cast<std::size_t>(
@@ -381,11 +274,17 @@ int main(int argc, char** argv) {
     const double naive_budget_ms =
         flags.GetDouble("naive-budget-ms", 120000.0);
     if (ttmqo::ReportUnreadFlags(flags)) return 2;
-    return ttmqo::RunCurve(out, max_queries, naive_max, naive_budget_ms);
+    if (!out.has_value()) {
+      std::printf(
+          "usage: micro_bs_opt --curve-out=PATH [--max-queries=N] "
+          "[--naive-max-queries=N] [--naive-budget-ms=MS]\n"
+          "Writes the tier-1 insert/terminate scaling curve "
+          "(BENCH_bsopt.json).\n");
+      return 0;
+    }
+    return ttmqo::RunCurve(*out, max_queries, naive_max, naive_budget_ms);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "micro_bs_opt: %s\n", e.what());
+    return 1;
   }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
 }

@@ -2,9 +2,7 @@
 //
 //   A. micro  — ns/call of TTMQO_SPAN and TTMQO_SPAN_SAMPLED against an
 //               identical function without a span, with spans enabled and
-//               runtime-disabled.  In the `obs_overhead_nospans` variant of
-//               this binary (compiled with TTMQO_DISABLE_SPANS) the macros
-//               expand to nothing, so the span arms must match the baseline.
+//               runtime-disabled.
 //   B. hotpath — the broadcast steady state from bench/hotpath part C, run
 //               in alternating equal sim-time windows with spans enabled and
 //               runtime-disabled (best-of --reps per arm, interleaved to
@@ -54,12 +52,6 @@ double ElapsedMs(Clock::time_point since) {
   return std::chrono::duration<double, std::milli>(Clock::now() - since)
       .count();
 }
-
-#ifdef TTMQO_DISABLE_SPANS
-constexpr bool kSpansCompiledOut = true;
-#else
-constexpr bool kSpansCompiledOut = false;
-#endif
 
 // ---------------------------------------------------------------------------
 // Part A: per-call span cost.  The three work functions differ only in their
@@ -235,8 +227,6 @@ int Main(int argc, char** argv) {
   char buf[512];
   out << "{\n";
   out << "  \"bench\": \"obs_overhead\",\n";
-  out << "  \"spans_compiled_out\": "
-      << (kSpansCompiledOut ? "true" : "false") << ",\n";
   out << "  \"build\": ";
   obs::WriteBuildInfoJson(out);
   out << ",\n";

@@ -7,8 +7,8 @@
 #   build          -DENABLE_WERROR=ON                     unit/integration/soak tiers
 #   build-asan     ENABLE_SANITIZERS + ENABLE_WERROR      tiers, chaos soak, sweep determinism
 #   build-release  CMAKE_BUILD_TYPE=Release               bench artifact diffs, perfbench
-#                                                         fidelity + full-size oracle, perf
-#                                                         smoke (report-only), obs gate
+#                                                         fidelity + full-size oracle,
+#                                                         obs gate
 #   build-tsan     ENABLE_TSAN + ENABLE_WERROR            sweep pool + fig4 (BLOCKING)
 #
 # Static-analysis policy: ttmqo_lint and TSan are blocking; clang-tidy is
@@ -266,13 +266,12 @@ run_step "sweep-determinism (asan)" blocking sweep_determinism
 
 # ---------------------------------------------------------------------------
 # Matrix leg 3: Release — the committed bench artifacts' count diffs and the
-# perfbench fidelity test (blocking), perf smoke (report-only; wall-clock
-# numbers depend on host load) and the observability-overhead gate
+# perfbench fidelity test (blocking) and the observability-overhead gate
 # (blocking at 3%).
 
 run_step "build-release" blocking \
   configure_and_build build-release -DCMAKE_BUILD_TYPE=Release \
-  -- hotpath obs_overhead obs_overhead_nospans micro_bs_opt scalability
+  -- hotpath obs_overhead micro_bs_opt scalability
 
 # The committed optimizer-scaling artifact must match what the code
 # produces: regenerate the insert-throughput curve and compare the decision
@@ -290,14 +289,6 @@ bsopt_bench() {
       "${ARTIFACTS}/BENCH_bsopt.fresh.json"
 }
 run_step "bsopt-bench (release)" blocking bsopt_bench
-
-perf_smoke() {
-  ./build-release/bench/hotpath \
-    --spec="grids=4,6 workloads=C modes=baseline,ttmqo seeds=1 duration-ms=49152 collisions=0.02" \
-    --dense-ms=5000 --probe-ms=5000 \
-    --out=/tmp/ttmqo_hotpath_ci.json
-}
-run_step "perf-smoke (release)" report perf_smoke
 
 # The committed hotpath artifact must match what the code produces: the
 # event counts of every part — sweep, dense contention, allocation probe —
@@ -359,18 +350,11 @@ obs_overhead_gate() {
 }
 run_step "obs-overhead (release)" blocking obs_overhead_gate
 
-obs_nospans() {
-  ./build-release/bench/obs_overhead_nospans \
-    --window-ms=5000 --reps=2 --span-iters=500000 \
-    --out=/tmp/ttmqo_obs_nospans_ci.json
-}
-run_step "obs-nospans (release)" report obs_nospans
-
 # ---------------------------------------------------------------------------
-# Matrix leg 4: ThreadSanitizer — BLOCKING.  The parallel sweep pool, the
-# shared atomic CostModel counters and the metrics registry the sweep
-# workers export into are the cross-thread surfaces; their drivers run
-# under TSan and any reported race fails CI.  A canary compile
+# Matrix leg 4: ThreadSanitizer — BLOCKING.  The parallel sweep pool, fig4's
+# parallel replay tasks (each with a private CostModel) and the metrics
+# registry the sweep workers export into are the cross-thread surfaces;
+# their drivers run under TSan and any reported race fails CI.  A canary compile
 # distinguishes "toolchain cannot TSan" (SKIP) from "the code races"
 # (FAIL), so the gate can never silently rot into report-only.
 

@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
 
   const Topology topology = Topology::Grid(side);
   Network network(topology, RadioParams{}, ChannelParams{}, 1);
-  const CorrelatedFieldModel field(11, {});
+  const CorrelatedFieldModel field(11);
   ConsoleSink sink;
   TtmqoOptions options;
   options.mode = mode;

@@ -40,7 +40,7 @@ int main() {
 
   // 3. A synthetic environment with spatially/temporally correlated light
   //    and temperature readings.
-  const CorrelatedFieldModel field(/*seed=*/7, {});
+  const CorrelatedFieldModel field(/*seed=*/7);
 
   // 4. The engine: both optimization tiers enabled.
   PrintingSink sink;

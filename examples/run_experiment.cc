@@ -43,7 +43,9 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <optional>
 
 #include "fault/fault_plan.h"
 #include "metrics/epoch_sampler.h"
@@ -74,42 +76,41 @@ std::ofstream OpenOutput(const std::string& path) {
   return out;
 }
 
+/// A node id from a fault flag: a whole integer that fits `NodeId`, or
+/// nullopt (65537 must not wrap onto node 1).
+std::optional<NodeId> ParseNodeId(const std::string& text) {
+  const auto id = ParseWholeInt(text);
+  if (!id || *id < 0 || *id > std::numeric_limits<NodeId>::max()) {
+    return std::nullopt;
+  }
+  return static_cast<NodeId>(*id);
+}
+
 /// Parses "<node>@<ms>" (for --fail) into its two numbers.
 std::pair<NodeId, SimTime> ParseNodeAt(const std::string& spec,
                                        const char* flag) {
   const auto at = spec.find('@');
-  if (at == std::string::npos) {
-    throw std::invalid_argument(std::string("--") + flag +
-                                " expects <node>@<ms>, got '" + spec + "'");
+  if (at != std::string::npos) {
+    const auto node = ParseNodeId(spec.substr(0, at));
+    const auto time = ParseWholeInt(spec.substr(at + 1));
+    if (node && time) return {*node, *time};
   }
-  try {
-    return {static_cast<NodeId>(std::stoul(spec.substr(0, at))),
-            static_cast<SimTime>(std::stoll(spec.substr(at + 1)))};
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string("--") + flag +
-                                " expects <node>@<ms>, got '" + spec + "'");
-  }
+  throw std::invalid_argument(std::string("--") + flag +
+                              " expects <node>@<ms>, got '" + spec + "'");
 }
 
 /// Parses "<node>@<t0>-<t1>" (for --down).
 OutageEvent ParseOutage(const std::string& spec) {
   const auto at = spec.find('@');
   const auto dash = spec.find('-', at == std::string::npos ? 0 : at);
-  if (at == std::string::npos || dash == std::string::npos) {
-    throw std::invalid_argument("--down expects <node>@<t0>-<t1>, got '" +
-                                spec + "'");
+  if (at != std::string::npos && dash != std::string::npos) {
+    const auto node = ParseNodeId(spec.substr(0, at));
+    const auto from = ParseWholeInt(spec.substr(at + 1, dash - at - 1));
+    const auto until = ParseWholeInt(spec.substr(dash + 1));
+    if (node && from && until) return OutageEvent{*node, *from, *until};
   }
-  try {
-    OutageEvent outage;
-    outage.node = static_cast<NodeId>(std::stoul(spec.substr(0, at)));
-    outage.from = static_cast<SimTime>(
-        std::stoll(spec.substr(at + 1, dash - at - 1)));
-    outage.until = static_cast<SimTime>(std::stoll(spec.substr(dash + 1)));
-    return outage;
-  } catch (const std::invalid_argument&) {
-    throw std::invalid_argument("--down expects <node>@<t0>-<t1>, got '" +
-                                spec + "'");
-  }
+  throw std::invalid_argument("--down expects <node>@<t0>-<t1>, got '" +
+                              spec + "'");
 }
 
 }  // namespace

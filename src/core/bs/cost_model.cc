@@ -47,7 +47,7 @@ double CostModel::MessageLengthBytes(const Query& query) const {
 }
 
 double CostModel::Cost(const Query& query) const {
-  cost_evaluations_.fetch_add(1, std::memory_order_relaxed);
+  ++cost_evaluations_;
   // MessageLengthBytes already includes the radio header, so the per-byte
   // term uses the raw length without re-adding it.
   const double per_message =
@@ -61,7 +61,7 @@ std::uint64_t CostModel::StatsVersion() const {
 
 double CostModel::Benefit(const Query& q1, const Query& q2,
                           const Query& integrated) const {
-  benefit_evaluations_.fetch_add(1, std::memory_order_relaxed);
+  ++benefit_evaluations_;
   return Cost(q1) + Cost(q2) - Cost(integrated);
 }
 

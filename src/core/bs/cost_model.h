@@ -13,7 +13,6 @@
 // only relative values matter for rewriting decisions.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 #include "net/radio.h"
@@ -55,14 +54,10 @@ class CostModel {
 
   /// Number of Eq. 3 evaluations since construction (observability: the
   /// rewriter's work is proportional to these).
-  std::uint64_t cost_evaluations() const {
-    return cost_evaluations_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t cost_evaluations() const { return cost_evaluations_; }
 
   /// Number of benefit evaluations (one per candidate merge considered).
-  std::uint64_t benefit_evaluations() const {
-    return benefit_evaluations_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t benefit_evaluations() const { return benefit_evaluations_; }
 
   /// Version of the statistics feeding Eq. 1; any cached Cost/Benefit value
   /// is stale once this moves (see SelectivityEstimator::Version).
@@ -73,11 +68,10 @@ class CostModel {
   RadioParams radio_;
   const SelectivityEstimator* selectivity_;
   double num_sensors_;  // |N| excluding the base station
-  // Atomic so a model shared across replay tasks (bench/fig4_adaptive runs
-  // them under ParallelFor) counts race-free; relaxed is enough for
-  // monotonic counters.
-  mutable std::atomic<std::uint64_t> cost_evaluations_{0};
-  mutable std::atomic<std::uint64_t> benefit_evaluations_{0};
+  // Plain counters: a model is never shared across threads (fig4's
+  // parallel replay tasks each build their own).
+  mutable std::uint64_t cost_evaluations_ = 0;
+  mutable std::uint64_t benefit_evaluations_ = 0;
 };
 
 }  // namespace ttmqo

@@ -93,7 +93,7 @@ BaseStationOptimizer::BaseStationOptimizer(const CostModel& cost,
                                            Options options)
     : cost_(&cost),
       options_(options),
-      next_synthetic_id_(options.first_synthetic_id),
+      next_synthetic_id_(kFirstSyntheticId),
       stats_version_(cost.StatsVersion()) {
   CheckArg(options.alpha >= 0.0, "BaseStationOptimizer: alpha must be >= 0");
 }
@@ -432,7 +432,7 @@ void BaseStationOptimizer::InsertBundle(Query net_query,
     // Lines 15-16 (and 1-2): no beneficial rewrite — run the bundle as its
     // own synthetic query.
     const QueryId sid =
-        net_query.id() >= options_.first_synthetic_id
+        net_query.id() >= kFirstSyntheticId
             ? net_query.id()
             : NextSyntheticId();
     ++decisions_.standalone;
@@ -457,7 +457,7 @@ void BaseStationOptimizer::InsertBundle(Query net_query,
 BaseStationOptimizer::Actions BaseStationOptimizer::InsertUserQuery(
     const Query& query) {
   TTMQO_SPAN("tier1.insert");
-  CheckArg(query.id() < options_.first_synthetic_id,
+  CheckArg(query.id() < kFirstSyntheticId,
            "InsertUserQuery: user id collides with the synthetic id space");
   CheckArg(!user_to_synthetic_.contains(query.id()),
            "InsertUserQuery: duplicate user query id");

@@ -82,11 +82,12 @@ struct SyntheticQuery {
 /// The tier-1 optimizer.
 class BaseStationOptimizer {
  public:
+  /// Synthetic query ids are allocated from here; user ids must be below.
+  static constexpr QueryId kFirstSyntheticId = 1u << 20;
+
   struct Options {
     /// Algorithm 2's aggressiveness knob; the paper finds 0.6 best.
     double alpha = 0.6;
-    /// Synthetic query ids are allocated from here; user ids must be below.
-    QueryId first_synthetic_id = 1u << 20;
     /// Candidate search strategy: indexed + memoized + pruned (default) or
     /// the original naive scan (the differential-test oracle).  Decisions
     /// are identical either way; only the work done to find them differs.
@@ -108,7 +109,7 @@ class BaseStationOptimizer {
   BaseStationOptimizer(const CostModel& cost, Options options);
 
   /// Algorithm 1.  The query id must be unused and below
-  /// `first_synthetic_id`.
+  /// `kFirstSyntheticId`.
   Actions InsertUserQuery(const Query& query);
 
   /// Algorithm 2.

@@ -131,13 +131,6 @@ InNetworkEngine::InNetworkEngine(Network& network, const FieldModel& field,
   }
 }
 
-SimDuration InNetworkEngine::SlotOffset(NodeId node) const {
-  return static_cast<SimDuration>(network_.topology().MaxDepth() -
-                                  levels_.LevelOf(node)) *
-             kAggSlotMs +
-         SourceJitter(node);
-}
-
 // -----------------------------------------------------------------------
 // Submission / termination (base station API)
 // -----------------------------------------------------------------------
@@ -203,8 +196,7 @@ void InNetworkEngine::TerminateQuery(QueryId id) {
   CheckArg(it != bs_queries_.end() && !it->second.terminated,
            "InNetworkEngine: terminating unknown or finished query");
   it->second.terminated = true;
-  it->second.rows.clear();
-  it->second.partials.clear();
+  it->second.answers.Clear();
   it->second.no_data.clear();
   it->second.last_contributed.clear();
   it->second.agg_counts.clear();
@@ -257,21 +249,26 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
     state.prop_round[id] = prop->round;
     if (self == kBaseStationId) return;
     if (network_.IsAsleep(self)) network_.SetAsleep(self, false);
+    // SRT: value-based predicates cannot exclude a node in advance;
+    // constraints on the constant attributes (nodeid, position) can, both
+    // for the node itself and for its subtree.
+    const PredicateSet& predicates = prop->query.predicates();
     bool has_data = false;
-    if (first_time && ShouldInstall(self, prop->query)) {
+    if (first_time && NodeMayMatch(self, network_.topology().PositionOf(self),
+                                   predicates)) {
       InstallQuery(self, prop->query);
       // Evaluate the piggybacked "I have data" bit from the current field.
       const Reading sample = field_.SampleReading(
           self, network_.topology().PositionOf(self),
           prop->query.AcquiredAttributes(), network_.sim().Now());
-      has_data = prop->query.predicates().Matches(sample);
+      has_data = predicates.Matches(sample);
     } else if (!first_time && state.active.contains(id)) {
       const Reading sample = field_.SampleReading(
           self, network_.topology().PositionOf(self),
           prop->query.AcquiredAttributes(), network_.sim().Now());
-      has_data = prop->query.predicates().Matches(sample);
+      has_data = predicates.Matches(sample);
     }
-    if (!ShouldForwardPropagation(self, prop->query)) return;
+    if (!srt_.ShouldForward(tree_, self, predicates)) return;
     state.relayed_propagation.insert(id);
     const Query query = prop->query;
     const int round = prop->round;
@@ -424,20 +421,6 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
 // Query install / remove and the shared tick
 // -----------------------------------------------------------------------
 
-bool InNetworkEngine::ShouldInstall(NodeId self, const Query& query) const {
-  if (!options_.use_semantic_routing) return true;
-  // Value-based predicates cannot exclude a node in advance; constraints
-  // on the constant attributes (nodeid, position) can.
-  return NodeMayMatch(self, network_.topology().PositionOf(self),
-                      query.predicates());
-}
-
-bool InNetworkEngine::ShouldForwardPropagation(NodeId self,
-                                               const Query& query) const {
-  if (!options_.use_semantic_routing) return true;
-  return srt_.ShouldForward(tree_, self, query.predicates());
-}
-
 void InNetworkEngine::InstallQuery(NodeId self, const Query& query) {
   nodes_[self].active.emplace(query.id(), query);
   ScheduleTick(self);
@@ -525,7 +508,7 @@ void InNetworkEngine::OnTick(NodeId self, SimTime t) {
     // children's rows and partials arrive before parents transmit and ride
     // along in the parents' packed messages.
     if (InsertSorted(state.slot_scheduled, t)) {
-      network_.sim().ScheduleAt(t + SlotOffset(self),
+      network_.sim().ScheduleAt(t + SlotOffset(network_.topology(), self),
                                 [this, self, t]() { OnSlot(self, t); });
     }
 
@@ -577,7 +560,7 @@ void InNetworkEngine::OnTick(NodeId self, SimTime t) {
   // Decide about sleeping once this tick's forwarding duties are over.
   if (options_.enable_sleep) {
     const SimDuration idle_check =
-        SlotOffset(self) + kAggSlotMs + kSourceJitterMs;
+        SlotOffset(network_.topology(), self) + kAggSlotMs + kSourceJitterMs;
     network_.sim().ScheduleAt(t + idle_check,
                               [this, self, t]() { MaybeSleep(self, t); });
   }
@@ -930,8 +913,7 @@ void InNetworkEngine::RepairCheck(QueryId id, SimTime epoch_time) {
   const auto it = bs_queries_.find(id);
   if (it == bs_queries_.end() || it->second.terminated || !arq_) return;
   const BsQueryState& state = it->second;
-  if (epoch_time <= state.closed_through) return;
-  const auto rows_it = state.rows.find(epoch_time);
+  if (state.answers.IsClosed(epoch_time)) return;
   const auto nd_it = state.no_data.find(epoch_time);
   // Missing = recent contributors that are silent this epoch.  The learned
   // expectation keeps the NACK fan-out proportional to actual losses; a
@@ -943,9 +925,7 @@ void InNetworkEngine::RepairCheck(QueryId id, SimTime epoch_time) {
   for (const auto& [node, last] : state.last_contributed) {
     if (last < horizon) continue;
     if (network_.IsFailed(node)) continue;
-    if (rows_it != state.rows.end() && rows_it->second.contains(node)) {
-      continue;
-    }
+    if (state.answers.HasRow(epoch_time, node)) continue;
     if (nd_it != state.no_data.end() && nd_it->second.contains(node)) {
       continue;
     }
@@ -1073,15 +1053,14 @@ void InNetworkEngine::HandleRepairReply(NodeId self, const Message& msg,
   auto it = bs_queries_.find(reply.query);
   if (it == bs_queries_.end() || it->second.terminated) return;
   BsQueryState& state = it->second;
-  if (reply.epoch_time <= state.closed_through) {
+  if (state.answers.IsClosed(reply.epoch_time)) {
     ++late_drops_;
     return;
   }
   ++repair_replies_;
   if (reply.has_row) {
-    if (!state.rows[reply.epoch_time]
-             .try_emplace(reply.node, reply.row)
-             .second) {
+    if (state.answers.AddRow(reply.epoch_time, reply.row) ==
+        EpochBuffer::Arrival::kDuplicate) {
       ++duplicates_suppressed_;
     }
     SimTime& last = state.last_contributed[reply.node];
@@ -1173,19 +1152,18 @@ void InNetworkEngine::BsAccept(const Message& msg) {
         }
         auto bs_it = bs_queries_.find(q);
         if (bs_it == bs_queries_.end() || bs_it->second.terminated) continue;
-        // Epochs at or before the watermark are closed: the answer left
-        // the station already, so the row is dropped instead of leaking
-        // into the per-epoch map forever.
-        if (row->epoch_time <= bs_it->second.closed_through) {
-          ++late_drops_;
-          continue;
-        }
         // At most one row per (query, epoch, source): duplicate deliveries
-        // (e.g. a relay re-sending after an ambiguous loss) are dropped.
-        if (!bs_it->second.rows[row->epoch_time]
-                 .try_emplace(entry.row.node(), entry.row)
-                 .second) {
-          ++duplicates_suppressed_;
+        // (e.g. a relay re-sending after an ambiguous loss) are dropped, and
+        // so is a row whose epoch's answer already left the station.
+        switch (bs_it->second.answers.AddRow(row->epoch_time, entry.row)) {
+          case EpochBuffer::Arrival::kLate:
+            ++late_drops_;
+            continue;
+          case EpochBuffer::Arrival::kDuplicate:
+            ++duplicates_suppressed_;
+            break;
+          case EpochBuffer::Arrival::kStored:
+            break;
         }
         if (arq_) {
           SimTime& last =
@@ -1202,18 +1180,13 @@ void InNetworkEngine::BsAccept(const Message& msg) {
     for (QueryId q : it->second) {
       auto bs_it = bs_queries_.find(q);
       if (bs_it == bs_queries_.end() || bs_it->second.terminated) continue;
-      if (agg->epoch_time <= bs_it->second.closed_through) {
+      if (bs_it->second.answers.IsClosed(agg->epoch_time)) {
         ++late_drops_;
         continue;
       }
       const auto part_it = agg->partials.find(q);
       if (part_it == agg->partials.end()) continue;
-      auto& buffer = bs_it->second.partials[agg->epoch_time];
-      if (buffer.empty()) {
-        buffer = part_it->second;
-      } else {
-        MergePartialVectors(buffer, part_it->second);
-      }
+      bs_it->second.answers.AddPartials(agg->epoch_time, part_it->second);
     }
   }
 }
@@ -1241,42 +1214,9 @@ void InNetworkEngine::CloseEpoch(QueryId id, SimTime epoch_time) {
   if (it == bs_queries_.end() || it->second.terminated) return;
   BsQueryState& state = it->second;
 
-  EpochResult result;
-  result.query = id;
-  result.epoch_time = epoch_time;
-  result.kind = state.query.kind();
-  int contributing = 0;
-  if (state.query.kind() == QueryKind::kAcquisition) {
-    auto rows_it = state.rows.find(epoch_time);
-    if (rows_it != state.rows.end()) {
-      // Shared rows carry the union projection; narrow to this query's
-      // attribute list so the answer matches the baseline's exactly.  The
-      // per-epoch map is keyed by source node, so rows come out already
-      // deduplicated and in node order.
-      for (const auto& [node, row] : rows_it->second) {
-        Reading projected(row.node(), row.time());
-        for (Attribute attr : state.query.attributes()) {
-          projected.Set(attr, row.GetOrThrow(attr));
-        }
-        result.rows.push_back(std::move(projected));
-      }
-    }
-    contributing = static_cast<int>(result.rows.size());
-  } else {
-    std::vector<PartialAggregate> merged;
-    auto agg_it = state.partials.find(epoch_time);
-    if (agg_it != state.partials.end()) merged = std::move(agg_it->second);
-    if (!merged.empty()) contributing = static_cast<int>(merged.front().count());
-    for (std::size_t i = 0; i < state.query.aggregates().size(); ++i) {
-      const AggregateSpec& spec = state.query.aggregates()[i];
-      if (i < merged.size()) {
-        result.aggregates.emplace_back(spec, merged[i].Finalize());
-      } else {
-        result.aggregates.emplace_back(spec,
-                                       PartialAggregate(spec).Finalize());
-      }
-    }
-  }
+  // Count contributors before the close finalizes the partials.
+  const int contributing = state.answers.Contributors(epoch_time);
+  EpochResult result = state.answers.Close(state.query, epoch_time);
   if (arq_) {
     // Coverage: how much of the *learned* expected contributor set is
     // accounted for — by data or by a repair-affirmed "no data".  The
@@ -1323,13 +1263,8 @@ void InNetworkEngine::CloseEpoch(QueryId id, SimTime epoch_time) {
                              state.agg_counts.lower_bound(horizon));
     }
   }
-  // Advance the watermark and drop everything at or before it: closed
-  // epochs can never reach the user again, so the per-epoch ledgers stay
-  // bounded even when stragglers keep trickling in.
-  state.closed_through = std::max(state.closed_through, epoch_time);
-  state.rows.erase(state.rows.begin(), state.rows.upper_bound(epoch_time));
-  state.partials.erase(state.partials.begin(),
-                       state.partials.upper_bound(epoch_time));
+  // Closed epochs can never reach the user again: drop their "no data"
+  // affirmations with them, so the ledger stays bounded.
   state.no_data.erase(state.no_data.begin(),
                       state.no_data.upper_bound(epoch_time));
   if (network_.tracing()) {

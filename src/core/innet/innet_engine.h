@@ -40,6 +40,7 @@
 #include "routing/routing_tree.h"
 #include "routing/semantic_tree.h"
 #include "sensing/field_model.h"
+#include "tinydb/epoch_buffer.h"
 #include "tinydb/payloads.h"
 
 namespace ttmqo {
@@ -56,9 +57,6 @@ struct InNetOptions {
   bool shared_messages = true;
   /// Idle nodes sleep between ticks.
   bool enable_sleep = true;
-  /// Semantic Routing Tree pruning for node-id-based queries (as in the
-  /// baseline; Section 3.2.2).
-  bool use_semantic_routing = true;
   /// Per-hop ARQ transport (acks, retransmits, quarantine) plus the
   /// base-station epoch ledger with NACK-driven gap repair and coverage
   /// annotation, liveness-driven parent failover and dissemination
@@ -95,8 +93,8 @@ class InNetworkEngine final : public QueryEngine {
     return duplicates_suppressed_;
   }
 
-  /// Deliveries for already-closed epochs dropped at the base station by
-  /// the `closed_through` watermark (keeps the epoch ledger bounded).
+  /// Rows, partials and repair replies for already-closed epochs dropped
+  /// at the base station (the `EpochBuffer` stores nothing after a close).
   std::uint64_t late_drops() const { return late_drops_; }
 
   /// Gap-repair requests the base station issued (arq profile only).
@@ -161,10 +159,8 @@ class InNetworkEngine final : public QueryEngine {
     explicit BsQueryState(Query q) : query(std::move(q)) {}
     Query query;
     bool terminated = false;
-    /// Rows per epoch keyed by source node — at most one row per source
-    /// (duplicate deliveries are dropped on arrival).
-    std::map<SimTime, std::map<NodeId, Reading>> rows;
-    std::map<SimTime, std::vector<PartialAggregate>> partials;
+    /// Arrivals per open epoch, closed into the user's answers.
+    EpochBuffer answers;
     /// Coverage ledger (arq profile only).  The expectation is *learned*:
     /// a node is expected to contribute to an epoch iff it contributed to
     /// one of the last few epochs (selective predicates make the install
@@ -177,16 +173,10 @@ class InNetworkEngine final : public QueryEngine {
     std::map<NodeId, SimTime> last_contributed;
     std::map<SimTime, std::int64_t> agg_counts;
     std::map<SimTime, std::set<NodeId>> no_data;
-    /// Watermark: epochs at or before this are closed; late deliveries for
-    /// them are dropped so the per-epoch maps stay bounded.
-    SimTime closed_through = std::numeric_limits<SimTime>::min();
   };
 
   // --- node-side -------------------------------------------------------
   void HandleMessage(NodeId self, const Message& msg, bool addressed);
-  /// SRT gates (mirror the baseline's).
-  bool ShouldInstall(NodeId self, const Query& query) const;
-  bool ShouldForwardPropagation(NodeId self, const Query& query) const;
   void InstallQuery(NodeId self, const Query& query);
   void RemoveQuery(NodeId self, QueryId id);
   void ScheduleTick(NodeId self);
@@ -223,7 +213,6 @@ class InNetworkEngine final : public QueryEngine {
   /// is optimistically re-tried when the blacklist expires.
   bool SuspectParent(NodeId self, NodeId candidate);
   void MaybeSleep(NodeId self, SimTime t);
-  SimDuration SlotOffset(NodeId node) const;
 
   // --- reliability (arq profile) ----------------------------------------
   /// Routes `msg` through the ARQ transport when one is attached (with the

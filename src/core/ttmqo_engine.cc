@@ -46,8 +46,7 @@ TtmqoEngine::TtmqoEngine(Network& network, const FieldModel& field,
     inner_ = std::make_unique<InNetworkEngine>(network, field, &network_sink_,
                                                options_.innet);
   } else {
-    inner_ = std::make_unique<TinyDbEngine>(network, field, &network_sink_,
-                                            options_.tinydb);
+    inner_ = std::make_unique<TinyDbEngine>(network, field, &network_sink_);
   }
 }
 

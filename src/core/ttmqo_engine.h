@@ -54,8 +54,7 @@ struct TtmqoOptions {
   /// memoization and pruning (default), or the naive full scan used as the
   /// differential-test oracle.  Decisions are identical either way.
   bool tier1_use_index = true;
-  /// Options of the underlying engines.
-  TinyDbOptions tinydb;
+  /// Options of the in-network engine (the baseline has none).
   InNetOptions innet;
 };
 

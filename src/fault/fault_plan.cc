@@ -85,6 +85,10 @@ void FaultPlan::Validate(const Topology& topology,
   std::vector<SimTime> crash_at(n, kNever);
   for (const CrashEvent& c : crashes_) {
     check_node(c.node, "a crash");
+    if (c.time < 0) {
+      Fail("crash of node " + std::to_string(c.node) + " at t=" +
+           std::to_string(c.time) + " lies before the run starts");
+    }
     if (c.time >= duration_ms) {
       Fail("crash of node " + std::to_string(c.node) + " at t=" +
            std::to_string(c.time) + " lies beyond the run duration " +
@@ -103,6 +107,11 @@ void FaultPlan::Validate(const Topology& topology,
   const auto check_window = [&](NodeId node, SimTime from, SimTime until,
                                 const char* what) {
     check_node(node, what);
+    if (from < 0) {
+      Fail(std::string(what) + " of node " + std::to_string(node) +
+           " starts at t=" + std::to_string(from) +
+           ", before the run starts");
+    }
     if (from >= until) {
       Fail(std::string(what) + " of node " + std::to_string(node) +
            " has an empty window [" + std::to_string(from) + ", " +
@@ -150,6 +159,11 @@ void FaultPlan::Validate(const Topology& topology,
     if (!topology.AreNeighbors(e.a, e.b)) {
       Fail("link event on " + std::to_string(e.a) + "-" +
            std::to_string(e.b) + ", which are not radio neighbors");
+    }
+    if (e.from < 0) {
+      Fail("link event on " + std::to_string(e.a) + "-" +
+           std::to_string(e.b) + " starts at t=" + std::to_string(e.from) +
+           ", before the run starts");
     }
     if (e.until != 0 && e.from >= e.until) {
       Fail("link event on " + std::to_string(e.a) + "-" +
@@ -294,19 +308,16 @@ FaultPlan FaultPlan::RandomTransient(const RandomFaultParams& params,
     std::swap(pool[i], pool[j]);
   }
 
+  constexpr SimDuration kMinOutageMs = RandomFaultParams::kMinOutageMs;
+  constexpr SimDuration kMaxOutageMs = RandomFaultParams::kMaxOutageMs;
   const SimTime last_start =
-      params.window_until > 0
-          ? params.window_until
-          : (duration_ms > params.max_outage_ms
-                 ? duration_ms - params.max_outage_ms
-                 : 1);
+      duration_ms > kMaxOutageMs ? duration_ms - kMaxOutageMs : 1;
   for (std::size_t i = 0; i < victims; ++i) {
-    const auto from = static_cast<SimTime>(rng.UniformInt(
-        static_cast<std::int64_t>(params.window_from),
-        static_cast<std::int64_t>(last_start > 0 ? last_start - 1 : 0)));
+    const auto from = static_cast<SimTime>(
+        rng.UniformInt(0, static_cast<std::int64_t>(last_start - 1)));
     const auto length = static_cast<SimDuration>(
-        rng.UniformInt(static_cast<std::int64_t>(params.min_outage_ms),
-                       static_cast<std::int64_t>(params.max_outage_ms)));
+        rng.UniformInt(static_cast<std::int64_t>(kMinOutageMs),
+                       static_cast<std::int64_t>(kMaxOutageMs)));
     const SimTime until = std::min<SimTime>(from + length, duration_ms);
     if (from >= until) continue;
     plan.AddOutage(pool[i], from, until);

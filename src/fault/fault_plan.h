@@ -61,16 +61,15 @@ struct PartitionEvent {
 
 /// Parameters for `FaultPlan::RandomTransient`.
 struct RandomFaultParams {
+  /// Outage duration bounds (ms).  Outages start within
+  /// [0, duration - kMaxOutageMs) of the run.
+  static constexpr SimDuration kMinOutageMs = 2 * kMinEpochDurationMs;
+  static constexpr SimDuration kMaxOutageMs = 8 * kMinEpochDurationMs;
+
   /// Upper bound on the number of outages drawn.
   std::size_t max_outages = 6;
   /// At most this fraction of non-base-station nodes is ever a victim.
   double max_down_fraction = 0.2;
-  /// Outage duration bounds (ms).
-  SimDuration min_outage_ms = 2 * kMinEpochDurationMs;
-  SimDuration max_outage_ms = 8 * kMinEpochDurationMs;
-  /// Outages start within [window_from, window_until) of the run.
-  SimTime window_from = 0;
-  SimTime window_until = 0;  ///< 0 = duration - max_outage_ms
   /// Uniform link loss applied to every link for the whole run.
   double link_loss = 0.0;
 };
@@ -108,9 +107,9 @@ class FaultPlan {
   /// Checks the plan against a deployment and run duration; throws
   /// `std::invalid_argument` with a clear message on the first problem:
   /// base-station faults, out-of-range nodes, duplicate crashes, outages on
-  /// crashed nodes or overlapping outages of one node, inverted or
-  /// out-of-run windows, loss probabilities outside [0, 1), link events on
-  /// non-neighbor pairs.
+  /// crashed nodes or overlapping outages of one node, negative times,
+  /// inverted or out-of-run windows, loss probabilities outside [0, 1), link
+  /// events on non-neighbor pairs.
   void Validate(const Topology& topology, SimDuration duration_ms) const;
 
   /// Schedules every event on `network`'s simulator (call once, before the

@@ -34,9 +34,6 @@ BuildInfo MakeBuildInfo() {
   if (gethostname(host, sizeof(host) - 1) == 0) info.hostname = host;
   if (info.hostname.empty()) info.hostname = "unknown";
   info.hardware_concurrency = std::thread::hardware_concurrency();
-#ifdef TTMQO_DISABLE_SPANS
-  info.spans_compiled_out = true;
-#endif
   return info;
 }
 
@@ -68,8 +65,9 @@ void WriteBuildInfoJson(std::ostream& out, int indent) {
   for (int i = 0; i < indent; ++i) out << ' ';
   out << "\"hardware_concurrency\": " << info.hardware_concurrency << ",\n";
   for (int i = 0; i < indent; ++i) out << ' ';
-  out << "\"spans_compiled_out\": "
-      << (info.spans_compiled_out ? "true" : "false") << '\n';
+  // Spans are always compiled in.  The key stays because
+  // perfbench/compare.py refuses to compare build blocks that differ in it.
+  out << "\"spans_compiled_out\": false\n";
   for (int i = 0; i < indent - 2; ++i) out << ' ';
   out << '}';
 }

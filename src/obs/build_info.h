@@ -16,7 +16,6 @@ struct BuildInfo {
   std::string flags;       ///< CMAKE_CXX_FLAGS + per-config flags
   std::string hostname;    ///< runtime hostname
   unsigned hardware_concurrency = 0;  ///< runtime std::thread value
-  bool spans_compiled_out = false;    ///< obs built with TTMQO_DISABLE_SPANS
 };
 
 /// The process's build info (host fields sampled once on first call).

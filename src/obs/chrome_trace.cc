@@ -78,28 +78,4 @@ void WriteChromeTraceFile(const std::string& path) {
   WriteChromeTrace(out, CollectSpans());
 }
 
-void WriteSpanSummary(std::ostream& out, const SpanSnapshot& snapshot) {
-  out << "span summary (descending wall time):\n";
-  if (snapshot.totals.empty()) {
-    out << "  (no spans recorded)\n";
-    return;
-  }
-  for (const SpanStat& stat : snapshot.totals) {
-    out << "  " << std::left << std::setw(28) << stat.name << std::right
-        << " count=" << std::setw(10) << stat.count
-        << " wall_ms=" << std::setw(10) << std::fixed << std::setprecision(3)
-        << static_cast<double>(stat.total_ns) / 1e6;
-    if (stat.count != stat.records) {
-      out << " est_wall_ms=" << std::setw(10)
-          << static_cast<double>(stat.estimated_total_ns) / 1e6;
-    }
-    if (stat.total_cpu_ns > 0) {
-      out << " cpu_ms=" << std::setw(10)
-          << static_cast<double>(stat.total_cpu_ns) / 1e6;
-    }
-    out << '\n';
-  }
-  out.unsetf(std::ios::fixed);
-}
-
 }  // namespace ttmqo::obs

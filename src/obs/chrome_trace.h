@@ -22,9 +22,4 @@ void WriteChromeTrace(std::ostream& out, const SpanSnapshot& snapshot);
 /// `std::invalid_argument` when the file cannot be opened.
 void WriteChromeTraceFile(const std::string& path);
 
-/// Writes a human-readable per-name aggregate table (descending wall time):
-/// count, records, wall, CPU where measured, and the sampling-scaled
-/// estimate.  For end-of-run summaries on stderr and bench reports.
-void WriteSpanSummary(std::ostream& out, const SpanSnapshot& snapshot);
-
 }  // namespace ttmqo::obs

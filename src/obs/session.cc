@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
-#include <iostream>
 #include <stdexcept>
 
 #include "obs/chrome_trace.h"
@@ -54,9 +53,6 @@ void ObsSession::Finish() {
     WriteChromeTraceFile(options_.trace_chrome_path);
     std::printf("wrote Chrome trace to %s (open in ui.perfetto.dev)\n",
                 options_.trace_chrome_path.c_str());
-  }
-  if (options_.print_summary) {
-    WriteSpanSummary(std::cerr, CollectSpans());
   }
   DisarmFlightRecorder();
 }

@@ -22,8 +22,6 @@ class ObsSession {
     /// Arm the flight recorder + postmortem dumps into this directory
     /// (empty: off).
     std::string postmortem_dir;
-    /// Print the span aggregate table to stderr on Finish.
-    bool print_summary = false;
   };
 
   /// Reads `--trace-chrome` and `--postmortem-dir`.
@@ -39,8 +37,8 @@ class ObsSession {
   ObsSession(const ObsSession&) = delete;
   ObsSession& operator=(const ObsSession&) = delete;
 
-  /// Writes the Chrome trace (when configured), prints the summary (when
-  /// configured), and disarms the flight recorder.  Safe to call twice.
+  /// Writes the Chrome trace (when configured) and disarms the flight
+  /// recorder.  Safe to call twice.
   void Finish();
 
  private:

@@ -18,9 +18,7 @@
 //     ...
 //   }
 //
-// Three layers of control:
-//   - `TTMQO_DISABLE_SPANS` (compile time): every macro expands to nothing;
-//     the instrumentation has exactly zero cost.
+// Two layers of control:
 //   - `SetSpansEnabled(false)` (runtime): spans collapse to one relaxed
 //     atomic load and a branch.  Spans are enabled by default ("always on").
 //   - `TTMQO_SPAN_SAMPLED(name, shift)`: times only 1 of every 2^shift
@@ -108,8 +106,7 @@ SpanSnapshot CollectSpans();
 /// every registered buffer).  The buffers themselves stay registered.
 void ResetSpans();
 
-/// RAII span.  Prefer the macros; they compile out under
-/// `TTMQO_DISABLE_SPANS`.
+/// RAII span.  Prefer the macros, which name the scope object for you.
 class SpanScope {
  public:
   explicit SpanScope(const char* name) {
@@ -166,8 +163,6 @@ class SampledSpanScope {
 #define TTMQO_OBS_CAT2(a, b) a##b
 #define TTMQO_OBS_CAT(a, b) TTMQO_OBS_CAT2(a, b)
 
-#ifndef TTMQO_DISABLE_SPANS
-
 /// Times the enclosing scope under `name` (a string literal).
 #define TTMQO_SPAN(name) \
   ::ttmqo::obs::SpanScope TTMQO_OBS_CAT(ttmqo_span_, __LINE__)(name)
@@ -184,11 +179,3 @@ class SampledSpanScope {
                                                   __LINE__) = 0;             \
   ::ttmqo::obs::SampledSpanScope TTMQO_OBS_CAT(ttmqo_span_, __LINE__)(       \
       name, shift, TTMQO_OBS_CAT(ttmqo_span_tick_, __LINE__))
-
-#else  // TTMQO_DISABLE_SPANS
-
-#define TTMQO_SPAN(name) ((void)0)
-#define TTMQO_PHASE_SPAN(name) ((void)0)
-#define TTMQO_SPAN_SAMPLED(name, shift) ((void)0)
-
-#endif  // TTMQO_DISABLE_SPANS

@@ -30,6 +30,16 @@ double UnitUniform(std::uint64_t h) {
   return static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);
 }
 
+// CorrelatedFieldModel's shape.  Amplitudes are fractions of each
+// attribute's range: the spatial gradient spans kSpatialAmplitude over
+// kFieldExtentFeet, the temporal oscillation kTemporalAmplitude with period
+// kTemporalPeriodMs (~17.5 minutes), and per-sample noise kNoiseAmplitude.
+constexpr double kSpatialAmplitude = 0.5;
+constexpr double kTemporalAmplitude = 0.2;
+constexpr SimDuration kTemporalPeriodMs = 1 << 20;
+constexpr double kNoiseAmplitude = 0.05;
+constexpr double kFieldExtentFeet = 200.0;
+
 double ClampToRange(double v, const Interval& range) {
   if (v < range.lo()) return range.lo();
   if (v > range.hi()) return range.hi();
@@ -56,14 +66,6 @@ double UniformFieldModel::Sample(NodeId node, const Position& pos,
   return range.lo() + u * range.Length();
 }
 
-CorrelatedFieldModel::CorrelatedFieldModel(std::uint64_t seed, Params params)
-    : seed_(seed), params_(params) {
-  CheckArg(params.temporal_period > 0,
-           "CorrelatedFieldModel: temporal_period must be positive");
-  CheckArg(params.field_extent_feet > 0,
-           "CorrelatedFieldModel: field_extent_feet must be positive");
-}
-
 double CorrelatedFieldModel::Sample(NodeId node, const Position& pos,
                                     Attribute attr, SimTime time) const {
   if (attr == Attribute::kNodeId) return static_cast<double>(node);
@@ -77,18 +79,17 @@ double CorrelatedFieldModel::Sample(NodeId node, const Position& pos,
   const std::uint64_t dir_hash = HashKey(seed_, 0, attr, -1);
   const double angle = UnitUniform(dir_hash) * 2.0 * std::numbers::pi;
   const double along =
-      (pos.x * std::cos(angle) + pos.y * std::sin(angle)) /
-      params_.field_extent_feet;
+      (pos.x * std::cos(angle) + pos.y * std::sin(angle)) / kFieldExtentFeet;
   const double spatial =
-      params_.spatial_amplitude * span * 0.5 * (1.0 + std::sin(along * 2.0));
+      kSpatialAmplitude * span * 0.5 * (1.0 + std::sin(along * 2.0));
 
   const double phase = 2.0 * std::numbers::pi * static_cast<double>(time) /
-                       static_cast<double>(params_.temporal_period);
-  const double temporal = params_.temporal_amplitude * span * 0.5 *
+                       static_cast<double>(kTemporalPeriodMs);
+  const double temporal = kTemporalAmplitude * span * 0.5 *
                           (1.0 + std::sin(phase + UnitUniform(dir_hash) * 6.0));
 
   const std::int64_t bucket = time / kMinEpochDurationMs;
-  const double noise = params_.noise_amplitude * span *
+  const double noise = kNoiseAmplitude * span *
                        (UnitUniform(HashKey(seed_, node, attr, bucket)) - 0.5);
 
   const double base = range.lo() +
@@ -97,7 +98,7 @@ double CorrelatedFieldModel::Sample(NodeId node, const Position& pos,
 }
 
 HotspotFieldModel::HotspotFieldModel(std::uint64_t seed, Params params)
-    : base_(seed, CorrelatedFieldModel::Params{}), params_(params) {
+    : base_(seed), params_(params) {
   CheckArg(params.hotspot_radius_feet > 0,
            "HotspotFieldModel: hotspot_radius_feet must be positive");
   CheckArg(params.orbit_period > 0,

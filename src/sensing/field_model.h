@@ -70,29 +70,16 @@ class UniformFieldModel final : public FieldModel {
 
 /// Spatially and temporally correlated field: a planar gradient whose
 /// direction drifts slowly with time, plus deterministic per-node noise.
+/// Its shape (amplitudes, period, extent) is fixed in field_model.cc.
 class CorrelatedFieldModel final : public FieldModel {
  public:
-  struct Params {
-    /// Fraction of the attribute range spanned by the spatial gradient.
-    double spatial_amplitude = 0.5;
-    /// Fraction of the attribute range spanned by the temporal oscillation.
-    double temporal_amplitude = 0.2;
-    /// Oscillation period of the temporal component.
-    SimDuration temporal_period = 1 << 20;  // ~17.5 minutes
-    /// Fraction of the attribute range occupied by per-sample noise.
-    double noise_amplitude = 0.05;
-    /// Spatial extent (feet) over which the gradient spans its amplitude.
-    double field_extent_feet = 200.0;
-  };
-
-  CorrelatedFieldModel(std::uint64_t seed, Params params);
+  explicit CorrelatedFieldModel(std::uint64_t seed) : seed_(seed) {}
 
   double Sample(NodeId node, const Position& pos, Attribute attr,
                 SimTime time) const override;
 
  private:
   std::uint64_t seed_;
-  Params params_;
 };
 
 /// A correlated field overlaid with a circular hotspot that orbits the

@@ -9,6 +9,7 @@
 #include "fault/fault_plan.h"
 #include "obs/build_info.h"
 #include "util/check.h"
+#include "util/flags.h"
 #include "util/rng.h"
 #include "util/tracing.h"
 #include "workload/static_workloads.h"
@@ -59,30 +60,6 @@ std::string_view ShortModeName(OptimizationMode mode) {
   return "";
 }
 
-std::int64_t ParseIntValue(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const std::int64_t parsed = std::stoll(value, &used);
-    if (used != value.size()) throw std::invalid_argument(value);
-    return parsed;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("sweep spec: " + key +
-                                " expects an integer, got '" + value + "'");
-  }
-}
-
-double ParseDoubleValue(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double parsed = std::stod(value, &used);
-    if (used != value.size()) throw std::invalid_argument(value);
-    return parsed;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("sweep spec: " + key +
-                                " expects a number, got '" + value + "'");
-  }
-}
-
 /// The workload of one (name, replicate) cell.  Static workloads ignore
 /// the seed; "random:<k>" draws k queries from the Section 4.3 model.
 std::vector<WorkloadEvent> MakeWorkload(const std::string& name,
@@ -91,7 +68,8 @@ std::vector<WorkloadEvent> MakeWorkload(const std::string& name,
     return StaticSchedule(WorkloadByName(name));
   }
   if (name.rfind("random:", 0) == 0) {
-    const std::int64_t count = ParseIntValue("workloads", name.substr(7));
+    const std::int64_t count =
+        IntOrThrow("sweep spec: workloads", name.substr(7));
     CheckArg(count > 0, "sweep spec: random workload needs a positive count");
     QueryModelParams params;
     params.predicate_selectivity = 1.0;
@@ -117,7 +95,8 @@ FaultPlan MakeFaultPlan(const std::string& scenario, std::size_t nodes,
   }
   if (scenario.rfind("loss:", 0) == 0) {
     FaultPlan plan;
-    plan.SetDefaultLinkLoss(ParseDoubleValue("faults", scenario.substr(5)));
+    plan.SetDefaultLinkLoss(
+        NumberOrThrow("sweep spec: faults", scenario.substr(5)));
     return plan;
   }
   throw std::invalid_argument("sweep spec: unknown fault scenario '" +
@@ -205,10 +184,11 @@ SweepSpec SweepSpec::Parse(const std::string& text) {
     if (values.empty()) {
       throw std::invalid_argument("sweep spec: " + key + " has no value");
     }
+    const std::string what = "sweep spec: " + key;
     if (key == "grids") {
       spec.grid_sides.clear();
       for (const std::string& v : values) {
-        const std::int64_t side = ParseIntValue(key, v);
+        const std::int64_t side = IntOrThrow(what, v);
         CheckArg(side >= 2, "sweep spec: grid side must be >= 2");
         spec.grid_sides.push_back(static_cast<std::size_t>(side));
       }
@@ -227,19 +207,19 @@ SweepSpec SweepSpec::Parse(const std::string& text) {
         spec.reliability.push_back(ParseReliabilityProfile(v));
       }
     } else if (key == "seeds") {
-      const std::int64_t seeds = ParseIntValue(key, value);
+      const std::int64_t seeds = IntOrThrow(what, value);
       CheckArg(seeds >= 1, "sweep spec: seeds must be >= 1");
       spec.seeds = static_cast<std::size_t>(seeds);
     } else if (key == "base-seed") {
-      spec.base_seed = static_cast<std::uint64_t>(ParseIntValue(key, value));
+      spec.base_seed = static_cast<std::uint64_t>(IntOrThrow(what, value));
     } else if (key == "duration-ms") {
-      const std::int64_t duration = ParseIntValue(key, value);
+      const std::int64_t duration = IntOrThrow(what, value);
       CheckArg(duration > 0, "sweep spec: duration-ms must be positive");
       spec.duration_ms = duration;
     } else if (key == "collisions") {
-      spec.collisions = ParseDoubleValue(key, value);
+      spec.collisions = NumberOrThrow(what, value);
     } else if (key == "alpha") {
-      spec.alpha = ParseDoubleValue(key, value);
+      spec.alpha = NumberOrThrow(what, value);
     } else {
       throw std::invalid_argument(
           "sweep spec: unknown key '" + key +

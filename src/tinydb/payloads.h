@@ -4,14 +4,16 @@
 // message types: query propagation/abort floods, raw result rows, and
 // partial-aggregate records.  The TTMQO tier adds shared (multi-query)
 // variants in core/innet.  Both engines also share the transmission
-// schedule defined here (depth-staggered slots plus a per-node jitter) and
-// the element-wise merge of partial aggregates.
+// schedule defined here (`SlotOffset`: depth-staggered slots plus a
+// per-node jitter), the element-wise merge of partial aggregates, and the
+// base station's answer buffer (epoch_buffer.h).
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "net/message.h"
+#include "net/topology.h"
 #include "query/aggregate.h"
 #include "query/query.h"
 #include "sensing/reading.h"
@@ -32,6 +34,16 @@ inline constexpr SimDuration kSourceJitterMs = 64;
 /// transmissions and flood forwards; it decorrelates neighboring senders.
 constexpr SimDuration SourceJitter(NodeId node) {
   return (static_cast<SimDuration>(node) * 37) % (kSourceJitterMs + 1);
+}
+
+/// Send slot of `node` within an epoch, as an offset from the epoch start:
+/// `(MaxDepth - level) * kAggSlotMs + SourceJitter(node)`.  Deeper nodes
+/// send first, so children's traffic arrives before their parent's slot.
+inline SimDuration SlotOffset(const Topology& topology, NodeId node) {
+  return static_cast<SimDuration>(topology.MaxDepth() -
+                                  topology.HopLevels()[node]) *
+             kAggSlotMs +
+         SourceJitter(node);
 }
 
 /// Payload bytes of an abort notice: query id only.

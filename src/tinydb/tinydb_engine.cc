@@ -29,11 +29,10 @@ void MergePartialVectors(std::vector<PartialAggregate>& into,
 }
 
 TinyDbEngine::TinyDbEngine(Network& network, const FieldModel& field,
-                           ResultSink* sink, TinyDbOptions options)
+                           ResultSink* sink)
     : network_(network),
       field_(field),
       sink_(sink),
-      options_(options),
       tree_(network.topology(), network.link_quality()),
       srt_(network.topology(), tree_),
       nodes_(network.topology().size()) {
@@ -76,8 +75,7 @@ void TinyDbEngine::TerminateQuery(QueryId id) {
   CheckArg(it != bs_queries_.end() && !it->second.terminated,
            "TinyDbEngine: terminating unknown or finished query");
   it->second.terminated = true;
-  it->second.rows.clear();
-  it->second.partials.clear();
+  it->second.answers.Clear();
   nodes_[kBaseStationId].seen_abort.insert(id);
 
   Message msg;
@@ -103,10 +101,15 @@ void TinyDbEngine::HandleMessage(NodeId self, const Message& msg,
     if (state.seen_propagation.contains(prop->query.id())) return;
     state.seen_propagation.insert(prop->query.id());
     if (self != kBaseStationId) {
-      if (ShouldInstall(self, prop->query)) {
+      // SRT: value-based predicates cannot exclude a node in advance;
+      // constraints on the constant attributes (nodeid, position) can, both
+      // for the node itself and for its subtree.
+      const PredicateSet& predicates = prop->query.predicates();
+      if (NodeMayMatch(self, network_.topology().PositionOf(self),
+                       predicates)) {
         InstallQuery(self, prop->query);
       }
-      if (ShouldForwardPropagation(self, prop->query)) {
+      if (srt_.ShouldForward(tree_, self, predicates)) {
         state.relayed_propagation.insert(prop->query.id());
         // Re-broadcast to continue the dissemination, staggered to limit
         // contention.
@@ -164,20 +167,6 @@ void TinyDbEngine::HandleMessage(NodeId self, const Message& msg,
     auto [it, inserted] = state.agg_buffer.try_emplace(key, agg->partials);
     if (!inserted) MergePartialVectors(it->second, agg->partials);
   }
-}
-
-bool TinyDbEngine::ShouldInstall(NodeId self, const Query& query) const {
-  if (!options_.use_semantic_routing) return true;
-  // Value-based predicates cannot exclude a node in advance; constraints
-  // on the constant attributes (nodeid, position) can.
-  return NodeMayMatch(self, network_.topology().PositionOf(self),
-                      query.predicates());
-}
-
-bool TinyDbEngine::ShouldForwardPropagation(NodeId self,
-                                            const Query& query) const {
-  if (!options_.use_semantic_routing) return true;
-  return srt_.ShouldForward(tree_, self, query.predicates());
 }
 
 void TinyDbEngine::InstallQuery(NodeId self, const Query& query) {
@@ -255,12 +244,8 @@ void TinyDbEngine::OnEpoch(NodeId self, QueryId id, SimTime epoch_time) {
       if (!inserted) MergePartialVectors(buf->second, own);
     }
     // Stagger the merge-and-send slot bottom-up: deeper nodes send first.
-    const SimDuration offset =
-        static_cast<SimDuration>(network_.topology().MaxDepth() -
-                                 tree_.DepthOf(self)) *
-            kAggSlotMs +
-        SourceJitter(self);
-    network_.sim().ScheduleAt(epoch_time + offset,
+    network_.sim().ScheduleAt(epoch_time + SlotOffset(network_.topology(),
+                                                      self),
                               [this, self, id, epoch_time]() {
                                 OnAggSlot(self, id, epoch_time);
                               });
@@ -329,18 +314,13 @@ void TinyDbEngine::BsAccept(const Message& msg) {
   if (const auto* row = PayloadAs<RowPayload>(msg.payload.get())) {
     auto it = bs_queries_.find(row->query);
     if (it == bs_queries_.end() || it->second.terminated) return;
-    it->second.rows[row->epoch_time].try_emplace(row->row.node(), row->row);
+    it->second.answers.AddRow(row->epoch_time, row->row);
     return;
   }
   if (const auto* agg = PayloadAs<AggPayload>(msg.payload.get())) {
     auto it = bs_queries_.find(agg->query);
     if (it == bs_queries_.end() || it->second.terminated) return;
-    auto& buffer = it->second.partials[agg->epoch_time];
-    if (buffer.empty()) {
-      buffer = agg->partials;
-    } else {
-      MergePartialVectors(buffer, agg->partials);
-    }
+    it->second.answers.AddPartials(agg->epoch_time, agg->partials);
   }
 }
 
@@ -357,39 +337,7 @@ void TinyDbEngine::CloseEpoch(QueryId id, SimTime epoch_time) {
   auto it = bs_queries_.find(id);
   if (it == bs_queries_.end() || it->second.terminated) return;
   BsQueryState& state = it->second;
-
-  EpochResult result;
-  result.query = id;
-  result.epoch_time = epoch_time;
-  result.kind = state.query.kind();
-  if (state.query.kind() == QueryKind::kAcquisition) {
-    auto rows_it = state.rows.find(epoch_time);
-    if (rows_it != state.rows.end()) {
-      // The per-epoch map is keyed by source node, so rows come out
-      // deduplicated and already in node order.
-      result.rows.reserve(rows_it->second.size());
-      for (auto& [node, row] : rows_it->second) {
-        result.rows.push_back(std::move(row));
-      }
-      state.rows.erase(rows_it);
-    }
-  } else {
-    std::vector<PartialAggregate> merged;
-    auto agg_it = state.partials.find(epoch_time);
-    if (agg_it != state.partials.end()) {
-      merged = std::move(agg_it->second);
-      state.partials.erase(agg_it);
-    }
-    for (std::size_t i = 0; i < state.query.aggregates().size(); ++i) {
-      const AggregateSpec& spec = state.query.aggregates()[i];
-      if (i < merged.size()) {
-        result.aggregates.emplace_back(spec, merged[i].Finalize());
-      } else {
-        result.aggregates.emplace_back(spec,
-                                       PartialAggregate(spec).Finalize());
-      }
-    }
-  }
+  const EpochResult result = state.answers.Close(state.query, epoch_time);
   if (sink_ != nullptr) sink_->OnResult(result);
   ScheduleEpochClose(id, epoch_time + state.query.epoch());
 }

@@ -5,7 +5,9 @@
 // network to run concurrently without multi-query optimization".
 // Behaviours modelled after TinyDB (Madden et al., TODS 2005):
 //
-//  * query dissemination by network-wide flood;
+//  * query dissemination by network-wide flood, pruned by the Semantic
+//    Routing Tree for node-id and region queries (TinyDB's SRT; Section
+//    3.2.2) — value-based queries flood everywhere;
 //  * a fixed routing tree whose parents are chosen by link quality,
 //    ignorant of the query space (Section 3.2.2);
 //  * per-query epoch scheduling — every query samples and transmits on its
@@ -34,17 +36,10 @@
 #include "routing/routing_tree.h"
 #include "routing/semantic_tree.h"
 #include "sensing/field_model.h"
+#include "tinydb/epoch_buffer.h"
 #include "tinydb/payloads.h"
 
 namespace ttmqo {
-
-/// Ablation switch of the baseline engine.
-struct TinyDbOptions {
-  /// Semantic Routing Tree: node-id-based queries descend only into
-  /// subtrees that can contain answer nodes (TinyDB's SRT; Section 3.2.2).
-  /// Value-based queries always flood.
-  bool use_semantic_routing = true;
-};
 
 /// The baseline engine.  One instance drives the whole network (the
 /// simulator is single-threaded; per-node state is kept in a vector and
@@ -53,8 +48,7 @@ class TinyDbEngine final : public QueryEngine {
  public:
   /// The engine installs itself as every node's receiver on `network`.
   /// `sink` (owned by the caller, may be null) receives per-epoch answers.
-  TinyDbEngine(Network& network, const FieldModel& field, ResultSink* sink,
-               TinyDbOptions options = {});
+  TinyDbEngine(Network& network, const FieldModel& field, ResultSink* sink);
 
   void SubmitQuery(const Query& query) override;
   void TerminateQuery(QueryId id) override;
@@ -91,19 +85,12 @@ class TinyDbEngine final : public QueryEngine {
     explicit BsQueryState(Query q) : query(std::move(q)) {}
     Query query;
     bool terminated = false;
-    /// Rows per open epoch (acquisition), keyed by source node — at most
-    /// one row per source; duplicate deliveries are dropped on arrival.
-    std::map<SimTime, std::map<NodeId, Reading>> rows;
-    /// Partials per open epoch (aggregation).
-    std::map<SimTime, std::vector<PartialAggregate>> partials;
+    /// Arrivals per open epoch, closed into the user's answers.
+    EpochBuffer answers;
   };
 
   // --- node-side logic -----------------------------------------------
   void HandleMessage(NodeId self, const Message& msg, bool addressed);
-  /// SRT gates: whether this node should run the query at all, and whether
-  /// it should continue the dissemination into its subtree.
-  bool ShouldInstall(NodeId self, const Query& query) const;
-  bool ShouldForwardPropagation(NodeId self, const Query& query) const;
   void InstallQuery(NodeId self, const Query& query);
   void RemoveQuery(NodeId self, QueryId id);
   void ScheduleNextEpoch(NodeId self, QueryId id);
@@ -121,7 +108,6 @@ class TinyDbEngine final : public QueryEngine {
   Network& network_;
   const FieldModel& field_;
   ResultSink* sink_;
-  TinyDbOptions options_;
   RoutingTree tree_;
   SemanticRoutingTree srt_;
   std::vector<NodeState> nodes_;

@@ -6,7 +6,7 @@
 //
 //   ttmqo::Topology topology = ttmqo::Topology::Grid(8);
 //   ttmqo::Network network(topology, {}, {}, seed);
-//   ttmqo::CorrelatedFieldModel field(seed, {});
+//   ttmqo::CorrelatedFieldModel field(seed);
 //   ttmqo::ResultLog results;
 //   ttmqo::TtmqoEngine engine(network, field, &results,
 //                             {.mode = ttmqo::OptimizationMode::kTwoTier});

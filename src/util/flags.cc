@@ -60,33 +60,14 @@ std::int64_t Flags::GetInt(const std::string& name,
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   it->second.second = true;
-  // The whole value must parse: stoll alone reads "5e5" as 5.
-  const std::string& v = it->second.first;
-  try {
-    std::size_t used = 0;
-    const std::int64_t parsed = std::stoll(v, &used);
-    if (used == v.size()) return parsed;
-  } catch (const std::exception&) {
-    // Reported below, like a partial parse.
-  }
-  throw std::invalid_argument("flag --" + name + " expects an integer, got '" +
-                              v + "'");
+  return IntOrThrow("flag --" + name, it->second.first);
 }
 
 double Flags::GetDouble(const std::string& name, double fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   it->second.second = true;
-  const std::string& v = it->second.first;
-  try {
-    std::size_t used = 0;
-    const double parsed = std::stod(v, &used);
-    if (used == v.size()) return parsed;
-  } catch (const std::exception&) {
-    // Reported below, like a partial parse.
-  }
-  throw std::invalid_argument("flag --" + name + " expects a number, got '" +
-                              v + "'");
+  return NumberOrThrow("flag --" + name, it->second.first);
 }
 
 bool Flags::GetBool(const std::string& name, bool fallback) const {
@@ -120,6 +101,40 @@ std::vector<std::string> Flags::UnreadFlags() const {
     if (!entry.second) unread.push_back(name);
   }
   return unread;
+}
+
+std::optional<std::int64_t> ParseWholeInt(const std::string& text) {
+  // The whole string must parse: stoll alone reads "5e5" as 5.
+  try {
+    std::size_t used = 0;
+    const std::int64_t parsed = std::stoll(text, &used);
+    if (used == text.size()) return parsed;
+  } catch (const std::exception&) {
+    // Not a number, or out of range: the same answer as a partial parse.
+  }
+  return std::nullopt;
+}
+
+std::optional<double> ParseWholeNumber(const std::string& text) {
+  try {
+    std::size_t used = 0;
+    const double parsed = std::stod(text, &used);
+    if (used == text.size()) return parsed;
+  } catch (const std::exception&) {
+    // Not a number, or out of range: the same answer as a partial parse.
+  }
+  return std::nullopt;
+}
+
+std::int64_t IntOrThrow(const std::string& what, const std::string& text) {
+  if (const auto parsed = ParseWholeInt(text)) return *parsed;
+  throw std::invalid_argument(what + " expects an integer, got '" + text +
+                              "'");
+}
+
+double NumberOrThrow(const std::string& what, const std::string& text) {
+  if (const auto parsed = ParseWholeNumber(text)) return *parsed;
+  throw std::invalid_argument(what + " expects a number, got '" + text + "'");
 }
 
 bool ReportUnreadFlags(const Flags& flags) {

@@ -59,6 +59,22 @@ class Flags {
   std::vector<std::string> positional_;
 };
 
+/// The whole of `text` as an integer; nullopt when any of it is not one
+/// ("4x", "5e5", "") or the value lies outside int64.
+std::optional<std::int64_t> ParseWholeInt(const std::string& text);
+
+/// The whole of `text` as a number; nullopt when any of it is not one
+/// ("0.02abc", "") or the value lies outside double's range.
+std::optional<double> ParseWholeNumber(const std::string& text);
+
+/// `ParseWholeInt(text)`, or throws `std::invalid_argument` with
+/// "<what> expects an integer, got '<text>'".
+std::int64_t IntOrThrow(const std::string& what, const std::string& text);
+
+/// `ParseWholeNumber(text)`, or throws `std::invalid_argument` with
+/// "<what> expects a number, got '<text>'".
+double NumberOrThrow(const std::string& what, const std::string& text);
+
 /// Prints "unknown flag --name" to stderr for every flag that was supplied
 /// but never read.  Returns true when any were present, so a `main` can
 /// end its flag-reading block with

@@ -232,8 +232,7 @@ std::unique_ptr<FieldModel> MakeFieldModel(FieldKind kind,
     case FieldKind::kUniform:
       return std::make_unique<UniformFieldModel>(seed);
     case FieldKind::kCorrelated:
-      return std::make_unique<CorrelatedFieldModel>(
-          seed, CorrelatedFieldModel::Params{});
+      return std::make_unique<CorrelatedFieldModel>(seed);
     case FieldKind::kHotspot:
       return std::make_unique<HotspotFieldModel>(seed,
                                                  HotspotFieldModel::Params{});
@@ -252,10 +251,8 @@ RunResult RunExperiment(const RunConfig& config,
 
   // The setup phase ends mid-function (everything before RunUntil), so it
   // cannot be a plain scoped macro; the optional closes it explicitly.
-#ifndef TTMQO_DISABLE_SPANS
   std::optional<obs::SpanScope> setup_span;
   setup_span.emplace("phase.setup", /*with_cpu=*/true);
-#endif
 
   const Topology topology =
       config.topology == TopologyKind::kGrid
@@ -362,9 +359,7 @@ RunResult RunExperiment(const RunConfig& config,
                                 [&stats] { stats.Tick(); });
   }
 
-#ifndef TTMQO_DISABLE_SPANS
   setup_span.reset();
-#endif
   {
     TTMQO_PHASE_SPAN("phase.event_loop");
     network.sim().RunUntil(config.duration_ms);

@@ -86,6 +86,28 @@ TEST(FaultPlanValidateTest, RejectsBadLinkEvents) {
                std::invalid_argument);
 }
 
+TEST(FaultPlanValidateTest, RejectsNegativeTimes) {
+  // A negative time must fail validation, not later inside the simulator
+  // ("cannot schedule in the past").
+  const Topology topology = Topology::Grid(3);
+  EXPECT_THROW(FaultPlan().AddCrash(4, -5).Validate(topology, 10000),
+               std::invalid_argument);
+  EXPECT_THROW(FaultPlan().AddOutage(4, -5, 100).Validate(topology, 10000),
+               std::invalid_argument);
+  EXPECT_THROW(
+      FaultPlan().AddPartition({4, 5}, -5, 100).Validate(topology, 10000),
+      std::invalid_argument);
+  EXPECT_THROW(
+      FaultPlan().AddLinkLoss(1, 2, 0.5, -5, 100).Validate(topology, 10000),
+      std::invalid_argument);
+  // Time zero is the first valid instant.
+  EXPECT_NO_THROW(FaultPlan()
+                      .AddCrash(4, 0)
+                      .AddOutage(5, 0, 100)
+                      .AddLinkLoss(1, 2, 0.5, 0, 100)
+                      .Validate(topology, 10000));
+}
+
 TEST(FaultPlanValidateTest, RunnerValidatesUpFront) {
   // The runner used to schedule raw FailNode lambdas that threw from inside
   // the event loop; now a bad schedule fails before the run starts.
@@ -271,8 +293,8 @@ TEST(FaultPlanTest, RandomTransientIsDeterministicAndBounded) {
         FaultPlan::RandomTransient(params, topology.size(), duration, seed);
     EXPECT_NO_THROW(plan.Validate(topology, duration));
     for (const OutageEvent& outage : plan.outages()) {
-      EXPECT_GE(outage.until - outage.from, params.min_outage_ms);
-      EXPECT_LE(outage.until - outage.from, params.max_outage_ms);
+      EXPECT_GE(outage.until - outage.from, RandomFaultParams::kMinOutageMs);
+      EXPECT_LE(outage.until - outage.from, RandomFaultParams::kMaxOutageMs);
       EXPECT_LE(outage.until, duration);
     }
   }

@@ -80,18 +80,15 @@ TEST_F(RegionQueryTest, SrtPrunesRegionPropagation) {
   const Query q = ParseQuery(
       1,
       "SELECT light WHERE xpos >= 60 AND ypos >= 60 EPOCH DURATION 4096");
-  std::uint64_t prop[2];
-  for (int i = 0; i < 2; ++i) {
-    Network network(topology_, RadioParams{}, ChannelParams{}, 42);
-    ResultLog log;
-    InNetOptions options;
-    options.use_semantic_routing = i == 0;
-    InNetworkEngine engine(network, field_, &log, options);
-    engine.SubmitQuery(q);
-    network.sim().RunUntil(2 * 4096);
-    prop[i] = network.ledger().TotalSent(MessageClass::kQueryPropagation);
-  }
-  EXPECT_LT(prop[0], prop[1]);
+  Network network(topology_, RadioParams{}, ChannelParams{}, 42);
+  ResultLog log;
+  InNetworkEngine engine(network, field_, &log);
+  engine.SubmitQuery(q);
+  network.sim().RunUntil(2 * 4096);
+  // A flood sends one propagation per node (SrtEngineTest's
+  // ValueBasedQueriesStillFloodEverywhere pins that count).
+  EXPECT_LT(network.ledger().TotalSent(MessageClass::kQueryPropagation),
+            topology_.size());
 }
 
 TEST_F(RegionQueryTest, RegionAggregationThroughTheFullStack) {

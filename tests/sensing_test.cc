@@ -55,8 +55,7 @@ class FieldModelTest : public ::testing::TestWithParam<int> {
       case 0:
         return std::make_unique<UniformFieldModel>(11);
       case 1:
-        return std::make_unique<CorrelatedFieldModel>(
-            11, CorrelatedFieldModel::Params{});
+        return std::make_unique<CorrelatedFieldModel>(11);
       default:
         return std::make_unique<HotspotFieldModel>(
             11, HotspotFieldModel::Params{});
@@ -152,7 +151,7 @@ TEST(UniformFieldModelTest, RoughlyUniformOverRange) {
 }
 
 TEST(CorrelatedFieldModelTest, NearbyNodesAreCorrelated) {
-  CorrelatedFieldModel model(23, CorrelatedFieldModel::Params{});
+  CorrelatedFieldModel model(23);
   // Mean absolute difference between 20 ft apart nodes should be far below
   // the difference between 200 ft apart nodes.
   double near = 0.0, far = 0.0;
@@ -173,7 +172,7 @@ TEST(HotspotFieldModelTest, HotspotElevatesReadings) {
   params.center = {70, 70};
   params.orbit_radius_feet = 0;  // keep the hotspot stationary
   HotspotFieldModel hotspot(31, params);
-  CorrelatedFieldModel base(31, CorrelatedFieldModel::Params{});
+  CorrelatedFieldModel base(31);
   // At the hotspot center the value is boosted relative to the background.
   const double inside =
       hotspot.Sample(1, Position{70, 70}, Attribute::kLight, 2048);

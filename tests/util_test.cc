@@ -1,6 +1,7 @@
 // Unit tests for the util layer: intervals, epoch math, RNG, flags, time.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 #include "util/check.h"
@@ -208,6 +209,36 @@ TEST(FlagsTest, TrailingGarbageIsRejected) {
   }
   EXPECT_EQ(flags.GetInt("ok", 0), 12);
   EXPECT_DOUBLE_EQ(flags.GetDouble("rate", 0.0), 0.5);
+}
+
+TEST(FlagsTest, WholeStringParsers) {
+  EXPECT_EQ(ParseWholeInt("42"), 42);
+  EXPECT_EQ(ParseWholeInt("-7"), -7);
+  EXPECT_EQ(ParseWholeInt("3x"), std::nullopt);
+  EXPECT_EQ(ParseWholeInt("5000ms"), std::nullopt);
+  EXPECT_EQ(ParseWholeInt("5e5"), std::nullopt);
+  EXPECT_EQ(ParseWholeInt(""), std::nullopt);
+  EXPECT_EQ(ParseWholeInt("24576junk"), std::nullopt);
+  // A value outside int64 is rejected like any other non-integer.
+  EXPECT_EQ(ParseWholeInt("99999999999999999999"), std::nullopt);
+  EXPECT_EQ(ParseWholeNumber("0.25"), 0.25);
+  EXPECT_EQ(ParseWholeNumber("1e3"), 1000.0);
+  EXPECT_EQ(ParseWholeNumber("0.02abc"), std::nullopt);
+  EXPECT_EQ(ParseWholeNumber(""), std::nullopt);
+  EXPECT_EQ(ParseWholeNumber("1e999"), std::nullopt);
+  EXPECT_EQ(IntOrThrow("sweep spec: seeds", "4"), 4);
+  try {
+    (void)IntOrThrow("sweep spec: seeds", "4x");
+    ADD_FAILURE() << "4x parsed as an integer";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "sweep spec: seeds expects an integer, got '4x'");
+  }
+  try {
+    (void)NumberOrThrow("flag --alpha", "x");
+    ADD_FAILURE() << "x parsed as a number";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "flag --alpha expects a number, got 'x'");
+  }
 }
 
 TEST(FlagsTest, UnreadFlagsDetected) {
