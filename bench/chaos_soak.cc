@@ -28,7 +28,9 @@
 // With --bench-out the soak instead sweeps a link-loss axis across the
 // two profiles (single seed, same outage plan) and writes the delivery-
 // completeness / coverage / message-overhead matrix as a deterministic
-// JSON artifact — the data behind the EXPERIMENTS.md reliability figure.
+// JSON artifact — the data behind the EXPERIMENTS.md reliability figure —
+// stamped with the BuildInfo block the other bench artifacts carry (ci.sh
+// strips it with tools/strip_bench_timings.py before diffing the counts).
 //
 // With --postmortem-dir the flight recorder is armed; every violated
 // invariant (and any fatal signal) dumps the last simulator events, fault
@@ -43,6 +45,7 @@
 
 #include "metrics/registry.h"
 #include "metrics/table.h"
+#include "obs/build_info.h"
 #include "obs/flight_recorder.h"
 #include "obs/session.h"
 #include "query/parser.h"
@@ -133,6 +136,9 @@ int WriteBenchArtifact(const std::string& path, std::size_t side,
   }
   out << "{\n";
   out << "  \"bench\": \"reliability\",\n";
+  out << "  \"build\": ";
+  obs::WriteBuildInfoJson(out);
+  out << ",\n";
   out << "  \"grid_side\": " << side << ",\n";
   out << "  \"duration_ms\": " << duration << ",\n";
   out << "  \"seed\": " << seed << ",\n";

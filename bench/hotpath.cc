@@ -190,8 +190,8 @@ ProbeResult RunProbePart(SimDuration probe_ms) {
   StartTickers(tickers, net, /*period=*/8 * tx_ms, AddressMode::kBroadcast,
                /*payload_bytes=*/24);
 
-  // Warmup: the event slab, free list, and per-sender flight vectors grow
-  // to their high-water marks here, not in the measured window.
+  // Warmup: the event slab and free list grow to their high-water marks
+  // here, not in the measured window.
   net.sim().RunUntil(probe_ms);
 
   const std::uint64_t events_before = net.sim().events_executed();

@@ -237,12 +237,19 @@ chaos_soak() {
 run_step "chaos-soak (asan)" blocking chaos_soak
 
 # The committed reliability bench artifact must match what the code
-# produces: regenerate the loss-axis x profile matrix and byte-compare.
-# Catches both nondeterminism and a stale BENCH_reliability.json.
+# produces: regenerate the loss-axis x profile matrix and compare every
+# count exactly (build provenance is stripped from both sides).  Catches
+# both nondeterminism and a stale BENCH_reliability.json.
 reliability_bench() {
   ./build-asan/bench/chaos_soak --side=6 \
     --bench-out="${ARTIFACTS}/BENCH_reliability.json" &&
-    diff -u BENCH_reliability.json "${ARTIFACTS}/BENCH_reliability.json"
+    python3 tools/strip_bench_timings.py BENCH_reliability.json \
+      > "${ARTIFACTS}/BENCH_reliability.committed.json" &&
+    python3 tools/strip_bench_timings.py \
+      "${ARTIFACTS}/BENCH_reliability.json" \
+      > "${ARTIFACTS}/BENCH_reliability.fresh.json" &&
+    diff -u "${ARTIFACTS}/BENCH_reliability.committed.json" \
+      "${ARTIFACTS}/BENCH_reliability.fresh.json"
 }
 run_step "reliability-bench (asan)" blocking reliability_bench
 

@@ -46,6 +46,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "fault/fault_plan.h"
 #include "metrics/epoch_sampler.h"
@@ -74,6 +75,19 @@ std::ofstream OpenOutput(const std::string& path) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot open output file: " + path);
   return out;
+}
+
+/// A count flag that must be positive (a grid side, a node count), so that
+/// -1 never reaches the topology as a huge unsigned size.
+std::size_t PositiveCount(const Flags& flags, const char* name,
+                          std::int64_t fallback) {
+  const std::int64_t value = flags.GetInt(name, fallback);
+  if (value <= 0) {
+    throw std::invalid_argument(std::string("--") + name +
+                                " must be positive, got " +
+                                std::to_string(value));
+  }
+  return static_cast<std::size_t>(value);
 }
 
 /// A node id from a fault flag: a whole integer that fits `NodeId`, or
@@ -123,11 +137,10 @@ int main(int argc, char** argv) {
     const std::string mode_name = flags.GetString("mode", "ttmqo");
 
     RunConfig config;
-    config.grid_side = static_cast<std::size_t>(flags.GetInt("side", 4));
+    config.grid_side = PositiveCount(flags, "side", 4);
     if (flags.GetString("topology", "grid") == "random") {
       config.topology = TopologyKind::kRandom;
-      config.random_nodes =
-          static_cast<std::size_t>(flags.GetInt("nodes", 25));
+      config.random_nodes = PositiveCount(flags, "nodes", 25);
       config.random_side_feet = flags.GetDouble("area-side", 120.0);
     }
     config.duration_ms = flags.GetInt("duration-ms", 40 * 12288);

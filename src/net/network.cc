@@ -46,9 +46,11 @@ Network::Network(const Topology& topology, RadioParams radio,
       down_since_(topology.size(), 0),
       sleep_since_(topology.size(), 0),
       busy_until_(topology.size(), 0),
-      flight_ends_(topology.size()),
-      active_slot_(topology.size(), 0) {
+      flights_(topology.size(), 0) {
   channel_.Validate();
+  // `CountInterferers` relies on every attempt taking positive time.
+  CheckArg(radio_.start_ms > 0 && radio_.per_byte_ms >= 0,
+           "Network: a transmission must take positive time");
 }
 
 void Network::SetReceiver(NodeId node, Receiver receiver) {
@@ -157,34 +159,6 @@ void Network::Send(Message msg) {
   BeginAttempt(std::move(msg), /*attempt=*/0);
 }
 
-void Network::AddFlight(NodeId sender, SimTime end) {
-  std::vector<SimTime>& ends = flight_ends_[sender];
-  if (ends.empty()) {
-    active_slot_[sender] = static_cast<std::uint32_t>(active_senders_.size());
-    active_senders_.push_back(sender);
-  }
-  ends.push_back(end);
-  ++total_flights_;
-}
-
-void Network::RemoveFlight(NodeId sender, SimTime end) {
-  std::vector<SimTime>& ends = flight_ends_[sender];
-  for (std::size_t i = 0; i < ends.size(); ++i) {
-    if (ends[i] != end) continue;
-    ends[i] = ends.back();
-    ends.pop_back();
-    --total_flights_;
-    if (ends.empty()) {
-      const std::uint32_t slot = active_slot_[sender];
-      const NodeId last = active_senders_.back();
-      active_senders_[slot] = last;
-      active_slot_[last] = slot;
-      active_senders_.pop_back();
-    }
-    return;
-  }
-}
-
 void Network::BeginAttempt(Message msg, int attempt) {
   const NodeId sender = msg.sender;
   const double duration_ms = radio_.TransmitDurationMs(msg.payload_bytes);
@@ -207,27 +181,27 @@ void Network::BeginAttempt(Message msg, int attempt) {
                                                  msg.destinations.end()));
     trace_->Emit(tx);
   }
-  AddFlight(sender, start + duration);
-  auto complete = [this, msg = std::move(msg), attempt, start]() mutable {
-    CompleteAttempt(std::move(msg), attempt, start);
+  ++flights_[sender];
+  auto complete = [this, msg = std::move(msg), attempt]() mutable {
+    CompleteAttempt(std::move(msg), attempt);
   };
   static_assert(Simulator::EventFn::kFitsInline<decltype(complete)>,
                 "the completion capture must stay in the inline buffer");
   sim_.ScheduleAt(start + duration, std::move(complete));
 }
 
-void Network::CompleteAttempt(Message msg, int attempt, SimTime started) {
+void Network::CompleteAttempt(Message msg, int attempt) {
   TTMQO_SPAN_SAMPLED("net.complete_attempt", 8);
   const NodeId sender = msg.sender;
-  // Retire this flight record (even for a sender that went dark mid-air,
-  // so stale flights never linger in the interference count).
-  RemoveFlight(sender, sim_.Now());
+  // Retire this flight (even for a sender that went dark mid-air, so stale
+  // flights never linger in the interference count).
+  --flights_[sender];
   if (failed_[sender] || down_[sender]) {
     return;  // went dark mid-air: nothing is delivered, retries die
   }
   bool collided = false;
   if (channel_.collision_prob > 0.0) {
-    const std::size_t interferers = CountInterferers(sender, started);
+    const std::size_t interferers = CountInterferers(sender);
     if (interferers > 0) {
       const double survive = std::pow(1.0 - channel_.collision_prob,
                                       static_cast<double>(interferers));
@@ -254,19 +228,17 @@ void Network::CompleteAttempt(Message msg, int attempt, SimTime started) {
   }
 }
 
-std::size_t Network::CountInterferers(NodeId sender, SimTime started) const {
-  // Transmissions overlapping [started, now] whose sender lies within the
-  // precomputed interference set (twice the radio range) of `sender`: a
-  // bitset membership test over the senders with active flights.  The
-  // `end > started` filter preserves the exact legacy overlap semantics.
+std::size_t Network::CountInterferers(NodeId sender) const {
+  // Registered flights of the senders within interference range (twice the
+  // radio range) of `sender`.  Every one of them overlaps the completing
+  // attempt, so none needs an end-time test: a flight stays registered
+  // until its own completion runs at its end time, so it ends at or after
+  // Now(), and Now() is later than the completing attempt's start, because
+  // an attempt lasts at least ceil(C_start) ms and the constructor checks
+  // C_start > 0.
   std::size_t count = 0;
-  for (const NodeId other : active_senders_) {
-    if (other == sender || !topology_->InInterferenceRange(sender, other)) {
-      continue;
-    }
-    for (const SimTime end : flight_ends_[other]) {
-      count += end > started ? 1 : 0;
-    }
+  for (const NodeId other : topology_->InterferersOf(sender)) {
+    count += flights_[other];
   }
   return count;
 }

@@ -7,7 +7,9 @@
 // nature of the channel the in-network tier exploits (Section 3.2).  An
 // optional contention model corrupts transmissions with a probability that
 // grows with the number of concurrently in-flight interfering
-// transmissions; failed attempts are retried with linear backoff and
+// transmissions (counted per sender, over the sender's precomputed
+// interferer list, so a check costs the same at any network size or queue
+// depth); failed attempts are retried with linear backoff and
 // charged to the sender as retransmissions, reproducing the paper's
 // "retransmission messages due to transmission failure" accounting.
 //
@@ -149,9 +151,6 @@ class Network final : public TraceSink {
   /// The experiment harness calls this before summarizing a run.
   void FinalizeAccounting();
 
-  /// Number of transmissions currently in flight (diagnostics).
-  std::size_t in_flight() const { return total_flights_; }
-
   /// Installs the sink that receives every trace event of the run: the
   /// network's radio events and, through `Emit`, everyone else's.  The
   /// sink is borrowed; nullptr turns tracing off.  Install it before
@@ -169,12 +168,10 @@ class Network final : public TraceSink {
 
  private:
   void BeginAttempt(Message msg, int attempt);
-  void CompleteAttempt(Message msg, int attempt, SimTime started);
+  void CompleteAttempt(Message msg, int attempt);
   void Deliver(const Message& msg);
   void BeaconTick(NodeId node, SimDuration period, std::size_t payload_bytes);
-  std::size_t CountInterferers(NodeId sender, SimTime started) const;
-  void AddFlight(NodeId sender, SimTime end);
-  void RemoveFlight(NodeId sender, SimTime end);
+  std::size_t CountInterferers(NodeId sender) const;
 
   Simulator sim_;
   const Topology* topology_;
@@ -190,10 +187,6 @@ class Network final : public TraceSink {
   double default_link_loss_ = 0.0;
   /// Per-link loss overrides, keyed by the normalized (low, high) pair.
   std::map<std::pair<NodeId, NodeId>, double> link_loss_;
-  std::size_t total_flights_ = 0;
-  /// Compact list of senders with at least one active flight —
-  /// `CountInterferers` walks only those.
-  std::vector<NodeId> active_senders_;
   // ---- Per-node state, indexed by node id. ----
   std::vector<Receiver> receivers_;
   std::vector<std::uint8_t> asleep_;
@@ -202,11 +195,10 @@ class Network final : public TraceSink {
   std::vector<SimTime> down_since_;
   std::vector<SimTime> sleep_since_;
   std::vector<SimTime> busy_until_;
-  /// O(1) flight tracking: per-sender end times (appended at begin,
-  /// swap-removed at complete; capacity is retained, so steady state never
-  /// allocates) plus each sender's slot in `active_senders_`.
-  std::vector<std::vector<SimTime>> flight_ends_;
-  std::vector<std::uint32_t> active_slot_;
+  /// Registered flights per sender: `BeginAttempt` adds one (including an
+  /// attempt queued behind the sender's busy radio), its completion removes
+  /// it.
+  std::vector<std::uint32_t> flights_;
   /// Scratch for sorted destination lookups on large multicasts.
   std::vector<NodeId> dest_scratch_;
 };

@@ -1,40 +1,157 @@
 #include "net/topology.h"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "util/check.h"
 #include "util/rng.h"
 
 namespace ttmqo {
 
+namespace {
+
+// The most nodes a deployment may hold: ids run over 0..kMaxNodes-1.
+constexpr std::size_t kMaxNodes = std::numeric_limits<NodeId>::max();
+
+// Two nodes a < b.
+using NodePair = std::pair<NodeId, NodeId>;
+
+// Every pair a < b within `far_feet` of each other into `far`, and those
+// also within `near_feet` into `near`, both listed by ascending a.  The
+// nodes are bucketed into square cells at least `far_feet` wide, so each
+// node is compared (by squared distance, each pair once) only with the
+// nodes of its own and the 8 adjacent cells.  A deployment spread far
+// wider than its node count gets wider cells, which keeps the cell array
+// within 4 cells per node.
+void FindPairs(const std::vector<Position>& positions, double near_feet,
+               double far_feet, std::vector<NodePair>& near,
+               std::vector<NodePair>& far) {
+  const std::size_t n = positions.size();
+  double min_x = positions[0].x, max_x = min_x;
+  double min_y = positions[0].y, max_y = min_y;
+  for (const Position& p : positions) {
+    min_x = std::min(min_x, p.x);
+    max_x = std::max(max_x, p.x);
+    min_y = std::min(min_y, p.y);
+    max_y = std::max(max_y, p.y);
+  }
+  CheckArg(std::isfinite(max_x - min_x) && std::isfinite(max_y - min_y),
+           "Topology: positions must be finite");
+  double cell_feet = far_feet;
+  double cols = 0, rows = 0;
+  for (;; cell_feet *= 2) {
+    cols = std::floor((max_x - min_x) / cell_feet) + 1;
+    rows = std::floor((max_y - min_y) / cell_feet) + 1;
+    if (cols * rows <= 4.0 * static_cast<double>(n)) break;
+  }
+  const auto num_cols = static_cast<std::size_t>(cols);
+  const auto num_rows = static_cast<std::size_t>(rows);
+
+  // Counting sort by cell: cell c holds `by_cell` over
+  // [cell_start[c], cell_start[c + 1]).
+  std::vector<std::size_t> col_of(n), row_of(n);
+  std::vector<std::size_t> cell_start(num_cols * num_rows + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    col_of[i] = std::min(
+        static_cast<std::size_t>((positions[i].x - min_x) / cell_feet),
+        num_cols - 1);
+    row_of[i] = std::min(
+        static_cast<std::size_t>((positions[i].y - min_y) / cell_feet),
+        num_rows - 1);
+    ++cell_start[row_of[i] * num_cols + col_of[i] + 1];
+  }
+  for (std::size_t c = 0; c + 1 < cell_start.size(); ++c) {
+    cell_start[c + 1] += cell_start[c];
+  }
+  std::vector<NodeId> by_cell(n);
+  std::vector<std::size_t> fill(cell_start.begin(), cell_start.end() - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    by_cell[fill[row_of[i] * num_cols + col_of[i]]++] =
+        static_cast<NodeId>(i);
+  }
+
+  const double near_sq = near_feet * near_feet;
+  const double far_sq = far_feet * far_feet;
+  for (std::size_t a = 0; a < n; ++a) {
+    const Position& pa = positions[a];
+    const std::size_t row_end = std::min(row_of[a] + 1, num_rows - 1);
+    const std::size_t col_end = std::min(col_of[a] + 1, num_cols - 1);
+    for (std::size_t r = row_of[a] > 0 ? row_of[a] - 1 : 0; r <= row_end;
+         ++r) {
+      for (std::size_t c = col_of[a] > 0 ? col_of[a] - 1 : 0; c <= col_end;
+           ++c) {
+        const std::size_t cell = r * num_cols + c;
+        for (std::size_t k = cell_start[cell]; k < cell_start[cell + 1]; ++k) {
+          const NodeId b = by_cell[k];
+          if (b <= a) continue;
+          const double dx = pa.x - positions[b].x;
+          const double dy = pa.y - positions[b].y;
+          const double d_sq = dx * dx + dy * dy;
+          if (d_sq > far_sq) continue;
+          far.emplace_back(static_cast<NodeId>(a), b);
+          if (d_sq <= near_sq) near.emplace_back(static_cast<NodeId>(a), b);
+        }
+      }
+    }
+  }
+}
+
+// The symmetric relation given by `pairs` (a < b, listed by ascending a) as
+// per-node ascending lists in one flat array: node i's partners are `ids`
+// over [offsets[i], offsets[i + 1]).  No list is sorted.  Appending each a
+// to b's list in pair order fills every list's lower part (the partners
+// below the node) in ascending order; transposing those lower parts by
+// ascending node then appends every list's upper part in order.
+void BuildLists(std::size_t n, const std::vector<NodePair>& pairs,
+                std::vector<std::size_t>& offsets, std::vector<NodeId>& ids) {
+  offsets.assign(n + 1, 0);
+  for (const auto& [a, b] : pairs) {
+    ++offsets[a + 1];
+    ++offsets[b + 1];
+  }
+  for (std::size_t i = 0; i < n; ++i) offsets[i + 1] += offsets[i];
+  ids.resize(offsets[n]);
+  std::vector<std::size_t> fill(offsets.begin(), offsets.end() - 1);
+  for (const auto& [a, b] : pairs) ids[fill[b]++] = a;
+  // Node b's upper part only grows once b itself has been transposed, so
+  // [offsets[b], fill[b]) is exactly its lower part here.
+  for (std::size_t b = 0; b < n; ++b) {
+    const std::size_t lower_end = fill[b];
+    for (std::size_t i = offsets[b]; i < lower_end; ++i) {
+      ids[fill[ids[i]]++] = static_cast<NodeId>(b);
+    }
+  }
+}
+
+}  // namespace
+
 Topology::Topology(std::vector<Position> positions, double range_feet)
     : positions_(std::move(positions)), range_feet_(range_feet) {
   CheckArg(!positions_.empty(), "Topology: need at least one node");
-  CheckArg(positions_.size() <= std::numeric_limits<NodeId>::max(),
+  CheckArg(positions_.size() <= kMaxNodes,
            "Topology: too many nodes for the NodeId type");
   CheckArg(range_feet > 0, "Topology: range must be positive");
 
-  // One O(n^2) distance pass derives both relations: communication
-  // (<= range) and interference (<= 2x range, bitset).
+  // Both relations from one pass over nearby pairs: communication
+  // (<= range) and interference (<= kInterferenceRangeFactor x range).
   const std::size_t n = positions_.size();
-  const double interference_feet = kInterferenceRangeFactor * range_feet_;
+  std::vector<NodePair> near_pairs;
+  std::vector<NodePair> far_pairs;
+  FindPairs(positions_, range_feet_, kInterferenceRangeFactor * range_feet_,
+            near_pairs, far_pairs);
+  BuildLists(n, far_pairs, interferer_offsets_, interferer_ids_);
+  std::vector<std::size_t> offsets;
+  std::vector<NodeId> ids;
+  BuildLists(n, near_pairs, offsets, ids);
   neighbors_.resize(n);
-  bits_stride_ = (n + 63) / 64;
-  interference_bits_.assign(n * bits_stride_, 0);
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = a + 1; b < n; ++b) {
-      const double d = Distance(positions_[a], positions_[b]);
-      if (d <= range_feet_) {
-        neighbors_[a].push_back(static_cast<NodeId>(b));
-        neighbors_[b].push_back(static_cast<NodeId>(a));
-      }
-      if (d <= interference_feet) {
-        interference_bits_[a * bits_stride_ + b / 64] |= 1ULL << (b % 64);
-        interference_bits_[b * bits_stride_ + a / 64] |= 1ULL << (a % 64);
-      }
-    }
+  for (std::size_t i = 0; i < n; ++i) {
+    neighbors_[i].assign(
+        ids.begin() + static_cast<std::ptrdiff_t>(offsets[i]),
+        ids.begin() + static_cast<std::ptrdiff_t>(offsets[i + 1]));
   }
   // BFS from the base station for hop levels.
   constexpr std::size_t kUnreached = std::numeric_limits<std::size_t>::max();
@@ -63,6 +180,14 @@ Topology::Topology(std::vector<Position> positions, double range_feet)
 Topology Topology::Grid(std::size_t side, double spacing_feet,
                         double range_feet) {
   CheckArg(side > 0, "Topology::Grid: side must be positive");
+  // side * side <= kMaxNodes, tested without forming the product, which
+  // wraps for a huge side.
+  if (side > kMaxNodes / side) {
+    throw std::invalid_argument(
+        "Topology::Grid: a side of " + std::to_string(side) +
+        " gives more nodes than a NodeId can address (at most " +
+        std::to_string(kMaxNodes) + ")");
+  }
   std::vector<Position> positions;
   positions.reserve(side * side);
   for (std::size_t row = 0; row < side; ++row) {
@@ -77,6 +202,12 @@ Topology Topology::Grid(std::size_t side, double spacing_feet,
 Topology Topology::RandomUniform(std::size_t num_nodes, double side_feet,
                                  double range_feet, std::uint64_t seed) {
   CheckArg(num_nodes > 0, "Topology::RandomUniform: need at least one node");
+  if (num_nodes > kMaxNodes) {
+    throw std::invalid_argument(
+        "Topology::RandomUniform: " + std::to_string(num_nodes) +
+        " nodes are more than a NodeId can address (at most " +
+        std::to_string(kMaxNodes) + ")");
+  }
   Rng rng(seed);
   for (int attempt = 0; attempt < 256; ++attempt) {
     std::vector<Position> positions;

@@ -2,13 +2,15 @@
 //
 // The paper deploys nodes on an n×n grid with 20 ft spacing and a 50 ft
 // radio radius, base station at the upper-left corner as node 0 (Section
-// 4.1).  `Topology` stores positions and the derived symmetric neighbor
-// relation; hop levels (minimum hop count from the base station) are
-// computed by BFS.
+// 4.1).  `Topology` stores positions and the two derived symmetric
+// relations, neighbors (within radio range) and interferers (within
+// interference range); hop levels (minimum hop count from the base
+// station) are computed by BFS.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/geometry.h"
@@ -27,17 +29,22 @@ class Topology {
   /// Builds a topology from explicit positions.  `positions[i]` is node i's
   /// location; node 0 is the base station.  Two distinct nodes are
   /// neighbors iff their distance is at most `range_feet`.  Throws if any
-  /// node is unreachable from the base station.
+  /// node is unreachable from the base station, or if there are more nodes
+  /// than a `NodeId` can address.  Builds in O(n) for a deployment of
+  /// bounded density: each node is compared only with the nodes of its own
+  /// and the adjacent cells of a grid one interference range wide.
   Topology(std::vector<Position> positions, double range_feet);
 
   /// The paper's grid: `side`×`side` nodes, `spacing_feet` apart, node 0 at
-  /// the upper-left corner.
+  /// the upper-left corner.  Throws before allocating when `side`×`side`
+  /// exceeds what a `NodeId` can address.
   static Topology Grid(std::size_t side, double spacing_feet = 20.0,
                        double range_feet = 50.0);
 
   /// Uniform-random deployment in a square of the given side, with the base
   /// station at the corner.  Retries until connected (deterministic in
-  /// seed).
+  /// seed).  Throws at once when `num_nodes` exceeds what a `NodeId` can
+  /// address.
   static Topology RandomUniform(std::size_t num_nodes, double side_feet,
                                 double range_feet, std::uint64_t seed);
 
@@ -56,16 +63,14 @@ class Topology {
   /// True iff `a` and `b` are within radio range (and distinct).
   bool AreNeighbors(NodeId a, NodeId b) const;
 
-  /// True iff `a`'s transmissions can interfere with `b`'s: distinct nodes
-  /// within `kInterferenceRangeFactor * range_feet`.  Precomputed once, so
-  /// the channel never re-derives interference geometry; an O(1) bitset
-  /// membership test with no bounds checks — callers pass validated node
+  /// Nodes whose transmissions can interfere with `node`'s: every other
+  /// node within `kInterferenceRangeFactor * range_feet`, ascending.  A view
+  /// into one flat array, precomputed so the channel never re-derives
+  /// interference geometry; no bounds check — callers pass validated node
   /// ids.
-  bool InInterferenceRange(NodeId a, NodeId b) const {
-    return (interference_bits_[static_cast<std::size_t>(a) * bits_stride_ +
-                               (static_cast<std::size_t>(b) >> 6)] >>
-            (static_cast<std::size_t>(b) & 63)) &
-           1u;
+  std::span<const NodeId> InterferersOf(NodeId node) const {
+    return {interferer_ids_.data() + interferer_offsets_[node],
+            interferer_ids_.data() + interferer_offsets_[node + 1]};
   }
 
   /// Minimum hop count from the base station (level 0) per node.
@@ -86,10 +91,10 @@ class Topology {
   std::vector<Position> positions_;
   double range_feet_;
   std::vector<std::vector<NodeId>> neighbors_;
-  /// Interference adjacency: a row-per-node bitset for O(1) membership
-  /// tests.
-  std::vector<std::uint64_t> interference_bits_;
-  std::size_t bits_stride_ = 0;
+  /// Interferer lists, flat: node i's list is `interferer_ids_` over
+  /// [interferer_offsets_[i], interferer_offsets_[i + 1]).
+  std::vector<std::size_t> interferer_offsets_;
+  std::vector<NodeId> interferer_ids_;
   std::vector<std::size_t> levels_;
   std::vector<std::size_t> nodes_per_level_;
   std::size_t max_depth_ = 0;

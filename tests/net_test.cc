@@ -1,6 +1,11 @@
 // Unit tests for the simulator core, topology, channel and ledger.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "net/network.h"
@@ -115,6 +120,111 @@ TEST(TopologyTest, RandomUniformIsConnectedAndDeterministic) {
   for (NodeId n = 0; n < a.size(); ++n) {
     EXPECT_EQ(a.PositionOf(n), b.PositionOf(n));
   }
+}
+
+TEST(TopologyTest, NodeCountsBeyondNodeIdAreRejectedBeforeAllocating) {
+  // Each call must throw at once, naming the NodeId limit, rather than
+  // allocate (a side of SIZE_MAX wraps side*side to 1, so a reserve would
+  // pass and the position loop would run away) or redraw deployments.
+  const auto message_of = [](auto build) -> std::string {
+    try {
+      build();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "(no exception)";
+  };
+  // 256 x 256 = 65536 nodes, one more than a NodeId can address.
+  const std::string grid = message_of([] { Topology::Grid(256); });
+  EXPECT_NE(grid.find("Topology::Grid"), std::string::npos) << grid;
+  EXPECT_NE(grid.find("65535"), std::string::npos) << grid;
+  const std::string wrapping = message_of(
+      [] { Topology::Grid(std::numeric_limits<std::size_t>::max()); });
+  EXPECT_NE(wrapping.find("Topology::Grid"), std::string::npos) << wrapping;
+  const std::string random =
+      message_of([] { Topology::RandomUniform(70000, 150, 50, 1); });
+  EXPECT_NE(random.find("NodeId"), std::string::npos) << random;
+  // The largest grid a NodeId can address still builds.
+  EXPECT_EQ(Topology::Grid(255).size(), 255u * 255u);
+}
+
+// The definition the cell build must reproduce: every pair compared by
+// Distance().  Lists come out ascending and never hold the node itself.
+::testing::AssertionResult MatchesBruteForce(const Topology& t) {
+  const std::size_t n = t.size();
+  const double range = t.range_feet();
+  const double interference = kInterferenceRangeFactor * range;
+  std::vector<std::vector<NodeId>> neighbors(n);
+  std::vector<std::vector<NodeId>> interferers(n);
+  const auto link = [](std::vector<std::vector<NodeId>>& lists,
+                       std::size_t a, std::size_t b) {
+    lists[a].push_back(static_cast<NodeId>(b));
+    lists[b].push_back(static_cast<NodeId>(a));
+  };
+  std::vector<Position> positions;
+  for (std::size_t i = 0; i < n; ++i) {
+    positions.push_back(t.PositionOf(static_cast<NodeId>(i)));
+  }
+  // Pairs in (a, b) order leave every list ascending.
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = a + 1; b < n; ++b) {
+      const double d = Distance(positions[a], positions[b]);
+      if (d <= range) link(neighbors, a, b);
+      if (d <= interference) link(interferers, a, b);
+    }
+  }
+  for (std::size_t a = 0; a < n; ++a) {
+    const auto node = static_cast<NodeId>(a);
+    if (t.NeighborsOf(node) != neighbors[a]) {
+      return ::testing::AssertionFailure()
+             << "neighbors of node " << a << " differ from the reference";
+    }
+    const auto span = t.InterferersOf(node);
+    if (std::vector<NodeId>(span.begin(), span.end()) != interferers[a]) {
+      return ::testing::AssertionFailure()
+             << "interferers of node " << a << " differ from the reference";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(TopologyTest, CellBuildMatchesBruteForceDistances) {
+  for (std::size_t side = 1; side <= 70; ++side) {
+    EXPECT_TRUE(MatchesBruteForce(Topology::Grid(side))) << "side " << side;
+  }
+  // Those grids hold offsets exactly at twice the 50 ft range: (100, 0)
+  // and (60, 80) ft from node 0 interfere, (100, 20) ft does not.
+  const Topology six = Topology::Grid(6);
+  const auto interferers = six.InterferersOf(0);
+  const auto interferes = [&](NodeId b) {
+    return std::find(interferers.begin(), interferers.end(), b) !=
+           interferers.end();
+  };
+  EXPECT_TRUE(interferes(5));          // (100, 0)
+  EXPECT_TRUE(interferes(4 * 6 + 3));  // (60, 80)
+  EXPECT_FALSE(interferes(6 + 5));     // (100, 20)
+  const struct {
+    double spacing, range;
+  } grids[] = {{10, 50}, {15, 37.5}, {17.3, 41.9}, {25, 60}, {33.3, 75}};
+  for (const auto& g : grids) {
+    EXPECT_TRUE(MatchesBruteForce(Topology::Grid(12, g.spacing, g.range)))
+        << g.spacing << " ft spacing, " << g.range << " ft range";
+  }
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    EXPECT_TRUE(MatchesBruteForce(Topology::RandomUniform(150, 200, 50, seed)))
+        << "seed " << seed;
+  }
+  // A 70-node line, 20 ft apart with a 50 ft range: depth 35.
+  std::vector<Position> line;
+  for (int i = 0; i < 70; ++i) line.push_back({20.0 * i, 0});
+  const Topology deep(line, 50);
+  EXPECT_TRUE(MatchesBruteForce(deep));
+  EXPECT_EQ(deep.MaxDepth(), 35u);
+  // A diagonal line spread wider than 4 cells per node, which widens the
+  // cells.
+  std::vector<Position> diagonal;
+  for (int i = 0; i < 70; ++i) diagonal.push_back({35.0 * i, 35.0 * i});
+  EXPECT_TRUE(MatchesBruteForce(Topology(diagonal, 50)));
 }
 
 TEST(LinkQualityTest, SymmetricAndBounded) {
@@ -344,6 +454,29 @@ TEST(NetworkCollisionTest, LosslessChannelNeverRetransmits) {
   }
   net.sim().RunUntil(10'000);
   EXPECT_EQ(net.ledger().TotalRetransmissions(), 0u);
+}
+
+TEST(NetworkCollisionTest, OnlyFlightsWithinInterferenceRangeCollide) {
+  // A line 40 ft apart with a 50 ft range: interference reaches 100 ft.
+  std::vector<Position> line;
+  for (int i = 0; i < 7; ++i) line.push_back({40.0 * i, 0});
+  const Topology t(line, 50);
+  const auto retransmissions = [&](NodeId a, NodeId b) {
+    ChannelParams channel;
+    channel.collision_prob = 0.99;
+    Network net(t, RadioParams{}, channel, 7);
+    for (const NodeId sender : {a, b}) {
+      Message msg;
+      msg.mode = AddressMode::kBroadcast;
+      msg.sender = sender;
+      msg.payload_bytes = 24;
+      net.Send(std::move(msg));
+    }
+    net.sim().RunUntil(10'000);
+    return net.ledger().TotalRetransmissions();
+  };
+  EXPECT_GT(retransmissions(0, 2), 0u);  // 80 ft apart: they collide
+  EXPECT_EQ(retransmissions(0, 3), 0u);  // 120 ft apart: they never do
 }
 
 TEST(LedgerTest, AverageTransmissionTimeExcludesBaseStation) {

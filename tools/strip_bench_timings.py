@@ -2,7 +2,8 @@
 """Strips the machine-dependent fields from a bench artifact.
 
 CI regenerates committed bench JSON (BENCH_bsopt.json, BENCH_hotpath.json,
-BENCH_scale.json) and diffs it against the checked-in copy.  Decision counts must match exactly — they are
+BENCH_scale.json, BENCH_reliability.json) and diffs it against the
+checked-in copy.  Decision counts must match exactly — they are
 deterministic in the workload seed — but wall-clock timings, derived rates,
 and build provenance differ per host and per commit, so both sides of the
 diff pass through this filter first.
