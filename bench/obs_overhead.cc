@@ -4,30 +4,37 @@
 //               identical function without a span, with spans enabled and
 //               runtime-disabled.
 //   B. hotpath — the broadcast steady state from bench/hotpath part C, run
-//               in alternating equal sim-time windows with spans enabled and
-//               runtime-disabled (best-of --reps per arm, interleaved to
-//               cancel thermal/scheduler drift).  The sampled spans on
-//               sim.event / net.deliver / net.complete_attempt are the only
-//               instrumentation in this loop, so the events/sec delta is the
+//               in many short interleaved pairs of equal sim-time windows,
+//               one with spans enabled and one runtime-disabled, alternating
+//               which goes first.  Each window is timed in thread CPU time
+//               (CLOCK_THREAD_CPUTIME_ID), so time the thread spends
+//               descheduled on a shared host does not count, and each pair
+//               gives one ratio of spans-on to spans-off CPU time per event.
+//               The overhead is the median of those paired ratios: a burst
+//               of noise spoils a few pairs, not the result.  The sampled
+//               spans on sim.event / net.deliver / net.complete_attempt are
+//               the only instrumentation in this loop, so the ratio is the
 //               end-to-end cost of always-on profiling.
 //
 //   $ obs_overhead                          # artifact -> BENCH_obs.json
-//   $ obs_overhead --max-overhead=3         # CI gate: exit 1 if hotpath
-//                                           # regresses > 3% with spans on
+//   $ obs_overhead --max-overhead=3         # CI gate: exit 1 if the median
+//                                           # spans-on pair is > 3% slower
 //
 // Flags:
 //   --out=p.json        artifact path (default BENCH_obs.json)
 //   --window-ms=N       minimum simulated duration per hotpath window
 //                       (default 30000; also the calibration window)
-//   --window-events=N   minimum events per hotpath window (default 1000000) —
+//   --window-events=N   minimum events per hotpath window (default 50000) —
 //                       the warmup window calibrates event density and each
 //                       measured window is stretched until it holds at least
-//                       this many events, so the wall-clock read is well above
-//                       scheduler noise
-//   --reps=N            window pairs per arm (default 5)
+//                       this many events (a few ms of CPU time, far above the
+//                       clock's resolution; short windows keep the two halves
+//                       of a pair close in time)
+//   --reps=N            rounds of 128 interleaved on/off window pairs
+//                       (default 3)
 //   --span-iters=N      micro-loop iterations (default 2000000)
-//   --max-overhead=P    fail (exit 1) if hotpath overhead exceeds P percent
-//                       (default: report only)
+//   --max-overhead=P    fail (exit 1) if the median paired overhead exceeds
+//                       P percent (default: report only)
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -41,6 +48,7 @@
 #include "net/network.h"
 #include "obs/build_info.h"
 #include "obs/span.h"
+#include "util/check.h"
 #include "util/flags.h"
 
 namespace ttmqo {
@@ -130,16 +138,34 @@ struct NodeTicker {
   }
 };
 
+// Interleaved on/off pairs per --reps round; even, so each round runs as
+// many pairs with spans on first as with spans off first.  With the default
+// windows, 384 pairs (--reps=3) kept the median's run-to-run spread within
+// about half a point on a shared 4-vCPU VM, where 24 pairs of 1M-event
+// windows spread it over 4 points.
+constexpr int kPairsPerRep = 128;
+
 struct HotpathResult {
   SimDuration window_sim_ms = 0;  ///< after event-density calibration
   std::uint64_t events_per_window = 0;
-  double best_eps_on = 0.0;
-  double best_eps_off = 0.0;
-
-  double OverheadPercent() const {
-    return (best_eps_off - best_eps_on) / best_eps_off * 100.0;
-  }
+  int pairs = 0;
+  /// Per pair: spans-on over spans-off CPU ns per event, minus 1, in percent.
+  std::vector<double> overhead_percent;
+  /// Median CPU ns per event of each arm's windows.
+  double median_ns_on = 0.0;
+  double median_ns_off = 0.0;
 };
+
+/// The q-quantile of `values` by linear interpolation between order
+/// statistics (q = 0.5 is the median).
+double Quantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  const double pos = q * static_cast<double>(values.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, values.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return values[lo] + (values[hi] - values[lo]) * frac;
+}
 
 HotpathResult RunHotpathPart(SimDuration window_ms, std::uint64_t min_events,
                              int reps) {
@@ -158,8 +184,7 @@ HotpathResult RunHotpathPart(SimDuration window_ms, std::uint64_t min_events,
 
   // Warmup: event slab and span buffers reach their high-water marks here.
   // It doubles as density calibration — the measured windows are stretched
-  // until each holds at least `min_events`, so a window's wall time is long
-  // enough (tens of ms) that a few-percent delta clears scheduler noise.
+  // until each holds at least `min_events`.
   obs::SetSpansEnabled(true);
   net.sim().RunUntil(window_ms);
   const double density =  // events per simulated millisecond
@@ -168,38 +193,43 @@ HotpathResult RunHotpathPart(SimDuration window_ms, std::uint64_t min_events,
   const auto window_sim = std::max(
       window_ms, static_cast<SimDuration>(
                      std::ceil(static_cast<double>(min_events) / density)));
-  std::printf("obs_overhead: part B — %d alternating %lld sim-ms windows "
-              "per arm (>= %llu events each)...\n",
-              reps, static_cast<long long>(window_sim),
-              static_cast<unsigned long long>(min_events));
-
   HotpathResult result;
   result.window_sim_ms = window_sim;
-  const auto run_window = [&](SimTime until, bool spans_on) {
+  result.pairs = reps * kPairsPerRep;
+  std::printf("obs_overhead: part B — %d interleaved on/off pairs of "
+              "%lld sim-ms windows (>= %llu events each)...\n",
+              result.pairs, static_cast<long long>(window_sim),
+              static_cast<unsigned long long>(min_events));
+
+  SimTime end = window_ms;
+  // CPU ns per event of one window run with spans `spans_on`.
+  const auto run_window = [&](bool spans_on) {
     obs::SetSpansEnabled(spans_on);
+    end += window_sim;
     const std::uint64_t before = net.sim().events_executed();
-    const auto start = Clock::now();
-    net.sim().RunUntil(until);
-    const double wall_ms = ElapsedMs(start);
+    const std::uint64_t start_ns = obs::ThreadCpuNs();
+    net.sim().RunUntil(end);
+    const std::uint64_t cpu_ns = obs::ThreadCpuNs() - start_ns;
     obs::SetSpansEnabled(true);
     const std::uint64_t events = net.sim().events_executed() - before;
     result.events_per_window = events;
-    return static_cast<double>(events) * 1000.0 / wall_ms;
+    return static_cast<double>(cpu_ns) / static_cast<double>(events);
   };
 
-  SimTime end = window_ms;
-  for (int rep = 0; rep < reps; ++rep) {
+  std::vector<double> ns_on;
+  std::vector<double> ns_off;
+  for (int pair = 0; pair < result.pairs; ++pair) {
     // Alternate which arm goes first so slow drift hits both equally.
-    const bool on_first = (rep % 2) == 0;
-    end += window_sim;
-    const double first = run_window(end, on_first);
-    end += window_sim;
-    const double second = run_window(end, !on_first);
-    const double eps_on = on_first ? first : second;
-    const double eps_off = on_first ? second : first;
-    result.best_eps_on = std::max(result.best_eps_on, eps_on);
-    result.best_eps_off = std::max(result.best_eps_off, eps_off);
+    const bool on_first = (pair % 2) == 0;
+    const double first = run_window(on_first);
+    const double second = run_window(!on_first);
+    ns_on.push_back(on_first ? first : second);
+    ns_off.push_back(on_first ? second : first);
+    result.overhead_percent.push_back(
+        (ns_on.back() / ns_off.back() - 1.0) * 100.0);
   }
+  result.median_ns_on = Quantile(ns_on, 0.5);
+  result.median_ns_off = Quantile(ns_off, 0.5);
   return result;
 }
 
@@ -209,8 +239,8 @@ int Main(int argc, char** argv) {
   const auto window_ms = static_cast<SimDuration>(
       flags.GetInt("window-ms", 30'000));
   const auto window_events = static_cast<std::uint64_t>(
-      flags.GetInt("window-events", 1'000'000));
-  const int reps = static_cast<int>(flags.GetInt("reps", 5));
+      flags.GetInt("window-events", 50'000));
+  const int reps = static_cast<int>(flags.GetInt("reps", 3));
   const auto span_iters =
       static_cast<std::uint64_t>(flags.GetInt("span-iters", 2'000'000));
   const double max_overhead = flags.GetDouble("max-overhead", -1.0);
@@ -218,9 +248,12 @@ int Main(int argc, char** argv) {
 
   obs::WarnIfSingleCore(std::cerr);
 
+  CheckArg(reps > 0, "--reps must be positive");
   const MicroResult micro = RunMicroPart(span_iters);
   const HotpathResult hot = RunHotpathPart(window_ms, window_events, reps);
-  const double overhead = hot.OverheadPercent();
+  const double overhead = Quantile(hot.overhead_percent, 0.5);
+  const double overhead_q1 = Quantile(hot.overhead_percent, 0.25);
+  const double overhead_q3 = Quantile(hot.overhead_percent, 0.75);
 
   std::ofstream out(out_path);
   if (!out) throw std::runtime_error("cannot open output file: " + out_path);
@@ -240,12 +273,16 @@ int Main(int argc, char** argv) {
   out << buf;
   std::snprintf(
       buf, sizeof(buf),
-      "  \"hotpath\": {\"window_sim_ms\": %lld, \"reps\": %d, "
-      "\"events_per_window\": %llu, \"events_per_sec_spans_on\": %.0f, "
-      "\"events_per_sec_spans_off\": %.0f, \"overhead_percent\": %.2f},\n",
-      static_cast<long long>(hot.window_sim_ms), reps,
+      "  \"hotpath\": {\"clock\": \"thread_cpu\", \"window_sim_ms\": %lld, "
+      "\"pairs\": %d, \"events_per_window\": %llu, "
+      "\"cpu_ns_per_event_spans_on\": %.2f, "
+      "\"cpu_ns_per_event_spans_off\": %.2f, "
+      "\"overhead_percent\": %.2f, \"overhead_percent_q1\": %.2f, "
+      "\"overhead_percent_q3\": %.2f},\n",
+      static_cast<long long>(hot.window_sim_ms), hot.pairs,
       static_cast<unsigned long long>(hot.events_per_window),
-      hot.best_eps_on, hot.best_eps_off, overhead);
+      hot.median_ns_on, hot.median_ns_off, overhead, overhead_q1,
+      overhead_q3);
   out << buf;
   std::snprintf(buf, sizeof(buf),
                 "  \"gate\": {\"max_overhead_percent\": %.1f, "
@@ -256,16 +293,17 @@ int Main(int argc, char** argv) {
 
   std::printf(
       "obs_overhead: span %.1f ns enabled / %.1f ns disabled / %.1f ns "
-      "sampled (baseline %.1f ns); hotpath %.0f events/sec on vs %.0f off "
-      "(%+.2f%%); wrote %s\n",
+      "sampled (baseline %.1f ns); hotpath %.1f CPU ns/event on vs %.1f "
+      "off (median paired overhead %+.2f%%, quartiles %+.2f%% to %+.2f%%, "
+      "%d pairs); wrote %s\n",
       micro.span_enabled_ns, micro.span_disabled_ns, micro.sampled_ns,
-      micro.baseline_ns, hot.best_eps_on, hot.best_eps_off, overhead,
-      out_path.c_str());
+      micro.baseline_ns, hot.median_ns_on, hot.median_ns_off, overhead,
+      overhead_q1, overhead_q3, hot.pairs, out_path.c_str());
 
   if (max_overhead >= 0.0 && overhead > max_overhead) {
     std::fprintf(stderr,
-                 "obs_overhead: FAIL — spans-on hotpath is %.2f%% slower "
-                 "than spans-off (gate: %.1f%%)\n",
+                 "obs_overhead: FAIL — the median spans-on hotpath window "
+                 "pair is %.2f%% slower than spans-off (gate: %.1f%%)\n",
                  overhead, max_overhead);
     return 1;
   }

@@ -15,9 +15,11 @@
 // tier 2 and writes it as a BENCH_*.json artifact (BENCH_scale.json):
 // ttmqo WorkloadC on n x n grids, n in {10, 20, 30, 40, 60}, 81920 sim-ms,
 // seed 7, collisions 0.02, one run at a time in increasing n.  Per grid it
-// records the executed events, the run's wall time, ns per event and the
-// process's peak RSS (ru_maxrss) after the run.  Event counts are
-// deterministic; timings and RSS depend on the host.
+// records the executed events, the run's wall time, ns per event, the
+// process's peak RSS (ru_maxrss) after the run, and the run's delivery: rows
+// expected and delivered over all queries, and the smallest per-query
+// completeness.  Event counts and delivery are deterministic; timings and
+// RSS depend on the host.
 //
 //   $ scalability --scale-out=BENCH_scale.json
 #include <sys/resource.h>
@@ -71,7 +73,8 @@ int WriteScaleCurve(const std::string& path) {
   obs::WriteBuildInfoJson(out);
   out << ",\n";
   out << "  \"grids\": [\n";
-  TablePrinter table({"grid", "events", "wall ms", "ns/event", "maxrss MB"});
+  TablePrinter table({"grid", "events", "wall ms", "ns/event", "maxrss MB",
+                      "rows expected", "rows delivered", "min completeness"});
   for (std::size_t i = 0; i < std::size(kScaleSides); ++i) {
     const std::size_t side = kScaleSides[i];
     RunConfig config;
@@ -88,19 +91,31 @@ int WriteScaleCurve(const std::string& path) {
     const double ns_per_event =
         wall_ms * 1e6 / static_cast<double>(run.events_executed);
     const long rss_kb = MaxRssKb();
+    std::uint64_t expected = 0;
+    std::uint64_t delivered = 0;
+    for (const auto& [id, delivery] : run.summary.delivery) {
+      expected += delivery.expected;
+      delivered += delivery.delivered;
+    }
+    const double min_completeness = run.summary.MinDeliveryCompleteness();
     std::snprintf(buf, sizeof(buf),
                   "    {\"n\": %zu, \"events_executed\": %llu, "
                   "\"wall_ms\": %.1f, \"ns_per_event\": %.0f, "
-                  "\"ru_maxrss_kb\": %ld}%s\n",
+                  "\"ru_maxrss_kb\": %ld, \"rows_expected\": %llu, "
+                  "\"rows_delivered\": %llu, \"min_completeness\": %.4f}%s\n",
                   side, static_cast<unsigned long long>(run.events_executed),
                   wall_ms, ns_per_event, rss_kb,
+                  static_cast<unsigned long long>(expected),
+                  static_cast<unsigned long long>(delivered), min_completeness,
                   i + 1 < std::size(kScaleSides) ? "," : "");
     out << buf;
     table.AddRow({std::to_string(side) + "x" + std::to_string(side),
                   std::to_string(run.events_executed),
                   TablePrinter::Num(wall_ms, 1),
                   TablePrinter::Num(ns_per_event, 0),
-                  TablePrinter::Num(static_cast<double>(rss_kb) / 1024.0, 1)});
+                  TablePrinter::Num(static_cast<double>(rss_kb) / 1024.0, 1),
+                  std::to_string(expected), std::to_string(delivered),
+                  TablePrinter::Num(min_completeness, 4)});
   }
   out << "  ]\n";
   out << "}\n";

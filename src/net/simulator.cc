@@ -1,5 +1,6 @@
 #include "net/simulator.h"
 
+#include <bit>
 #include <limits>
 #include <utility>
 
@@ -7,6 +8,9 @@
 #include "obs/span.h"
 
 namespace ttmqo {
+
+Simulator::Simulator()
+    : wheel_(std::make_unique_for_overwrite<Bucket[]>(kWheelMs)) {}
 
 Simulator::~Simulator() {
   // Drop this thread's flight records: a postmortem from the *next*
@@ -27,8 +31,9 @@ void Simulator::ScheduleAt(SimTime t, EventFn fn) {
     slot = static_cast<std::uint32_t>(slab_.size());
     slab_.emplace_back();
   }
-  slab_[slot] = std::move(fn);
-  Push(QueuedEvent{t, next_seq_++, slot});
+  slab_[slot].fn = std::move(fn);
+  slab_[slot].seq = next_seq_++;
+  Place(slot, t);
 }
 
 void Simulator::ScheduleAfter(SimDuration delay, EventFn fn) {
@@ -38,61 +43,150 @@ void Simulator::ScheduleAfter(SimDuration delay, EventFn fn) {
 
 void Simulator::RunUntil(SimTime until) {
   CheckArg(until >= now_, "Simulator::RunUntil: until must be >= Now()");
-  while (!heap_.empty() && heap_.front().time <= until) {
-    Step();
-  }
-  now_ = until;
+  while (ReadyBy(until)) FireCurrent();
+  // Every event up to `until` has run, so the clock may land there; the
+  // move of overflow events that come within the horizon goes with it.
+  if (until > now_) AdvanceTo(until);
 }
 
 bool Simulator::Step() {
-  if (heap_.empty()) return false;
-  const QueuedEvent event = heap_.front();
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) SiftDown(0);
-  now_ = event.time;
-  obs::RecordFlight("sim.event", event.time,
-                    static_cast<std::int64_t>(event.seq),
-                    static_cast<std::int64_t>(event.slot));
+  if (!ReadyBy(std::numeric_limits<SimTime>::max())) return false;
+  FireCurrent();
+  return true;
+}
+
+bool Simulator::ReadyBy(SimTime until) {
+  if (current_.head != kNoSlot) return true;
+  SimTime next;
+  if (!NextTime(next) || next > until) return false;
+  AdvanceTo(next);
+  return true;
+}
+
+void Simulator::Place(std::uint32_t slot, SimTime t) {
+  slab_[slot].next = kNoSlot;
+  const SimDuration ahead = t - now_;
+  if (ahead == 0) {
+    if (current_.head == kNoSlot) {
+      current_.head = slot;
+    } else {
+      slab_[current_.tail].next = slot;
+    }
+    current_.tail = slot;
+  } else if (ahead <= kWheelMs) {
+    const auto index = static_cast<std::uint64_t>(t) & kWheelMask;
+    Bucket& bucket = wheel_[index];
+    if (Occupied(index)) {
+      slab_[bucket.tail].next = slot;
+    } else {
+      bucket.head = slot;
+      const std::uint64_t bit = std::uint64_t{1} << (index % 64);
+      const std::uint64_t word_bit = std::uint64_t{1} << (index / 64);
+      if ((summary_ & word_bit) != 0) {
+        occupied_[index / 64] |= bit;
+      } else {
+        occupied_[index / 64] = bit;
+        summary_ |= word_bit;
+      }
+    }
+    bucket.tail = slot;
+  } else {
+    PushOverflow(QueuedEvent{t, slab_[slot].seq, slot});
+  }
+}
+
+bool Simulator::NextTime(SimTime& t) const {
+  if (summary_ != 0) {
+    // The wheel holds (Now(), Now() + kWheelMs], all of it before the
+    // overflow heap: take the first occupied bucket at or after Now() + 1's
+    // position, wrapping past the end of the wheel.
+    const auto from = static_cast<std::uint64_t>(now_ + 1) & kWheelMask;
+    const std::uint64_t w = from / 64;
+    const std::uint64_t bits =
+        ((summary_ >> w) & 1) != 0
+            ? occupied_[w] & (~std::uint64_t{0} << (from % 64))
+            : 0;
+    std::uint64_t index;
+    if (bits != 0) {
+      index = w * 64 + static_cast<std::uint64_t>(std::countr_zero(bits));
+    } else {
+      std::uint64_t words = summary_ & (~std::uint64_t{1} << w);
+      if (words == 0) words = summary_;
+      const auto w2 = static_cast<std::uint64_t>(std::countr_zero(words));
+      index = w2 * 64 +
+              static_cast<std::uint64_t>(std::countr_zero(occupied_[w2]));
+    }
+    t = now_ + 1 + static_cast<SimDuration>((index - from) & kWheelMask);
+    return true;
+  }
+  if (!overflow_.empty()) {
+    t = overflow_.front().time;
+    return true;
+  }
+  return false;
+}
+
+void Simulator::AdvanceTo(SimTime t) {
+  now_ = t;
+  const auto index = static_cast<std::uint64_t>(t) & kWheelMask;
+  if (Occupied(index)) {
+    current_ = wheel_[index];
+    std::uint64_t& word = occupied_[index / 64];
+    word &= ~(std::uint64_t{1} << (index % 64));
+    if (word == 0) summary_ &= ~(std::uint64_t{1} << (index / 64));
+  }
+  while (!overflow_.empty() && overflow_.front().time - now_ <= kWheelMs) {
+    const QueuedEvent event = overflow_.front();
+    PopOverflow();
+    Place(event.slot, event.time);
+  }
+}
+
+void Simulator::FireCurrent() {
+  const std::uint32_t slot = current_.head;
+  current_.head = slab_[slot].next;
+  obs::RecordFlight("sim.event", now_,
+                    static_cast<std::int64_t>(slab_[slot].seq),
+                    static_cast<std::int64_t>(slot));
   TTMQO_SPAN_SAMPLED("sim.event", 8);
   // Move the callable out and recycle its slot *before* invoking: the
   // handler may schedule new events, which can reuse the slot or grow the
   // slab (invalidating slab references, never this local).
-  EventFn fn = std::move(slab_[event.slot]);
-  free_slots_.push_back(event.slot);
+  EventFn fn = std::move(slab_[slot].fn);
+  free_slots_.push_back(slot);
   ++executed_;
   fn();
-  return true;
 }
 
-void Simulator::Push(QueuedEvent event) {
-  heap_.push_back(event);
-  SiftUp(heap_.size() - 1);
-}
-
-void Simulator::SiftUp(std::size_t i) {
-  const QueuedEvent e = heap_[i];
+void Simulator::PushOverflow(QueuedEvent event) {
+  std::size_t i = overflow_.size();
+  overflow_.push_back(event);
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
-    if (!Earlier(e, heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    if (!Earlier(event, overflow_[parent])) break;
+    overflow_[i] = overflow_[parent];
     i = parent;
   }
-  heap_[i] = e;
+  overflow_[i] = event;
 }
 
-void Simulator::SiftDown(std::size_t i) {
-  const QueuedEvent e = heap_[i];
-  const std::size_t n = heap_.size();
+void Simulator::PopOverflow() {
+  const QueuedEvent e = overflow_.back();
+  overflow_.pop_back();
+  const std::size_t n = overflow_.size();
+  if (n == 0) return;
+  std::size_t i = 0;
   for (;;) {
     std::size_t child = 2 * i + 1;
     if (child >= n) break;
-    if (child + 1 < n && Earlier(heap_[child + 1], heap_[child])) ++child;
-    if (!Earlier(heap_[child], e)) break;
-    heap_[i] = heap_[child];
+    if (child + 1 < n && Earlier(overflow_[child + 1], overflow_[child])) {
+      ++child;
+    }
+    if (!Earlier(overflow_[child], e)) break;
+    overflow_[i] = overflow_[child];
     i = child;
   }
-  heap_[i] = e;
+  overflow_[i] = e;
 }
 
 }  // namespace ttmqo

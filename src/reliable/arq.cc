@@ -47,8 +47,8 @@ SimDuration ArqRto(int backoff_exponent, Rng& rng) {
 }
 
 Rng ArqJitterRng(std::uint64_t seed, NodeId sender, std::uint32_t seq) {
-  return Rng(seed).Fork((static_cast<std::uint64_t>(sender) << 32) |
-                        static_cast<std::uint64_t>(seq));
+  return Rng(Rng::ForkSeed(seed, (static_cast<std::uint64_t>(sender) << 32) |
+                                     static_cast<std::uint64_t>(seq)));
 }
 
 ArqTransport::ArqTransport(Network& network, ArqOptions options)

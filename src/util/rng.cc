@@ -17,8 +17,10 @@ std::uint64_t Mix(std::uint64_t x) {
 
 Rng::Rng(std::uint64_t seed) : seed_(seed), engine_(Mix(seed)) {}
 
-Rng Rng::Fork(std::uint64_t salt) const {
-  return Rng(Mix(seed_ ^ Mix(salt)));
+Rng Rng::Fork(std::uint64_t salt) const { return Rng(ForkSeed(seed_, salt)); }
+
+std::uint64_t Rng::ForkSeed(std::uint64_t parent_seed, std::uint64_t salt) {
+  return Mix(parent_seed ^ Mix(salt));
 }
 
 double Rng::Uniform(double lo, double hi) {

@@ -21,6 +21,11 @@ class Rng {
   /// Derives an independent sub-stream; deterministic in (parent seed, salt).
   Rng Fork(std::uint64_t salt) const;
 
+  /// The seed of `Rng(parent_seed).Fork(salt)`, derived without seeding a
+  /// parent engine.
+  static std::uint64_t ForkSeed(std::uint64_t parent_seed,
+                                std::uint64_t salt);
+
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi);
 

@@ -70,6 +70,13 @@ TEST(ArqJitterRngTest, StreamsAreIndependentPerSenderAndSeq) {
   EXPECT_EQ(draws(3, 1), draws(3, 1));
   EXPECT_NE(draws(3, 1), draws(3, 2));
   EXPECT_NE(draws(3, 1), draws(4, 1));
+  // The stream is the fork of the seed's generator at salt (sender, seq).
+  Rng forked = Rng(42).Fork((std::uint64_t{3} << 32) | 1);
+  std::vector<std::int64_t> expected;
+  for (int i = 0; i < 4; ++i) {
+    expected.push_back(forked.UniformInt(0, 1 << 20));
+  }
+  EXPECT_EQ(draws(3, 1), expected);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 // Pins the `Simulator` contract the engines and golden runs depend on, so
-// event-queue rewrites (the pooled slab + hand-rolled heap) cannot silently
-// change ordering, boundary, or counting semantics:
-//   - total order: (time, scheduling sequence), FIFO within equal times
+// event-queue rewrites (the pooled slab, the millisecond timing wheel and
+// its overflow heap) cannot silently change ordering, boundary, or counting
+// semantics:
+//   - total order: (time, scheduling sequence), FIFO within equal times,
+//     also for events that cross the wheel's horizon (`kWheelMs`) and wait
+//     in the overflow heap
 //   - RunUntil boundary: events at exactly `until` run; Now() lands on it
 //   - pending()/events_executed() bookkeeping
 //   - scheduling from inside handlers (including at the current instant)
@@ -12,6 +15,7 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -64,6 +68,174 @@ TEST(SimulatorSemanticsTest, RandomScheduleFiresInStableSortedOrder) {
       scheduled.begin(), scheduled.end(),
       [](const auto& a, const auto& b) { return a.first < b.first; });
   EXPECT_EQ(fired, scheduled);
+}
+
+// A randomized differential run against the reference order: every event
+// ever scheduled, stable-sorted by time.  Delays straddle the wheel's
+// horizon W (0, 1, W-1, W, W+1, 2W, 10W, uniform in [0, 3W], and the due
+// time of an event already pending, so moved overflow events meet direct
+// inserts at the same millisecond); events come from before the run, from
+// handlers and from between stops; the stops land anywhere, including
+// inside empty stretches of the wheel and across an empty wheel.
+class HorizonRun {
+ public:
+  static constexpr SimDuration kW = Simulator::kWheelMs;
+
+  explicit HorizonRun(std::uint64_t seed) : rng_(seed) {}
+
+  void ScheduleAt(SimTime t) {
+    const int id = static_cast<int>(scheduled_.size());
+    scheduled_.emplace_back(t, id);
+    fired_ids_.push_back(false);
+    sim_.ScheduleAt(t, [this, t, id] { Fire(t, id); });
+  }
+
+  void Schedule(SimDuration delay) { ScheduleAt(sim_.Now() + delay); }
+
+  SimDuration RandomDelay() {
+    switch (rng_.UniformInt(0, 9)) {
+      case 0: return 0;
+      case 1: return 1;
+      case 2: return kW - 1;
+      case 3: return kW;
+      case 4: return kW + 1;
+      case 5: return 2 * kW;
+      case 6: return 10 * kW;
+      case 7: {  // the due time of some pending event, when there is one
+        if (scheduled_.empty()) break;
+        const std::size_t pick = rng_.Index(scheduled_.size());
+        const SimTime due = scheduled_[pick].first;
+        if (!fired_ids_[pick] && due >= sim_.Now()) return due - sim_.Now();
+        break;
+      }
+      default: break;
+    }
+    return rng_.UniformInt(0, 3 * kW);
+  }
+
+  /// Runs to `until` and checks the clock, both counters and which events
+  /// have fired there.
+  void StopAt(SimTime until) {
+    sim_.RunUntil(until);
+    ASSERT_EQ(sim_.Now(), until);
+    CheckCounters();
+    for (const auto& [t, id] : scheduled_) {
+      ASSERT_EQ(fired_ids_[static_cast<std::size_t>(id)], t <= until)
+          << "event " << id << " due at " << t << ", stop at " << until;
+    }
+  }
+
+  void CheckCounters() const {
+    ASSERT_EQ(sim_.events_executed(), fired_.size());
+    ASSERT_EQ(sim_.pending(), scheduled_.size() - fired_.size());
+  }
+
+  /// The earliest due time of a pending event, if any.
+  std::optional<SimTime> NextDue() const {
+    std::optional<SimTime> next;
+    for (const auto& [t, id] : scheduled_) {
+      if (!fired_ids_[static_cast<std::size_t>(id)] && (!next || t < *next)) {
+        next = t;
+      }
+    }
+    return next;
+  }
+
+  std::vector<std::pair<SimTime, int>> Expected() const {
+    auto expected = scheduled_;
+    std::stable_sort(
+        expected.begin(), expected.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    return expected;
+  }
+
+  Simulator& sim() { return sim_; }
+  Rng& rng() { return rng_; }
+  const std::vector<std::pair<SimTime, int>>& fired() const { return fired_; }
+  void set_spawn_budget(int budget) { spawn_budget_ = budget; }
+
+ private:
+  void Fire(SimTime t, int id) {
+    EXPECT_EQ(sim_.Now(), t) << "event " << id;
+    fired_.emplace_back(t, id);
+    fired_ids_[static_cast<std::size_t>(id)] = true;
+    const std::int64_t children = rng_.UniformInt(0, 2);
+    for (std::int64_t c = 0; c < children && spawn_budget_ > 0; ++c) {
+      --spawn_budget_;
+      Schedule(RandomDelay());
+    }
+  }
+
+  Simulator sim_;
+  Rng rng_;
+  int spawn_budget_ = 0;
+  std::vector<std::pair<SimTime, int>> scheduled_;  // (due, id), id order
+  std::vector<bool> fired_ids_;                     // by id
+  std::vector<std::pair<SimTime, int>> fired_;
+};
+
+TEST(SimulatorHorizonTest, RandomRunsAcrossTheHorizonFireInStableOrder) {
+  constexpr SimDuration kW = HorizonRun::kW;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
+    SCOPED_TRACE(seed);
+    HorizonRun run(seed);
+    Rng& rng = run.rng();
+    run.set_spawn_budget(3000);
+    for (int i = 0; i < 300; ++i) run.Schedule(run.RandomDelay());
+    ASSERT_NO_FATAL_FAILURE(run.CheckCounters());
+
+    for (int stop = 0; stop < 120; ++stop) {
+      const SimTime now = run.sim().Now();
+      SimTime until = now;
+      switch (rng.UniformInt(0, 4)) {
+        case 0: until = now + rng.UniformInt(0, 3 * kW); break;
+        case 1: until = now + rng.UniformInt(0, 64); break;
+        case 2: break;  // a stop that does not move the clock
+        case 3:         // inside the empty stretch before the next event
+          if (const auto next = run.NextDue(); next && *next > now) {
+            until = now + rng.UniformInt(0, *next - 1 - now);
+          }
+          break;
+        default:  // a few single steps; the stop lands where they left off
+          for (int k = 0; k < 5 && run.sim().Step(); ++k) {
+          }
+          ASSERT_NO_FATAL_FAILURE(run.CheckCounters());
+          until = run.sim().Now();
+          break;
+      }
+      ASSERT_NO_FATAL_FAILURE(run.StopAt(until));
+      // Between stops: events at Now() and anywhere across the horizon.
+      const std::int64_t extra = rng.UniformInt(0, 3);
+      for (std::int64_t i = 0; i < extra; ++i) run.Schedule(run.RandomDelay());
+      run.Schedule(0);
+    }
+
+    // Drain, then leave only events beyond the horizon, so the wheel is
+    // empty and the clock jumps across it: first a RunUntil whose clock set
+    // must move the W + 1 event into its bucket before a direct insert at
+    // the same millisecond, then Step()s straight to the overflow heap's
+    // head.
+    run.set_spawn_budget(0);
+    ASSERT_NO_FATAL_FAILURE(run.StopAt(run.sim().Now() + 20 * kW));
+    ASSERT_EQ(run.sim().pending(), 0u);
+    const SimTime base = run.sim().Now();
+    run.ScheduleAt(base + kW + 1);
+    run.ScheduleAt(base + 2 * kW);
+    run.ScheduleAt(base + 10 * kW);
+    run.ScheduleAt(base + 10 * kW);
+    ASSERT_NO_FATAL_FAILURE(run.StopAt(base + kW / 2));
+    run.ScheduleAt(base + kW + 1);
+    run.ScheduleAt(base + 10 * kW);
+    ASSERT_NO_FATAL_FAILURE(run.StopAt(base + 3 * kW));
+    ASSERT_TRUE(run.sim().Step());
+    EXPECT_EQ(run.sim().Now(), base + 10 * kW);
+    ASSERT_NO_FATAL_FAILURE(run.CheckCounters());
+    ASSERT_NO_FATAL_FAILURE(run.StopAt(base + 30 * kW));
+    ASSERT_EQ(run.sim().pending(), 0u);
+    EXPECT_FALSE(run.sim().Step());
+
+    EXPECT_EQ(run.fired(), run.Expected());
+  }
 }
 
 TEST(SimulatorSemanticsTest, RunUntilBoundaryIsInclusiveAndLandsOnUntil) {

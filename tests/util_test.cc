@@ -141,6 +141,33 @@ TEST(RngTest, ForkIsIndependentOfConsumption) {
   EXPECT_EQ(f1.UniformInt(0, 1'000'000), f2.UniformInt(0, 1'000'000));
 }
 
+TEST(RngTest, ForkSeedMatchesForkingASeededParent) {
+  // ForkSeed derives a child without seeding the parent's engine; its
+  // stream must equal Rng(seed).Fork(salt)'s draw for draw.  The pinned
+  // values keep the derivation itself fixed: every forked stream (ARQ
+  // jitter, sweep replicates) and the goldens depend on it.
+  EXPECT_EQ(Rng::ForkSeed(42, (std::uint64_t{3} << 32) | 1),
+            0x1126d0f65359eb49ULL);
+  EXPECT_EQ(Rng::ForkSeed(0, 0), 0xa706dd2f4d197e6fULL);
+  const std::uint64_t seeds[] = {0, 1, 7, 42, 0x9e3779b97f4a7c15ULL,
+                                 ~std::uint64_t{0}};
+  const std::uint64_t salts[] = {0, 1, 3, (std::uint64_t{7} << 32) | 3,
+                                 (std::uint64_t{65535} << 32) | 0xffffffffULL,
+                                 ~std::uint64_t{0}};
+  for (const std::uint64_t seed : seeds) {
+    for (const std::uint64_t salt : salts) {
+      Rng direct(Rng::ForkSeed(seed, salt));
+      Rng forked = Rng(seed).Fork(salt);
+      EXPECT_EQ(direct.seed(), forked.seed());
+      for (int i = 0; i < 64; ++i) {
+        ASSERT_EQ(direct.UniformInt(0, 1 << 30),
+                  forked.UniformInt(0, 1 << 30))
+            << "seed " << seed << " salt " << salt << " draw " << i;
+      }
+    }
+  }
+}
+
 TEST(RngTest, UniformBounds) {
   Rng rng(3);
   for (int i = 0; i < 1000; ++i) {
