@@ -32,21 +32,28 @@
 // stamped with the BuildInfo block the other bench artifacts carry (ci.sh
 // strips it with tools/strip_bench_timings.py before diffing the counts).
 //
-// With --postmortem-dir the flight recorder is armed; every violated
-// invariant (and any fatal signal) dumps the last simulator events, fault
-// transitions, and engine decisions to a postmortem JSON in DIR — the
-// artifact CI attaches when the soak gate fails.
+// With --postmortem-dir every run is traced into a sink that keeps its
+// newest kPostmortemEvents events.  A violated invariant, or an exception
+// out of a run, replays that tail into one file in DIR named after the
+// seed, the mode, the reliability profile and the reason — the same JSON
+// Lines `run_experiment --trace-out` writes, ending at the run's run.end
+// (or at its last event before the throw).  CI keeps DIR when the soak
+// gate fails.
+#include <cctype>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "metrics/registry.h"
 #include "metrics/table.h"
+#include "metrics/trace.h"
 #include "obs/build_info.h"
-#include "obs/flight_recorder.h"
 #include "obs/session.h"
 #include "query/parser.h"
 #include "util/flags.h"
@@ -56,6 +63,9 @@ namespace ttmqo {
 namespace {
 
 constexpr SimDuration kEpoch = 4096;
+
+/// Events of a run's tail that a postmortem dump keeps.
+constexpr std::size_t kPostmortemEvents = 256;
 
 /// Rows reported twice for one node in one (query, epoch) answer.
 std::size_t DuplicateRows(const ResultLog& log) {
@@ -91,9 +101,39 @@ struct Cell {
   ReliabilityProfile reliability = ReliabilityProfile::kOff;
 };
 
+/// Writes `tail` as JSON Lines to
+/// `<dir>/seed<seed>_<mode>_<profile>_<reason>.jsonl`, with every run of
+/// characters other than letters and digits in `reason` turned into one
+/// '_'; returns the path.
+std::string WritePostmortem(const std::string& dir, std::uint64_t seed,
+                            const Cell& cell, const std::string& reason,
+                            const CollectingTraceSink& tail) {
+  std::string name = "seed" + std::to_string(seed) + "_" +
+                     std::string(OptimizationModeName(cell.mode)) + "_" +
+                     std::string(ReliabilityProfileName(cell.reliability)) +
+                     "_";
+  for (const char c : reason.substr(0, 96)) {
+    if (std::isalnum(static_cast<unsigned char>(c)) != 0) {
+      name += c;
+    } else if (name.back() != '_') {
+      name += '_';
+    }
+  }
+  if (name.back() == '_') name.pop_back();
+  std::filesystem::create_directories(dir);
+  const std::string path =
+      (std::filesystem::path(dir) / (name + ".jsonl")).string();
+  std::ofstream out(path);
+  if (!out) throw std::runtime_error("cannot open output file: " + path);
+  JsonlTraceWriter writer(out);
+  for (const TraceEvent& event : tail.events()) writer.Emit(event);
+  return path;
+}
+
 SoakOutcome RunCell(const Cell& cell, std::size_t side, SimDuration duration,
                     std::uint64_t seed, const FaultPlan& plan,
-                    const std::vector<WorkloadEvent>& schedule) {
+                    const std::vector<WorkloadEvent>& schedule,
+                    TraceSink* trace) {
   MetricsRegistry registry;
   RunConfig config;
   config.grid_side = side;
@@ -103,6 +143,7 @@ SoakOutcome RunCell(const Cell& cell, std::size_t side, SimDuration duration,
   config.faults = plan;
   config.reliability = cell.reliability;
   config.obs.registry = &registry;
+  config.obs.trace = trace;
   SoakOutcome outcome;
   outcome.run = RunExperiment(config, schedule);
   const auto count = [&registry](const char* name,
@@ -152,8 +193,9 @@ int WriteBenchArtifact(const std::string& path, std::size_t side,
         FaultPlan::RandomTransient(params, side * side, duration, seed);
     std::uint64_t off_messages = 0;
     for (const ReliabilityProfile profile : profiles) {
-      const SoakOutcome outcome = RunCell({OptimizationMode::kTwoTier, profile},
-                                          side, duration, seed, plan, schedule);
+      const SoakOutcome outcome =
+          RunCell({OptimizationMode::kTwoTier, profile}, side, duration, seed,
+                  plan, schedule, /*trace=*/nullptr);
       const RunSummary& s = outcome.run.summary;
       if (profile == ReliabilityProfile::kOff) off_messages = s.total_messages;
       const double overhead =
@@ -187,7 +229,7 @@ int WriteBenchArtifact(const std::string& path, std::size_t side,
 
 int Main(int argc, char** argv) {
   const Flags flags = Flags::Parse(argc, argv);
-  const auto side = static_cast<std::size_t>(flags.GetInt("side", 6));
+  const std::size_t side = PositiveCount(flags, "side", 6);
   const auto first_seed = static_cast<std::uint64_t>(flags.GetInt("seed", 7));
   const auto runs = static_cast<std::uint64_t>(flags.GetInt("runs", 3));
   const auto epochs = flags.GetInt("epochs", 24);
@@ -198,6 +240,7 @@ int Main(int argc, char** argv) {
   const double floor = flags.GetDouble("floor", 0.5);
   const double arq_floor = flags.GetDouble("arq-floor", 0.99);
   const auto bench_out = flags.GetOptional("bench-out");
+  const auto dump_dir = flags.GetOptional("postmortem-dir");
   obs::ObsSession obs_session(obs::ObsSession::FromFlags(flags));
   if (ReportUnreadFlags(flags)) return 2;
 
@@ -220,19 +263,6 @@ int Main(int argc, char** argv) {
   TablePrinter table({"seed", "outages", "mode", "rel", "completeness %",
                       "coverage %", "dup rows", "link drops", "messages"});
   int violations = 0;
-  const auto violate = [&violations](const char* what, std::uint64_t seed) {
-    std::fprintf(stderr, "INVARIANT VIOLATED (seed %llu): %s\n",
-                 static_cast<unsigned long long>(seed), what);
-    // With --postmortem-dir set, preserve the events leading up to the
-    // violation (the simulator is torn down before we get here, so the
-    // thread ring still holds this run's tail).
-    const std::string dump = obs::DumpPostmortem(what);
-    if (!dump.empty()) {
-      std::fprintf(stderr, "postmortem written to %s\n", dump.c_str());
-    }
-    ++violations;
-  };
-
   const Cell cells[] = {
       {OptimizationMode::kBaseline, ReliabilityProfile::kOff},
       {OptimizationMode::kTwoTier, ReliabilityProfile::kOff},
@@ -243,37 +273,58 @@ int Main(int argc, char** argv) {
         FaultPlan::RandomTransient(params, side * side, duration, seed);
 
     for (const Cell& cell : cells) {
-      const SoakOutcome outcome =
-          RunCell(cell, side, duration, seed, plan, schedule);
+      // The run's newest events, kept only to be dumped on a failure.
+      CollectingTraceSink tail(kPostmortemEvents);
+      const auto dump = [&](const std::string& reason) {
+        if (!dump_dir.has_value()) return;
+        const std::string path =
+            WritePostmortem(*dump_dir, seed, cell, reason, tail);
+        std::fprintf(stderr, "postmortem written to %s\n", path.c_str());
+      };
+      const SoakOutcome outcome = [&] {
+        try {
+          return RunCell(cell, side, duration, seed, plan, schedule,
+                         dump_dir.has_value() ? &tail : nullptr);
+        } catch (const std::exception& e) {
+          dump(e.what());
+          throw;
+        }
+      }();
+      const auto violate = [&](const char* what) {
+        std::fprintf(stderr, "INVARIANT VIOLATED (seed %llu): %s\n",
+                     static_cast<unsigned long long>(seed), what);
+        dump(what);
+        ++violations;
+      };
       const RunResult& run = outcome.run;
       const bool arq = cell.reliability == ReliabilityProfile::kArq;
       const std::size_t duplicates = DuplicateRows(run.results);
-      if (duplicates > 0) violate("duplicate rows at the base station", seed);
+      if (duplicates > 0) violate("duplicate rows at the base station");
       const std::uint64_t by_class =
           run.summary.result_messages + run.summary.propagation_messages +
           run.summary.abort_messages + run.summary.maintenance_messages +
           run.summary.control_messages;
       if (by_class != run.summary.total_messages) {
-        violate("per-class message counts do not sum to the total", seed);
+        violate("per-class message counts do not sum to the total");
       }
       if (outcome.outages != plan.outages().size()) {
-        violate("an outage never began", seed);
+        violate("an outage never began");
       }
       if (outcome.recoveries != outcome.outages) {
-        violate("an outage never recovered", seed);
+        violate("an outage never recovered");
       }
       if (params.link_loss == 0.0 && outcome.link_drops != 0) {
-        violate("link drops without injected loss", seed);
+        violate("link drops without injected loss");
       }
       if (arq) {
         if (run.summary.MinDeliveryCompleteness() < floor) {
-          violate("arq completeness below the floor", seed);
+          violate("arq completeness below the floor");
         }
         if (run.summary.AvgDeliveryCompleteness() < arq_floor) {
-          violate("arq average completeness below the arq floor", seed);
+          violate("arq average completeness below the arq floor");
         }
         if (UnannotatedEpochs(run.results) > 0) {
-          violate("arq epoch result without coverage annotation", seed);
+          violate("arq epoch result without coverage annotation");
         }
       }
 
@@ -305,4 +356,11 @@ int Main(int argc, char** argv) {
 }  // namespace
 }  // namespace ttmqo
 
-int main(int argc, char** argv) { return ttmqo::Main(argc, argv); }
+int main(int argc, char** argv) {
+  try {
+    return ttmqo::Main(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "chaos_soak: %s\n", e.what());
+    return 1;
+  }
+}

@@ -15,8 +15,9 @@
 # blocking whenever a clang-tidy binary exists (this container ships none,
 # so the step records SKIP rather than silently passing); the clang-format
 # diff is report-only until a tree-wide reformat lands. Logs land in
-# ci-artifacts/ alongside the postmortem dumps, and a per-step pass/fail
-# summary table prints at the end no matter how the run exits.
+# ci-artifacts/ alongside the chaos soak's postmortem dumps, and a
+# per-step pass/fail summary table prints at the end no matter how the
+# run exits.
 #
 # Usage: ./ci.sh [extra ctest args...]
 set -euo pipefail
@@ -219,8 +220,9 @@ run_step "tests: build-asan" blocking run_tiers build-asan
 # three seeds each, the full reliability matrix (baseline/off, ttmqo/off
 # and ttmqo/arq) per seed; non-zero exit on any reliability-
 # invariant violation — including the arq completeness floor and the
-# every-epoch coverage-annotation check.  The flight recorder dumps
-# postmortems into the artifacts dir on failure.
+# every-epoch coverage-annotation check.  With --postmortem-dir a failing
+# run leaves its last 256 trace events, as --trace-out JSON Lines, in one
+# file per violation in the artifacts dir.
 chaos_soak() {
   local dir="${ARTIFACTS}/postmortem"
   ./build-asan/bench/chaos_soak --runs=3 --seed=1 \
@@ -231,6 +233,13 @@ chaos_soak() {
   if [ "${rc}" -ne 0 ]; then
     echo "chaos soak FAILED — postmortem dumps preserved in ${dir}:"
     ls -l "${dir}" 2>/dev/null || true
+    # Line count and last line per dump, so an empty dump shows here.
+    local dump
+    for dump in "${dir}"/*; do
+      [ -f "${dump}" ] || continue
+      echo "${dump}: $(wc -l < "${dump}") lines, last:"
+      tail -n 1 "${dump}"
+    done
   fi
   return "${rc}"
 }

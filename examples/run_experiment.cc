@@ -29,13 +29,12 @@
 //                          fault plan and the per-epoch time series as one
 //                          JSON document
 //   --trace-out=t.jsonl    radio, fault, tier-1/tier-2 decision and run
-//                          events as JSON Lines
+//                          events as JSON Lines; a run that fails leaves
+//                          the file ending at its last event before the
+//                          error
 //   --trace-chrome=t.json  profiling spans (parse / tier-1 / dissemination /
 //                          event loop / summarize and the sampled hot paths)
 //                          as Chrome trace-event JSON for Perfetto
-//   --postmortem-dir=DIR   arm the flight recorder: invariant failures and
-//                          fatal signals dump the last simulator events to
-//                          a postmortem JSON file in DIR
 // With --compare, registry metrics are labeled mode="..." per run and the
 // trace contains all four runs bracketed by run.start/run.end; the epoch
 // series covers the final (ttmqo) run.
@@ -75,19 +74,6 @@ std::ofstream OpenOutput(const std::string& path) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot open output file: " + path);
   return out;
-}
-
-/// A count flag that must be positive (a grid side, a node count), so that
-/// -1 never reaches the topology as a huge unsigned size.
-std::size_t PositiveCount(const Flags& flags, const char* name,
-                          std::int64_t fallback) {
-  const std::int64_t value = flags.GetInt(name, fallback);
-  if (value <= 0) {
-    throw std::invalid_argument(std::string("--") + name +
-                                " must be positive, got " +
-                                std::to_string(value));
-  }
-  return static_cast<std::size_t>(value);
 }
 
 /// A node id from a fault flag: a whole integer that fits `NodeId`, or

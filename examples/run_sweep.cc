@@ -24,8 +24,8 @@
 //                        events/sec, speedup)
 //   --trace-chrome=p.json  profiling spans of the whole sweep as Chrome
 //                        trace-event JSON (one track per worker thread)
-//   --postmortem-dir=DIR arm the flight recorder; a task's invariant
-//                        failure or a fatal signal dumps a postmortem
+// The first exception out of a task is rethrown once the pool drains;
+// the driver prints its message and exits 1.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>

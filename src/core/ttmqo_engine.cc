@@ -1,6 +1,5 @@
 #include "core/ttmqo_engine.h"
 
-#include "obs/flight_recorder.h"
 #include "obs/span.h"
 #include "util/check.h"
 #include "util/mathx.h"
@@ -55,8 +54,6 @@ std::string_view TtmqoEngine::name() const {
 }
 
 void TtmqoEngine::SubmitQuery(const Query& query) {
-  obs::RecordFlight("engine.submit", network_.sim().Now(),
-                    static_cast<std::int64_t>(query.id()));
   CheckArg(!users_.contains(query.id()), "TtmqoEngine: duplicate user query");
   UserState state(query);
   state.submitted_at = network_.sim().Now();
@@ -86,8 +83,6 @@ void TtmqoEngine::SubmitQuery(const Query& query) {
 }
 
 void TtmqoEngine::TerminateQuery(QueryId id) {
-  obs::RecordFlight("engine.terminate", network_.sim().Now(),
-                    static_cast<std::int64_t>(id));
   const auto it = users_.find(id);
   CheckArg(it != users_.end(), "TtmqoEngine: terminating unknown user query");
   users_.erase(it);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/flight_recorder.h"
 #include "obs/span.h"
 
 namespace ttmqo {
@@ -87,7 +86,6 @@ void Network::FailNode(NodeId node) {
   }
   failed_[node] = 1;
   ++num_failed_;
-  obs::RecordFlight("fault.crash", sim_.Now(), node);
   if (tracing()) Emit(NodeEvent("fail", node));
 }
 
@@ -100,7 +98,6 @@ void Network::SetDown(NodeId node) {
   down_since_[node] = sim_.Now();
   ++num_down_;
   ledger_.CountOutage(node);
-  obs::RecordFlight("fault.down", sim_.Now(), node);
   if (tracing()) Emit(NodeEvent("down", node));
 }
 
@@ -111,7 +108,6 @@ void Network::Recover(NodeId node) {
   --num_down_;
   ledger_.CountRecovery(node);
   const SimDuration down_ms = sim_.Now() - down_since_[node];
-  obs::RecordFlight("fault.recover", sim_.Now(), node, down_ms);
   if (tracing()) Emit(NodeEvent("recover", node).With("down_ms", down_ms));
 }
 

@@ -4,20 +4,12 @@
 #include <limits>
 #include <utility>
 
-#include "obs/flight_recorder.h"
 #include "obs/span.h"
 
 namespace ttmqo {
 
 Simulator::Simulator()
     : wheel_(std::make_unique_for_overwrite<Bucket[]>(kWheelMs)) {}
-
-Simulator::~Simulator() {
-  // Drop this thread's flight records: a postmortem from the *next*
-  // in-process run (e.g. the following sweep task) must not show this
-  // run's tail as if it led up to the failure.
-  obs::ClearThreadFlightRing();
-}
 
 void Simulator::ScheduleAt(SimTime t, EventFn fn) {
   CheckArg(t >= now_, "Simulator::ScheduleAt: cannot schedule in the past");
@@ -32,8 +24,7 @@ void Simulator::ScheduleAt(SimTime t, EventFn fn) {
     slab_.emplace_back();
   }
   slab_[slot].fn = std::move(fn);
-  slab_[slot].seq = next_seq_++;
-  Place(slot, t);
+  Place(slot, t, next_seq_++);
 }
 
 void Simulator::ScheduleAfter(SimDuration delay, EventFn fn) {
@@ -63,7 +54,7 @@ bool Simulator::ReadyBy(SimTime until) {
   return true;
 }
 
-void Simulator::Place(std::uint32_t slot, SimTime t) {
+void Simulator::Place(std::uint32_t slot, SimTime t, std::uint64_t seq) {
   slab_[slot].next = kNoSlot;
   const SimDuration ahead = t - now_;
   if (ahead == 0) {
@@ -91,7 +82,7 @@ void Simulator::Place(std::uint32_t slot, SimTime t) {
     }
     bucket.tail = slot;
   } else {
-    PushOverflow(QueuedEvent{t, slab_[slot].seq, slot});
+    PushOverflow(QueuedEvent{t, seq, slot});
   }
 }
 
@@ -138,16 +129,13 @@ void Simulator::AdvanceTo(SimTime t) {
   while (!overflow_.empty() && overflow_.front().time - now_ <= kWheelMs) {
     const QueuedEvent event = overflow_.front();
     PopOverflow();
-    Place(event.slot, event.time);
+    Place(event.slot, event.time, event.seq);
   }
 }
 
 void Simulator::FireCurrent() {
   const std::uint32_t slot = current_.head;
   current_.head = slab_[slot].next;
-  obs::RecordFlight("sim.event", now_,
-                    static_cast<std::int64_t>(slab_[slot].seq),
-                    static_cast<std::int64_t>(slot));
   TTMQO_SPAN_SAMPLED("sim.event", 8);
   // Move the callable out and recycle its slot *before* invoking: the
   // handler may schedule new events, which can reuse the slot or grow the

@@ -55,7 +55,6 @@ class Simulator {
   static constexpr SimDuration kWheelMs = 4096;
 
   Simulator();
-  ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -88,10 +87,9 @@ class Simulator {
   static_assert((kWheelMs & (kWheelMs - 1)) == 0 && kWords == 64,
                 "one 64-bit summary word covers the occupancy bitmap");
 
-  /// A slab slot: the pooled callable and the data of the event it holds.
-  /// `fn`'s alignment leaves the 4 bytes after `next` unused.
+  /// A slab slot: the bucket link and the pooled callable.  `fn`'s
+  /// alignment leaves the 12 bytes after `next` unused.
   struct Slot {
-    std::uint64_t seq = 0;
     /// The next event of the same bucket, or kNoSlot.
     std::uint32_t next = kNoSlot;
     EventFn fn;
@@ -104,7 +102,9 @@ class Simulator {
   };
 
   /// One overflow-heap record.  The callable stays put in the slab while
-  /// this trivially-copyable record percolates through the heap.
+  /// this trivially-copyable record percolates through the heap; `seq` is
+  /// the event's insertion sequence, needed only to order equal times here
+  /// (a bucket is FIFO, so events on the wheel need none).
   struct QueuedEvent {
     SimTime time;
     std::uint64_t seq;
@@ -116,9 +116,9 @@ class Simulator {
     return a.seq < b.seq;
   }
 
-  /// Files `slot`, due at `t` (>= Now()), in the current bucket, the wheel
-  /// or the overflow heap.
-  void Place(std::uint32_t slot, SimTime t);
+  /// Files `slot`, due at `t` (>= Now()) with insertion sequence `seq`, in
+  /// the current bucket, the wheel or the overflow heap.
+  void Place(std::uint32_t slot, SimTime t, std::uint64_t seq);
   /// True iff an event at or before `until` is ready in the current
   /// bucket, advancing the clock to the next event's time if the current
   /// bucket is empty and that time is not after `until`.

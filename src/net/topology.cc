@@ -14,9 +14,6 @@ namespace ttmqo {
 
 namespace {
 
-// The most nodes a deployment may hold: ids run over 0..kMaxNodes-1.
-constexpr std::size_t kMaxNodes = std::numeric_limits<NodeId>::max();
-
 // Two nodes a < b.
 using NodePair = std::pair<NodeId, NodeId>;
 

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -26,6 +27,9 @@ inline constexpr double kInterferenceRangeFactor = 2.0;
 /// An immutable deployment: positions plus radio connectivity.
 class Topology {
  public:
+  /// The most nodes a deployment may hold: ids run over 0..kMaxNodes-1.
+  static constexpr std::size_t kMaxNodes = std::numeric_limits<NodeId>::max();
+
   /// Builds a topology from explicit positions.  `positions[i]` is node i's
   /// location; node 0 is the base station.  Two distinct nodes are
   /// neighbors iff their distance is at most `range_feet`.  Throws if any

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "obs/chrome_trace.h"
-#include "obs/flight_recorder.h"
 #include "obs/span.h"
 
 namespace ttmqo::obs {
@@ -14,7 +13,6 @@ namespace ttmqo::obs {
 ObsSession::Options ObsSession::FromFlags(const Flags& flags) {
   Options options;
   options.trace_chrome_path = flags.GetString("trace-chrome", "");
-  options.postmortem_dir = flags.GetString("postmortem-dir", "");
   return options;
 }
 
@@ -30,10 +28,6 @@ ObsSession::ObsSession(Options options) : options_(std::move(options)) {
     }
   }
   ResetSpans();
-  ClearFlightRecords();
-  if (!options_.postmortem_dir.empty()) {
-    ArmPostmortem(options_.postmortem_dir);
-  }
 }
 
 ObsSession::~ObsSession() {
@@ -54,7 +48,6 @@ void ObsSession::Finish() {
     std::printf("wrote Chrome trace to %s (open in ui.perfetto.dev)\n",
                 options_.trace_chrome_path.c_str());
   }
-  DisarmFlightRecorder();
 }
 
 }  // namespace ttmqo::obs

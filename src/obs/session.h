@@ -1,11 +1,10 @@
 // Binary-level observability wiring.
 //
-// `ObsSession` is the one object a `main` needs: construct it from the
-// shared `--trace-chrome=FILE` / `--postmortem-dir=DIR` flags, run the
-// experiment, and let the destructor (or an explicit `Finish`) export the
-// Chrome trace and disarm the flight recorder.  Keeping the lifecycle in
-// one RAII object is what guarantees the satellite invariant that buffers
-// are flushed and postmortem triggers detached on normal exit.
+// `ObsSession` is the one object a `main` needs for profiling: construct it
+// from the shared `--trace-chrome=FILE` flag, run the experiment, and let
+// the destructor (or an explicit `Finish`) export the Chrome trace.
+// Keeping the lifecycle in one RAII object is what guarantees that the
+// span buffers are exported on normal exit.
 #pragma once
 
 #include <string>
@@ -19,16 +18,12 @@ class ObsSession {
   struct Options {
     /// Write a Perfetto-loadable Chrome trace here on Finish (empty: off).
     std::string trace_chrome_path;
-    /// Arm the flight recorder + postmortem dumps into this directory
-    /// (empty: off).
-    std::string postmortem_dir;
   };
 
-  /// Reads `--trace-chrome` and `--postmortem-dir`.
+  /// Reads `--trace-chrome`.
   static Options FromFlags(const Flags& flags);
 
-  /// Starts fresh: clears span and flight state left by earlier in-process
-  /// runs, then arms per `options`.
+  /// Starts fresh: clears span state left by earlier in-process runs.
   explicit ObsSession(Options options);
 
   /// Finishes the session (idempotent).
@@ -37,8 +32,7 @@ class ObsSession {
   ObsSession(const ObsSession&) = delete;
   ObsSession& operator=(const ObsSession&) = delete;
 
-  /// Writes the Chrome trace (when configured) and disarms the flight
-  /// recorder.  Safe to call twice.
+  /// Writes the Chrome trace (when configured).  Safe to call twice.
   void Finish();
 
  private:

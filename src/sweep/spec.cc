@@ -2,11 +2,16 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
+#include "core/bs/rewriter.h"
 #include "fault/fault_plan.h"
+#include "net/topology.h"
 #include "obs/build_info.h"
 #include "util/check.h"
 #include "util/flags.h"
@@ -60,47 +65,71 @@ std::string_view ShortModeName(OptimizationMode mode) {
   return "";
 }
 
+/// The query count k of workload "random:<k>", or 0 for a static workload
+/// ("A", "B", "C"); throws for any other name, and for a k whose query ids
+/// would reach the optimizer's synthetic ids.
+QueryId RandomQueryCount(const std::string& name) {
+  if (name == "A" || name == "B" || name == "C") return 0;
+  if (name.rfind("random:", 0) == 0) {
+    const std::int64_t count =
+        IntOrThrow("sweep spec: workloads", name.substr(7));
+    if (count < 1 || count >= BaseStationOptimizer::kFirstSyntheticId) {
+      throw std::invalid_argument(
+          "sweep spec: workloads random:<k> needs 1 <= k < " +
+          std::to_string(BaseStationOptimizer::kFirstSyntheticId) +
+          ", got '" + name + "'");
+    }
+    return static_cast<QueryId>(count);
+  }
+  throw std::invalid_argument("sweep spec: workloads: unknown workload '" +
+                              name + "' (A|B|C|random:<k>)");
+}
+
+/// The link-loss probability p of fault scenario "loss:<p>", or nullopt for
+/// "none" and "transient"; throws for any other scenario, and for a p
+/// outside [0, 1).
+std::optional<double> LinkLoss(const std::string& scenario) {
+  if (scenario == "none" || scenario == "transient") return std::nullopt;
+  if (scenario.rfind("loss:", 0) == 0) {
+    const double p = NumberOrThrow("sweep spec: faults", scenario.substr(5));
+    if (!(p >= 0.0 && p < 1.0)) {
+      throw std::invalid_argument(
+          "sweep spec: faults loss:<p> needs 0 <= p < 1, got '" + scenario +
+          "'");
+    }
+    return p;
+  }
+  throw std::invalid_argument("sweep spec: faults: unknown scenario '" +
+                              scenario + "' (none|transient|loss:<p>)");
+}
+
 /// The workload of one (name, replicate) cell.  Static workloads ignore
 /// the seed; "random:<k>" draws k queries from the Section 4.3 model.
 std::vector<WorkloadEvent> MakeWorkload(const std::string& name,
                                         std::uint64_t workload_seed) {
-  if (name == "A" || name == "B" || name == "C") {
-    return StaticSchedule(WorkloadByName(name));
-  }
-  if (name.rfind("random:", 0) == 0) {
-    const std::int64_t count =
-        IntOrThrow("sweep spec: workloads", name.substr(7));
-    CheckArg(count > 0, "sweep spec: random workload needs a positive count");
-    QueryModelParams params;
-    params.predicate_selectivity = 1.0;
-    params.randomize_selectivity = true;
-    RandomQueryModel model(params, workload_seed);
-    std::vector<Query> queries;
-    for (QueryId i = 1; i <= static_cast<QueryId>(count); ++i) {
-      queries.push_back(model.Next(i));
-    }
-    return StaticSchedule(queries);
-  }
-  throw std::invalid_argument("sweep spec: unknown workload '" + name +
-                              "' (A|B|C|random:<k>)");
+  const QueryId count = RandomQueryCount(name);
+  if (count == 0) return StaticSchedule(WorkloadByName(name));
+  QueryModelParams params;
+  params.predicate_selectivity = 1.0;
+  params.randomize_selectivity = true;
+  RandomQueryModel model(params, workload_seed);
+  std::vector<Query> queries;
+  for (QueryId i = 1; i <= count; ++i) queries.push_back(model.Next(i));
+  return StaticSchedule(queries);
 }
 
 /// The fault plan of one (scenario, grid, replicate) cell.
 FaultPlan MakeFaultPlan(const std::string& scenario, std::size_t nodes,
                         SimDuration duration_ms, std::uint64_t fault_seed) {
-  if (scenario == "none") return FaultPlan();
   if (scenario == "transient") {
     return FaultPlan::RandomTransient(RandomFaultParams{}, nodes, duration_ms,
                                       fault_seed);
   }
-  if (scenario.rfind("loss:", 0) == 0) {
-    FaultPlan plan;
-    plan.SetDefaultLinkLoss(
-        NumberOrThrow("sweep spec: faults", scenario.substr(5)));
-    return plan;
+  FaultPlan plan;
+  if (const std::optional<double> loss = LinkLoss(scenario)) {
+    plan.SetDefaultLinkLoss(*loss);
   }
-  throw std::invalid_argument("sweep spec: unknown fault scenario '" +
-                              scenario + "' (none|transient|loss:<p>)");
+  return plan;
 }
 
 /// `s` JSON-escaped, without the surrounding quotes.
@@ -115,6 +144,16 @@ std::string Escaped(std::string_view s) {
 std::string Num(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.12g", v);
+  return buf;
+}
+
+/// `Num(v)`, or all 17 significant digits when 12 do not parse back to `v`,
+/// so that a printed spec parses to the spec that printed it.
+std::string ExactNum(double v) {
+  const std::string short_form = Num(v);
+  if (std::strtod(short_form.c_str(), nullptr) == v) return short_form;
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }
 
@@ -185,14 +224,30 @@ SweepSpec SweepSpec::Parse(const std::string& text) {
       throw std::invalid_argument("sweep spec: " + key + " has no value");
     }
     const std::string what = "sweep spec: " + key;
+    // Every value is range-checked here, so that a spec the run would
+    // reject fails before anything runs or prints.
+    const auto require = [&what](bool ok, const std::string& rule,
+                                 const std::string& got) {
+      if (!ok) {
+        throw std::invalid_argument(what + " " + rule + ", got '" + got +
+                                    "'");
+      }
+    };
     if (key == "grids") {
       spec.grid_sides.clear();
       for (const std::string& v : values) {
         const std::int64_t side = IntOrThrow(what, v);
-        CheckArg(side >= 2, "sweep spec: grid side must be >= 2");
+        // side * side <= kMaxNodes, tested without forming the product.
+        require(side >= 2 && static_cast<std::uint64_t>(side) <=
+                                 Topology::kMaxNodes /
+                                     static_cast<std::uint64_t>(side),
+                "needs sides >= 2 with side * side <= " +
+                    std::to_string(Topology::kMaxNodes),
+                v);
         spec.grid_sides.push_back(static_cast<std::size_t>(side));
       }
     } else if (key == "workloads") {
+      for (const std::string& v : values) RandomQueryCount(v);
       spec.workloads = values;
     } else if (key == "modes") {
       spec.modes.clear();
@@ -200,6 +255,7 @@ SweepSpec SweepSpec::Parse(const std::string& text) {
         spec.modes.push_back(ParseModeName(v));
       }
     } else if (key == "faults") {
+      for (const std::string& v : values) LinkLoss(v);
       spec.faults = values;
     } else if (key == "reliability") {
       spec.reliability.clear();
@@ -208,18 +264,26 @@ SweepSpec SweepSpec::Parse(const std::string& text) {
       }
     } else if (key == "seeds") {
       const std::int64_t seeds = IntOrThrow(what, value);
-      CheckArg(seeds >= 1, "sweep spec: seeds must be >= 1");
+      require(seeds >= 1, "must be >= 1", value);
       spec.seeds = static_cast<std::size_t>(seeds);
     } else if (key == "base-seed") {
-      spec.base_seed = static_cast<std::uint64_t>(IntOrThrow(what, value));
+      const std::int64_t base_seed = IntOrThrow(what, value);
+      require(base_seed >= 0, "must be >= 0", value);
+      spec.base_seed = static_cast<std::uint64_t>(base_seed);
     } else if (key == "duration-ms") {
       const std::int64_t duration = IntOrThrow(what, value);
-      CheckArg(duration > 0, "sweep spec: duration-ms must be positive");
+      require(duration > 0, "must be positive", value);
       spec.duration_ms = duration;
     } else if (key == "collisions") {
-      spec.collisions = NumberOrThrow(what, value);
+      const double collisions = NumberOrThrow(what, value);
+      require(collisions >= 0.0 && collisions < 1.0, "must be in [0, 1)",
+              value);
+      spec.collisions = collisions;
     } else if (key == "alpha") {
-      spec.alpha = NumberOrThrow(what, value);
+      const double alpha = NumberOrThrow(what, value);
+      require(std::isfinite(alpha) && alpha >= 0.0, "must be finite and >= 0",
+              value);
+      spec.alpha = alpha;
     } else {
       throw std::invalid_argument(
           "sweep spec: unknown key '" + key +
@@ -252,8 +316,8 @@ std::string SweepSpec::ToString() const {
   join("reliability", reliability,
        [](ReliabilityProfile p) { return ReliabilityProfileName(p); });
   out << "seeds=" << seeds << " base-seed=" << base_seed << " duration-ms="
-      << duration_ms << " collisions=" << Num(collisions) << " alpha="
-      << Num(alpha);
+      << duration_ms << " collisions=" << ExactNum(collisions) << " alpha="
+      << ExactNum(alpha);
   return out.str();
 }
 

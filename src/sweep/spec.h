@@ -65,11 +65,16 @@ struct SweepSpec {
   /// `key=value[,value...]` entries, e.g.
   ///   "grids=4,8 workloads=A,C modes=baseline,ttmqo faults=none
   ///    seeds=3 base-seed=7 duration-ms=245760 collisions=0.02 alpha=0.6"
-  /// Unknown keys and malformed values throw `std::invalid_argument`.
+  /// Unknown keys, malformed values and values a run would reject (a grid
+  /// a `NodeId` cannot address, a probability outside [0, 1), a negative
+  /// seed, ...) throw `std::invalid_argument` naming the key.
   static SweepSpec Parse(const std::string& text);
 
-  /// The spec rendered back in the `Parse` language (canonical order).
+  /// The spec rendered back in the `Parse` language (canonical order);
+  /// `Parse(s.ToString()) == s` for every spec `Parse` accepts.
   std::string ToString() const;
+
+  bool operator==(const SweepSpec&) const = default;
 
   /// Number of tasks the spec expands to.
   std::size_t TaskCount() const;

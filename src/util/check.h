@@ -2,7 +2,9 @@
 //
 // The simulator is deterministic, so invariant violations are programming
 // errors; we fail fast with a descriptive exception rather than corrupting an
-// experiment silently.
+// experiment silently.  A check only throws: the events that led up to a
+// failure are the run's own trace (`--trace-out`, or the soak's tail dump),
+// which ends at the failing event as the exception unwinds the run.
 #pragma once
 
 #include <source_location>
@@ -18,30 +20,14 @@ class CheckFailure : public std::logic_error {
   using std::logic_error::logic_error;
 };
 
-/// Called (if installed) with the full failure message just before `Check`
-/// throws.  Lets the observability layer dump a postmortem flight record at
-/// the moment of an invariant violation without util depending on it.  The
-/// hook must not throw.
-using CheckFailureHook = void (*)(const char* message);
-
-/// Installs `hook` (nullptr uninstalls); returns the previous hook.
-CheckFailureHook SetCheckFailureHook(CheckFailureHook hook);
-
-namespace check_internal {
-/// Runs the installed hook, if any.
-void NotifyCheckFailure(const char* message);
-}  // namespace check_internal
-
 /// Verifies an internal invariant; throws `CheckFailure` with the call site
 /// location when `condition` is false.
 inline void Check(bool condition, std::string_view message,
                   std::source_location loc = std::source_location::current()) {
   if (!condition) {
-    const std::string what = std::string(loc.file_name()) + ":" +
-                             std::to_string(loc.line()) +
-                             ": check failed: " + std::string(message);
-    check_internal::NotifyCheckFailure(what.c_str());
-    throw CheckFailure(what);
+    throw CheckFailure(std::string(loc.file_name()) + ":" +
+                       std::to_string(loc.line()) +
+                       ": check failed: " + std::string(message));
   }
 }
 

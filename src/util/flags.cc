@@ -137,6 +137,16 @@ double NumberOrThrow(const std::string& what, const std::string& text) {
   throw std::invalid_argument(what + " expects a number, got '" + text + "'");
 }
 
+std::size_t PositiveCount(const Flags& flags, const std::string& name,
+                          std::int64_t fallback) {
+  const std::int64_t value = flags.GetInt(name, fallback);
+  if (value <= 0) {
+    throw std::invalid_argument("--" + name + " must be positive, got " +
+                                std::to_string(value));
+  }
+  return static_cast<std::size_t>(value);
+}
+
 bool ReportUnreadFlags(const Flags& flags) {
   const std::vector<std::string> unread = flags.UnreadFlags();
   for (const std::string& name : unread) {

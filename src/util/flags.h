@@ -75,6 +75,12 @@ std::int64_t IntOrThrow(const std::string& what, const std::string& text);
 /// "<what> expects a number, got '<text>'".
 double NumberOrThrow(const std::string& what, const std::string& text);
 
+/// The count flag `name` (a grid side, a node count), or `fallback` when
+/// absent; throws `std::invalid_argument` with "--<name> must be positive,
+/// got <value>" for a value <= 0, so -1 never becomes a huge size.
+std::size_t PositiveCount(const Flags& flags, const std::string& name,
+                          std::int64_t fallback);
+
 /// Prints "unknown flag --name" to stderr for every flag that was supplied
 /// but never read.  Returns true when any were present, so a `main` can
 /// end its flag-reading block with

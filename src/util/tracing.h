@@ -16,6 +16,8 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <limits>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -59,12 +61,21 @@ class TraceSink {
   virtual void Emit(const TraceEvent& event) = 0;
 };
 
-/// A sink that stores every event; for tests and programmatic inspection.
+/// A sink that stores the newest `capacity` events, oldest first (every
+/// event by default); for tests, and for the tail of a run that a failure
+/// dumps in the `--trace-out` line format.
 class CollectingTraceSink final : public TraceSink {
  public:
-  void Emit(const TraceEvent& event) override { events_.push_back(event); }
+  explicit CollectingTraceSink(
+      std::size_t capacity = std::numeric_limits<std::size_t>::max())
+      : capacity_(capacity) {}
 
-  const std::vector<TraceEvent>& events() const { return events_; }
+  void Emit(const TraceEvent& event) override {
+    events_.push_back(event);
+    if (events_.size() > capacity_) events_.pop_front();
+  }
+
+  const std::deque<TraceEvent>& events() const { return events_; }
 
   /// Number of collected events with the given kind.
   std::size_t CountKind(std::string_view kind) const;
@@ -72,7 +83,8 @@ class CollectingTraceSink final : public TraceSink {
   void Clear() { events_.clear(); }
 
  private:
-  std::vector<TraceEvent> events_;
+  std::size_t capacity_;
+  std::deque<TraceEvent> events_;
 };
 
 /// Appends `raw` to `out` with JSON string escaping applied (quotes,

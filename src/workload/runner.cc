@@ -6,7 +6,6 @@
 
 #include "net/network.h"
 #include "net/topology.h"
-#include "obs/flight_recorder.h"
 #include "obs/span.h"
 #include "util/check.h"
 #include "util/mathx.h"
@@ -244,10 +243,6 @@ std::unique_ptr<FieldModel> MakeFieldModel(FieldKind kind,
 RunResult RunExperiment(const RunConfig& config,
                         const std::vector<WorkloadEvent>& schedule) {
   CheckArg(config.duration_ms > 0, "RunExperiment: duration must be positive");
-  obs::RecordFlight("run.start", 0,
-                    static_cast<std::int64_t>(config.seed),
-                    static_cast<std::int64_t>(schedule.size()), 0,
-                    OptimizationModeName(config.mode).data());
 
   // The setup phase ends mid-function (everything before RunUntil), so it
   // cannot be a plain scoped macro; the optional closes it explicitly.
@@ -412,9 +407,6 @@ RunResult RunExperiment(const RunConfig& config,
                   static_cast<std::int64_t>(run.summary.retransmissions))
             .With("results", static_cast<std::int64_t>(run.results.size())));
   }
-  obs::RecordFlight("run.end", config.duration_ms,
-                    static_cast<std::int64_t>(run.events_executed),
-                    static_cast<std::int64_t>(run.summary.total_messages));
   return run;
 }
 

@@ -1,18 +1,22 @@
 // Chaos-harness invariants: deterministic replay (one fault plan + seed
-// reproduces a byte-identical trace and metrics export), duplicate-free
-// delivery at the base station under faults, and the reliability win of
-// the two-tier scheme under the arq profile (per-hop ARQ, liveness
-// failover, dissemination retries) over the TinyDB baseline when relays
-// drop out.
+// reproduces a byte-identical trace and metrics export), runs unchanged by
+// the soak's postmortem tail sink, duplicate-free delivery at the base
+// station under faults, and the reliability win of the two-tier scheme
+// under the arq profile (per-hop ARQ, liveness failover, dissemination
+// retries) over the TinyDB baseline when relays drop out.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "fault/fault_plan.h"
 #include "metrics/registry.h"
 #include "metrics/trace.h"
 #include "query/parser.h"
+#include "sweep/fingerprint.h"
+#include "util/tracing.h"
 #include "workload/runner.h"
 #include "workload/static_workloads.h"
 
@@ -122,6 +126,45 @@ TEST(ChaosInvariantTest, RandomSoakKeepsCompletenessAndUniqueness) {
     const RunResult run = RunExperiment(config, schedule);
     EXPECT_EQ(DuplicateRows(run.results), 0u) << "seed " << seed;
     EXPECT_GE(run.summary.MinDeliveryCompleteness(), 0.5) << "seed " << seed;
+  }
+}
+
+TEST(ChaosTraceTest, TailSinkDoesNotChangeTheSoakCells) {
+  // chaos_soak --postmortem-dir runs every cell into a 256-event tail sink,
+  // so tracing is on in the gating soak: each of its three cells must run
+  // exactly as it does untraced.
+  const auto schedule = StaticSchedule(
+      {ParseQuery(1, "SELECT light WHERE light > 400 EPOCH DURATION 4096"),
+       ParseQuery(2, "SELECT MAX(temp) EPOCH DURATION 8192")});
+  RandomFaultParams params;
+  params.max_outages = 6;
+  params.max_down_fraction = 0.2;
+  params.link_loss = 0.1;
+  const SimDuration duration = 24 * kEpoch;
+  const FaultPlan plan = FaultPlan::RandomTransient(params, 36, duration, 1);
+  const std::pair<OptimizationMode, ReliabilityProfile> cells[] = {
+      {OptimizationMode::kBaseline, ReliabilityProfile::kOff},
+      {OptimizationMode::kTwoTier, ReliabilityProfile::kOff},
+      {OptimizationMode::kTwoTier, ReliabilityProfile::kArq},
+  };
+  for (const auto& [mode, reliability] : cells) {
+    RunConfig config;
+    config.grid_side = 6;
+    config.mode = mode;
+    config.duration_ms = duration;
+    config.seed = 1;
+    config.faults = plan;
+    config.reliability = reliability;
+    const RunResult untraced = RunExperiment(config, schedule);
+    CollectingTraceSink tail(256);
+    config.obs.trace = &tail;
+    const RunResult traced = RunExperiment(config, schedule);
+    const std::string cell = std::string(OptimizationModeName(mode)) + "/" +
+                             std::string(ReliabilityProfileName(reliability));
+    EXPECT_EQ(FingerprintRun(traced), FingerprintRun(untraced)) << cell;
+    EXPECT_EQ(traced.events_executed, untraced.events_executed) << cell;
+    ASSERT_EQ(tail.events().size(), 256u) << cell;
+    EXPECT_EQ(tail.events().back().kind, "run.end") << cell;
   }
 }
 

@@ -1,9 +1,10 @@
 // Tests for the obs layer: span recording (nesting, sampling, the runtime
 // kill switch), Chrome trace-event export (structure checked with the mini
-// JSON parser), build provenance, the flight-recorder ring, and the
-// check-failure postmortem pipeline end to end.
+// JSON parser), build provenance, and the bounded trace sink that keeps a
+// run's tail for a postmortem, up to an exception out of the event loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -12,20 +13,19 @@
 #include <vector>
 
 #include "json_checker.h"
-#include "net/simulator.h"
 #include "obs/build_info.h"
 #include "obs/chrome_trace.h"
-#include "obs/flight_recorder.h"
 #include "obs/session.h"
 #include "obs/span.h"
-#include "util/check.h"
+#include "query/parser.h"
+#include "util/tracing.h"
+#include "workload/runner.h"
+#include "workload/static_workloads.h"
 
 namespace ttmqo {
 namespace {
 
-using obs::CollectFlightRecords;
 using obs::CollectSpans;
-using obs::FlightEntry;
 using obs::SpanRecord;
 using obs::SpanSnapshot;
 using obs::SpanStat;
@@ -282,7 +282,6 @@ TEST(ObsSessionTest, ConstructionClearsStaleState) {
   }
   obs::ObsSession session(obs::ObsSession::Options{});
   EXPECT_EQ(FindStat(CollectSpans(), "obs.test.stale"), nullptr);
-  EXPECT_TRUE(CollectFlightRecords().empty());
 }
 
 // -------------------------------------------------------- build info --
@@ -307,120 +306,74 @@ TEST(BuildInfoTest, SingleCoreWarningMatchesHardware) {
   EXPECT_EQ(fired, !err.str().empty());
 }
 
-// --------------------------------------------------- flight recorder --
+// ------------------------------------------------ postmortem trace tail --
 
-TEST(FlightTest, DisarmedRecordsNothing) {
-  obs::DisarmFlightRecorder();
-  obs::ClearFlightRecords();
-  obs::RecordFlight("obs.test.unarmed", 1);
-  EXPECT_TRUE(CollectFlightRecords().empty());
+/// `event` as its `--trace-out` line, for comparing events.
+std::string Line(const TraceEvent& event) {
+  std::ostringstream out;
+  WriteTraceEventJson(out, event);
+  return out.str();
 }
 
-TEST(FlightTest, RecordsInOrderAndTruncatesStrings) {
-  obs::ClearFlightRecords();
-  obs::ArmFlightRecorder();
-  obs::RecordFlight("obs.test.k1", 5, 1, 2, 3, "hello");
-  obs::RecordFlight("a_kind_name_far_longer_than_the_inline_field", 6, 4, 5,
-                    6,
-                    "a detail string far longer than the inline capacity of "
-                    "the flight entry");
-  obs::DisarmFlightRecorder();
-
-  const std::vector<FlightEntry> records = CollectFlightRecords();
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_LT(records[0].seq, records[1].seq);
-  EXPECT_STREQ(records[0].kind, "obs.test.k1");
-  EXPECT_EQ(records[0].sim_time, 5);
-  EXPECT_EQ(records[0].a, 1);
-  EXPECT_EQ(records[0].b, 2);
-  EXPECT_EQ(records[0].c, 3);
-  EXPECT_STREQ(records[0].detail, "hello");
-  // Over-long strings truncate (never overflow) and stay NUL-terminated.
-  EXPECT_EQ(std::strlen(records[1].kind), FlightEntry::kKindLen - 1);
-  EXPECT_EQ(std::strlen(records[1].detail), FlightEntry::kDetailLen - 1);
+TEST(TraceTailTest, BoundedSinkKeepsTheNewestEventsOldestFirst) {
+  CollectingTraceSink tail(4);
+  CollectingTraceSink all;
+  for (SimTime t = 0; t < 300; ++t) {
+    TraceEvent event("obs.test.tail");
+    event.time = t;
+    tail.Emit(event);
+    all.Emit(event);
+  }
+  ASSERT_EQ(tail.events().size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(tail.events()[i].time, static_cast<SimTime>(296 + i));
+  }
+  ASSERT_EQ(all.events().size(), 300u);  // unbounded by default
+  EXPECT_EQ(all.events().front().time, 0);
 }
 
-TEST(FlightTest, RingKeepsTheNewestRecords) {
-  obs::ClearFlightRecords();
-  obs::ArmFlightRecorder();
-  for (int i = 0; i < 300; ++i) {
-    obs::RecordFlight("obs.test.wrap", i, i);
+TEST(TraceTailTest, RunThatThrowsLeavesEveryEventUpToTheThrow) {
+  // Terminating a query that was never submitted is rejected inside the
+  // event loop, two epochs into the run.
+  constexpr SimTime kThrowAt = 2 * 4096;
+  RunConfig config;
+  config.grid_side = 4;
+  config.duration_ms = 6 * 4096;
+  const std::vector<WorkloadEvent> clean = StaticSchedule(
+      {ParseQuery(1, "SELECT light WHERE light > 400 EPOCH DURATION 4096")});
+  std::vector<WorkloadEvent> failing = clean;
+  WorkloadEvent terminate;
+  terminate.time = kThrowAt;
+  terminate.kind = WorkloadEvent::Kind::kTerminate;
+  terminate.id = 99;
+  failing.push_back(terminate);
+
+  CollectingTraceSink sink;
+  config.obs.trace = &sink;
+  EXPECT_THROW(RunExperiment(config, failing), std::invalid_argument);
+  CollectingTraceSink reference;
+  config.obs.trace = &reference;
+  RunExperiment(config, clean);
+
+  const auto& events = sink.events();
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(events.front().kind, "run.start");
+  EXPECT_EQ(sink.CountKind("run.end"), 0u);
+  for (const TraceEvent& event : events) {
+    EXPECT_LE(event.time, kThrowAt) << Line(event);
   }
-  obs::DisarmFlightRecorder();
-
-  const std::vector<FlightEntry> records = CollectFlightRecords();
-  ASSERT_FALSE(records.empty());
-  ASSERT_LT(records.size(), 300u);  // the ring wrapped
-  EXPECT_EQ(records.back().a, 299);
-  EXPECT_EQ(records.front().a,
-            300 - static_cast<std::int64_t>(records.size()));
-}
-
-TEST(FlightTest, SimulatorTeardownClearsThisThreadsRing) {
-  obs::ClearFlightRecords();
-  obs::ArmFlightRecorder();
-  {
-    Simulator sim;
-    sim.ScheduleAt(1, [] {});
-    sim.ScheduleAt(2, [] {});
-    sim.RunUntil(10);
-    EXPECT_FALSE(CollectFlightRecords().empty());  // sim.event was recorded
+  // The failing run is the clean run up to the throw: the same events in
+  // the same order, and none of those before the throw's millisecond
+  // missing.
+  ASSERT_LE(events.size(), reference.events().size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    ASSERT_EQ(Line(events[i]), Line(reference.events()[i])) << "event " << i;
   }
-  // The destructor must clear the thread's ring so a back-to-back
-  // in-process run can't interleave this run's tail into its postmortem.
-  EXPECT_TRUE(CollectFlightRecords().empty());
-  obs::DisarmFlightRecorder();
-}
-
-// ---------------------------------------------------------- postmortem --
-
-TEST(PostmortemTest, CheckFailureDumpsLastSimulatorEvents) {
-  const std::filesystem::path dir = FreshTempDir("check");
-  obs::ArmPostmortem(dir.string());
-  {
-    Simulator sim;
-    for (SimTime t = 1; t <= 5; ++t) sim.ScheduleAt(t, [] {});
-    sim.RunUntil(3);  // records sim.event entries while armed
-    EXPECT_THROW(Check(false, "induced for obs_test"), CheckFailure);
-    sim.RunUntil(10);
-  }
-  obs::DisarmFlightRecorder();
-  obs::ClearFlightRecords();
-
-  std::vector<std::filesystem::path> dumps;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    dumps.push_back(entry.path());
-  }
-  ASSERT_EQ(dumps.size(), 1u);
-  EXPECT_NE(dumps[0].filename().string().find("postmortem_"),
-            std::string::npos);
-  const std::string json = ReadFile(dumps[0].string());
-  EXPECT_TRUE(IsValidJson(json)) << json;
-  EXPECT_NE(json.find("induced for obs_test"), std::string::npos);
-  // The dump preserves the simulator events leading up to the failure.
-  EXPECT_NE(json.find("\"sim.event\""), std::string::npos);
-  const std::vector<std::string> entries = ArrayObjects(json, "records");
-  ASSERT_GE(entries.size(), 3u);
-  for (const std::string& entry : entries) {
-    EXPECT_NE(entry.find("\"seq\":"), std::string::npos) << entry;
-    EXPECT_NE(entry.find("\"kind\":"), std::string::npos) << entry;
-  }
-}
-
-TEST(PostmortemTest, ManualDumpReturnsPath) {
-  const std::filesystem::path dir = FreshTempDir("manual");
-  obs::ArmPostmortem(dir.string());
-  obs::RecordFlight("obs.test.manual", 7, 42);
-  const std::string path = obs::DumpPostmortem("manual_reason");
-  obs::DisarmFlightRecorder();
-  obs::ClearFlightRecords();
-
-  ASSERT_FALSE(path.empty());
-  EXPECT_EQ(std::filesystem::path(path).parent_path(), dir);
-  const std::string json = ReadFile(path);
-  EXPECT_TRUE(IsValidJson(json)) << json;
-  EXPECT_NE(json.find("manual_reason"), std::string::npos);
-  EXPECT_NE(json.find("obs.test.manual"), std::string::npos);
+  const std::size_t before = static_cast<std::size_t>(std::count_if(
+      reference.events().begin(), reference.events().end(),
+      [](const TraceEvent& e) { return e.time < kThrowAt; }));
+  EXPECT_GE(events.size(), before);
+  EXPECT_GT(sink.CountKind("tx"), 0u);  // the radio ran before the throw
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <atomic>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "metrics/registry.h"
 #include "sweep/spec.h"
@@ -111,13 +113,61 @@ TEST(SweepSpecTest, RejectsUnknownKeys) {
   EXPECT_THROW(SweepSpec::Parse("grids=4 bogus=1"), std::invalid_argument);
   EXPECT_THROW(SweepSpec::Parse("grids=4 reliability=harden"),
                std::invalid_argument);
+  // Values the run would reject fail in Parse, before run_sweep echoes the
+  // spec, with a message that names the field.
+  const std::pair<const char*, const char*> rejected[] = {
+      {"collisions=nan", "collisions"},
+      {"collisions=7", "collisions"},
+      {"collisions=-0.1", "collisions"},
+      {"collisions=1", "collisions"},
+      {"alpha=-inf", "alpha"},
+      {"alpha=inf", "alpha"},
+      {"alpha=-0.5", "alpha"},
+      {"grids=4294967296", "grids"},
+      {"grids=4,256", "grids"},
+      {"grids=1", "grids"},
+      {"base-seed=-1", "base-seed"},
+      {"base-seed=18446744073709551615", "base-seed"},
+      {"seeds=0", "seeds"},
+      {"duration-ms=0", "duration-ms"},
+      {"workloads=D", "workloads"},
+      {"workloads=random:0", "workloads"},
+      {"workloads=random:1048576", "workloads"},
+      {"faults=loss:1", "faults"},
+      {"faults=loss:nan", "faults"},
+      {"faults=storm", "faults"},
+  };
+  for (const auto& [entry, field] : rejected) {
+    const std::string text =
+        std::string("grids=4 workloads=C modes=ttmqo seeds=1 ") + entry;
+    try {
+      SweepSpec::Parse(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << text << ": " << e.what();
+    }
+  }
 }
 
 TEST(SweepSpecTest, RoundTripsThroughToString) {
-  const SweepSpec spec = TestSpec();
-  const SweepSpec reparsed = SweepSpec::Parse(spec.ToString());
-  EXPECT_EQ(spec.ToString(), reparsed.ToString());
-  EXPECT_EQ(spec.TaskCount(), reparsed.TaskCount());
+  const char* accepted[] = {
+      "grids=4 workloads=A,random:4 modes=baseline,ttmqo "
+      "faults=none,transient seeds=2 duration-ms=36864",
+      "grids=2,255 workloads=B,random:1048575 modes=bs,innet "
+      "faults=loss:0,loss:0.999 reliability=off,arq seeds=7 base-seed=0 "
+      "duration-ms=1 collisions=0 alpha=0",
+      "base-seed=9223372036854775807 collisions=0.1 alpha=0.6",
+      "collisions=0.12345678901234567 alpha=1e300",
+      "collisions=0.99999999999999989 alpha=123456789.123456789",
+  };
+  for (const char* text : accepted) {
+    const SweepSpec spec = SweepSpec::Parse(text);
+    const SweepSpec reparsed = SweepSpec::Parse(spec.ToString());
+    EXPECT_TRUE(reparsed == spec) << text << " -> " << spec.ToString();
+    EXPECT_EQ(reparsed.ToString(), spec.ToString());
+  }
+  EXPECT_EQ(SweepSpec::Parse(accepted[2]).base_seed, 9223372036854775807u);
 }
 
 TEST(SweepSpecTest, TaskCountIsTheAxisProduct) {
