@@ -1,4 +1,4 @@
-// Golden-run regression suite: seven pinned scenarios whose canonical
+// Golden-run regression suite: eight pinned scenarios whose canonical
 // fingerprints (see sweep/fingerprint.h) are stored under tests/golden/,
 // plus the JSONL trace of one of them.
 // Any change to simulated behavior — row counts, message totals,
@@ -14,6 +14,7 @@
 // every changed line is a behavior change you are signing off on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -22,14 +23,18 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/innet/innet_engine.h"
 #include "fault/fault_plan.h"
 #include "metrics/run_summary.h"
 #include "metrics/trace.h"
 #include "query/parser.h"
+#include "routing/routing_tree.h"
 #include "sensing/field_model.h"
 #include "sweep/fingerprint.h"
+#include "util/tracing.h"
+#include "workload/generator.h"
 #include "workload/runner.h"
 #include "workload/static_workloads.h"
 
@@ -271,6 +276,59 @@ TEST(GoldenRegressionTest, TtmqoSixteenBySixteen) {
   config.seed = 42;
   const RunResult run = RunExperiment(config, StaticSchedule(WorkloadC()));
   CheckGolden("ttmqo_16x16.txt", FingerprintRun(run));
+}
+
+// Scenario 8: query churn — Section 4.3 random queries arriving and
+// terminating throughout a 6x6 two-tier run, with a relay down while the
+// network aborts queries.  The scenarios above never end a query, so this
+// one pins the abort flood, query removal at the nodes, and a relay that
+// misses an abort and keeps running the query after it recovers.
+TEST(GoldenRegressionTest, TtmqoChurnSixBySix) {
+  QueryModelParams params;
+  params.predicate_selectivity = 1.0;
+  params.randomize_selectivity = true;
+  RandomQueryModel model(params, 17);
+  const std::vector<WorkloadEvent> schedule =
+      DynamicSchedule(model, 300, 100.0, 60'000.0, 19);
+  SimTime last = 0;
+  for (const WorkloadEvent& event : schedule) {
+    last = std::max(last, event.time);
+  }
+
+  constexpr NodeId kRelay = 14;
+  constexpr SimTime kDownFrom = 200'000;
+  constexpr SimTime kDownUntil = 250'000;
+  // The outage must hit a node that forwards for others while queries end,
+  // or the golden would pin a run in which every node hears every abort.
+  EXPECT_FALSE(LevelGraph(Topology::Grid(6)).LowerNeighbors(kRelay).empty());
+  const auto terminated_while_down =
+      std::count_if(schedule.begin(), schedule.end(), [](const auto& event) {
+        return event.kind == WorkloadEvent::Kind::kTerminate &&
+               event.time >= kDownFrom && event.time < kDownUntil;
+      });
+  EXPECT_GT(terminated_while_down, 0);
+
+  FaultPlan plan;
+  plan.AddOutage(kRelay, kDownFrom, kDownUntil);
+  RunConfig config;
+  config.grid_side = 6;
+  config.mode = OptimizationMode::kTwoTier;
+  config.field = FieldKind::kCorrelated;
+  config.duration_ms = last + 1;
+  config.seed = 23;
+  config.faults = plan;
+  // Tier 1 decides which user terminations end a network query; count the
+  // aborts the relay sleeps through.
+  CollectingTraceSink trace;
+  config.obs.trace = &trace;
+  const RunResult run = RunExperiment(config, schedule);
+  const auto aborted_while_down = std::count_if(
+      trace.events().begin(), trace.events().end(), [](const auto& event) {
+        return event.kind == "tier2.terminate" && event.time >= kDownFrom &&
+               event.time < kDownUntil;
+      });
+  EXPECT_GT(aborted_while_down, 0);
+  CheckGolden("ttmqo_churn_6x6.txt", FingerprintRun(run));
 }
 
 }  // namespace
