@@ -230,8 +230,13 @@ int WriteBenchArtifact(const std::string& path, std::size_t side,
 int Main(int argc, char** argv) {
   const Flags flags = Flags::Parse(argc, argv);
   const std::size_t side = PositiveCount(flags, "side", 6);
-  const auto first_seed = static_cast<std::uint64_t>(flags.GetInt("seed", 7));
-  const auto runs = static_cast<std::uint64_t>(flags.GetInt("runs", 3));
+  const std::int64_t seed_flag = flags.GetInt("seed", 7);
+  if (seed_flag < 0) {
+    throw std::invalid_argument("--seed must not be negative, got " +
+                                std::to_string(seed_flag));
+  }
+  const auto first_seed = static_cast<std::uint64_t>(seed_flag);
+  const std::size_t runs = PositiveCount(flags, "runs", 3);
   const auto epochs = flags.GetInt("epochs", 24);
   RandomFaultParams params;
   params.max_outages = static_cast<std::size_t>(flags.GetInt("outages", 6));
@@ -255,10 +260,10 @@ int Main(int argc, char** argv) {
   }
 
   std::printf("Chaos soak: %zux%zu grid, %lld ms, <=%zu outages "
-              "(<=%.0f%% of sensors), link loss %.2f, %llu seed(s)\n\n",
+              "(<=%.0f%% of sensors), link loss %.2f, %zu seed(s)\n\n",
               side, side, static_cast<long long>(duration),
               params.max_outages, params.max_down_fraction * 100,
-              params.link_loss, static_cast<unsigned long long>(runs));
+              params.link_loss, runs);
 
   TablePrinter table({"seed", "outages", "mode", "rel", "completeness %",
                       "coverage %", "dup rows", "link drops", "messages"});
@@ -268,7 +273,8 @@ int Main(int argc, char** argv) {
       {OptimizationMode::kTwoTier, ReliabilityProfile::kOff},
       {OptimizationMode::kTwoTier, ReliabilityProfile::kArq},
   };
-  for (std::uint64_t seed = first_seed; seed < first_seed + runs; ++seed) {
+  for (std::size_t run_index = 0; run_index < runs; ++run_index) {
+    const std::uint64_t seed = first_seed + run_index;
     const FaultPlan plan =
         FaultPlan::RandomTransient(params, side * side, duration, seed);
 
@@ -348,8 +354,7 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "\n%d invariant violation(s)\n", violations);
     return 1;
   }
-  std::printf("\nall invariants held across %llu seed(s)\n",
-              static_cast<unsigned long long>(runs));
+  std::printf("\nall invariants held across %zu seed(s)\n", runs);
   return 0;
 }
 

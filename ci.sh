@@ -225,13 +225,20 @@ run_step "tests: build-asan" blocking run_tiers build-asan
 # file per violation in the artifacts dir.
 chaos_soak() {
   local dir="${ARTIFACTS}/postmortem"
+  # Both invocations always run, so the log shows each one's table and
+  # exit status even when the first fails.
   ./build-asan/bench/chaos_soak --runs=3 --seed=1 \
-    --postmortem-dir="${dir}" &&
-    ./build-asan/bench/chaos_soak --runs=3 --seed=1 --link-loss=0.1 \
-      --floor=0.4 --postmortem-dir="${dir}"
-  local rc=$?
+    --postmortem-dir="${dir}"
+  local plain_rc=$?
+  ./build-asan/bench/chaos_soak --runs=3 --seed=1 --link-loss=0.1 \
+    --floor=0.4 --postmortem-dir="${dir}"
+  local lossy_rc=$?
+  local rc=0
+  if [ "${plain_rc}" -ne 0 ] || [ "${lossy_rc}" -ne 0 ]; then rc=1; fi
   if [ "${rc}" -ne 0 ]; then
-    echo "chaos soak FAILED — postmortem dumps preserved in ${dir}:"
+    echo "chaos soak FAILED — plain run exit ${plain_rc}," \
+      "--link-loss=0.1 run exit ${lossy_rc}"
+    echo "postmortem dumps preserved in ${dir}:"
     ls -l "${dir}" 2>/dev/null || true
     # Line count and last line per dump, so an empty dump shows here.
     local dump

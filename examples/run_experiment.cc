@@ -160,8 +160,7 @@ int main(int argc, char** argv) {
         params.predicate_selectivity = 1.0;
         params.randomize_selectivity = true;
         RandomQueryModel model(params, config.seed ^ 0xabcULL);
-        const auto queries =
-            static_cast<std::size_t>(flags.GetInt("queries", 40));
+        const std::size_t queries = PositiveCount(flags, "queries", 40);
         const double concurrency = flags.GetDouble("concurrency", 8.0);
         schedule = DynamicSchedule(model, queries, 40'000.0,
                                    concurrency * 40'000.0, config.seed);

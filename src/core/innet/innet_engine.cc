@@ -43,6 +43,9 @@ constexpr SimDuration kBlacklistMaxBackoffMs = 32768;
 constexpr int kDisseminationRetries = 2;
 constexpr SimDuration kDisseminationRetryIntervalMs = 8192;
 
+// A has-data slot for a neighbor that was never heard to have data.
+constexpr SimTime kNoFact = std::numeric_limits<SimTime>::min();
+
 // Packs a (query, source) row key for the per-epoch duplicate buckets.
 std::uint64_t RowKey(QueryId query, NodeId source) {
   static_assert(sizeof(QueryId) + sizeof(NodeId) <= sizeof(std::uint64_t));
@@ -73,6 +76,23 @@ void ErasePrefix(Container& container, SimTime horizon) {
 void ErasePrefix(std::vector<SimTime>& ticks, SimTime horizon) {
   ticks.erase(ticks.begin(),
               std::lower_bound(ticks.begin(), ticks.end(), horizon));
+}
+
+// The first entry of an ascending-by-id list of query entries whose id is
+// not below `id`.
+template <typename Entries>
+auto LowerBoundById(Entries& entries, QueryId id) {
+  return std::lower_bound(
+      entries.begin(), entries.end(), id,
+      [](const auto* entry, QueryId key) { return entry->query.id() < key; });
+}
+
+// Index of `key` in the ascending `keys`, or keys.size() when absent.
+std::size_t IndexOf(const std::vector<QueryId>& keys, QueryId key) {
+  const auto it = std::lower_bound(keys.begin(), keys.end(), key);
+  return it != keys.end() && *it == key
+             ? static_cast<std::size_t>(it - keys.begin())
+             : keys.size();
 }
 
 }  // namespace
@@ -236,8 +256,8 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
     // Piggybacked data bit: learn it from every copy of the flood, even
     // duplicates, but only about upper-level neighbors.
     if (prop->sender_has_data && from_upper) {
-      NoteHasData(self, msg.sender, std::span<const QueryId>(&id, 1),
-                  network_.sim().Now());
+      NoteHasData(self, UpperPosition(self, msg.sender),
+                  std::span<const QueryId>(&id, 1), network_.sim().Now());
     }
     // A terminated query must never be reinstalled by a late re-flood.
     if (state.seen_abort.contains(id)) return;
@@ -253,19 +273,19 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
     // constraints on the constant attributes (nodeid, position) can, both
     // for the node itself and for its subtree.
     const PredicateSet& predicates = prop->query.predicates();
-    bool has_data = false;
+    const QueryEntry* installed = nullptr;
     if (first_time && NodeMayMatch(self, network_.topology().PositionOf(self),
                                    predicates)) {
-      InstallQuery(self, prop->query);
-      // Evaluate the piggybacked "I have data" bit from the current field.
+      installed = &InstallQuery(self, prop->query);
+    } else if (!first_time) {
+      installed = FindActive(state, id);
+    }
+    // Evaluate the piggybacked "I have data" bit from the current field.
+    bool has_data = false;
+    if (installed != nullptr) {
       const Reading sample = field_.SampleReading(
-          self, network_.topology().PositionOf(self),
-          prop->query.AcquiredAttributes(), network_.sim().Now());
-      has_data = predicates.Matches(sample);
-    } else if (!first_time && state.active.contains(id)) {
-      const Reading sample = field_.SampleReading(
-          self, network_.topology().PositionOf(self),
-          prop->query.AcquiredAttributes(), network_.sim().Now());
+          self, network_.topology().PositionOf(self), installed->acquired,
+          network_.sim().Now());
       has_data = predicates.Matches(sample);
     }
     if (!srt_.ShouldForward(tree_, self, predicates)) return;
@@ -313,12 +333,9 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
   if (const auto* row = PayloadAs<SharedRowPayload>(msg.payload.get())) {
     // The broadcast channel teaches us who has data: a row batch heard
     // from a neighbor that contains the neighbor's own reading marks it.
-    if (from_upper) {
-      for (const RowEntry& entry : row->entries) {
-        if (entry.row.node() == msg.sender) {
-          NoteHasData(self, msg.sender, entry.queries, row->epoch_time);
-        }
-      }
+    if (from_upper && row->own_row != SharedRowPayload::kNoOwnRow) {
+      NoteHasData(self, UpperPosition(self, msg.sender),
+                  row->entries[row->own_row].queries, row->epoch_time);
     }
     if (!addressed) return;
     const auto it = row->dest_queries.find(self);
@@ -367,8 +384,9 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
     // Any carrier of partials for q is a good parent for q: forwarding to
     // it lets the aggregates merge one hop earlier.
     if (from_upper) {
+      const std::size_t position = UpperPosition(self, msg.sender);
       for (const auto& [dest, qs] : agg->dest_queries) {
-        NoteHasData(self, msg.sender, qs, agg->epoch_time);
+        NoteHasData(self, position, qs, agg->epoch_time);
       }
     }
     if (!addressed) return;
@@ -421,14 +439,37 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
 // Query install / remove and the shared tick
 // -----------------------------------------------------------------------
 
-void InNetworkEngine::InstallQuery(NodeId self, const Query& query) {
-  nodes_[self].active.emplace(query.id(), query);
+const InNetworkEngine::QueryEntry& InNetworkEngine::InstallQuery(
+    NodeId self, const Query& query) {
+  std::vector<QueryEntry*>& active = nodes_[self].active;
+  const auto it = LowerBoundById(active, query.id());
+  Check(it == active.end() || (*it)->query.id() != query.id(),
+        "a node installs each query once");
+  QueryEntry& entry = queries_.try_emplace(query.id(), query).first->second;
+  ++entry.installs;
+  active.insert(it, &entry);
   ScheduleTick(self);
+  return entry;
 }
 
 void InNetworkEngine::RemoveQuery(NodeId self, QueryId id) {
   NodeState& state = nodes_[self];
-  state.active.erase(id);
+  const auto it = LowerBoundById(state.active, id);
+  if (it != state.active.end() && (*it)->query.id() == id) {
+    const bool last_install = --(*it)->installs == 0;
+    state.active.erase(it);
+    if (last_install) queries_.erase(id);
+  }
+  // Facts about an aborted query are never read again.
+  const std::size_t row = IndexOf(state.fact_queries, id);
+  if (row < state.fact_queries.size()) {
+    const std::size_t width = levels_.UpperNeighbors(self).size();
+    const auto first = state.fact_ticks.begin() +
+                       static_cast<std::ptrdiff_t>(row * width);
+    state.fact_ticks.erase(first, first + static_cast<std::ptrdiff_t>(width));
+    state.fact_queries.erase(state.fact_queries.begin() +
+                             static_cast<std::ptrdiff_t>(row));
+  }
   for (auto& [t, per_query] : state.agg_buffer) per_query.erase(id);
   ScheduleTick(self);
 }
@@ -441,8 +482,8 @@ void InNetworkEngine::ScheduleTick(NodeId self) {
   }
   const SimTime now = network_.sim().Now();
   SimTime next = std::numeric_limits<SimTime>::max();
-  for (const auto& [id, query] : state.active) {
-    next = std::min(next, AlignUp(now + 1, query.epoch()));
+  for (const QueryEntry* entry : state.active) {
+    next = std::min(next, AlignUp(now + 1, entry->query.epoch()));
   }
   if (state.tick_scheduled_for == next) return;
   state.tick_scheduled_for = next;
@@ -463,13 +504,14 @@ void InNetworkEngine::OnTick(NodeId self, SimTime t) {
   if (network_.IsAsleep(self)) network_.SetAsleep(self, false);
 
   // Sharing over time: all queries firing at t use one sample acquisition.
-  std::vector<const Query*> triggered;
-  std::vector<Attribute> attrs;
-  for (const auto& [id, query] : state.active) {
-    if (t % query.epoch() != 0) continue;
-    triggered.push_back(&query);
-    const auto acquired = query.AcquiredAttributes();
-    attrs.insert(attrs.end(), acquired.begin(), acquired.end());
+  std::vector<const QueryEntry*>& triggered = scratch_.triggered;
+  std::vector<Attribute>& attrs = scratch_.attrs;
+  triggered.clear();
+  attrs.clear();
+  for (const QueryEntry* entry : state.active) {
+    if (t % entry->query.epoch() != 0) continue;
+    triggered.push_back(entry);
+    attrs.insert(attrs.end(), entry->acquired.begin(), entry->acquired.end());
   }
   std::sort(attrs.begin(), attrs.end());
   attrs.erase(std::unique(attrs.begin(), attrs.end()), attrs.end());
@@ -479,9 +521,12 @@ void InNetworkEngine::OnTick(NodeId self, SimTime t) {
     const Reading sample = field_.SampleReading(
         self, network_.topology().PositionOf(self), attrs, t);
 
-    std::vector<QueryId> matched_acq;
-    std::vector<Attribute> row_attrs;
-    for (const Query* query : triggered) {
+    std::vector<QueryId>& matched_acq = scratch_.matched;
+    std::vector<Attribute>& row_attrs = scratch_.row_attrs;
+    matched_acq.clear();
+    row_attrs.clear();
+    for (const QueryEntry* entry : triggered) {
+      const Query* query = &entry->query;
       const bool match = query->predicates().Matches(sample);
       if (query->kind() == QueryKind::kAggregation) {
         if (match) {
@@ -615,7 +660,34 @@ void InNetworkEngine::OnSlot(NodeId self, SimTime t) {
 // Route selection and transmission
 // -----------------------------------------------------------------------
 
-std::span<const NodeId> InNetworkEngine::UsableParents(NodeId self) {
+const InNetworkEngine::QueryEntry* InNetworkEngine::FindActive(
+    const NodeState& state, QueryId id) {
+  const auto it = LowerBoundById(state.active, id);
+  return it != state.active.end() && (*it)->query.id() == id ? *it : nullptr;
+}
+
+std::size_t InNetworkEngine::UpperPosition(NodeId self,
+                                           NodeId neighbor) const {
+  const std::vector<NodeId>& upper = levels_.UpperNeighbors(self);
+  const auto it = std::lower_bound(upper.begin(), upper.end(), neighbor);
+  Check(it != upper.end() && *it == neighbor,
+        "has-data facts come from upper-level neighbors only");
+  return static_cast<std::size_t>(it - upper.begin());
+}
+
+std::span<const double> InNetworkEngine::UpperQualities(NodeId self) {
+  std::vector<double>& quality = nodes_[self].upper_quality;
+  const std::vector<NodeId>& upper = levels_.UpperNeighbors(self);
+  if (quality.size() != upper.size()) {
+    quality.clear();
+    for (NodeId candidate : upper) {
+      quality.push_back(network_.link_quality().Quality(self, candidate));
+    }
+  }
+  return quality;
+}
+
+std::span<const std::size_t> InNetworkEngine::UsableParents(NodeId self) {
   if (!options_.query_aware_routing) return {};
   // Beacon-based failure detection plus liveness: dead neighbors are never
   // candidates, and neighbors silent past the liveness timeout are
@@ -624,26 +696,30 @@ std::span<const NodeId> InNetworkEngine::UsableParents(NodeId self) {
   // node is cut off — fall back to the full list (the messages will be
   // lost, which is the truth).
   const std::vector<NodeId>& all = levels_.UpperNeighbors(self);
-  std::vector<NodeId>& upper = scratch_.upper;
+  std::vector<std::size_t>& upper = scratch_.upper;
   upper.clear();
-  for (NodeId candidate : all) {
+  for (std::size_t p = 0; p < all.size(); ++p) {
+    const NodeId candidate = all[p];
     if (!network_.IsFailed(candidate) && !SuspectParent(self, candidate) &&
         !(arq_ && candidate != kBaseStationId &&
           arq_->IsQuarantined(self, candidate))) {
-      upper.push_back(candidate);
+      upper.push_back(p);
     }
   }
   if (upper.empty()) {
-    for (NodeId candidate : all) {
-      if (!network_.IsFailed(candidate)) upper.push_back(candidate);
+    for (std::size_t p = 0; p < all.size(); ++p) {
+      if (!network_.IsFailed(all[p])) upper.push_back(p);
     }
   }
-  if (upper.empty()) upper.assign(all.begin(), all.end());
+  if (upper.empty()) {
+    for (std::size_t p = 0; p < all.size(); ++p) upper.push_back(p);
+  }
   Check(!upper.empty(), "every non-root node has an upper-level neighbor");
   return upper;
 }
 
-void InNetworkEngine::ChooseParents(NodeId self, std::span<const NodeId> upper,
+void InNetworkEngine::ChooseParents(NodeId self,
+                                    std::span<const std::size_t> upper,
                                     std::span<const QueryId> queries,
                                     DestQueries& out) {
   out.clear();
@@ -652,56 +728,66 @@ void InNetworkEngine::ChooseParents(NodeId self, std::span<const NodeId> upper,
                 std::vector<QueryId>(queries.begin(), queries.end()));
     return;
   }
+  const std::span<const double> quality = UpperQualities(self);
   const NodeState& state = nodes_[self];
+  const std::vector<NodeId>& neighbors = levels_.UpperNeighbors(self);
   const SimTime now = network_.sim().Now();
 
-  // Whether `known` (one neighbor's has-data facts) is fresh for q.
-  auto is_fresh = [&](const std::map<QueryId, SimTime>& known, QueryId q) {
-    const auto q_it = known.find(q);
-    if (q_it == known.end()) return false;
-    const auto active_it = state.active.find(q);
-    if (active_it == state.active.end()) return false;
-    const SimDuration ttl = kHasDataTtlEpochs * active_it->second.epoch();
-    return q_it->second + ttl >= now;
-  };
+  // A neighbor's fact about q counts while it is at most kHasDataTtlEpochs
+  // of q's epochs old, and only for queries installed here.
+  std::vector<Scratch::Pending>& remaining = scratch_.remaining;
+  remaining.clear();
+  for (QueryId q : queries) {
+    Scratch::Pending pending{q, nullptr, 0};
+    const QueryEntry* entry = FindActive(state, q);
+    const std::size_t row = IndexOf(state.fact_queries, q);
+    if (entry != nullptr && row < state.fact_queries.size()) {
+      pending.facts = &state.fact_ticks[row * neighbors.size()];
+      pending.fresh_since = now - kHasDataTtlEpochs * entry->query.epoch();
+    }
+    remaining.push_back(pending);
+  }
 
-  std::vector<QueryId>& remaining = scratch_.remaining;
   std::vector<QueryId>& covered = scratch_.covered;
   std::vector<QueryId>& best_covered = scratch_.best_covered;
-  remaining.assign(queries.begin(), queries.end());
   while (!remaining.empty()) {
-    NodeId best = upper.front();
+    std::size_t best = upper.front();
     best_covered.clear();
     double best_quality = -1.0;
-    for (NodeId candidate : upper) {
+    for (std::size_t candidate : upper) {
       covered.clear();
-      const auto nb_it = state.has_data.find(candidate);
-      if (nb_it != state.has_data.end()) {
-        for (QueryId q : remaining) {
-          if (is_fresh(nb_it->second, q)) covered.push_back(q);
+      for (const Scratch::Pending& pending : remaining) {
+        if (pending.facts != nullptr &&
+            pending.facts[candidate] >= pending.fresh_since) {
+          covered.push_back(pending.id);
         }
       }
-      const double quality = network_.link_quality().Quality(self, candidate);
       if (covered.size() > best_covered.size() ||
           (covered.size() == best_covered.size() &&
-           quality > best_quality)) {
+           quality[candidate] > best_quality)) {
         best = candidate;
         std::swap(best_covered, covered);
-        best_quality = quality;
+        best_quality = quality[candidate];
       }
     }
+    auto& bucket = out[neighbors[best]];
     if (best_covered.empty()) {
       // Nobody advertises data for the rest: give it to the most stable
       // link (this degenerates to TinyDB's choice on a cold start).
-      auto& bucket = out[best];
-      bucket.insert(bucket.end(), remaining.begin(), remaining.end());
+      for (const Scratch::Pending& pending : remaining) {
+        bucket.push_back(pending.id);
+      }
       break;
     }
-    auto& bucket = out[best];
     bucket.insert(bucket.end(), best_covered.begin(), best_covered.end());
-    std::erase_if(remaining, [&](QueryId q) {
-      return std::find(best_covered.begin(), best_covered.end(), q) !=
-             best_covered.end();
+    // `best_covered` lists its queries in `remaining` order.
+    std::size_t next = 0;
+    std::erase_if(remaining, [&](const Scratch::Pending& pending) {
+      if (next == best_covered.size() || best_covered[next] != pending.id) {
+        return false;
+      }
+      ++next;
+      return true;
     });
   }
   for (auto& [parent, qs] : out) std::sort(qs.begin(), qs.end());
@@ -713,38 +799,40 @@ void InNetworkEngine::SendRows(NodeId self, SimTime t,
   // transmission; distinct splits become distinct messages.  A split
   // depends only on the query set, and at one instant the candidates do
   // not change, so they are filtered once and each distinct query set is
-  // split once.
+  // split once.  Query lists are ascending, so distinct lists give
+  // distinct splits.
   if (entries.empty()) return;
-  const std::span<const NodeId> upper = UsableParents(self);
-  std::map<DestQueries, std::vector<RowEntry>> groups;
-  std::vector<std::size_t>& reps = scratch_.set_reps;
-  std::vector<std::vector<RowEntry>*>& group_of = scratch_.row_group;
-  reps.clear();
-  group_of.clear();
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    std::vector<RowEntry>* group = nullptr;
-    for (std::size_t rep : reps) {
-      if (entries[rep].queries == entries[i].queries) {
-        group = group_of[rep];
-        break;
-      }
+  const std::span<const std::size_t> upper = UsableParents(self);
+  std::vector<Scratch::RowGroup>& groups = scratch_.row_groups;
+  groups.clear();
+  for (RowEntry& entry : entries) {
+    auto group = std::find_if(
+        groups.begin(), groups.end(), [&](const Scratch::RowGroup& g) {
+          return g.rows.front().queries == entry.queries;
+        });
+    if (group == groups.end()) {
+      group = groups.emplace(groups.end());
+      ChooseParents(self, upper, entry.queries, group->dests);
     }
-    if (group == nullptr) {
-      ChooseParents(self, upper, entries[i].queries, scratch_.split);
-      group = &groups[scratch_.split];
-      reps.push_back(i);
-    }
-    group_of.push_back(group);
+    group->rows.push_back(std::move(entry));
   }
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    group_of[i]->push_back(std::move(entries[i]));
-  }
-  while (!groups.empty()) {
-    auto group = groups.extract(groups.begin());
+  // Ascending by split, the order in which the messages have always left.
+  std::sort(groups.begin(), groups.end(),
+            [](const Scratch::RowGroup& a, const Scratch::RowGroup& b) {
+              return a.dests < b.dests;
+            });
+  for (Scratch::RowGroup& group : groups) {
     auto payload = std::make_shared<SharedRowPayload>();
     payload->epoch_time = t;
-    payload->entries = std::move(group.mapped());
-    payload->dest_queries = std::move(group.key());
+    payload->entries = std::move(group.rows);
+    payload->dest_queries = std::move(group.dests);
+    const auto own = std::find_if(
+        payload->entries.begin(), payload->entries.end(),
+        [self](const RowEntry& entry) { return entry.row.node() == self; });
+    if (own != payload->entries.end()) {
+      payload->own_row =
+          static_cast<std::size_t>(own - payload->entries.begin());
+    }
 
     Message msg;
     msg.cls = MessageClass::kResult;
@@ -809,9 +897,9 @@ SimTime InNetworkEngine::ResultDeadline(NodeId self, SimTime t,
   bool any = false;
   for (const auto& [dest, queries] : dest_queries) {
     for (QueryId q : queries) {
-      const auto it = state.active.find(q);
-      if (it == state.active.end()) continue;
-      min_epoch = std::min(min_epoch, it->second.epoch());
+      const QueryEntry* entry = FindActive(state, q);
+      if (entry == nullptr) continue;
+      min_epoch = std::min(min_epoch, entry->query.epoch());
       any = true;
     }
   }
@@ -896,14 +984,15 @@ NodeId InNetworkEngine::ControlParent(NodeId self) {
              arq_->IsQuarantined(self, candidate));
   };
   if (usable(tree_parent)) return tree_parent;
+  const std::vector<NodeId>& candidates = levels_.UpperNeighbors(self);
+  const std::span<const double> quality = UpperQualities(self);
   NodeId best = tree_parent;
   double best_quality = -1.0;
-  for (NodeId candidate : levels_.UpperNeighbors(self)) {
-    if (!usable(candidate)) continue;
-    const double quality = network_.link_quality().Quality(self, candidate);
-    if (quality > best_quality) {
-      best = candidate;
-      best_quality = quality;
+  for (std::size_t p = 0; p < candidates.size(); ++p) {
+    if (!usable(candidates[p])) continue;
+    if (quality[p] > best_quality) {
+      best = candidates[p];
+      best_quality = quality[p];
     }
   }
   return best;
@@ -1014,7 +1103,7 @@ void InNetworkEngine::SendRepairReply(NodeId self, QueryId id,
   // "No data" is only meaningful when the node actually knew the query at
   // some point; a node that missed the dissemination cannot vouch for the
   // epoch and stays uncovered.
-  payload->knows_query = state.active.contains(id) ||
+  payload->knows_query = FindActive(state, id) != nullptr ||
                          state.seen_abort.contains(id) ||
                          state.prop_round.contains(id);
   const auto row_it = state.own_rows.find(epoch_time);
@@ -1113,12 +1202,23 @@ bool InNetworkEngine::SuspectParent(NodeId self, NodeId candidate) {
   return true;
 }
 
-void InNetworkEngine::NoteHasData(NodeId self, NodeId sender,
+void InNetworkEngine::NoteHasData(NodeId self, std::size_t position,
                                   std::span<const QueryId> queries,
                                   SimTime when) {
-  auto& per_neighbor = nodes_[self].has_data[sender];
+  NodeState& state = nodes_[self];
+  std::vector<QueryId>& known = state.fact_queries;
+  const std::size_t width = levels_.UpperNeighbors(self).size();
   for (QueryId q : queries) {
-    SimTime& last = per_neighbor[q];
+    const auto it = std::lower_bound(known.begin(), known.end(), q);
+    const auto first = static_cast<std::size_t>(it - known.begin()) * width;
+    if (it == known.end() || *it != q) {
+      if (state.seen_abort.contains(q)) continue;
+      known.insert(it, q);
+      state.fact_ticks.insert(
+          state.fact_ticks.begin() + static_cast<std::ptrdiff_t>(first), width,
+          kNoFact);
+    }
+    SimTime& last = state.fact_ticks[first + position];
     last = std::max(last, when);
   }
 }

@@ -116,16 +116,38 @@ class InNetworkEngine final : public QueryEngine {
     SimDuration backoff = 0;
   };
 
+  /// One network query, held once for every node that runs it.
+  struct QueryEntry {
+    explicit QueryEntry(const Query& q)
+        : query(q), acquired(q.AcquiredAttributes()) {}
+    Query query;
+    /// `query.AcquiredAttributes()`, derived once.
+    std::vector<Attribute> acquired;
+    /// Nodes whose `active` list holds this entry.  The entry is erased
+    /// when the last of them removes it, which may be long after the
+    /// termination: a node down during the abort flood keeps the query.
+    std::size_t installs = 0;
+  };
+
   struct NodeState {
-    std::map<QueryId, Query> active;
+    /// Installed queries, ascending by id; entries of `queries_`.
+    std::vector<QueryEntry*> active;
     /// Highest dissemination round seen per query (absent = never seen).
     std::map<QueryId, int> prop_round;
     std::set<QueryId> seen_abort;
     /// Queries whose propagation this node forwarded (abort floods follow
     /// the same prune).
     std::set<QueryId> relayed_propagation;
-    /// neighbor -> (query -> tick the neighbor was last known to have data).
-    std::map<NodeId, std::map<QueryId, SimTime>> has_data;
+    /// Has-data facts: for the i-th query of `fact_queries` (ascending),
+    /// `fact_ticks[i * width + p]` is the last tick at which the upper-level
+    /// neighbor at position p of `LevelGraph::UpperNeighbors(self)` was
+    /// known to have data for it (kNoFact = never), where width is that
+    /// list's size.  Holds no query this node has seen aborted.
+    std::vector<QueryId> fact_queries;
+    std::vector<SimTime> fact_ticks;
+    /// Link quality to each upper-level neighbor, by position; filled on
+    /// first use.
+    std::vector<double> upper_quality;
     /// Per tick: partial state per query, merged until the slot fires.
     std::map<SimTime, std::map<QueryId, std::vector<PartialAggregate>>>
         agg_buffer;
@@ -177,7 +199,8 @@ class InNetworkEngine final : public QueryEngine {
 
   // --- node-side -------------------------------------------------------
   void HandleMessage(NodeId self, const Message& msg, bool addressed);
-  void InstallQuery(NodeId self, const Query& query);
+  /// Installs `query` at `self` and returns the engine's entry for it.
+  const QueryEntry& InstallQuery(NodeId self, const Query& query);
   void RemoveQuery(NodeId self, QueryId id);
   void ScheduleTick(NodeId self);
   void OnTick(NodeId self, SimTime t);
@@ -190,19 +213,28 @@ class InNetworkEngine final : public QueryEngine {
   void SendRows(NodeId self, SimTime t, std::vector<RowEntry> entries);
   void SendAgg(NodeId self, SimTime t,
                std::map<QueryId, std::vector<PartialAggregate>> partials);
-  /// The upper-level neighbors `self` may route through now: dead, suspect
-  /// and quarantined candidates are filtered out (with fallbacks when that
-  /// leaves none).  Empty when query-aware routing is off.  The span views
-  /// scratch that the next call overwrites.
-  std::span<const NodeId> UsableParents(NodeId self);
+  /// The query `id` when it is installed at the node, else nullptr.
+  static const QueryEntry* FindActive(const NodeState& state, QueryId id);
+  /// Position of `neighbor` in `LevelGraph::UpperNeighbors(self)`.
+  std::size_t UpperPosition(NodeId self, NodeId neighbor) const;
+  /// Link quality from `self` to each upper-level neighbor, by position.
+  std::span<const double> UpperQualities(NodeId self);
+  /// The upper-level neighbors `self` may route through now, as positions
+  /// in `LevelGraph::UpperNeighbors(self)`: dead, suspect and quarantined
+  /// candidates are filtered out (with fallbacks when that leaves none).
+  /// Empty when query-aware routing is off.  The span views scratch that
+  /// the next call overwrites.
+  std::span<const std::size_t> UsableParents(NodeId self);
   /// Splits `queries` among `upper` (one `UsableParents` result): each
   /// query goes to the candidate known to have data for it, else to the
   /// most stable link.  Writes the per-destination split to `out`.
-  void ChooseParents(NodeId self, std::span<const NodeId> upper,
+  void ChooseParents(NodeId self, std::span<const std::size_t> upper,
                      std::span<const QueryId> queries, DestQueries& out);
-  /// Records that `sender`, an upper-level neighbor of `self`, had data
-  /// for `queries` at `when`.
-  void NoteHasData(NodeId self, NodeId sender,
+  /// Records that the upper-level neighbor at `position` of `self` had
+  /// data for `queries` at `when`.  Queries `self` has seen aborted are
+  /// skipped: a fact is only read for a query installed at `self`, and an
+  /// aborted query is never installed again.
+  void NoteHasData(NodeId self, std::size_t position,
                    std::span<const QueryId> queries, SimTime when);
   /// Liveness tracking (arq profile): records that `self` heard from
   /// `sender` now and clears any suspicion of it.
@@ -258,6 +290,9 @@ class InNetworkEngine final : public QueryEngine {
   SemanticRoutingTree srt_;
   LevelGraph levels_;
   std::vector<NodeState> nodes_;
+  /// Every query installed at some node, referred to by the nodes'
+  /// `active` lists.
+  std::map<QueryId, QueryEntry> queries_;
   std::map<QueryId, BsQueryState> bs_queries_;
   /// Present only under the arq profile; the off path talks to the network
   /// directly and stays byte-identical to the pinned goldens.
@@ -268,14 +303,29 @@ class InNetworkEngine final : public QueryEngine {
   /// capacity persists, so steady-state route choices and relay filtering
   /// do not allocate.
   struct Scratch {
-    std::vector<NodeId> upper;          // UsableParents' result
-    std::vector<QueryId> remaining;     // ChooseParents
+    /// A query still to place in ChooseParents: its facts at the node
+    /// (nullptr when it is not installed there) and the oldest tick that
+    /// counts as fresh.
+    struct Pending {
+      QueryId id;
+      const SimTime* facts;
+      SimTime fresh_since;
+    };
+    /// SendRows: the rows of one distinct query set and their split.
+    struct RowGroup {
+      DestQueries dests;
+      std::vector<RowEntry> rows;
+    };
+    std::vector<std::size_t> upper;     // UsableParents' result
+    std::vector<Pending> remaining;     // ChooseParents
     std::vector<QueryId> covered;       // ChooseParents
     std::vector<QueryId> best_covered;  // ChooseParents
     std::vector<QueryId> queries;       // relay filtering, SendAgg
-    std::vector<std::size_t> set_reps;  // SendRows: first row of each set
-    std::vector<std::vector<RowEntry>*> row_group;  // SendRows
-    DestQueries split;                  // SendRows
+    std::vector<RowGroup> row_groups;   // SendRows
+    std::vector<const QueryEntry*> triggered;  // OnTick
+    std::vector<Attribute> attrs;              // OnTick: sampled
+    std::vector<QueryId> matched;              // OnTick: acquisition
+    std::vector<Attribute> row_attrs;          // OnTick: projected
   } scratch_;
   std::uint64_t duplicates_suppressed_ = 0;
   std::uint64_t late_drops_ = 0;

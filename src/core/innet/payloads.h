@@ -48,9 +48,17 @@ struct RowEntry {
 /// transmissions" of Section 1; a node's own reading and the rows it
 /// relays ride together.
 struct SharedRowPayload final : TaggedPayload<SharedRowPayload> {
+  /// `own_row` of a batch that only relays other nodes' rows.
+  static constexpr std::size_t kNoOwnRow = static_cast<std::size_t>(-1);
+
   SimTime epoch_time = 0;
   /// The packed rows.
   std::vector<RowEntry> entries;
+  /// Index in `entries` of the sender's own reading, or kNoOwnRow.  A
+  /// receiver learns from it which queries the sender has data for without
+  /// scanning the batch.  The source id it stands for is already on the
+  /// air, so it costs no payload bytes.
+  std::size_t own_row = kNoOwnRow;
   /// Which queries each addressed destination is responsible for.  For a
   /// unicast this has one entry holding every query the batch answers.
   std::map<NodeId, std::vector<QueryId>> dest_queries;

@@ -36,6 +36,7 @@ class InNetEngineTest : public ::testing::Test {
     entry.row.Set(Attribute::kLight, 42.0);
     entry.queries = {query};
     payload->entries.push_back(std::move(entry));
+    if (source == from) payload->own_row = 0;
     payload->dest_queries[to] = {query};
     Message msg;
     msg.cls = MessageClass::kResult;
