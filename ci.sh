@@ -226,12 +226,13 @@ run_step "tests: build-asan" blocking run_tiers build-asan
 chaos_soak() {
   local dir="${ARTIFACTS}/postmortem"
   # Both invocations always run, so the log shows each one's table and
-  # exit status even when the first fails.
+  # exit status even when the first fails.  Each dumps into its own
+  # directory: the dump file names do not say which invocation failed.
   ./build-asan/bench/chaos_soak --runs=3 --seed=1 \
-    --postmortem-dir="${dir}"
+    --postmortem-dir="${dir}/plain"
   local plain_rc=$?
   ./build-asan/bench/chaos_soak --runs=3 --seed=1 --link-loss=0.1 \
-    --floor=0.4 --postmortem-dir="${dir}"
+    --floor=0.4 --postmortem-dir="${dir}/link-loss-0.1"
   local lossy_rc=$?
   local rc=0
   if [ "${plain_rc}" -ne 0 ] || [ "${lossy_rc}" -ne 0 ]; then rc=1; fi
@@ -239,10 +240,10 @@ chaos_soak() {
     echo "chaos soak FAILED — plain run exit ${plain_rc}," \
       "--link-loss=0.1 run exit ${lossy_rc}"
     echo "postmortem dumps preserved in ${dir}:"
-    ls -l "${dir}" 2>/dev/null || true
+    ls -lR "${dir}" 2>/dev/null || true
     # Line count and last line per dump, so an empty dump shows here.
     local dump
-    for dump in "${dir}"/*; do
+    for dump in "${dir}"/*/*; do
       [ -f "${dump}" ] || continue
       echo "${dump}: $(wc -l < "${dump}") lines, last:"
       tail -n 1 "${dump}"

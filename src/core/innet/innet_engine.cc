@@ -816,7 +816,7 @@ void InNetworkEngine::SendRows(NodeId self, SimTime t,
     }
     group->rows.push_back(std::move(entry));
   }
-  // Ascending by split, the order in which the messages have always left.
+  // Ascending by split: the goldens and traces pin this send order.
   std::sort(groups.begin(), groups.end(),
             [](const Scratch::RowGroup& a, const Scratch::RowGroup& b) {
               return a.dests < b.dests;
