@@ -1,4 +1,4 @@
-// Golden-run regression suite: eight pinned scenarios whose canonical
+// Golden-run regression suite: nine pinned scenarios whose canonical
 // fingerprints (see sweep/fingerprint.h) are stored under tests/golden/,
 // plus the JSONL trace of one of them.
 // Any change to simulated behavior — row counts, message totals,
@@ -278,45 +278,57 @@ TEST(GoldenRegressionTest, TtmqoSixteenBySixteen) {
   CheckGolden("ttmqo_16x16.txt", FingerprintRun(run));
 }
 
-// Scenario 8: query churn — Section 4.3 random queries arriving and
-// terminating throughout a 6x6 two-tier run, with a relay down while the
-// network aborts queries.  The scenarios above never end a query, so this
-// one pins the abort flood, query removal at the nodes, and a relay that
-// misses an abort and keeps running the query after it recovers.
-TEST(GoldenRegressionTest, TtmqoChurnSixBySix) {
+// Scenarios 8 and 9 share one churn: Section 4.3 random queries arriving
+// and terminating throughout a 6x6 run, with a relay down from 200 s to
+// 250 s while the network aborts queries.
+constexpr NodeId kChurnRelay = 14;
+constexpr SimTime kChurnDownFrom = 200'000;
+constexpr SimTime kChurnDownUntil = 250'000;
+
+std::vector<WorkloadEvent> ChurnSchedule() {
   QueryModelParams params;
   params.predicate_selectivity = 1.0;
   params.randomize_selectivity = true;
   RandomQueryModel model(params, 17);
-  const std::vector<WorkloadEvent> schedule =
-      DynamicSchedule(model, 300, 100.0, 60'000.0, 19);
+  return DynamicSchedule(model, 300, 100.0, 60'000.0, 19);
+}
+
+RunConfig ChurnConfig(OptimizationMode mode,
+                      const std::vector<WorkloadEvent>& schedule) {
   SimTime last = 0;
   for (const WorkloadEvent& event : schedule) {
     last = std::max(last, event.time);
   }
-
-  constexpr NodeId kRelay = 14;
-  constexpr SimTime kDownFrom = 200'000;
-  constexpr SimTime kDownUntil = 250'000;
   // The outage must hit a node that forwards for others while queries end,
   // or the golden would pin a run in which every node hears every abort.
-  EXPECT_FALSE(LevelGraph(Topology::Grid(6)).LowerNeighbors(kRelay).empty());
+  EXPECT_FALSE(
+      LevelGraph(Topology::Grid(6)).LowerNeighbors(kChurnRelay).empty());
   const auto terminated_while_down =
       std::count_if(schedule.begin(), schedule.end(), [](const auto& event) {
         return event.kind == WorkloadEvent::Kind::kTerminate &&
-               event.time >= kDownFrom && event.time < kDownUntil;
+               event.time >= kChurnDownFrom && event.time < kChurnDownUntil;
       });
   EXPECT_GT(terminated_while_down, 0);
 
   FaultPlan plan;
-  plan.AddOutage(kRelay, kDownFrom, kDownUntil);
+  plan.AddOutage(kChurnRelay, kChurnDownFrom, kChurnDownUntil);
   RunConfig config;
   config.grid_side = 6;
-  config.mode = OptimizationMode::kTwoTier;
+  config.mode = mode;
   config.field = FieldKind::kCorrelated;
   config.duration_ms = last + 1;
   config.seed = 23;
   config.faults = plan;
+  return config;
+}
+
+// Scenario 8: the churn through the two-tier stack.  The scenarios above
+// never end a query, so this one pins the abort flood, query removal at
+// the nodes, and a relay that misses an abort and keeps running the query
+// after it recovers.
+TEST(GoldenRegressionTest, TtmqoChurnSixBySix) {
+  const std::vector<WorkloadEvent> schedule = ChurnSchedule();
+  RunConfig config = ChurnConfig(OptimizationMode::kTwoTier, schedule);
   // Tier 1 decides which user terminations end a network query; count the
   // aborts the relay sleeps through.
   CollectingTraceSink trace;
@@ -324,11 +336,22 @@ TEST(GoldenRegressionTest, TtmqoChurnSixBySix) {
   const RunResult run = RunExperiment(config, schedule);
   const auto aborted_while_down = std::count_if(
       trace.events().begin(), trace.events().end(), [](const auto& event) {
-        return event.kind == "tier2.terminate" && event.time >= kDownFrom &&
-               event.time < kDownUntil;
+        return event.kind == "tier2.terminate" &&
+               event.time >= kChurnDownFrom && event.time < kChurnDownUntil;
       });
   EXPECT_GT(aborted_while_down, 0);
   CheckGolden("ttmqo_churn_6x6.txt", FingerprintRun(run));
+}
+
+// Scenario 9: the same churn through the TinyDB baseline, where every user
+// termination floods an abort, so the relay misses every abort sent while
+// it is down and keeps those queries running.  Pins TinyDB's propagation
+// and abort floods, which the static baseline scenario never ends.
+TEST(GoldenRegressionTest, BaselineChurnSixBySix) {
+  const std::vector<WorkloadEvent> schedule = ChurnSchedule();
+  const RunResult run = RunExperiment(
+      ChurnConfig(OptimizationMode::kBaseline, schedule), schedule);
+  CheckGolden("baseline_churn_6x6.txt", FingerprintRun(run));
 }
 
 }  // namespace
