@@ -14,21 +14,24 @@
 // With --scale-out=FILE it instead measures the per-event cost curve of
 // tier 2 and writes it as a BENCH_*.json artifact (BENCH_scale.json):
 // ttmqo WorkloadC on n x n grids, n in {10, 20, 30, 40, 60}, 81920 sim-ms,
-// seed 7, collisions 0.02, one run at a time in increasing n.  Per grid it
-// records the executed events, the run's wall time, ns per event, the
-// process's peak RSS (ru_maxrss) after the run, and the run's delivery: rows
-// expected and delivered over all queries, and the smallest per-query
-// completeness.  Event counts and delivery are deterministic; timings and
-// RSS depend on the host.
+// seed 7, collisions 0.02, one run at a time in increasing n, each grid run
+// 5 times.  Per grid it records the executed events, the median pass's wall
+// time and ns per event, the process's peak RSS (ru_maxrss) after the
+// passes, and the run's delivery: rows expected and delivered over all
+// queries, and the smallest per-query completeness.  Event counts and
+// delivery are deterministic, and the binary exits 1 if any pass differs
+// from the first in them; timings and RSS depend on the host.
 //
 //   $ scalability --scale-out=BENCH_scale.json
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
+#include <vector>
 
 #include "metrics/table.h"
 #include "obs/build_info.h"
@@ -49,6 +52,19 @@ constexpr std::size_t kScaleSides[] = {10, 20, 30, 40, 60};
 constexpr SimDuration kScaleDurationMs = 81920;
 constexpr std::uint64_t kScaleSeed = 7;
 constexpr double kScaleCollisions = 0.02;
+// Passes per grid: a 10x10 run takes about 20 ms, and single passes of one
+// build spread by a third there, so each point is the median pass.
+constexpr int kScalePasses = 5;
+
+// What one pass of a grid must repeat exactly.
+struct ScaleCounts {
+  std::uint64_t events = 0;
+  std::uint64_t expected = 0;
+  std::uint64_t delivered = 0;
+  double min_completeness = 0.0;
+
+  bool operator==(const ScaleCounts&) const = default;
+};
 
 long MaxRssKb() {
   rusage usage{};
@@ -64,10 +80,11 @@ int WriteScaleCurve(const std::string& path) {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "  \"config\": {\"mode\": \"ttmqo\", \"workload\": \"C\", "
-                "\"duration_ms\": %lld, \"seed\": %llu, \"collisions\": %.2f},"
-                "\n",
+                "\"duration_ms\": %lld, \"seed\": %llu, \"collisions\": %.2f, "
+                "\"passes\": %d},\n",
                 static_cast<long long>(kScaleDurationMs),
-                static_cast<unsigned long long>(kScaleSeed), kScaleCollisions);
+                static_cast<unsigned long long>(kScaleSeed), kScaleCollisions,
+                kScalePasses);
   out << buf;
   out << "  \"build\": ";
   obs::WriteBuildInfoJson(out);
@@ -83,46 +100,64 @@ int WriteScaleCurve(const std::string& path) {
     config.duration_ms = kScaleDurationMs;
     config.seed = kScaleSeed;
     config.channel.collision_prob = kScaleCollisions;
-    const auto start = std::chrono::steady_clock::now();
-    const RunResult run = RunExperiment(config, StaticSchedule(WorkloadC()));
-    const double wall_ms = std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-    const double ns_per_event =
-        wall_ms * 1e6 / static_cast<double>(run.events_executed);
-    const long rss_kb = MaxRssKb();
-    std::uint64_t expected = 0;
-    std::uint64_t delivered = 0;
-    for (const auto& [id, delivery] : run.summary.delivery) {
-      expected += delivery.expected;
-      delivered += delivery.delivered;
+    ScaleCounts counts;
+    std::vector<double> walls_ms;
+    for (int pass = 0; pass < kScalePasses; ++pass) {
+      const auto start = std::chrono::steady_clock::now();
+      const RunResult run = RunExperiment(config, StaticSchedule(WorkloadC()));
+      walls_ms.push_back(std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count());
+      ScaleCounts pass_counts;
+      pass_counts.events = run.events_executed;
+      for (const auto& [id, delivery] : run.summary.delivery) {
+        pass_counts.expected += delivery.expected;
+        pass_counts.delivered += delivery.delivered;
+      }
+      pass_counts.min_completeness = run.summary.MinDeliveryCompleteness();
+      if (pass == 0) {
+        counts = pass_counts;
+      } else if (pass_counts != counts) {
+        std::fprintf(stderr,
+                     "scalability: pass %d of the %zux%zu grid differs from "
+                     "the first in events, rows or completeness\n",
+                     pass + 1, side, side);
+        return 1;
+      }
     }
-    const double min_completeness = run.summary.MinDeliveryCompleteness();
+    std::sort(walls_ms.begin(), walls_ms.end());
+    const double wall_ms = walls_ms[walls_ms.size() / 2];
+    const double ns_per_event =
+        wall_ms * 1e6 / static_cast<double>(counts.events);
+    const long rss_kb = MaxRssKb();
     std::snprintf(buf, sizeof(buf),
                   "    {\"n\": %zu, \"events_executed\": %llu, "
                   "\"wall_ms\": %.1f, \"ns_per_event\": %.0f, "
                   "\"ru_maxrss_kb\": %ld, \"rows_expected\": %llu, "
                   "\"rows_delivered\": %llu, \"min_completeness\": %.4f}%s\n",
-                  side, static_cast<unsigned long long>(run.events_executed),
+                  side, static_cast<unsigned long long>(counts.events),
                   wall_ms, ns_per_event, rss_kb,
-                  static_cast<unsigned long long>(expected),
-                  static_cast<unsigned long long>(delivered), min_completeness,
+                  static_cast<unsigned long long>(counts.expected),
+                  static_cast<unsigned long long>(counts.delivered),
+                  counts.min_completeness,
                   i + 1 < std::size(kScaleSides) ? "," : "");
     out << buf;
     table.AddRow({std::to_string(side) + "x" + std::to_string(side),
-                  std::to_string(run.events_executed),
+                  std::to_string(counts.events),
                   TablePrinter::Num(wall_ms, 1),
                   TablePrinter::Num(ns_per_event, 0),
                   TablePrinter::Num(static_cast<double>(rss_kb) / 1024.0, 1),
-                  std::to_string(expected), std::to_string(delivered),
-                  TablePrinter::Num(min_completeness, 4)});
+                  std::to_string(counts.expected),
+                  std::to_string(counts.delivered),
+                  TablePrinter::Num(counts.min_completeness, 4)});
   }
   out << "  ]\n";
   out << "}\n";
   std::printf("Tier-2 scale curve (ttmqo WORKLOAD_C, %lld sim-ms, seed %llu, "
-              "collisions=%.2f)\n\n",
+              "collisions=%.2f; wall time is the median of %d passes)\n\n",
               static_cast<long long>(kScaleDurationMs),
-              static_cast<unsigned long long>(kScaleSeed), kScaleCollisions);
+              static_cast<unsigned long long>(kScaleSeed), kScaleCollisions,
+              kScalePasses);
   table.Print(std::cout);
   std::printf("wrote %s\n", path.c_str());
   return 0;

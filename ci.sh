@@ -253,20 +253,28 @@ chaos_soak() {
 }
 run_step "chaos-soak (asan)" blocking chaos_soak
 
+# diff_artifact NAME: diffs the committed NAME.json against the copy a
+# bench just wrote to ${ARTIFACTS}/NAME.json.  Timings and build
+# provenance are host-dependent and stripped from both sides first; every
+# count that remains must match exactly.
+diff_artifact() {
+  local name="$1"
+  python3 tools/strip_bench_timings.py "${name}.json" \
+    > "${ARTIFACTS}/${name}.committed.json" &&
+    python3 tools/strip_bench_timings.py "${ARTIFACTS}/${name}.json" \
+      > "${ARTIFACTS}/${name}.fresh.json" &&
+    diff -u "${ARTIFACTS}/${name}.committed.json" \
+      "${ARTIFACTS}/${name}.fresh.json"
+}
+
 # The committed reliability bench artifact must match what the code
 # produces: regenerate the loss-axis x profile matrix and compare every
-# count exactly (build provenance is stripped from both sides).  Catches
-# both nondeterminism and a stale BENCH_reliability.json.
+# count exactly.  Catches both nondeterminism and a stale
+# BENCH_reliability.json.
 reliability_bench() {
   ./build-asan/bench/chaos_soak --side=6 \
     --bench-out="${ARTIFACTS}/BENCH_reliability.json" &&
-    python3 tools/strip_bench_timings.py BENCH_reliability.json \
-      > "${ARTIFACTS}/BENCH_reliability.committed.json" &&
-    python3 tools/strip_bench_timings.py \
-      "${ARTIFACTS}/BENCH_reliability.json" \
-      > "${ARTIFACTS}/BENCH_reliability.fresh.json" &&
-    diff -u "${ARTIFACTS}/BENCH_reliability.committed.json" \
-      "${ARTIFACTS}/BENCH_reliability.fresh.json"
+    diff_artifact BENCH_reliability
 }
 run_step "reliability-bench (asan)" blocking reliability_bench
 
@@ -299,51 +307,35 @@ run_step "build-release" blocking \
 
 # The committed optimizer-scaling artifact must match what the code
 # produces: regenerate the insert-throughput curve and compare the decision
-# counts exactly (timings and build provenance are host-dependent and are
-# stripped from both sides; the binary itself exits non-zero if the indexed
-# and naive paths ever disagree on a decision).
+# counts exactly (the binary itself exits non-zero if the indexed and naive
+# paths ever disagree on a decision).
 bsopt_bench() {
   ./build-release/bench/micro_bs_opt \
     --curve-out="${ARTIFACTS}/BENCH_bsopt.json" &&
-    python3 tools/strip_bench_timings.py BENCH_bsopt.json \
-      > "${ARTIFACTS}/BENCH_bsopt.committed.json" &&
-    python3 tools/strip_bench_timings.py "${ARTIFACTS}/BENCH_bsopt.json" \
-      > "${ARTIFACTS}/BENCH_bsopt.fresh.json" &&
-    diff -u "${ARTIFACTS}/BENCH_bsopt.committed.json" \
-      "${ARTIFACTS}/BENCH_bsopt.fresh.json"
+    diff_artifact BENCH_bsopt
 }
 run_step "bsopt-bench (release)" blocking bsopt_bench
 
 # The committed hotpath artifact must match what the code produces: the
 # event counts of every part — sweep, dense contention, allocation probe —
 # are deterministic in the seeds, so CI regenerates the artifact with the
-# committed parameters and diffs the counts exactly (wall clock and derived
-# rates are stripped from both sides; the binary itself exits non-zero if
-# the steady state allocates).
+# committed parameters and diffs the counts exactly (the binary itself exits
+# non-zero if the steady state allocates).
 hotpath_bench() {
   ./build-release/bench/hotpath \
     --out="${ARTIFACTS}/BENCH_hotpath.json" &&
-    python3 tools/strip_bench_timings.py BENCH_hotpath.json \
-      > "${ARTIFACTS}/BENCH_hotpath.committed.json" &&
-    python3 tools/strip_bench_timings.py "${ARTIFACTS}/BENCH_hotpath.json" \
-      > "${ARTIFACTS}/BENCH_hotpath.fresh.json" &&
-    diff -u "${ARTIFACTS}/BENCH_hotpath.committed.json" \
-      "${ARTIFACTS}/BENCH_hotpath.fresh.json"
+    diff_artifact BENCH_hotpath
 }
 run_step "hotpath-bench (release)" blocking hotpath_bench
 
 # The committed tier-2 scale curve must match what the code produces: the
-# event count of every grid is deterministic, so CI regenerates
-# BENCH_scale.json and diffs it with timings and RSS stripped.
+# event count and delivery of every grid are deterministic (the binary
+# exits non-zero if its 5 passes of a grid disagree on them), so CI
+# regenerates BENCH_scale.json and diffs it with timings and RSS stripped.
 scale_bench() {
   ./build-release/bench/scalability \
     --scale-out="${ARTIFACTS}/BENCH_scale.json" &&
-    python3 tools/strip_bench_timings.py BENCH_scale.json \
-      > "${ARTIFACTS}/BENCH_scale.committed.json" &&
-    python3 tools/strip_bench_timings.py "${ARTIFACTS}/BENCH_scale.json" \
-      > "${ARTIFACTS}/BENCH_scale.fresh.json" &&
-    diff -u "${ARTIFACTS}/BENCH_scale.committed.json" \
-      "${ARTIFACTS}/BENCH_scale.fresh.json"
+    diff_artifact BENCH_scale
 }
 run_step "scale-curve (release)" blocking scale_bench
 

@@ -4,7 +4,7 @@
 //
 //   $ run_sweep                                  # default scalability sweep
 //   $ run_sweep --spec="grids=4,8 workloads=A,C modes=baseline,ttmqo seeds=2"
-//   $ run_sweep --spec=@sweep.spec --jobs=8 --out=sweep.json --csv=sweep.csv
+//   $ run_sweep --spec=@sweep.spec --jobs=8 --out=sweep.json
 //   $ run_sweep --bench-out=BENCH_sweep.json     # perf trajectory artifact
 //
 // Flags:
@@ -12,10 +12,9 @@
 //                        reads the text from a file
 //   --jobs=N             worker threads (0 = hardware concurrency; default)
 //   --out=p.json         aggregated report as JSON
-//   --csv=p.csv          aggregated report as CSV
 //   --metrics-out=p.json shared MetricsRegistry across all runs, every
 //                        series labeled with its cell's coordinates
-//   --no-timing          omit wall-clock fields from --out/--csv, making
+//   --no-timing          omit wall-clock fields from --out, making
 //                        the report canonical (byte-identical across job
 //                        counts; what the determinism suite compares)
 //   --bench-out=p.json   run the spec twice — jobs=1 and jobs=N — verify
@@ -179,7 +178,6 @@ int Main(int argc, char** argv) {
       "duration-ms=245760 collisions=0.02");
   const auto jobs = static_cast<unsigned>(flags.GetInt("jobs", 0));
   const auto out_path = flags.GetOptional("out");
-  const auto csv_path = flags.GetOptional("csv");
   const auto metrics_path = flags.GetOptional("metrics-out");
   const bool no_timing = flags.GetBool("no-timing", false);
   const auto bench_out = flags.GetOptional("bench-out");
@@ -209,11 +207,6 @@ int Main(int argc, char** argv) {
     report.WriteJson(out, /*include_timing=*/!no_timing);
     out << "\n";
     std::printf("wrote JSON report to %s\n", out_path->c_str());
-  }
-  if (csv_path.has_value()) {
-    std::ofstream out = OpenOutput(*csv_path);
-    report.WriteCsv(out, /*include_timing=*/!no_timing);
-    std::printf("wrote CSV report to %s\n", csv_path->c_str());
   }
   return 0;
 }

@@ -65,17 +65,12 @@ bool InsertSorted(std::vector<T>& keys, T key) {
   return true;
 }
 
-// Erases the entries of a tick-keyed container older than `horizon`.  The
-// keys sort tick first, so they form one prefix: the cost is the number of
-// entries erased, not the container's size.
-template <typename Container>
-void ErasePrefix(Container& container, SimTime horizon) {
-  container.erase(container.begin(), container.lower_bound(horizon));
-}
-
-void ErasePrefix(std::vector<SimTime>& ticks, SimTime horizon) {
-  ticks.erase(ticks.begin(),
-              std::lower_bound(ticks.begin(), ticks.end(), horizon));
+// Erases the entries of a tick-keyed map older than `horizon`.  The keys
+// sort tick first, so they form one prefix: the cost is the number of
+// entries erased, not the map's size.
+template <typename Map>
+void ErasePrefix(Map& map, SimTime horizon) {
+  map.erase(map.begin(), map.lower_bound(horizon));
 }
 
 // The first entry of an ascending-by-id list of query entries whose id is
@@ -122,9 +117,9 @@ InNetworkEngine::InNetworkEngine(Network& network, const FieldModel& field,
           if (neighbor == kBaseStationId) return;
           // Feed the ARQ's flapping detection into the parent blacklist so
           // route selection avoids the neighbor for the same horizon.
-          Suspicion& suspicion = nodes_[self].suspicion[neighbor];
-          suspicion.blacklisted_until =
-              std::max(suspicion.blacklisted_until, until);
+          Liveness& liveness = LivenessOf(self, neighbor);
+          liveness.blacklisted_until =
+              std::max(liveness.blacklisted_until, until);
           if (network_.tracing()) {
             network_.Emit(TraceEvent("tier2.quarantine")
                               .With("node", static_cast<std::int64_t>(self))
@@ -159,7 +154,7 @@ void InNetworkEngine::SubmitQuery(const Query& query) {
   CheckArg(!bs_queries_.contains(query.id()),
            "InNetworkEngine: duplicate query id");
   bs_queries_.emplace(query.id(), BsQueryState(query));
-  nodes_[kBaseStationId].prop_round[query.id()] =
+  FloodRecordOf(nodes_[kBaseStationId].floods, query.id()).round =
       std::numeric_limits<int>::max();
   if (network_.tracing()) {
     network_.Emit(TraceEvent("tier2.submit")
@@ -170,14 +165,7 @@ void InNetworkEngine::SubmitQuery(const Query& query) {
                             static_cast<std::int64_t>(bs_queries_.size())));
   }
 
-  Message msg;
-  msg.cls = MessageClass::kQueryPropagation;
-  msg.mode = AddressMode::kBroadcast;
-  msg.sender = kBaseStationId;
-  msg.payload_bytes = PropagationPayloadBytes(query) + 1;  // piggyback bit
-  msg.payload = std::make_shared<InNetPropagationPayload>(
-      query, /*has_data=*/false);
-  network_.Send(std::move(msg));
+  SendPropagation(kBaseStationId, query, /*has_data=*/false, /*round=*/0);
 
   // Dissemination retries (arq profile): re-flood with an advancing round
   // number so nodes that were unreachable during the initial flood
@@ -195,15 +183,8 @@ void InNetworkEngine::SubmitQuery(const Query& query) {
                               .With("query", static_cast<std::int64_t>(id))
                               .With("round", static_cast<std::int64_t>(round)));
           }
-          Message refresh;
-          refresh.cls = MessageClass::kQueryPropagation;
-          refresh.mode = AddressMode::kBroadcast;
-          refresh.sender = kBaseStationId;
-          refresh.payload_bytes =
-              PropagationPayloadBytes(it->second.query) + 1;
-          refresh.payload = std::make_shared<InNetPropagationPayload>(
-              it->second.query, /*has_data=*/false, round);
-          network_.Send(std::move(refresh));
+          SendPropagation(kBaseStationId, it->second.query,
+                          /*has_data=*/false, round);
         });
   }
 
@@ -220,16 +201,33 @@ void InNetworkEngine::TerminateQuery(QueryId id) {
   it->second.no_data.clear();
   it->second.last_contributed.clear();
   it->second.agg_counts.clear();
-  nodes_[kBaseStationId].seen_abort.insert(id);
+  FloodRecordOf(nodes_[kBaseStationId].floods, id).aborted = true;
   if (network_.tracing()) {
     network_.Emit(TraceEvent("tier2.terminate")
                       .With("query", static_cast<std::int64_t>(id)));
   }
+  SendAbort(kBaseStationId, id);
+}
 
+void InNetworkEngine::SendPropagation(NodeId from, const Query& query,
+                                      bool has_data, int round) {
+  if (network_.IsAsleep(from)) network_.SetAsleep(from, false);
+  Message msg;
+  msg.cls = MessageClass::kQueryPropagation;
+  msg.mode = AddressMode::kBroadcast;
+  msg.sender = from;
+  msg.payload_bytes = PropagationPayloadBytes(query) + 1;  // piggyback bit
+  msg.payload =
+      std::make_shared<InNetPropagationPayload>(query, has_data, round);
+  network_.Send(std::move(msg));
+}
+
+void InNetworkEngine::SendAbort(NodeId from, QueryId id) {
+  if (network_.IsAsleep(from)) network_.SetAsleep(from, false);
   Message msg;
   msg.cls = MessageClass::kQueryAbort;
   msg.mode = AddressMode::kBroadcast;
-  msg.sender = kBaseStationId;
+  msg.sender = from;
   msg.payload_bytes = kAbortPayloadBytes;
   msg.payload = std::make_shared<QueryAbortPayload>(id);
   network_.Send(std::move(msg));
@@ -260,13 +258,12 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
                   std::span<const QueryId>(&id, 1), network_.sim().Now());
     }
     // A terminated query must never be reinstalled by a late re-flood.
-    if (state.seen_abort.contains(id)) return;
     // Round-based dedup: each node installs once and re-forwards once per
     // dissemination round.
-    const auto round_it = state.prop_round.find(id);
-    const bool first_time = round_it == state.prop_round.end();
-    if (!first_time && round_it->second >= prop->round) return;
-    state.prop_round[id] = prop->round;
+    FloodRecord& flood = FloodRecordOf(state.floods, id);
+    if (flood.aborted || flood.round >= prop->round) return;
+    const bool first_time = flood.round < 0;
+    flood.round = prop->round;
     if (self == kBaseStationId) return;
     if (network_.IsAsleep(self)) network_.SetAsleep(self, false);
     // SRT: value-based predicates cannot exclude a node in advance;
@@ -289,43 +286,27 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
       has_data = predicates.Matches(sample);
     }
     if (!srt_.ShouldForward(tree_, self, predicates)) return;
-    state.relayed_propagation.insert(id);
-    const Query query = prop->query;
-    const int round = prop->round;
+    flood.relayed = true;
     network_.sim().ScheduleAfter(
-        SourceJitter(self) + 1, [this, self, query, has_data, round]() {
-          if (network_.IsAsleep(self)) network_.SetAsleep(self, false);
-          Message fwd;
-          fwd.cls = MessageClass::kQueryPropagation;
-          fwd.mode = AddressMode::kBroadcast;
-          fwd.sender = self;
-          fwd.payload_bytes = PropagationPayloadBytes(query) + 1;
-          fwd.payload = std::make_shared<InNetPropagationPayload>(
-              query, has_data, round);
-          network_.Send(std::move(fwd));
+        SourceJitter(self) + 1,
+        [this, self, query = prop->query, has_data, round = prop->round]() {
+          SendPropagation(self, query, has_data, round);
         });
     return;
   }
 
   if (const auto* abort = PayloadAs<QueryAbortPayload>(msg.payload.get())) {
-    if (state.seen_abort.contains(abort->query)) return;
-    state.seen_abort.insert(abort->query);
+    const QueryId id = abort->query;
+    FloodRecord& flood = FloodRecordOf(state.floods, id);
+    if (flood.aborted) return;
+    flood.aborted = true;
     if (self == kBaseStationId) return;
     if (network_.IsAsleep(self)) network_.SetAsleep(self, false);
-    RemoveQuery(self, abort->query);
+    RemoveQuery(self, id);
     // The abort follows the propagation's prune.
-    if (!state.relayed_propagation.contains(abort->query)) return;
-    state.relayed_propagation.erase(abort->query);
-    const QueryId id = abort->query;
+    if (!flood.relayed) return;
     network_.sim().ScheduleAfter(SourceJitter(self) + 1, [this, self, id]() {
-      if (network_.IsAsleep(self)) network_.SetAsleep(self, false);
-      Message fwd;
-      fwd.cls = MessageClass::kQueryAbort;
-      fwd.mode = AddressMode::kBroadcast;
-      fwd.sender = self;
-      fwd.payload_bytes = kAbortPayloadBytes;
-      fwd.payload = std::make_shared<QueryAbortPayload>(id);
-      network_.Send(std::move(fwd));
+      SendAbort(self, id);
     });
     return;
   }
@@ -347,10 +328,14 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
     }
     // Keep only the (row, query) pairs this node is responsible for,
     // dropping (query, epoch, source) keys already relayed once.  While our
-    // packing slot has not fired yet, the kept rows ride along with our own
-    // reading in one message; otherwise they leave right away.
+    // packing slot is open, the kept rows ride along with our own reading in
+    // one message; otherwise they leave right away.
     const SimTime t = row->epoch_time;
-    const bool ride_along = options_.shared_messages && SlotPending(state, t);
+    OpenSlot* slot = nullptr;
+    if (options_.shared_messages) {
+      const auto slot_it = state.open_slots.find(t);
+      if (slot_it != state.open_slots.end()) slot = &slot_it->second;
+    }
     std::vector<RowEntry> direct;
     std::vector<RowEntry>* mine = nullptr;
     std::vector<std::uint64_t>* seen = nullptr;
@@ -370,13 +355,13 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
         kept.push_back(q);
       }
       if (kept.empty()) continue;
-      if (mine == nullptr) mine = ride_along ? &state.row_buffer[t] : &direct;
+      if (mine == nullptr) mine = slot != nullptr ? &slot->rows : &direct;
       mine->push_back(
           RowEntry{entry.row, std::vector<QueryId>(kept.begin(), kept.end())});
     }
     if (mine == nullptr) return;
     state.last_relay = network_.sim().Now();
-    if (!ride_along) SendRows(self, t, std::move(direct));
+    if (slot == nullptr) SendRows(self, t, std::move(direct));
     return;
   }
 
@@ -406,10 +391,11 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
             "shared agg payload lacks partials for an addressed query");
       mine.emplace(q, part_it->second);
     }
-    if (SlotPending(state, t)) {
-      // Our own shared slot for this tick has not fired: merge and ride
-      // along (the in-network aggregation saving).
-      auto& buffer = state.agg_buffer[t];
+    const auto slot_it = state.open_slots.find(t);
+    if (slot_it != state.open_slots.end()) {
+      // Our own shared slot for this tick is open: merge and ride along
+      // (the in-network aggregation saving).
+      auto& buffer = slot_it->second.partials;
       for (auto& [q, partials] : mine) {
         auto [buf_it, inserted] = buffer.try_emplace(q, partials);
         if (!inserted) MergePartialVectors(buf_it->second, partials);
@@ -470,7 +456,7 @@ void InNetworkEngine::RemoveQuery(NodeId self, QueryId id) {
     state.fact_queries.erase(state.fact_queries.begin() +
                              static_cast<std::ptrdiff_t>(row));
   }
-  for (auto& [t, per_query] : state.agg_buffer) per_query.erase(id);
+  for (auto& [t, slot] : state.open_slots) slot.partials.erase(id);
   ScheduleTick(self);
 }
 
@@ -520,6 +506,8 @@ void InNetworkEngine::OnTick(NodeId self, SimTime t) {
   if (!triggered.empty()) {
     const Reading sample = field_.SampleReading(
         self, network_.topology().PositionOf(self), attrs, t);
+    const auto [slot_it, opened] = state.open_slots.try_emplace(t);
+    OpenSlot& slot = slot_it->second;
 
     std::vector<QueryId>& matched_acq = scratch_.matched;
     std::vector<Attribute>& row_attrs = scratch_.row_attrs;
@@ -537,8 +525,8 @@ void InNetworkEngine::OnTick(NodeId self, SimTime t) {
             own.push_back(PartialAggregate::OfValue(
                 spec, sample.GetOrThrow(spec.attribute)));
           }
-          auto& buffer = state.agg_buffer[t];
-          auto [it, inserted] = buffer.try_emplace(query->id(), std::move(own));
+          auto [it, inserted] =
+              slot.partials.try_emplace(query->id(), std::move(own));
           if (!inserted) MergePartialVectors(it->second, own);
         }
       } else if (match) {
@@ -552,7 +540,7 @@ void InNetworkEngine::OnTick(NodeId self, SimTime t) {
     // One shared transmission slot per tick, staggered bottom-up so that
     // children's rows and partials arrive before parents transmit and ride
     // along in the parents' packed messages.
-    if (InsertSorted(state.slot_scheduled, t)) {
+    if (opened) {
       network_.sim().ScheduleAt(t + SlotOffset(network_.topology(), self),
                                 [this, self, t]() { OnSlot(self, t); });
     }
@@ -571,7 +559,7 @@ void InNetworkEngine::OnTick(NodeId self, SimTime t) {
       // can be answered from memory after the original send was lost.
       if (arq_) state.own_rows[t] = own;
       if (options_.shared_messages) {
-        state.row_buffer[t].push_back(std::move(own));
+        slot.rows.push_back(std::move(own));
       } else {
         // Ablation: no packing — one immediate message per query.
         network_.sim().ScheduleAfter(
@@ -593,10 +581,7 @@ void InNetworkEngine::OnTick(NodeId self, SimTime t) {
   // Prune stale per-tick bookkeeping: ticks before the horizon, as one
   // range per container.
   const SimTime horizon = t - kPruneHorizonMs;
-  ErasePrefix(state.slot_scheduled, horizon);
-  ErasePrefix(state.slot_done, horizon);
-  ErasePrefix(state.agg_buffer, horizon);
-  ErasePrefix(state.row_buffer, horizon);
+  ErasePrefix(state.open_slots, horizon);
   ErasePrefix(state.seen_rows, horizon);
   ErasePrefix(state.own_rows, horizon);
 
@@ -611,35 +596,24 @@ void InNetworkEngine::OnTick(NodeId self, SimTime t) {
   }
 }
 
-bool InNetworkEngine::SlotPending(const NodeState& state, SimTime t) {
-  return std::binary_search(state.slot_scheduled.begin(),
-                            state.slot_scheduled.end(), t) &&
-         !std::binary_search(state.slot_done.begin(), state.slot_done.end(),
-                             t);
-}
-
 void InNetworkEngine::OnSlot(NodeId self, SimTime t) {
   NodeState& state = nodes_[self];
-  if (network_.IsDown(self)) return;  // crashed or in an outage
-  if (!InsertSorted(state.slot_done, t)) return;
+  // Crashed or in an outage: the slot stays open until the prune horizon.
+  if (network_.IsDown(self)) return;
+  const auto it = state.open_slots.find(t);
+  if (it == state.open_slots.end()) return;  // pruned before it fired
+  std::vector<RowEntry> rows = std::move(it->second.rows);
+  std::map<QueryId, std::vector<PartialAggregate>> partials =
+      std::move(it->second.partials);
+  state.open_slots.erase(it);
 
   // Packed rows (own reading plus everything relayed before the slot).
-  const auto row_it = state.row_buffer.find(t);
-  if (row_it != state.row_buffer.end()) {
-    std::vector<RowEntry> rows = std::move(row_it->second);
-    state.row_buffer.erase(row_it);
-    if (!rows.empty()) {
-      if (network_.IsAsleep(self)) network_.SetAsleep(self, false);
-      SendRows(self, t, std::move(rows));
-    }
+  if (!rows.empty()) {
+    if (network_.IsAsleep(self)) network_.SetAsleep(self, false);
+    SendRows(self, t, std::move(rows));
   }
 
   // Merged partial aggregates.
-  const auto it = state.agg_buffer.find(t);
-  if (it == state.agg_buffer.end()) return;
-  std::map<QueryId, std::vector<PartialAggregate>> partials =
-      std::move(it->second);
-  state.agg_buffer.erase(it);
   std::erase_if(partials, [](const auto& entry) {
     return entry.second.empty() || entry.second.front().count() == 0;
   });
@@ -1102,10 +1076,9 @@ void InNetworkEngine::SendRepairReply(NodeId self, QueryId id,
   payload->node = self;
   // "No data" is only meaningful when the node actually knew the query at
   // some point; a node that missed the dissemination cannot vouch for the
-  // epoch and stays uncovered.
-  payload->knows_query = FindActive(state, id) != nullptr ||
-                         state.seen_abort.contains(id) ||
-                         state.prop_round.contains(id);
+  // epoch and stays uncovered.  It knew the query iff it heard one of its
+  // floods, which is when it has a flood record (installing takes one).
+  payload->knows_query = FindFloodRecord(state.floods, id) != nullptr;
   const auto row_it = state.own_rows.find(epoch_time);
   if (row_it != state.own_rows.end() &&
       std::find(row_it->second.queries.begin(), row_it->second.queries.end(),
@@ -1159,45 +1132,50 @@ void InNetworkEngine::HandleRepairReply(NodeId self, const Message& msg,
   }
 }
 
+InNetworkEngine::Liveness& InNetworkEngine::LivenessOf(NodeId self,
+                                                       NodeId neighbor) {
+  const std::vector<NodeId>& neighbors = network_.topology().NeighborsOf(self);
+  std::vector<Liveness>& liveness = nodes_[self].liveness;
+  if (liveness.empty()) liveness.resize(neighbors.size());
+  const auto it = std::lower_bound(neighbors.begin(), neighbors.end(),
+                                   neighbor);
+  Check(it != neighbors.end() && *it == neighbor,
+        "liveness is kept for radio neighbors only");
+  return liveness[static_cast<std::size_t>(it - neighbors.begin())];
+}
+
 void InNetworkEngine::NoteAlive(NodeId self, NodeId sender) {
-  NodeState& state = nodes_[self];
-  SimTime& last = state.last_heard[sender];
-  last = std::max(last, network_.sim().Now());
-  state.suspicion.erase(sender);  // fresh traffic resets the backoff
+  Liveness& liveness = LivenessOf(self, sender);
+  liveness.last_heard = std::max(liveness.last_heard, network_.sim().Now());
+  // Fresh traffic lifts any blacklist and resets the backoff.
+  liveness.blacklisted_until = 0;
+  liveness.backoff = 0;
 }
 
 bool InNetworkEngine::SuspectParent(NodeId self, NodeId candidate) {
   // Liveness and the ARQ quarantine hook, the two sources of blacklist
   // entries, both run under the arq profile only.
   if (!arq_) return false;
-  NodeState& state = nodes_[self];
+  Liveness& liveness = LivenessOf(self, candidate);
   const SimTime now = network_.sim().Now();
-  const auto susp_it = state.suspicion.find(candidate);
-  if (susp_it != state.suspicion.end() &&
-      now < susp_it->second.blacklisted_until) {
-    return true;
-  }
-  const auto heard_it = state.last_heard.find(candidate);
-  const SimTime last = heard_it != state.last_heard.end() ? heard_it->second
-                                                          : 0;
-  if (now - last <= kLivenessTimeoutMs) return false;
+  if (now < liveness.blacklisted_until) return true;
+  if (now - liveness.last_heard <= kLivenessTimeoutMs) return false;
   // Silent past the timeout: blacklist with a doubling, bounded backoff.
-  Suspicion& suspicion = state.suspicion[candidate];
-  suspicion.backoff =
-      suspicion.backoff == 0
+  liveness.backoff =
+      liveness.backoff == 0
           ? kBlacklistBaseBackoffMs
-          : std::min(suspicion.backoff * 2, kBlacklistMaxBackoffMs);
-  suspicion.blacklisted_until = now + suspicion.backoff;
+          : std::min(liveness.backoff * 2, kBlacklistMaxBackoffMs);
+  liveness.blacklisted_until = now + liveness.backoff;
   // Optimistic probe: pretend the candidate was heard at expiry so it gets
   // one fresh chance before the next (doubled) blacklist — bounded
   // re-selection after recovery.
-  SimTime& heard = state.last_heard[candidate];
-  heard = std::max(heard, suspicion.blacklisted_until);
+  liveness.last_heard =
+      std::max(liveness.last_heard, liveness.blacklisted_until);
   if (network_.tracing()) {
     network_.Emit(TraceEvent("tier2.parent_blacklist")
                       .With("node", static_cast<std::int64_t>(self))
                       .With("parent", static_cast<std::int64_t>(candidate))
-                      .With("until", suspicion.blacklisted_until));
+                      .With("until", liveness.blacklisted_until));
   }
   return true;
 }
@@ -1212,7 +1190,8 @@ void InNetworkEngine::NoteHasData(NodeId self, std::size_t position,
     const auto it = std::lower_bound(known.begin(), known.end(), q);
     const auto first = static_cast<std::size_t>(it - known.begin()) * width;
     if (it == known.end() || *it != q) {
-      if (state.seen_abort.contains(q)) continue;
+      const FloodRecord* flood = FindFloodRecord(state.floods, q);
+      if (flood != nullptr && flood->aborted) continue;
       known.insert(it, q);
       state.fact_ticks.insert(
           state.fact_ticks.begin() + static_cast<std::ptrdiff_t>(first), width,

@@ -110,10 +110,24 @@ class InNetworkEngine final : public QueryEngine {
   /// Which queries each addressed next hop is responsible for.
   using DestQueries = std::map<NodeId, std::vector<QueryId>>;
 
-  /// Liveness suspicion of one parent candidate.
-  struct Suspicion {
+  /// What a node knows of one radio neighbor's liveness (arq profile
+  /// only).  The all-zero record means nothing is known: never heard, never
+  /// blacklisted.
+  struct Liveness {
+    /// Last time anything was heard from the neighbor.
+    SimTime last_heard = 0;
+    /// The neighbor is avoided as a parent until this time.
     SimTime blacklisted_until = 0;
+    /// Length of its last blacklist (0 = none since it was last heard).
     SimDuration backoff = 0;
+  };
+
+  /// The traffic riding along in one tick's packing slot.
+  struct OpenSlot {
+    /// The node's own row and the rows relayed before the slot.
+    std::vector<RowEntry> rows;
+    /// Own and relayed partial state per query, merged until the slot.
+    std::map<QueryId, std::vector<PartialAggregate>> partials;
   };
 
   /// One network query, held once for every node that runs it.
@@ -132,12 +146,9 @@ class InNetworkEngine final : public QueryEngine {
   struct NodeState {
     /// Installed queries, ascending by id; entries of `queries_`.
     std::vector<QueryEntry*> active;
-    /// Highest dissemination round seen per query (absent = never seen).
-    std::map<QueryId, int> prop_round;
-    std::set<QueryId> seen_abort;
-    /// Queries whose propagation this node forwarded (abort floods follow
-    /// the same prune).
-    std::set<QueryId> relayed_propagation;
+    /// One record per query whose propagation or abort this node has
+    /// heard, ascending by id; the base station's holds round INT_MAX.
+    std::vector<FloodRecord> floods;
     /// Has-data facts: for the i-th query of `fact_queries` (ascending),
     /// `fact_ticks[i * width + p]` is the last tick at which the upper-level
     /// neighbor at position p of `LevelGraph::UpperNeighbors(self)` was
@@ -148,25 +159,18 @@ class InNetworkEngine final : public QueryEngine {
     /// Link quality to each upper-level neighbor, by position; filled on
     /// first use.
     std::vector<double> upper_quality;
-    /// Per tick: partial state per query, merged until the slot fires.
-    std::map<SimTime, std::map<QueryId, std::vector<PartialAggregate>>>
-        agg_buffer;
-    /// Per tick: own + relayed rows packed at the slot.
-    std::map<SimTime, std::vector<RowEntry>> row_buffer;
-    /// Ticks whose packing slot is scheduled / has fired (ascending).
-    std::vector<SimTime> slot_scheduled;
-    std::vector<SimTime> slot_done;
+    /// Packing slots scheduled and not yet fired, by tick.  A slot that
+    /// fires while the node is down stays until the prune horizon.
+    std::map<SimTime, OpenSlot> open_slots;
     /// Guard for the single pending tick event (-1 = none).
     SimTime tick_scheduled_for = -1;
     /// Last time this node forwarded someone else's traffic.
     SimTime last_relay = std::numeric_limits<SimTime>::min();
     /// Whether the node produced data at its last tick.
     bool matched_last_tick = false;
-    /// Liveness: last time anything was heard from each neighbor (only
-    /// maintained under the arq profile).
-    std::map<NodeId, SimTime> last_heard;
-    /// Currently / previously blacklisted parent candidates.
-    std::map<NodeId, Suspicion> suspicion;
+    /// Liveness of each radio neighbor, by position in
+    /// `Topology::NeighborsOf(self)`; sized on first use (arq profile only).
+    std::vector<Liveness> liveness;
     /// Row keys already relayed (duplicate suppression): per epoch, the
     /// packed (query, source) pairs as a sorted vector.  Keyed epoch first,
     /// so the per-tick prune drops expired epochs as one range, and a
@@ -205,9 +209,11 @@ class InNetworkEngine final : public QueryEngine {
   void ScheduleTick(NodeId self);
   void OnTick(NodeId self, SimTime t);
   void OnSlot(NodeId self, SimTime t);
-  /// True while the packing slot of tick `t` is scheduled and has not
-  /// fired: relayed traffic for `t` can still ride along.
-  static bool SlotPending(const NodeState& state, SimTime t);
+  /// Broadcasts `query`'s propagation from `from`, waking it first.
+  void SendPropagation(NodeId from, const Query& query, bool has_data,
+                       int round);
+  /// Broadcasts the abort of query `id` from `from`, waking it first.
+  void SendAbort(NodeId from, QueryId id);
   /// Groups `entries` by their next-hop choice and transmits one packed
   /// message per group.
   void SendRows(NodeId self, SimTime t, std::vector<RowEntry> entries);
@@ -239,6 +245,8 @@ class InNetworkEngine final : public QueryEngine {
   /// Liveness tracking (arq profile): records that `self` heard from
   /// `sender` now and clears any suspicion of it.
   void NoteAlive(NodeId self, NodeId sender);
+  /// `self`'s liveness record of its radio neighbor `neighbor`.
+  Liveness& LivenessOf(NodeId self, NodeId neighbor);
   /// True when `self` should avoid routing through `candidate` (arq profile
   /// only): it is quarantined, or it has been silent past the liveness
   /// timeout.  Blacklists with bounded exponential backoff; the candidate

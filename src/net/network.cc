@@ -241,18 +241,9 @@ std::size_t Network::CountInterferers(NodeId sender) const {
 
 void Network::Deliver(const Message& msg) {
   TTMQO_SPAN_SAMPLED("net.deliver", 8);
-  // Hot-path short circuits, hoisted out of the per-neighbor loop: the
-  // destination-membership strategy is picked once, and the loss lookup is
-  // skipped entirely on a lossless channel — the common case.  Large
-  // multicasts are answered by binary search over a sorted scratch copy;
-  // small ones by a linear scan of the original.
-  constexpr std::size_t kSmallDestinations = 8;
-  const bool use_sorted = msg.mode == AddressMode::kMulticast &&
-                          msg.destinations.size() > kSmallDestinations;
-  if (use_sorted) {
-    dest_scratch_.assign(msg.destinations.begin(), msg.destinations.end());
-    std::sort(dest_scratch_.begin(), dest_scratch_.end());
-  }
+  // The loss lookup is skipped entirely on a lossless channel — the common
+  // case.  Destinations are found by a linear scan: tier 2's multicasts
+  // address at most a few parents.
   const bool lossy = default_link_loss_ > 0.0 || !link_loss_.empty();
   for (NodeId neighbor : topology_->NeighborsOf(msg.sender)) {
     if (failed_[neighbor] || down_[neighbor]) continue;
@@ -260,11 +251,8 @@ void Network::Deliver(const Message& msg) {
     if (!receiver) continue;
     const bool addressed =
         msg.mode == AddressMode::kBroadcast ||
-        (use_sorted
-             ? std::binary_search(dest_scratch_.begin(), dest_scratch_.end(),
-                                  neighbor)
-             : std::find(msg.destinations.begin(), msg.destinations.end(),
-                         neighbor) != msg.destinations.end());
+        std::find(msg.destinations.begin(), msg.destinations.end(),
+                  neighbor) != msg.destinations.end();
     // Low-power listening: a sleeping radio still catches traffic addressed
     // to it (the sender's preamble wakes it) but cannot overhear.
     if (asleep_[neighbor] && !addressed) continue;

@@ -199,8 +199,6 @@ class Network final : public TraceSink {
   /// attempt queued behind the sender's busy radio), its completion removes
   /// it.
   std::vector<std::uint32_t> flights_;
-  /// Scratch for sorted destination lookups on large multicasts.
-  std::vector<NodeId> dest_scratch_;
 };
 
 }  // namespace ttmqo

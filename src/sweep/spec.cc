@@ -447,36 +447,6 @@ void SweepReport::WriteJson(std::ostream& out, bool include_timing) const {
   out << "\n]}";
 }
 
-void SweepReport::WriteCsv(std::ostream& out, bool include_timing) const {
-  out << "index,grid,workload,mode,fault,reliability,replicate,seed,"
-         "avg_tx_fraction,avg_sleep_fraction,total_transmit_ms,messages,"
-         "retransmissions,control_msgs,results,rows,avg_network_queries,"
-         "avg_benefit_ratio,peak_user_queries,delivery_avg,delivery_min,"
-         "coverage_avg,coverage_min,partial_epochs,events_executed";
-  if (include_timing) out << ",wall_ms";
-  out << "\n";
-  for (const SweepRow& row : rows) {
-    const RunSummary& s = row.run.summary;
-    out << row.index << "," << row.grid_side << "," << row.workload << ","
-        << row.mode << "," << row.fault << "," << row.reliability << ","
-        << row.replicate << ","
-        << row.seed << "," << Num(s.avg_transmission_fraction) << ","
-        << Num(s.avg_sleep_fraction) << "," << Num(s.total_transmit_ms)
-        << "," << s.total_messages << "," << s.retransmissions << ","
-        << s.control_messages << ","
-        << row.run.results.size() << "," << DeliveredRows(row.run) << ","
-        << Num(row.run.avg_network_queries) << ","
-        << Num(row.run.avg_benefit_ratio) << "," << row.run.peak_user_queries
-        << "," << Num(s.AvgDeliveryCompleteness()) << ","
-        << Num(s.MinDeliveryCompleteness()) << ","
-        << Num(s.coverage.empty() ? -1.0 : s.AvgCoverage()) << ","
-        << Num(s.coverage.empty() ? -1.0 : s.MinCoverage()) << ","
-        << s.PartialEpochs() << "," << row.run.events_executed;
-    if (include_timing) out << "," << Num(row.wall_ms);
-    out << "\n";
-  }
-}
-
 std::string SweepReport::Canonical() const {
   std::ostringstream out;
   WriteJson(out, /*include_timing=*/false);

@@ -6,7 +6,7 @@
 // grid sizes x query workloads x schemes).  `Expand` turns the spec into
 // an ordered list of independent `RunUnit`s whose random streams all
 // derive from (base seed, task coordinates), and `RunSweep` executes them
-// on a thread pool.  The resulting `SweepReport` serializes to JSON/CSV;
+// on a thread pool.  The resulting `SweepReport` serializes to JSON;
 // its canonical form omits wall-clock timing so that reports from runs
 // with different `--jobs` compare byte-for-byte.
 #pragma once
@@ -119,9 +119,6 @@ struct SweepReport {
   /// depends only on the spec — the canonical form the determinism tests
   /// compare byte-for-byte.
   void WriteJson(std::ostream& out, bool include_timing = true) const;
-
-  /// The same rows as CSV (one line per task, sorted by index).
-  void WriteCsv(std::ostream& out, bool include_timing = true) const;
 
   /// `WriteJson(out, /*include_timing=*/false)` as a string.
   std::string Canonical() const;

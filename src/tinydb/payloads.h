@@ -5,8 +5,9 @@
 // partial-aggregate records.  The TTMQO tier adds shared (multi-query)
 // variants in core/innet.  Both engines also share the transmission
 // schedule defined here (`SlotOffset`: depth-staggered slots plus a
-// per-node jitter), the element-wise merge of partial aggregates, and the
-// base station's answer buffer (epoch_buffer.h).
+// per-node jitter), the per-node flood record (`FloodRecord`), the
+// element-wise merge of partial aggregates, and the base station's answer
+// buffer (epoch_buffer.h).
 #pragma once
 
 #include <cstddef>
@@ -60,6 +61,29 @@ struct QueryAbortPayload final : TaggedPayload<QueryAbortPayload> {
   explicit QueryAbortPayload(QueryId q) : query(q) {}
   QueryId query;
 };
+
+/// One node's memory of one query's propagation and abort floods.  Both
+/// engines keep one per query the node has heard of and never prune it, so
+/// a late copy of either flood always finds it (tier 2 must never reinstall
+/// an aborted query).
+struct FloodRecord {
+  QueryId id = 0;
+  /// Highest propagation round heard; -1 = no propagation heard yet.
+  int round = -1;
+  /// The node has heard the query's abort.
+  bool aborted = false;
+  /// The node forwarded the query's propagation, so the abort follows the
+  /// same prune and it forwards that too.
+  bool relayed = false;
+};
+
+/// The record of query `id` in `records` (ascending by id), inserted in
+/// place with nothing heard when absent.
+FloodRecord& FloodRecordOf(std::vector<FloodRecord>& records, QueryId id);
+
+/// The record of query `id` in `records` (ascending by id), or nullptr.
+const FloodRecord* FindFloodRecord(const std::vector<FloodRecord>& records,
+                                   QueryId id);
 
 /// One acquisition result row for one query, forwarded hop by hop.
 struct RowPayload final : TaggedPayload<RowPayload> {

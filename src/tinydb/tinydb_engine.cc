@@ -13,6 +13,14 @@ namespace {
 // an epoch tag (2).
 constexpr std::size_t kResultEnvelopeBytes = 4;
 
+// The first record of the id-ascending `records` whose id is not below `id`.
+template <typename Records>
+auto LowerBoundFlood(Records& records, QueryId id) {
+  return std::lower_bound(
+      records.begin(), records.end(), id,
+      [](const FloodRecord& record, QueryId key) { return record.id < key; });
+}
+
 }  // namespace
 
 std::size_t AggPayloadBytes(const std::vector<PartialAggregate>& partials) {
@@ -26,6 +34,18 @@ void MergePartialVectors(std::vector<PartialAggregate>& into,
   Check(into.size() == from.size(),
         "partial aggregate vectors must align by spec");
   for (std::size_t i = 0; i < into.size(); ++i) into[i].Merge(from[i]);
+}
+
+FloodRecord& FloodRecordOf(std::vector<FloodRecord>& records, QueryId id) {
+  const auto it = LowerBoundFlood(records, id);
+  if (it != records.end() && it->id == id) return *it;
+  return *records.insert(it, FloodRecord{.id = id});
+}
+
+const FloodRecord* FindFloodRecord(const std::vector<FloodRecord>& records,
+                                   QueryId id) {
+  const auto it = LowerBoundFlood(records, id);
+  return it != records.end() && it->id == id ? &*it : nullptr;
 }
 
 TinyDbEngine::TinyDbEngine(Network& network, const FieldModel& field,
@@ -56,7 +76,7 @@ void TinyDbEngine::SubmitQuery(const Query& query) {
   CheckArg(!bs_queries_.contains(query.id()),
            "TinyDbEngine: duplicate query id");
   bs_queries_.emplace(query.id(), BsQueryState(query));
-  nodes_[kBaseStationId].seen_propagation.insert(query.id());
+  FloodRecordOf(nodes_[kBaseStationId].floods, query.id()).round = 0;
 
   Message msg;
   msg.cls = MessageClass::kQueryPropagation;
@@ -76,7 +96,7 @@ void TinyDbEngine::TerminateQuery(QueryId id) {
            "TinyDbEngine: terminating unknown or finished query");
   it->second.terminated = true;
   it->second.answers.Clear();
-  nodes_[kBaseStationId].seen_abort.insert(id);
+  FloodRecordOf(nodes_[kBaseStationId].floods, id).aborted = true;
 
   Message msg;
   msg.cls = MessageClass::kQueryAbort;
@@ -97,9 +117,11 @@ void TinyDbEngine::HandleMessage(NodeId self, const Message& msg,
 
   if (const auto* prop =
           PayloadAs<QueryPropagationPayload>(msg.payload.get())) {
-    NodeState& state = nodes_[self];
-    if (state.seen_propagation.contains(prop->query.id())) return;
-    state.seen_propagation.insert(prop->query.id());
+    // Each query floods once, as round 0.  Only the round is checked: a
+    // propagation that reaches a node after the query's abort installs it.
+    FloodRecord& flood = FloodRecordOf(nodes_[self].floods, prop->query.id());
+    if (flood.round >= 0) return;
+    flood.round = 0;
     if (self != kBaseStationId) {
       // SRT: value-based predicates cannot exclude a node in advance;
       // constraints on the constant attributes (nodeid, position) can, both
@@ -110,7 +132,7 @@ void TinyDbEngine::HandleMessage(NodeId self, const Message& msg,
         InstallQuery(self, prop->query);
       }
       if (srt_.ShouldForward(tree_, self, predicates)) {
-        state.relayed_propagation.insert(prop->query.id());
+        flood.relayed = true;
         // Re-broadcast to continue the dissemination, staggered to limit
         // contention.
         network_.sim().ScheduleAfter(SourceJitter(self) + 1,
@@ -125,15 +147,14 @@ void TinyDbEngine::HandleMessage(NodeId self, const Message& msg,
   }
 
   if (const auto* abort = PayloadAs<QueryAbortPayload>(msg.payload.get())) {
-    NodeState& state = nodes_[self];
-    if (state.seen_abort.contains(abort->query)) return;
-    state.seen_abort.insert(abort->query);
+    FloodRecord& flood = FloodRecordOf(nodes_[self].floods, abort->query);
+    if (flood.aborted) return;
+    flood.aborted = true;
     if (self != kBaseStationId) {
       RemoveQuery(self, abort->query);
       // The abort follows the propagation's prune: only nodes that carried
       // the query into their subtree need to carry its termination.
-      if (state.relayed_propagation.contains(abort->query)) {
-        state.relayed_propagation.erase(abort->query);
+      if (flood.relayed) {
         network_.sim().ScheduleAfter(SourceJitter(self) + 1,
                                      [this, self, msg]() {
                                        Message fwd = msg;

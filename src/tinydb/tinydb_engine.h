@@ -68,12 +68,9 @@ class TinyDbEngine final : public QueryEngine {
   struct NodeState {
     /// Queries installed on this node.
     std::map<QueryId, Query> active;
-    /// Flood de-duplication.
-    std::set<QueryId> seen_propagation;
-    std::set<QueryId> seen_abort;
-    /// Queries whose propagation this node forwarded (abort floods follow
-    /// the same prune).
-    std::set<QueryId> relayed_propagation;
+    /// Flood de-duplication and the abort's prune, one record per query
+    /// heard of (ascending by id).
+    std::vector<FloodRecord> floods;
     /// Buffered child partials per (query, epoch), merged at the agg slot.
     std::map<QueryEpoch, std::vector<PartialAggregate>> agg_buffer;
     /// (query, epoch) pairs whose aggregation slot already fired; late

@@ -132,6 +132,25 @@ TEST_P(SrtEngineTest, SrtCutsPropagationTraffic) {
       << "with SRT: " << prop << ", flood: " << topology_.size();
 }
 
+TEST_P(SrtEngineTest, AbortFollowsThePropagationsPrune) {
+  // Only the nodes that carried the query into their subtree carry its
+  // termination, so on a lossless channel the abort flood sends exactly
+  // as many messages as the pruned propagation did.
+  const Query q = ParseQuery(
+      1, "SELECT light WHERE nodeid = 35 EPOCH DURATION 4096");
+  Network network(topology_, RadioParams{}, ChannelParams{}, 42);
+  ResultLog log;
+  const std::unique_ptr<QueryEngine> engine = MakeEngine(network, log);
+  engine->SubmitQuery(q);
+  network.sim().RunUntil(4 * 4096);
+  engine->TerminateQuery(1);
+  network.sim().RunUntil(8 * 4096);
+  const std::uint64_t prop =
+      network.ledger().TotalSent(MessageClass::kQueryPropagation);
+  EXPECT_LT(prop, topology_.size() / 2);
+  EXPECT_EQ(network.ledger().TotalSent(MessageClass::kQueryAbort), prop);
+}
+
 TEST_P(SrtEngineTest, ValueBasedQueriesStillFloodEverywhere) {
   const Query q =
       ParseQuery(1, "SELECT light WHERE light > 900 EPOCH DURATION 4096");
