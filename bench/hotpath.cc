@@ -1,4 +1,4 @@
-// Hot-path benchmark for the discrete-event core, in three parts:
+// Hot-path benchmark for the discrete-event core, in four parts:
 //
 //   A. sweep     — the committed BENCH_sweep.json spec at jobs=1; reports
 //                  serial events/sec.
@@ -14,6 +14,14 @@
 //                  engine's contract is zero heap allocations per event in
 //                  steady state; the probe measures it rather than trusts
 //                  it.
+//   D. arq probe — the same counter around the ARQ transport: a 6x6 grid
+//                  at 10% link loss where every non-sink node sends one
+//                  reliable unicast per period to its smallest-id
+//                  neighbor.  After a warmup it counts, over an equal
+//                  window, allocations, sends, retransmits, acks and data
+//                  receptions.  The transport allocates per send and per
+//                  reception by design, so the counts are recorded, not
+//                  gated; CI's artifact diff pins them.
 //
 // The artifact records absolute rates only; compare two builds by running
 // both on the same machine.
@@ -26,8 +34,8 @@
 //                       BENCH_sweep.json spec)
 //   --out=p.json        artifact path (default BENCH_hotpath.json)
 //   --dense-ms=N        simulated duration of part B (default 60000)
-//   --probe-ms=N        simulated warmup and measurement duration of part C
-//                       (default 60000 each)
+//   --probe-ms=N        simulated warmup and measurement duration of parts C
+//                       and D (default 60000 each)
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -43,6 +51,7 @@
 #include "net/network.h"
 #include "obs/build_info.h"
 #include "obs/session.h"
+#include "reliable/arq.h"
 #include "sweep/spec.h"
 #include "util/flags.h"
 
@@ -50,7 +59,7 @@
 // Global allocation counter.  Every path into the heap in this binary goes
 // through these replaceable operators; part C reads the counter around a
 // measured simulation window to prove the steady-state event loop never
-// touches the allocator.
+// touches the allocator, and part D reads it around the ARQ transport.
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
@@ -207,6 +216,107 @@ ProbeResult RunProbePart(SimDuration probe_ms) {
   return result;
 }
 
+/// The application payload of part D's reliable sends, shared by all of
+/// them so that the bench itself allocates only each send's destination.
+struct ArqProbePayload final : TaggedPayload<ArqProbePayload> {};
+
+/// A node that sends one reliable unicast per period to its smallest-id
+/// neighbor, with a deadline one period out.
+struct ArqTicker {
+  ArqTransport* arq = nullptr;
+  Network* net = nullptr;
+  std::shared_ptr<const Payload> payload;
+  NodeId node = 0;
+  SimDuration period = 0;
+
+  void Tick() {
+    Message msg;
+    msg.cls = MessageClass::kResult;
+    msg.mode = AddressMode::kUnicast;
+    msg.sender = node;
+    msg.destinations.push_back(net->topology().NeighborsOf(node).front());
+    msg.payload_bytes = 24;
+    msg.payload = payload;
+    arq->Send(std::move(msg), net->sim().Now() + period);
+    net->sim().ScheduleAfter(period, [this] { Tick(); });
+  }
+};
+
+/// What part D counts over its measured window.
+struct ArqCounts {
+  std::uint64_t allocations = 0;
+  std::uint64_t sends = 0;
+  std::uint64_t retransmits = 0;
+  std::uint64_t acks = 0;
+  std::uint64_t duplicates_dropped = 0;
+  /// Data copies handed up to an addressed receiver.
+  std::uint64_t delivered = 0;
+  /// Data copies overheard by a neighbor that was not addressed.
+  std::uint64_t overheard = 0;
+};
+
+ArqCounts RunArqProbePart(SimDuration probe_ms) {
+  std::printf("hotpath: part D — arq allocation probe, %lld + %lld sim ms...\n",
+              static_cast<long long>(probe_ms),
+              static_cast<long long>(probe_ms));
+  const Topology topology = Topology::Grid(6);
+  Network net(topology, RadioParams{}, ChannelParams{}, /*seed=*/1);
+  net.SetDefaultLinkLoss(0.1);
+  ArqOptions options;
+  options.enabled = true;
+  options.seed = 1;
+  ArqTransport arq(net, options);
+  std::uint64_t delivered = 0;
+  std::uint64_t overheard = 0;
+  for (NodeId node = 0; node < topology.size(); ++node) {
+    arq.Attach(node, [&delivered, &overheard](const Message& msg,
+                                              bool addressed) {
+      // Acks fall through to the upper receiver too; count data only.
+      if (PayloadAs<ArqProbePayload>(msg.payload.get()) == nullptr) return;
+      ++(addressed ? delivered : overheard);
+    });
+  }
+  constexpr SimDuration kPeriodMs = 1024;
+  const auto payload = std::make_shared<ArqProbePayload>();
+  std::vector<ArqTicker> tickers(topology.size());
+  for (NodeId node = 1; node < topology.size(); ++node) {
+    tickers[node] = ArqTicker{&arq, &net, payload, node, kPeriodMs};
+    ArqTicker* ticker = &tickers[node];
+    // Staggered by node index so the radios do not phase-lock.
+    net.sim().ScheduleAt(static_cast<SimTime>(node) * kPeriodMs /
+                             static_cast<SimTime>(topology.size()),
+                         [ticker] { ticker->Tick(); });
+  }
+
+  // Warmup: the slab, the pending slots and the ack pool reach their
+  // high-water marks here, not in the measured window.
+  net.sim().RunUntil(probe_ms);
+  const auto snapshot = [&] {
+    ArqCounts now;
+    now.allocations = g_allocations.load(std::memory_order_relaxed);
+    now.sends = arq.sends();
+    now.retransmits = arq.retransmits();
+    now.acks = arq.acks_sent();
+    now.duplicates_dropped = arq.duplicates_dropped();
+    now.delivered = delivered;
+    now.overheard = overheard;
+    return now;
+  };
+  const ArqCounts before = snapshot();
+  net.sim().RunUntil(2 * probe_ms);
+  const ArqCounts after = snapshot();
+  ArqCounts window;
+  window.allocations = after.allocations - before.allocations;
+  window.sends = after.sends - before.sends;
+  window.retransmits = after.retransmits - before.retransmits;
+  window.acks = after.acks - before.acks;
+  window.duplicates_dropped =
+      after.duplicates_dropped - before.duplicates_dropped;
+  window.delivered = after.delivered - before.delivered;
+  window.overheard = after.overheard - before.overheard;
+  return window;
+}
+
 std::string LoadSpecText(const std::string& arg) {
   if (arg.empty() || arg[0] != '@') return arg;
   std::ifstream in(arg.substr(1));
@@ -237,6 +347,7 @@ int Main(int argc, char** argv) {
   const double sweep_eps = EventsPerSec(sweep.events, sweep.wall_ms);
   const DenseResult dense = RunDensePart(dense_ms);
   const ProbeResult probe = RunProbePart(probe_ms);
+  const ArqCounts arq = RunArqProbePart(probe_ms);
   const double allocs_per_event =
       static_cast<double>(probe.allocations) /
       static_cast<double>(probe.events);
@@ -271,22 +382,42 @@ int Main(int argc, char** argv) {
   std::snprintf(
       buf, sizeof(buf),
       "  \"alloc_probe\": {\"sim_ms\": %lld, \"events_measured\": %llu, "
-      "\"allocations\": %llu, \"allocs_per_event\": %g}\n",
+      "\"allocations\": %llu, \"allocs_per_event\": %g},\n",
       static_cast<long long>(probe_ms),
       static_cast<unsigned long long>(probe.events),
       static_cast<unsigned long long>(probe.allocations), allocs_per_event);
+  out << buf;
+  std::snprintf(
+      buf, sizeof(buf),
+      "  \"arq_probe\": {\"sim_ms\": %lld, \"allocations\": %llu, "
+      "\"sends\": %llu, \"retransmits\": %llu, \"acks\": %llu, "
+      "\"duplicates_dropped\": %llu, \"data_delivered\": %llu, "
+      "\"data_overheard\": %llu}\n",
+      static_cast<long long>(probe_ms),
+      static_cast<unsigned long long>(arq.allocations),
+      static_cast<unsigned long long>(arq.sends),
+      static_cast<unsigned long long>(arq.retransmits),
+      static_cast<unsigned long long>(arq.acks),
+      static_cast<unsigned long long>(arq.duplicates_dropped),
+      static_cast<unsigned long long>(arq.delivered),
+      static_cast<unsigned long long>(arq.overheard));
   out << buf;
   out << "}\n";
 
   std::printf(
       "hotpath: sweep %.0f events/sec; dense %.0f events/sec, %llu "
       "retransmissions, %llu link drops; probe %llu allocs over %llu events "
-      "(%g/event); wrote %s\n",
+      "(%g/event); arq probe %llu allocs over %llu sends, %llu data "
+      "receptions; wrote %s\n",
       sweep_eps, EventsPerSec(dense.events, dense.wall_ms),
       static_cast<unsigned long long>(dense.retransmissions),
       static_cast<unsigned long long>(dense.link_drops),
       static_cast<unsigned long long>(probe.allocations),
       static_cast<unsigned long long>(probe.events), allocs_per_event,
+      static_cast<unsigned long long>(arq.allocations),
+      static_cast<unsigned long long>(arq.sends),
+      static_cast<unsigned long long>(arq.delivered + arq.duplicates_dropped +
+                                      arq.overheard),
       out_path.c_str());
   if (probe.allocations != 0) {
     std::fprintf(stderr,
