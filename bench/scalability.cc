@@ -14,13 +14,15 @@
 // With --scale-out=FILE it instead measures the per-event cost curve of
 // tier 2 and writes it as a BENCH_*.json artifact (BENCH_scale.json):
 // ttmqo WorkloadC on n x n grids, n in {10, 20, 30, 40, 60}, 81920 sim-ms,
-// seed 7, collisions 0.02, one run at a time in increasing n, each grid run
-// 5 times.  Per grid it records the executed events, the median pass's wall
-// time and ns per event, the process's peak RSS (ru_maxrss) after the
-// passes, and the run's delivery: rows expected and delivered over all
-// queries, and the smallest per-query completeness.  Event counts and
-// delivery are deterministic, and the binary exits 1 if any pass differs
-// from the first in them; timings and RSS depend on the host.
+// seed 7, collisions 0.02, one run at a time, in 5 passes: each pass runs
+// every grid once in increasing n, so a drift in the host's load spreads
+// over all grids instead of landing on the last ones.  Per grid it records
+// the executed events, the median pass's wall time and ns per event, the
+// process's peak RSS (ru_maxrss) after the grid's first pass, and the run's
+// delivery: rows expected and delivered over all queries, and the smallest
+// per-query completeness.  Event counts and delivery are deterministic, and
+// the binary exits 1 if any pass differs from the first in them; timings
+// and RSS depend on the host.
 //
 //   $ scalability --scale-out=BENCH_scale.json
 #include <sys/resource.h>
@@ -66,6 +68,13 @@ struct ScaleCounts {
   bool operator==(const ScaleCounts&) const = default;
 };
 
+// One grid's point on the curve, filled in pass by pass.
+struct ScalePoint {
+  ScaleCounts counts;
+  std::vector<double> walls_ms;
+  long rss_kb = 0;
+};
+
 long MaxRssKb() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
@@ -92,22 +101,22 @@ int WriteScaleCurve(const std::string& path) {
   out << "  \"grids\": [\n";
   TablePrinter table({"grid", "events", "wall ms", "ns/event", "maxrss MB",
                       "rows expected", "rows delivered", "min completeness"});
-  for (std::size_t i = 0; i < std::size(kScaleSides); ++i) {
-    const std::size_t side = kScaleSides[i];
-    RunConfig config;
-    config.grid_side = side;
-    config.mode = OptimizationMode::kTwoTier;
-    config.duration_ms = kScaleDurationMs;
-    config.seed = kScaleSeed;
-    config.channel.collision_prob = kScaleCollisions;
-    ScaleCounts counts;
-    std::vector<double> walls_ms;
-    for (int pass = 0; pass < kScalePasses; ++pass) {
+  std::vector<ScalePoint> points(std::size(kScaleSides));
+  for (int pass = 0; pass < kScalePasses; ++pass) {
+    for (std::size_t i = 0; i < std::size(kScaleSides); ++i) {
+      const std::size_t side = kScaleSides[i];
+      RunConfig config;
+      config.grid_side = side;
+      config.mode = OptimizationMode::kTwoTier;
+      config.duration_ms = kScaleDurationMs;
+      config.seed = kScaleSeed;
+      config.channel.collision_prob = kScaleCollisions;
       const auto start = std::chrono::steady_clock::now();
       const RunResult run = RunExperiment(config, StaticSchedule(WorkloadC()));
-      walls_ms.push_back(std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - start)
-                             .count());
+      ScalePoint& point = points[i];
+      point.walls_ms.push_back(std::chrono::duration<double, std::milli>(
+                                   std::chrono::steady_clock::now() - start)
+                                   .count());
       ScaleCounts pass_counts;
       pass_counts.events = run.events_executed;
       for (const auto& [id, delivery] : run.summary.delivery) {
@@ -116,8 +125,9 @@ int WriteScaleCurve(const std::string& path) {
       }
       pass_counts.min_completeness = run.summary.MinDeliveryCompleteness();
       if (pass == 0) {
-        counts = pass_counts;
-      } else if (pass_counts != counts) {
+        point.counts = pass_counts;
+        point.rss_kb = MaxRssKb();
+      } else if (pass_counts != point.counts) {
         std::fprintf(stderr,
                      "scalability: pass %d of the %zux%zu grid differs from "
                      "the first in events, rows or completeness\n",
@@ -125,11 +135,16 @@ int WriteScaleCurve(const std::string& path) {
         return 1;
       }
     }
+  }
+  for (std::size_t i = 0; i < std::size(kScaleSides); ++i) {
+    const std::size_t side = kScaleSides[i];
+    const ScaleCounts& counts = points[i].counts;
+    std::vector<double>& walls_ms = points[i].walls_ms;
     std::sort(walls_ms.begin(), walls_ms.end());
     const double wall_ms = walls_ms[walls_ms.size() / 2];
     const double ns_per_event =
         wall_ms * 1e6 / static_cast<double>(counts.events);
-    const long rss_kb = MaxRssKb();
+    const long rss_kb = points[i].rss_kb;
     std::snprintf(buf, sizeof(buf),
                   "    {\"n\": %zu, \"events_executed\": %llu, "
                   "\"wall_ms\": %.1f, \"ns_per_event\": %.0f, "

@@ -1,6 +1,9 @@
 #include "query/predicate.h"
 
+#include <charconv>
 #include <sstream>
+
+#include "util/check.h"
 
 namespace ttmqo {
 namespace {
@@ -8,6 +11,16 @@ namespace {
 // A constraint equal to (or wider than) the physical range is vacuous.
 bool IsVacuous(Attribute attr, const Interval& range) {
   return range.Covers(AttributeRange(attr));
+}
+
+// The shortest fixed-notation text that parses back to `value` exactly; the
+// SQL lexer reads no exponent.  The buffer fits any finite double.
+std::string FixedNumber(double value) {
+  std::array<char, 512> buf;
+  const auto [end, ec] = std::to_chars(buf.data(), buf.data() + buf.size(),
+                                       value, std::chars_format::fixed);
+  Check(ec == std::errc(), "FixedNumber: value does not fit the buffer");
+  return std::string(buf.data(), end);
 }
 
 }  // namespace
@@ -18,10 +31,12 @@ bool Predicate::Matches(const Reading& reading) const {
 }
 
 std::string Predicate::ToString() const {
-  std::ostringstream out;
-  out << range.lo() << " <= " << AttributeName(attribute)
-      << " <= " << range.hi();
-  return out.str();
+  std::string out(AttributeName(attribute));
+  // An empty range keeps no bounds; BETWEEN 1 AND 0 parses back to the
+  // canonical empty interval.
+  if (range.empty()) return out + " BETWEEN 1 AND 0";
+  return out + " BETWEEN " + FixedNumber(range.lo()) + " AND " +
+         FixedNumber(range.hi());
 }
 
 PredicateSet PredicateSet::Of(const std::vector<Predicate>& predicates) {

@@ -26,7 +26,8 @@ struct Predicate {
   /// attribute was acquired).
   bool Matches(const Reading& reading) const;
 
-  /// "100 <= light <= 600".
+  /// "light BETWEEN 100 AND 600", in SQL that `ParseQuery` reads back to
+  /// the same range; an empty range prints as "light BETWEEN 1 AND 0".
   std::string ToString() const;
 
   bool operator==(const Predicate&) const = default;
@@ -83,7 +84,7 @@ class PredicateSet {
 
   bool operator==(const PredicateSet& other) const = default;
 
-  /// "100 <= light <= 600 AND temp <= 40" or "(none)".
+  /// "light BETWEEN 100 AND 600 AND temp BETWEEN 0 AND 40" or "(none)".
   std::string ToString() const;
 
  private:

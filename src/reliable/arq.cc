@@ -1,8 +1,10 @@
 #include "reliable/arq.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace ttmqo {
 namespace {
@@ -19,6 +21,9 @@ constexpr SimDuration kJitterMs = 32;
 // Transmissions per hop before giving up (first send included).
 constexpr int kMaxAttempts = 4;
 static_assert(kMaxAttempts >= 1, "need >= 1 attempt");
+static_assert(std::tuple_size_v<ArqJitterMs> == kMaxAttempts &&
+                  kJitterMs <= std::numeric_limits<std::uint8_t>::max(),
+              "one jitter byte per attempt");
 
 // Give-up strikes against one neighbor before it is quarantined.
 constexpr int kQuarantineThreshold = 2;
@@ -42,13 +47,17 @@ SimDuration ArqBackoff(int backoff_exponent) {
   return std::min(rto, kMaxRtoMs);
 }
 
-SimDuration ArqRto(int backoff_exponent, Rng& rng) {
-  return ArqBackoff(backoff_exponent) + rng.UniformInt(0, kJitterMs);
-}
-
-Rng ArqJitterRng(std::uint64_t seed, NodeId sender, std::uint32_t seq) {
-  return Rng(Rng::ForkSeed(seed, (static_cast<std::uint64_t>(sender) << 32) |
-                                     static_cast<std::uint64_t>(seq)));
+ArqJitterMs ArqJitters(std::uint64_t seed, NodeId sender, std::uint32_t seq) {
+  std::array<std::int64_t, kMaxAttempts> draws;
+  Rng::FirstUniformInts(
+      Rng::ForkSeed(seed, (static_cast<std::uint64_t>(sender) << 32) |
+                              static_cast<std::uint64_t>(seq)),
+      0, kJitterMs, draws);
+  ArqJitterMs jitter_ms;
+  for (std::size_t i = 0; i < draws.size(); ++i) {
+    jitter_ms[i] = static_cast<std::uint8_t>(draws[i]);
+  }
+  return jitter_ms;
 }
 
 ArqTransport::ArqTransport(Network& network, ArqOptions options)
@@ -80,7 +89,7 @@ void ArqTransport::Send(Message msg, SimTime deadline, int reroutes) {
   slot.deadline = deadline;
   slot.attempt = 1;
   slot.reroutes = reroutes;
-  slot.rng = ArqJitterRng(seed_, sender, seq);
+  slot.jitter_ms = ArqJitters(seed_, sender, seq);
   slot.unacked = msg.destinations;
   slot.msg = std::move(msg);
   slot.msg.payload = std::make_shared<ArqDataPayload>(
@@ -99,7 +108,9 @@ void ArqTransport::Send(Message msg, SimTime deadline, int reroutes) {
 
 void ArqTransport::ScheduleTimeout(std::uint32_t index) {
   PendingSlot& slot = slots_[index];
-  const SimDuration rto = ArqRto(slot.attempt - 1, slot.rng);
+  const int retry = slot.attempt - 1;
+  const SimDuration rto =
+      ArqBackoff(retry) + slot.jitter_ms[static_cast<std::size_t>(retry)];
   const auto fire = [this, index, generation = slot.generation]() {
     OnTimeout(index, generation);
   };
@@ -153,41 +164,44 @@ void ArqTransport::OnTimeout(std::uint32_t index, std::uint32_t generation) {
 void ArqTransport::OnReceive(NodeId self, const Message& msg,
                              bool addressed) {
   if (const auto* data = PayloadAs<ArqDataPayload>(msg.payload.get())) {
-    // Reconstruct the application-level message so the engine sees exactly
-    // what it would without the transport (overhearing included).
-    Message inner;
-    inner.cls = msg.cls;
-    inner.mode = msg.mode;
-    inner.sender = msg.sender;
-    inner.destinations = msg.destinations;
-    inner.payload_bytes = msg.payload_bytes - kArqHeaderBytes;
-    inner.payload = data->inner;
-    if (!addressed) {
-      if (upper_[self]) upper_[self](inner, false);
-      return;
-    }
-    // Ack every addressed copy — re-acking duplicates is what resolves the
-    // ack-was-lost ambiguity on the sender side.
-    SendAck(self, msg.sender, data->seq);
-    SeenWindow& window = seen_[self][msg.sender];
-    const bool below_window =
-        window.max_seen > kDedupWindow &&
-        data->seq < window.max_seen - kDedupWindow;
-    if (below_window || !window.seqs.insert(data->seq).second) {
-      ++duplicates_dropped_;
-      return;
-    }
-    if (data->seq > window.max_seen) {
-      window.max_seen = data->seq;
-      // Slide the window: sequence numbers too old to be live duplicates
-      // are forgotten, bounding the table for long-lived runs.
-      if (window.max_seen > kDedupWindow) {
-        const std::uint32_t floor = window.max_seen - kDedupWindow;
-        window.seqs.erase(window.seqs.begin(),
-                          window.seqs.lower_bound(floor));
+    if (addressed) {
+      // Ack every addressed copy — re-acking duplicates is what resolves
+      // the ack-was-lost ambiguity on the sender side.
+      SendAck(self, msg.sender, data->seq);
+      SeenWindow& window = seen_[self][msg.sender];
+      const bool below_window =
+          window.max_seen > kDedupWindow &&
+          data->seq < window.max_seen - kDedupWindow;
+      if (below_window || !window.seqs.insert(data->seq).second) {
+        ++duplicates_dropped_;
+        return;
+      }
+      if (data->seq > window.max_seen) {
+        window.max_seen = data->seq;
+        // Slide the window: sequence numbers too old to be live duplicates
+        // are forgotten, bounding the table for long-lived runs.
+        if (window.max_seen > kDedupWindow) {
+          const std::uint32_t floor = window.max_seen - kDedupWindow;
+          window.seqs.erase(window.seqs.begin(),
+                            window.seqs.lower_bound(floor));
+        }
       }
     }
-    if (upper_[self]) upper_[self](inner, true);
+    if (!upper_[self]) return;
+    // Hand up the application-level message, so the engine sees exactly
+    // what it would without the transport (overhearing included).  One
+    // member is rebuilt for every reception: none re-enters this function,
+    // because `Network::Deliver` runs only from an attempt's completion
+    // event and every send, the upper handler's included, only schedules.
+    unwrapped_.cls = msg.cls;
+    unwrapped_.mode = msg.mode;
+    unwrapped_.sender = msg.sender;
+    unwrapped_.destinations.assign(msg.destinations.begin(),
+                                   msg.destinations.end());
+    unwrapped_.payload_bytes = msg.payload_bytes - kArqHeaderBytes;
+    unwrapped_.payload = data->inner;
+    upper_[self](unwrapped_, addressed);
+    unwrapped_.payload.reset();
     return;
   }
 

@@ -9,10 +9,11 @@
 // `MessageClass::kControl`), deduplicate by (sender, seq) inside a sliding
 // window, and hand exactly one copy up.  The sender keeps the message in a
 // pooled pending slot and retransmits to the not-yet-acked subset on
-// timeout, with RTO = base * 2^attempt + jitter, where the jitter stream is
-// forked from (transport seed, sender, seq) — so retry schedules depend
-// only on the run configuration, never on thread scheduling, and sweep
-// reports stay byte-identical across `--jobs` counts.
+// timeout, with RTO = base * 2^attempt + jitter, where the jitters are
+// drawn once per send from the stream forked at (transport seed, sender,
+// seq) — so retry schedules depend only on the run configuration, never on
+// thread scheduling, and sweep reports stay byte-identical across `--jobs`
+// counts.
 //
 // Budgets are twofold: a per-hop attempt cap and a hard deadline (the
 // sender's epoch cutoff) after which the slot gives up.  Give-ups strike
@@ -22,11 +23,16 @@
 // quarantines into its parent blacklist and may re-route the surviving
 // payload through the give-up hook.
 //
-// Steady state schedules no allocating events: retry timers are small
-// inline captures in the PR-5 pooled slab, pending slots and ack payloads
-// are recycled through free lists.
+// Retry timers are small inline captures in the pooled event slab, and
+// pending slots and ack payloads are recycled through free lists.  What
+// still allocates: per send, the `ArqDataPayload`, the `live_` entry and
+// the destination vector of the copy handed to the network (a retransmit
+// copies it too); per addressed reception, the ack's destination vector
+// and, for a first copy, the dedup-set entry.  An overheard reception
+// allocates nothing.  hotpath part D counts these.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -35,7 +41,6 @@
 #include <vector>
 
 #include "net/network.h"
-#include "util/rng.h"
 #include "util/time.h"
 
 namespace ttmqo {
@@ -75,13 +80,15 @@ struct ArqAckPayload final : TaggedPayload<ArqAckPayload> {
 /// timeout): 256 ms doubled per retry, capped at 4096 ms.
 SimDuration ArqBackoff(int backoff_exponent);
 
-/// `ArqBackoff(backoff_exponent)` plus a jitter in [0, 32] ms drawn from
-/// `rng`, which de-synchronizes retry bursts.
-SimDuration ArqRto(int backoff_exponent, Rng& rng);
+/// The retry jitters of one reliable send, in ms: entry k is added to
+/// `ArqBackoff(k)` for the timeout after attempt k + 1 (one per attempt of
+/// the four-attempt budget).  They de-synchronize retry bursts.
+using ArqJitterMs = std::array<std::uint8_t, 4>;
 
-/// The jitter stream of one (sender, seq) pair under `seed` — every retry
+/// The jitters of one (sender, seq) pair under `seed`: the first four
+/// draws in [0, 32] of `Rng(seed).Fork(sender << 32 | seq)`, so every retry
 /// schedule is a pure function of these three values.
-Rng ArqJitterRng(std::uint64_t seed, NodeId sender, std::uint32_t seq);
+ArqJitterMs ArqJitters(std::uint64_t seed, NodeId sender, std::uint32_t seq);
 
 class ArqTransport {
  public:
@@ -149,7 +156,7 @@ class ArqTransport {
     int reroutes = 0;
     /// Bumped on release so stale timeout events no-op.
     std::uint32_t generation = 0;
-    Rng rng{0};
+    ArqJitterMs jitter_ms{};
     bool in_use = false;
   };
 
@@ -192,6 +199,10 @@ class ArqTransport {
   std::vector<std::map<NodeId, Quarantine>> quarantine_;
   /// Recycled ack payloads (reused when the network released its copy).
   std::vector<std::shared_ptr<ArqAckPayload>> ack_pool_;
+  /// The unwrapped application message handed up on a data reception,
+  /// rebuilt in place each time so that its destination vector keeps its
+  /// capacity.
+  Message unwrapped_;
   GiveUpHook give_up_;
   QuarantineHook quarantine_hook_;
   std::uint64_t sends_ = 0;

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <random>
+#include <span>
 
 namespace ttmqo {
 
@@ -31,6 +32,13 @@ class Rng {
 
   /// Uniform integer in [lo, hi] (inclusive).
   std::int64_t UniformInt(std::int64_t lo, std::int64_t hi);
+
+  /// Fills `out` with the first `out.size()` values that
+  /// `Rng(seed).UniformInt(lo, hi)` would return, without seeding the
+  /// engine's full state: the first eight raw outputs need only 164 of its
+  /// 312 seeded words (DESIGN.md note 24).
+  static void FirstUniformInts(std::uint64_t seed, std::int64_t lo,
+                               std::int64_t hi, std::span<std::int64_t> out);
 
   /// Standard normal scaled to (mean, stddev).
   double Gaussian(double mean, double stddev);

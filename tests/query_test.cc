@@ -1,11 +1,16 @@
 // Unit tests for predicates, queries and aggregates.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "query/aggregate.h"
 #include "query/engine.h"
+#include "query/parser.h"
 #include "query/predicate.h"
 #include "query/query.h"
 #include "util/check.h"
+#include "workload/generator.h"
+#include "workload/static_workloads.h"
 
 namespace ttmqo {
 namespace {
@@ -163,14 +168,39 @@ TEST(QueryTest, ResultPayloadBytes) {
   EXPECT_EQ(agg.ResultPayloadBytes(), 6u);  // MAX: 2, AVG: 4
 }
 
-TEST(QueryTest, ToSqlRoundTripsShape) {
-  PredicateSet preds =
-      PredicateSet::Of({{Attribute::kLight, Interval(100, 600)}});
-  const Query q = Query::Acquisition(3, {Attribute::kLight}, preds, 6144);
-  const std::string sql = q.ToSql();
-  EXPECT_NE(sql.find("SELECT"), std::string::npos);
-  EXPECT_NE(sql.find("light"), std::string::npos);
-  EXPECT_NE(sql.find("EPOCH DURATION 6144"), std::string::npos);
+TEST(QueryTest, ToSqlParsesBackToAnEqualQuery) {
+  std::vector<Query> queries;
+  for (const char* name : {"A", "B", "C"}) {
+    for (const Query& q : WorkloadByName(name)) queries.push_back(q);
+  }
+  // Section 4.3's random queries with randomized selectivity: arbitrary
+  // bounds, up to two predicates, both query kinds.
+  QueryModelParams params;
+  params.randomize_selectivity = true;
+  params.max_predicates = 2;
+  RandomQueryModel model(params, 2007);
+  for (QueryId id = 1; id <= 1000; ++id) queries.push_back(model.Next(id));
+  // An unsatisfiable predicate keeps an empty range.
+  queries.push_back(ParseQuery(
+      7, "SELECT light FROM sensors WHERE light > 4294967296 "
+         "EPOCH DURATION 4096"));
+  ASSERT_TRUE(queries.back().predicates().IsUnsatisfiable());
+
+  std::size_t with_predicates = 0;
+  for (const Query& q : queries) {
+    const std::string sql = q.ToSql();
+    SCOPED_TRACE(sql);
+    const Query parsed = ParseQuery(q.id(), sql);
+    EXPECT_EQ(parsed.kind(), q.kind());
+    EXPECT_EQ(parsed.attributes(), q.attributes());
+    EXPECT_EQ(parsed.aggregates(), q.aggregates());
+    EXPECT_EQ(parsed.predicates(), q.predicates());
+    EXPECT_EQ(parsed.epoch(), q.epoch());
+    EXPECT_EQ(parsed.lifetime(), q.lifetime());
+    EXPECT_EQ(parsed.ToSql(), sql);
+    if (!q.predicates().IsUnconstrained()) ++with_predicates;
+  }
+  EXPECT_GT(with_predicates, queries.size() / 2);
 }
 
 TEST(QueryTest, PropagationPayloadGrowsWithContent) {

@@ -1,5 +1,5 @@
 // Unit tests for the ARQ transport (reliable/arq.h): backoff arithmetic,
-// per-(sender, seq) jitter streams, ack/retransmit bookkeeping over a
+// per-(sender, seq) retry jitters, ack/retransmit bookkeeping over a
 // lossless grid, deadline budgets, and the quarantine hysteresis that
 // makes flapping neighbors progressively more expensive to re-trust.
 #include <gtest/gtest.h>
@@ -43,40 +43,38 @@ TEST(ArqRtoTest, DoublesPerAttemptAndCapsWithoutJitter) {
 }
 
 TEST(ArqRtoTest, JitterIsBoundedAndDeterministicInTheStream) {
-  constexpr SimDuration kJitterMs = 32;
+  constexpr int kJitterMs = 32;
   const ArqOptions options = TestOptions();
-  Rng a = ArqJitterRng(options.seed, 7, 3);
-  Rng b = ArqJitterRng(options.seed, 7, 3);
-  for (int exponent = 0; exponent < 8; ++exponent) {
-    const SimDuration first = ArqRto(exponent, a);
-    const SimDuration second = ArqRto(exponent, b);
-    EXPECT_EQ(first, second)
-        << "same (seed, sender, seq) must give the same retry schedule";
-    const SimDuration base = ArqBackoff(exponent);
-    EXPECT_GE(first, base);
-    EXPECT_LE(first, base + kJitterMs);
+  EXPECT_EQ(ArqJitters(options.seed, 7, 3), ArqJitters(options.seed, 7, 3))
+      << "same (seed, sender, seq) must give the same retry schedule";
+  // Over many sends every jitter stays in [0, 32] and both ends occur.
+  std::vector<int> seen(kJitterMs + 1, 0);
+  for (NodeId sender = 0; sender < 16; ++sender) {
+    for (std::uint32_t seq = 0; seq < 64; ++seq) {
+      for (const std::uint8_t jitter : ArqJitters(options.seed, sender, seq)) {
+        ASSERT_LE(jitter, kJitterMs);
+        ++seen[jitter];
+      }
+    }
   }
+  EXPECT_GT(seen.front(), 0);
+  EXPECT_GT(seen.back(), 0);
 }
 
 TEST(ArqJitterRngTest, StreamsAreIndependentPerSenderAndSeq) {
   // Different (sender, seq) pairs must draw different jitter so retry
   // bursts de-synchronize; equal pairs must collide exactly.
-  const auto draws = [](NodeId sender, std::uint32_t seq) {
-    Rng rng = ArqJitterRng(42, sender, seq);
-    std::vector<std::int64_t> out;
-    for (int i = 0; i < 4; ++i) out.push_back(rng.UniformInt(0, 1 << 20));
-    return out;
-  };
-  EXPECT_EQ(draws(3, 1), draws(3, 1));
-  EXPECT_NE(draws(3, 1), draws(3, 2));
-  EXPECT_NE(draws(3, 1), draws(4, 1));
-  // The stream is the fork of the seed's generator at salt (sender, seq).
+  EXPECT_EQ(ArqJitters(42, 3, 1), ArqJitters(42, 3, 1));
+  EXPECT_NE(ArqJitters(42, 3, 1), ArqJitters(42, 3, 2));
+  EXPECT_NE(ArqJitters(42, 3, 1), ArqJitters(42, 4, 1));
+  // The jitters are the first four draws in [0, 32] of the seed's fork at
+  // salt (sender, seq).
   Rng forked = Rng(42).Fork((std::uint64_t{3} << 32) | 1);
-  std::vector<std::int64_t> expected;
-  for (int i = 0; i < 4; ++i) {
-    expected.push_back(forked.UniformInt(0, 1 << 20));
+  ArqJitterMs expected;
+  for (std::uint8_t& jitter : expected) {
+    jitter = static_cast<std::uint8_t>(forked.UniformInt(0, 32));
   }
-  EXPECT_EQ(draws(3, 1), expected);
+  EXPECT_EQ(ArqJitters(42, 3, 1), expected);
 }
 
 // ---------------------------------------------------------------------------
@@ -181,6 +179,36 @@ TEST_F(ArqTransportTest, DeadlineCutsTheRetryBudgetShort) {
   EXPECT_EQ(arq_.retransmits(), 0u);
   ASSERT_EQ(give_ups_.size(), 1u);
   EXPECT_EQ(give_ups_[0].unacked, (std::vector<NodeId>{1}));
+}
+
+TEST_F(ArqTransportTest, RetriesWaitTheBackoffPlusTheSendsOwnJitter) {
+  // Node 1 never acks; node 5 overhears every copy node 4 sends, each one
+  // transmit time after it starts on an idle radio.
+  network_.SetDown(1);
+  std::vector<SimTime> overheard;
+  arq_.Attach(5, [&](const Message& msg, bool addressed) {
+    if (!addressed && msg.sender == 4) {
+      overheard.push_back(network_.sim().Now());
+    }
+  });
+  std::vector<SimTime> gave_up;
+  arq_.SetGiveUpHook([&](const ArqTransport::GiveUpInfo&) {
+    gave_up.push_back(network_.sim().Now());
+  });
+  arq_.Send(Probe(4, {1}, 3), /*deadline=*/1'000'000);
+  network_.sim().RunUntil(60'000);
+
+  // Timeout k waits ArqBackoff(k) plus entry k of the send's jitters.
+  const ArqJitterMs jitter = ArqJitters(TestOptions().seed, 4, /*seq=*/0);
+  ASSERT_EQ(overheard.size(), 4u);
+  for (std::size_t k = 0; k < 3; ++k) {
+    EXPECT_EQ(overheard[k + 1] - overheard[k],
+              ArqBackoff(static_cast<int>(k)) + jitter[k])
+        << "timeout " << k;
+  }
+  ASSERT_EQ(gave_up.size(), 1u);
+  const SimTime last_start = overheard[3] - overheard[0];
+  EXPECT_EQ(gave_up[0], last_start + ArqBackoff(3) + jitter[3]);
 }
 
 TEST_F(ArqTransportTest, RetrySchedulesAreDeterministicAcrossTransports) {

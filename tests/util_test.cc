@@ -1,6 +1,7 @@
 // Unit tests for the util layer: intervals, epoch math, RNG, flags, time.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <optional>
 #include <set>
 
@@ -166,6 +167,34 @@ TEST(RngTest, ForkSeedMatchesForkingASeededParent) {
       }
     }
   }
+}
+
+TEST(RngTest, FirstUniformIntsMatchTheEngine) {
+  // FirstUniformInts computes the engine's first eight raw outputs from the
+  // seeded words they read and continues from a full engine past them; its
+  // values must equal a seeded Rng's draw for draw.  Over [-2^62, 2^62] the
+  // distribution rejects about half of its raw outputs, so for every seed
+  // here 16 draws read past the eighth and the fallback runs.
+  constexpr std::int64_t kWide = std::int64_t{1} << 62;
+  for (std::uint64_t i = 0; i < 10'000; ++i) {
+    const std::uint64_t seed = i * 0x9e3779b97f4a7c15ULL + (i & 7);
+    std::array<std::int64_t, 4> jitter;
+    Rng::FirstUniformInts(seed, 0, 32, jitter);
+    Rng narrow(seed);
+    for (std::size_t k = 0; k < jitter.size(); ++k) {
+      ASSERT_EQ(jitter[k], narrow.UniformInt(0, 32))
+          << "seed " << seed << " draw " << k;
+    }
+    std::array<std::int64_t, 16> wide;
+    Rng::FirstUniformInts(seed, -kWide, kWide, wide);
+    Rng full(seed);
+    for (std::size_t k = 0; k < wide.size(); ++k) {
+      ASSERT_EQ(wide[k], full.UniformInt(-kWide, kWide))
+          << "seed " << seed << " draw " << k;
+    }
+  }
+  std::array<std::int64_t, 1> one;
+  EXPECT_THROW(Rng::FirstUniformInts(1, 5, 4, one), std::invalid_argument);
 }
 
 TEST(RngTest, UniformBounds) {
