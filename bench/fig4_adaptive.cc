@@ -142,8 +142,7 @@ std::vector<WorkloadEvent> MakeSchedule(std::size_t num_queries,
 ReplayStats ReplayTask(const std::vector<WorkloadEvent>& events,
                        const Topology& topology, double alpha,
                        TraceSink* trace = nullptr) {
-  const SelectivityEstimator estimator;
-  const CostModel cost(topology, RadioParams{}, estimator);
+  const CostModel cost(topology, RadioParams{});
   return Replay(events, cost, alpha, topology.size(), trace);
 }
 

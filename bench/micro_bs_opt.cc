@@ -186,8 +186,7 @@ bool SameDecisions(const CurveRun& a, const CurveRun& b) {
 int RunCurve(const std::string& out_path, std::size_t max_queries,
              std::size_t naive_max_queries, double naive_budget_ms) {
   const Topology topology = Topology::Grid(8);
-  const SelectivityEstimator estimator;
-  const CostModel cost(topology, RadioParams{}, estimator);
+  const CostModel cost(topology, RadioParams{});
 
   struct Profile {
     const char* name;

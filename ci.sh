@@ -292,7 +292,7 @@ run_step "bs-opt-equivalence (asan)" blocking bs_opt_equivalence
 sweep_determinism() {
   ./build-asan/examples/run_sweep \
     --spec="grids=4 workloads=A,C modes=baseline,ttmqo seeds=1 duration-ms=49152" \
-    --bench-out=/tmp/ttmqo_sweep_ci.json
+    --bench-out="${ARTIFACTS}/sweep_determinism.json"
 }
 run_step "sweep-determinism (asan)" blocking sweep_determinism
 
@@ -362,7 +362,7 @@ run_step "perfbench-oracle (release)" blocking perfbench_oracle
 
 obs_overhead_gate() {
   ./build-release/bench/obs_overhead --max-overhead=3 \
-    --window-ms=10000 --reps=3 --out=/tmp/ttmqo_obs_ci.json
+    --window-ms=10000 --reps=3 --out="${ARTIFACTS}/obs_overhead.json"
 }
 run_step "obs-overhead (release)" blocking obs_overhead_gate
 

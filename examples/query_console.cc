@@ -43,14 +43,6 @@ class ConsoleSink final : public ResultSink {
   }
 };
 
-OptimizationMode ParseMode(const std::string& name) {
-  if (name == "baseline") return OptimizationMode::kBaseline;
-  if (name == "bs") return OptimizationMode::kBaseStationOnly;
-  if (name == "innet") return OptimizationMode::kInNetworkOnly;
-  if (name == "ttmqo") return OptimizationMode::kTwoTier;
-  throw std::invalid_argument("unknown --mode (baseline|bs|innet|ttmqo)");
-}
-
 void PrintHelp() {
   std::printf(
       "commands: submit <sql> | terminate <id> | run <seconds> | "
@@ -62,7 +54,11 @@ void PrintHelp() {
 int main(int argc, char** argv) {
   const Flags flags = Flags::Parse(argc, argv);
   const auto side = static_cast<std::size_t>(flags.GetInt("side", 4));
-  const OptimizationMode mode = ParseMode(flags.GetString("mode", "ttmqo"));
+  const auto parsed = ParseOptimizationMode(flags.GetString("mode", "ttmqo"));
+  if (!parsed) {
+    throw std::invalid_argument("unknown --mode (baseline|bs|innet|ttmqo)");
+  }
+  const OptimizationMode mode = *parsed;
 
   const Topology topology = Topology::Grid(side);
   Network network(topology, RadioParams{}, ChannelParams{}, 1);

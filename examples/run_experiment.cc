@@ -62,14 +62,6 @@ namespace {
 
 using namespace ttmqo;
 
-OptimizationMode ParseMode(const std::string& name) {
-  if (name == "baseline") return OptimizationMode::kBaseline;
-  if (name == "bs") return OptimizationMode::kBaseStationOnly;
-  if (name == "innet") return OptimizationMode::kInNetworkOnly;
-  if (name == "ttmqo") return OptimizationMode::kTwoTier;
-  throw std::invalid_argument("unknown --mode (baseline|bs|innet|ttmqo)");
-}
-
 std::ofstream OpenOutput(const std::string& path) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot open output file: " + path);
@@ -174,13 +166,16 @@ int main(int argc, char** argv) {
 
     if (ReportUnreadFlags(flags)) return 2;
 
-    const std::vector<OptimizationMode> modes =
-        compare ? std::vector<OptimizationMode>{
-                      OptimizationMode::kBaseline,
-                      OptimizationMode::kBaseStationOnly,
-                      OptimizationMode::kInNetworkOnly,
-                      OptimizationMode::kTwoTier}
-                : std::vector<OptimizationMode>{ParseMode(mode_name)};
+    std::vector<OptimizationMode> modes = {
+        OptimizationMode::kBaseline, OptimizationMode::kBaseStationOnly,
+        OptimizationMode::kInNetworkOnly, OptimizationMode::kTwoTier};
+    if (!compare) {
+      const auto mode = ParseOptimizationMode(mode_name);
+      if (!mode) {
+        throw std::invalid_argument("unknown --mode (baseline|bs|innet|ttmqo)");
+      }
+      modes = {*mode};
+    }
 
     MetricsRegistry registry;
     EpochSampler sampler;

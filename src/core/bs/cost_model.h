@@ -7,10 +7,13 @@
 //   trans(q)       = result(q, N)             (aggregation lower bound)
 //   cost(q)        = trans(q) * (C_start + C_trans * len(q))         (Eq. 3)
 //
-// The aggregation lower bound makes integrating an aggregation query with
-// an acquisition query conservative: it only happens when guaranteed
-// beneficial.  Costs are airtime per millisecond (dimensionless rates);
-// only relative values matter for rewriting decisions.
+// sel(q, N_k) is the uniform-prior selectivity of q's predicates, the same
+// at every level (stats/selectivity.h), so a query's cost depends on its
+// structure alone.  The aggregation lower bound makes integrating an
+// aggregation query with an acquisition query conservative: it only happens
+// when guaranteed beneficial.  Costs are airtime per millisecond
+// (dimensionless rates); only relative values matter for rewriting
+// decisions.
 #pragma once
 
 #include <cstdint>
@@ -18,19 +21,16 @@
 #include "net/radio.h"
 #include "net/topology.h"
 #include "query/query.h"
-#include "stats/selectivity.h"
 
 namespace ttmqo {
 
-/// Evaluates Eq. 1-3 against a topology, radio parameters, and a
-/// selectivity estimator.
+/// Evaluates Eq. 1-3 against a topology and radio parameters.
 class CostModel {
  public:
-  /// All references must outlive the model.  `C_start`/`C_trans` are taken
+  /// `topology` must outlive the model.  `C_start`/`C_trans` are taken
   /// from `radio` (the paper periodically measures C_start; our simulator's
   /// startup time is constant, so the configured value is exact).
-  CostModel(const Topology& topology, const RadioParams& radio,
-            const SelectivityEstimator& selectivity);
+  CostModel(const Topology& topology, const RadioParams& radio);
 
   /// Eq. 1: result messages per millisecond generated at level `k`.
   double ResultRate(const Query& query, std::size_t level) const;
@@ -49,9 +49,6 @@ class CostModel {
   /// Result message length (radio header + envelope + payload), in bytes.
   double MessageLengthBytes(const Query& query) const;
 
-  /// The selectivity estimator in use.
-  const SelectivityEstimator& selectivity() const { return *selectivity_; }
-
   /// Number of Eq. 3 evaluations since construction (observability: the
   /// rewriter's work is proportional to these).
   std::uint64_t cost_evaluations() const { return cost_evaluations_; }
@@ -59,14 +56,12 @@ class CostModel {
   /// Number of benefit evaluations (one per candidate merge considered).
   std::uint64_t benefit_evaluations() const { return benefit_evaluations_; }
 
-  /// Version of the statistics feeding Eq. 1; any cached Cost/Benefit value
-  /// is stale once this moves (see SelectivityEstimator::Version).
-  std::uint64_t StatsVersion() const;
-
  private:
+  /// Eq. 1 for a selectivity already evaluated.
+  double LevelRate(double sel, SimDuration epoch, std::size_t level) const;
+
   const Topology* topology_;
   RadioParams radio_;
-  const SelectivityEstimator* selectivity_;
   double num_sensors_;  // |N| excluding the base station
   // Plain counters: a model is never shared across threads (fig4's
   // parallel replay tasks each build their own).

@@ -93,8 +93,7 @@ BaseStationOptimizer::BaseStationOptimizer(const CostModel& cost,
                                            Options options)
     : cost_(&cost),
       options_(options),
-      next_synthetic_id_(kFirstSyntheticId),
-      stats_version_(cost.StatsVersion()) {
+      next_synthetic_id_(kFirstSyntheticId) {
   CheckArg(options.alpha >= 0.0, "BaseStationOptimizer: alpha must be >= 0");
 }
 
@@ -143,29 +142,6 @@ double BaseStationOptimizer::RateOf(const Query& qi, const std::string& qi_key,
   if (rate_memo_.size() >= kMemoCapacity) rate_memo_.clear();
   rate_memo_.emplace(std::move(memo_key), rate);
   return rate;
-}
-
-void BaseStationOptimizer::SyncStatsVersion() {
-  if (!options_.use_index) return;
-  const std::uint64_t version = cost_->StatsVersion();
-  if (version == stats_version_) return;
-  stats_version_ = version;
-  cost_memo_.clear();
-  rate_memo_.clear();
-  RebuildCostOrder();
-}
-
-void BaseStationOptimizer::RebuildCostOrder() {
-  acq_order_.clear();
-  agg_order_.clear();
-  indexed_cost_.clear();
-  for (const auto& [sid, sq] : synthetics_) {
-    const double cost = CostOf(sq.query);
-    indexed_cost_.emplace(sid, cost);
-    (sq.query.kind() == QueryKind::kAcquisition ? acq_order_ : agg_order_)
-        .insert({cost, sid});
-  }
-  if (!synthetics_.empty()) ++istats_.index_rebuilds;
 }
 
 void BaseStationOptimizer::IndexAdd(QueryId sid, const SyntheticQuery& sq) {
@@ -445,7 +421,6 @@ void BaseStationOptimizer::InsertBundle(Query net_query,
                              static_cast<std::int64_t>(members.size())));
     }
     SyntheticQuery sq(net_query.WithId(sid));
-    sq.member_cost_version = stats_version_;  // no members yet: current
     Absorb(sid, sq, std::move(members));
     actions.inject.push_back(sq.query);
     const auto [it, inserted] = synthetics_.emplace(sid, std::move(sq));
@@ -461,7 +436,6 @@ BaseStationOptimizer::Actions BaseStationOptimizer::InsertUserQuery(
            "InsertUserQuery: user id collides with the synthetic id space");
   CheckArg(!user_to_synthetic_.contains(query.id()),
            "InsertUserQuery: duplicate user query id");
-  SyncStatsVersion();
   Actions actions;
   std::map<QueryId, Query> members;
   members.emplace(query.id(), query);
@@ -476,26 +450,23 @@ void BaseStationOptimizer::Absorb(QueryId sid, SyntheticQuery& sq,
   // member (the common case: ids arrive ascending) extend the running sum
   // with the op sequence a full recompute would execute; any other ids
   // merge into `member_costs` in order and the cached doubles are re-summed.
-  // Stale costs are re-derived wholesale by RecomputeBenefit.
-  const bool current =
-      options_.use_index && sq.member_cost_version == stats_version_;
   const std::size_t old_size = sq.member_costs.size();
   const bool append = old_size == 0 ||
                       members.begin()->first > sq.member_costs.back().first;
   for (auto& [uid, uq] : members) {
     user_to_synthetic_[uid] = sid;
-    if (current) {
+    if (options_.use_index) {
       const double cost = CostOf(uq);
       sq.member_costs.emplace_back(uid, cost);
       if (append) sq.member_cost_sum += cost;
     }
     sq.members.emplace(uid, std::move(uq));
   }
-  if (current && append) {
+  if (options_.use_index && append) {
     sq.benefit = sq.member_cost_sum - CostOf(sq.query);
     return;
   }
-  if (current) {
+  if (options_.use_index) {
     std::inplace_merge(
         sq.member_costs.begin(),
         sq.member_costs.begin() + static_cast<std::ptrdiff_t>(old_size),
@@ -505,13 +476,11 @@ void BaseStationOptimizer::Absorb(QueryId sid, SyntheticQuery& sq,
 }
 
 // Removes `user` from `sq` and returns its Eq. 3 cost: the indexed path
-// reads it from `member_costs` (re-costed first if the statistics moved),
-// the oracle evaluates it.
+// reads it from `member_costs`, the oracle evaluates it.
 double BaseStationOptimizer::RemoveMember(SyntheticQuery& sq, QueryId user) {
   const auto member = sq.members.find(user);
   double cost = 0.0;
   if (options_.use_index) {
-    if (sq.member_cost_version != stats_version_) CostMembers(sq);
     const auto it = std::lower_bound(
         sq.member_costs.begin(), sq.member_costs.end(), user,
         [](const std::pair<QueryId, double>& entry, QueryId id) {
@@ -534,7 +503,6 @@ BaseStationOptimizer::Actions BaseStationOptimizer::TerminateUserQuery(
   const auto user_it = user_to_synthetic_.find(user);
   CheckArg(user_it != user_to_synthetic_.end(),
            "TerminateUserQuery: unknown user query");
-  SyncStatsVersion();
   const QueryId sid = user_it->second;
   SyntheticQuery& sq = synthetics_.at(sid);
   CheckArg(sq.members.contains(user),
@@ -612,33 +580,17 @@ BaseStationOptimizer::Actions BaseStationOptimizer::TerminateUserQuery(
   return actions;
 }
 
-// Re-derives `member_costs` from `members` under the current statistics.
-void BaseStationOptimizer::CostMembers(SyntheticQuery& sq) {
-  sq.member_costs.clear();
-  sq.member_costs.reserve(sq.members.size());
-  for (const auto& [uid, uq] : sq.members) {
-    sq.member_costs.emplace_back(uid, CostOf(uq));
-  }
-  sq.member_cost_version = stats_version_;
-}
-
 void BaseStationOptimizer::RecomputeBenefit(SyntheticQuery& sq) {
   // Both paths sum in ascending uid order, so `benefit` is bit-equal; the
-  // indexed one re-costs its members only when the statistics moved.
+  // indexed one reads its cached member costs.
   double member_cost = 0.0;
   if (options_.use_index) {
-    if (sq.member_cost_version != stats_version_) CostMembers(sq);
     for (const auto& [uid, cost] : sq.member_costs) member_cost += cost;
   } else {
     for (const auto& [uid, uq] : sq.members) member_cost += CostOf(uq);
   }
   sq.member_cost_sum = member_cost;
   sq.benefit = member_cost - CostOf(sq.query);
-}
-
-bool BaseStationOptimizer::CostsCurrent(const SyntheticQuery& sq) const {
-  return options_.use_index &&
-         sq.member_cost_version == cost_->StatsVersion();
 }
 
 const SyntheticQuery* BaseStationOptimizer::SyntheticOf(QueryId user) const {
@@ -662,7 +614,7 @@ std::vector<const SyntheticQuery*> BaseStationOptimizer::Synthetics() const {
 double BaseStationOptimizer::TotalUserCost() const {
   double total = 0.0;
   for (const auto& [id, sq] : synthetics_) {
-    if (CostsCurrent(sq)) {
+    if (options_.use_index) {
       for (const auto& [uid, cost] : sq.member_costs) total += cost;
     } else {
       for (const auto& [uid, uq] : sq.members) total += cost_->Cost(uq);
@@ -674,7 +626,7 @@ double BaseStationOptimizer::TotalUserCost() const {
 double BaseStationOptimizer::TotalBenefit() const {
   double total = 0.0;
   for (const auto& [id, sq] : synthetics_) {
-    if (CostsCurrent(sq)) {
+    if (options_.use_index) {
       total += sq.benefit;
       continue;
     }

@@ -19,8 +19,8 @@
 //    (predicate-signature, epoch) buckets, memoizes Eq. 1-3 cost and
 //    benefit-rate results by structural query signature, and prunes merge
 //    candidates with an admissible upper bound on the benefit rate before
-//    exact costing.  Memos are invalidated whenever the selectivity
-//    statistics advance (CostModel::StatsVersion).
+//    exact costing.  Eq. 1's selectivity is a pure function of the
+//    predicates (the uniform prior), so no memo entry ever goes stale.
 //  * `Options::use_index = false` runs the original full scan of
 //    `synthetics_` per insertion.  It is kept as the oracle for the
 //    differential suite (tests/bs_opt_equivalence_test.cc): both paths
@@ -70,13 +70,11 @@ struct SyntheticQuery {
 
   /// Indexed-path bookkeeping (left empty by the naive oracle): each
   /// member's Eq. 3 cost, holding exactly the ids of `members` in ascending
-  /// order, valid while `member_cost_version` equals the statistics
-  /// version.  `member_cost_sum` is their ascending-id running sum — the
+  /// order.  `member_cost_sum` is their ascending-id running sum — the
   /// floating-point op sequence the oracle's recompute executes, so the two
   /// paths agree bit-for-bit on `benefit`.
   std::vector<std::pair<QueryId, double>> member_costs;
   double member_cost_sum = 0.0;
-  std::uint64_t member_cost_version = 0;
 };
 
 /// The tier-1 optimizer.
@@ -131,8 +129,8 @@ class BaseStationOptimizer {
   std::size_t NumUserQueries() const { return user_to_synthetic_.size(); }
 
   /// Sum of the members' standalone costs (Eq. 3) over all synthetics.
-  /// The indexed path reads a synthetic's cached member costs while they
-  /// match the current statistics and costs it afresh otherwise.
+  /// The indexed path reads each synthetic's cached member costs; the
+  /// oracle costs every member afresh.
   double TotalUserCost() const;
 
   /// Sum of synthetic-query benefits; TotalUserCost() - cost of what
@@ -167,7 +165,6 @@ class BaseStationOptimizer {
     std::uint64_t memo_hits = 0;      ///< cost + benefit-rate memo hits
     std::uint64_t pruned_candidates = 0;  ///< merge candidates bound away
     std::uint64_t exact_evaluations = 0;  ///< full Eq. 1-3 rate evaluations
-    std::uint64_t index_rebuilds = 0;     ///< cost-order rebuilds (stats moved)
   };
 
   /// Index/memo/pruning counters since construction.
@@ -201,11 +198,7 @@ class BaseStationOptimizer {
   double RateOf(const Query& qi, const std::string& qi_key, QueryId sid,
                 const SyntheticQuery& sq);
   double CostOf(const Query& query);
-  void CostMembers(SyntheticQuery& sq);
   void RecomputeBenefit(SyntheticQuery& sq);
-  bool CostsCurrent(const SyntheticQuery& sq) const;
-  void SyncStatsVersion();
-  void RebuildCostOrder();
   void IndexAdd(QueryId sid, const SyntheticQuery& sq);
   void IndexRemove(QueryId sid, const SyntheticQuery& sq);
   QueryId NextSyntheticId() { return next_synthetic_id_++; }
@@ -221,13 +214,10 @@ class BaseStationOptimizer {
   TraceSink* trace_ = nullptr;
 
   // ---- Indexed-path state (empty/idle when use_index is off). ----
-  // Statistics version the memos and cost order were computed under.
-  std::uint64_t stats_version_ = 0;
   // Eq. 3 cost by structural query signature.
   std::map<std::string, double> cost_memo_;
   // BenefitRate by (inserted, synthetic) structural signature pair.  Rates
-  // depend only on the two query structures and the statistics, never on
-  // ids, so entries survive until the statistics move.
+  // depend only on the two query structures, never on ids or time.
   std::map<std::pair<std::string, std::string>, double> rate_memo_;
   // Coverage buckets: acquisition synthetics by (epoch, attribute mask);
   // aggregation synthetics by (predicate signature, epoch) — aggregation
@@ -242,7 +232,8 @@ class BaseStationOptimizer {
   // only merge with aggregation queries of exactly equal predicates, which
   // the `agg_buckets_` signature range finds directly — `agg_order_` is
   // scanned only for inserted acquisition queries.  `indexed_cost_` holds
-  // each synthetic's cost under `stats_version_` for exact removal.
+  // the cost each synthetic was ordered by, so removal finds its entry
+  // without costing the query again.
   std::set<std::pair<double, QueryId>, std::greater<std::pair<double, QueryId>>>
       acq_order_;
   std::set<std::pair<double, QueryId>, std::greater<std::pair<double, QueryId>>>

@@ -21,12 +21,36 @@ std::string_view OptimizationModeName(OptimizationMode mode) {
   return "";
 }
 
+std::string_view ShortModeName(OptimizationMode mode) {
+  switch (mode) {
+    case OptimizationMode::kBaseline:
+      return "baseline";
+    case OptimizationMode::kBaseStationOnly:
+      return "bs";
+    case OptimizationMode::kInNetworkOnly:
+      return "innet";
+    case OptimizationMode::kTwoTier:
+      return "ttmqo";
+  }
+  Check(false, "unknown optimization mode");
+  return "";
+}
+
+std::optional<OptimizationMode> ParseOptimizationMode(std::string_view name) {
+  for (const OptimizationMode mode :
+       {OptimizationMode::kBaseline, OptimizationMode::kBaseStationOnly,
+        OptimizationMode::kInNetworkOnly, OptimizationMode::kTwoTier}) {
+    if (ShortModeName(mode) == name) return mode;
+  }
+  return std::nullopt;
+}
+
 TtmqoEngine::TtmqoEngine(Network& network, const FieldModel& field,
                          ResultSink* user_sink, TtmqoOptions options)
     : network_(network),
       user_sink_(user_sink),
       options_(options),
-      cost_model_(network.topology(), network.radio(), selectivity_),
+      cost_model_(network.topology(), network.radio()),
       network_sink_(this) {
   if (Rewriting()) {
     BaseStationOptimizer::Options opt;
@@ -138,30 +162,6 @@ double TtmqoEngine::BenefitRatio() const {
 }
 
 void TtmqoEngine::OnNetworkResult(const EpochResult& result) {
-  if (options_.learn_statistics && Rewriting() &&
-      result.kind == QueryKind::kAcquisition) {
-    const SyntheticQuery* sq = optimizer_->FindSynthetic(result.query);
-    if (sq != nullptr) {
-      for (const Reading& row : result.rows) {
-        Reading unbiased(row.node(), row.time());
-        for (Attribute attr : kSensedAttributes) {
-          // A constrained attribute's observed values are a filtered
-          // sample; skip them to keep the histogram unbiased.
-          if (!row.Has(attr)) continue;
-          if (sq->query.predicates().ConstraintOn(attr).has_value()) continue;
-          unbiased.Set(attr, row.GetOrThrow(attr));
-        }
-        selectivity_.shared().Observe(unbiased);
-        // Also maintain the per-routing-level distributions of Section
-        // 3.1.2 (the paper's experiments collapse them into one; keeping
-        // both costs little and sharpens Eq. 1 when fields are spatially
-        // correlated).
-        selectivity_
-            .ForLevel(network_.topology().HopLevels()[row.node()])
-            .Observe(unbiased);
-      }
-    }
-  }
   if (!Rewriting()) {
     // Network queries are the user queries; deliver directly (the inner
     // engine already closed the epoch at t + epoch).

@@ -14,6 +14,8 @@
 
 #include <map>
 #include <memory>
+#include <optional>
+#include <string_view>
 
 #include "core/bs/cost_model.h"
 #include "core/bs/result_mapper.h"
@@ -22,7 +24,6 @@
 #include "net/network.h"
 #include "query/engine.h"
 #include "sensing/field_model.h"
-#include "stats/selectivity.h"
 #include "tinydb/tinydb_engine.h"
 
 namespace ttmqo {
@@ -38,18 +39,18 @@ enum class OptimizationMode {
 /// Display name of a mode ("baseline", "bs-only", ...).
 std::string_view OptimizationModeName(OptimizationMode mode);
 
+/// Name of a mode as flags and sweep specs spell it: "baseline", "bs",
+/// "innet" or "ttmqo".
+std::string_view ShortModeName(OptimizationMode mode);
+
+/// The mode whose short name is `name`; nullopt for any other text.
+std::optional<OptimizationMode> ParseOptimizationMode(std::string_view name);
+
 /// Configuration of a `TtmqoEngine`.
 struct TtmqoOptions {
   OptimizationMode mode = OptimizationMode::kTwoTier;
   /// Tier-1 termination aggressiveness (Algorithm 2); 0.6 per the paper.
   double alpha = 0.6;
-  /// Learn the data distribution from returned rows (Section 3.1.2,
-  /// "Statistics").  Off by default: the paper's experiments use a single
-  /// uniform-assumption distribution, "which actually biases against our
-  /// techniques".  When on, an attribute's histogram is fed only by rows
-  /// of synthetic queries that do NOT constrain that attribute, so the
-  /// learned distribution is unbiased.
-  bool learn_statistics = false;
   /// Tier-1 candidate search strategy: the synthetic-query index with
   /// memoization and pruning (default), or the naive full scan used as the
   /// differential-test oracle.  Decisions are identical either way.
@@ -89,10 +90,6 @@ class TtmqoEngine final : public QueryEngine {
   /// Tier-1 benefit ratio: TotalBenefit / TotalUserCost (0 when the mode
   /// does not rewrite or no queries run).
   double BenefitRatio() const;
-
-  /// The selectivity estimator backing the cost model (uniform priors by
-  /// default, per the paper's experimental setup).
-  SelectivityEstimator& selectivity() { return selectivity_; }
 
   /// The cost model (exposes evaluation counters for observability).
   const CostModel& cost_model() const { return cost_model_; }
@@ -134,7 +131,6 @@ class TtmqoEngine final : public QueryEngine {
   Network& network_;
   ResultSink* user_sink_;
   TtmqoOptions options_;
-  SelectivityEstimator selectivity_;
   CostModel cost_model_;
   NetworkSink network_sink_;
   std::unique_ptr<BaseStationOptimizer> optimizer_;

@@ -108,16 +108,29 @@ struct ArchivedRecord {
   SpanRecord record;
 };
 
+void MergeStat(std::map<std::string, SpanStat>& totals, const StatSlot& slot) {
+  if (slot.name == nullptr || slot.count == 0) return;
+  SpanStat& stat = totals[slot.name];
+  if (stat.name.empty()) stat.name = slot.name;
+  stat.count += slot.count;
+  stat.records += slot.records;
+  stat.total_ns += slot.total_ns;
+  stat.total_cpu_ns += slot.total_cpu_ns;
+  stat.estimated_total_ns += slot.estimated_total_ns;
+}
+
 /// Buffers are owned here and never destroyed (always reachable, so a
 /// LeakSanitizer-gated CI stays clean); exited threads park their buffer on
 /// the free list and later threads recycle it after its records are
-/// archived.
+/// archived and its stats folded into `archived_totals`.
 struct SpanRegistry {
   std::mutex mu;
   std::vector<std::unique_ptr<ThreadSpanBuffer>> buffers;
   std::vector<ThreadSpanBuffer*> free_list;
   std::vector<ArchivedRecord> archive;
   std::uint64_t archive_dropped = 0;
+  /// Per-name totals of every recycled buffer, merged by name.
+  std::map<std::string, SpanStat> archived_totals;
   std::uint32_t next_tid = 0;
 
   static constexpr std::size_t kMaxArchive = 32768;
@@ -145,10 +158,14 @@ struct SpanRegistry {
     free_list.push_back(buffer);
   }
 
-  /// Preserves a recycled buffer's records so a joined worker's spans stay
-  /// visible in later snapshots.  Bounded: the oldest half is dropped when
-  /// the archive outgrows kMaxArchive.
+  /// Preserves a recycled buffer's totals and records so a joined worker's
+  /// spans stay visible in later snapshots.  The totals are exact; the
+  /// records (for the Chrome trace) are the ring's newest, and bounded: the
+  /// oldest half is dropped when the archive outgrows kMaxArchive.
   void ArchiveLocked(const ThreadSpanBuffer& buffer) {
+    for (const StatSlot& slot : buffer.stats) {
+      MergeStat(archived_totals, slot);
+    }
     const std::uint64_t kept =
         std::min<std::uint64_t>(buffer.next, ThreadSpanBuffer::kCapacity);
     for (std::uint64_t i = buffer.next - kept; i < buffer.next; ++i) {
@@ -227,26 +244,11 @@ void SampledSpanScope::End() {
   buffer.Account(name_, record.dur_ns, 0, false, shift_);
 }
 
-namespace {
-
-void MergeStat(std::map<std::string, SpanStat>& totals, const StatSlot& slot) {
-  if (slot.name == nullptr || slot.count == 0) return;
-  SpanStat& stat = totals[slot.name];
-  if (stat.name.empty()) stat.name = slot.name;
-  stat.count += slot.count;
-  stat.records += slot.records;
-  stat.total_ns += slot.total_ns;
-  stat.total_cpu_ns += slot.total_cpu_ns;
-  stat.estimated_total_ns += slot.estimated_total_ns;
-}
-
-}  // namespace
-
 SpanSnapshot CollectSpans() {
   SpanRegistry& registry = Registry();
   SpanSnapshot snapshot;
-  std::map<std::string, SpanStat> totals;
   std::lock_guard<std::mutex> lock(registry.mu);
+  std::map<std::string, SpanStat> totals = registry.archived_totals;
   // Archived records of recycled buffers first, grouped by their old tid.
   std::map<std::uint32_t, ThreadSpans> archived;
   for (const ArchivedRecord& entry : registry.archive) {
@@ -273,20 +275,6 @@ SpanSnapshot CollectSpans() {
     for (const StatSlot& slot : buffer->stats) MergeStat(totals, slot);
     snapshot.threads.push_back(std::move(thread));
   }
-  // Archived records still contribute to the merged totals: their stats
-  // were merged when the buffer was recycled?  No — stats are reset with
-  // the buffer, so re-derive the archive's contribution from its records.
-  for (const ArchivedRecord& entry : registry.archive) {
-    StatSlot slot;
-    slot.name = entry.record.name;
-    slot.count = 1ull << entry.record.sample_shift;
-    slot.records = 1;
-    slot.total_ns = entry.record.dur_ns;
-    slot.estimated_total_ns = entry.record.dur_ns
-                              << entry.record.sample_shift;
-    if (entry.record.has_cpu) slot.total_cpu_ns = entry.record.cpu_ns;
-    MergeStat(totals, slot);
-  }
   snapshot.totals.reserve(totals.size());
   for (auto& [name, stat] : totals) snapshot.totals.push_back(std::move(stat));
   std::sort(snapshot.totals.begin(), snapshot.totals.end(),
@@ -303,6 +291,7 @@ void ResetSpans() {
   for (const auto& buffer : registry.buffers) buffer->Reset();
   registry.archive.clear();
   registry.archive_dropped = 0;
+  registry.archived_totals.clear();
 }
 
 }  // namespace ttmqo::obs

@@ -90,11 +90,13 @@ void ArqTransport::Send(Message msg, SimTime deadline, int reroutes) {
   slot.attempt = 1;
   slot.reroutes = reroutes;
   slot.jitter_ms = ArqJitters(seed_, sender, seq);
-  slot.unacked = msg.destinations;
-  slot.msg = std::move(msg);
-  slot.msg.payload = std::make_shared<ArqDataPayload>(
-      seq, std::move(slot.msg.payload));
-  slot.msg.payload_bytes += kArqHeaderBytes;
+  slot.unacked.assign(msg.destinations.begin(), msg.destinations.end());
+  msg.payload = std::make_shared<ArqDataPayload>(seq, std::move(msg.payload));
+  msg.payload_bytes += kArqHeaderBytes;
+  slot.cls = msg.cls;
+  slot.sender = sender;
+  slot.payload = msg.payload;
+  slot.payload_bytes = msg.payload_bytes;
   live_[sender].emplace(seq, index);
   ++sends_;
 
@@ -102,7 +104,7 @@ void ArqTransport::Send(Message msg, SimTime deadline, int reroutes) {
   // sender may have dozed off between epochs; the radio insists on an
   // awake sender for every transmission.
   if (network_.IsAsleep(sender)) network_.SetAsleep(sender, false);
-  network_.Send(slot.msg);
+  network_.Send(std::move(msg));
   ScheduleTimeout(index);
 }
 
@@ -123,7 +125,7 @@ void ArqTransport::OnTimeout(std::uint32_t index, std::uint32_t generation) {
   PendingSlot& slot = slots_[index];
   if (!slot.in_use || slot.generation != generation) return;  // acked/stale
   const SimTime now = network_.sim().Now();
-  const NodeId sender = slot.msg.sender;
+  const NodeId sender = slot.sender;
 
   if (slot.attempt >= kMaxAttempts || now >= slot.deadline) {
     // Budget spent: strike every silent destination, hand the original
@@ -132,12 +134,12 @@ void ArqTransport::OnTimeout(std::uint32_t index, std::uint32_t generation) {
     for (NodeId dest : slot.unacked) Strike(sender, dest);
     if (give_up_) {
       const auto* data =
-          static_cast<const ArqDataPayload*>(slot.msg.payload.get());
+          static_cast<const ArqDataPayload*>(slot.payload.get());
       GiveUpInfo info;
-      info.cls = slot.msg.cls;
+      info.cls = slot.cls;
       info.sender = sender;
       info.inner = data->inner;
-      info.inner_bytes = slot.msg.payload_bytes - kArqHeaderBytes;
+      info.inner_bytes = slot.payload_bytes - kArqHeaderBytes;
       info.unacked = std::move(slot.unacked);
       info.deadline = slot.deadline;
       info.reroutes = slot.reroutes;
@@ -152,10 +154,14 @@ void ArqTransport::OnTimeout(std::uint32_t index, std::uint32_t generation) {
   // Retransmit to the silent subset only.
   ++retransmits_;
   ++slot.attempt;
-  Message retry = slot.msg;
+  Message retry;
+  retry.cls = slot.cls;
+  retry.mode = slot.unacked.size() == 1 ? AddressMode::kUnicast
+                                        : AddressMode::kMulticast;
+  retry.sender = sender;
   retry.destinations = slot.unacked;
-  retry.mode = retry.destinations.size() == 1 ? AddressMode::kUnicast
-                                              : AddressMode::kMulticast;
+  retry.payload_bytes = slot.payload_bytes;
+  retry.payload = slot.payload;
   if (network_.IsAsleep(sender)) network_.SetAsleep(sender, false);
   network_.Send(std::move(retry));
   ScheduleTimeout(index);
@@ -296,10 +302,10 @@ std::uint32_t ArqTransport::AcquireSlot() {
 
 void ArqTransport::ReleaseSlot(std::uint32_t index) {
   PendingSlot& slot = slots_[index];
-  live_[slot.msg.sender].erase(slot.seq);
+  live_[slot.sender].erase(slot.seq);
   slot.in_use = false;
   ++slot.generation;
-  slot.msg = Message{};
+  slot.payload.reset();
   slot.unacked.clear();
   free_slots_.push_back(index);
 }

@@ -7,13 +7,13 @@
 // Each reliable send wraps the payload in an `ArqDataPayload` carrying a
 // per-sender sequence number.  Addressed receivers ack every copy (acks are
 // `MessageClass::kControl`), deduplicate by (sender, seq) inside a sliding
-// window, and hand exactly one copy up.  The sender keeps the message in a
-// pooled pending slot and retransmits to the not-yet-acked subset on
-// timeout, with RTO = base * 2^attempt + jitter, where the jitters are
-// drawn once per send from the stream forked at (transport seed, sender,
-// seq) — so retry schedules depend only on the run configuration, never on
-// thread scheduling, and sweep reports stay byte-identical across `--jobs`
-// counts.
+// window, and hand exactly one copy up.  The sender keeps the wrapped
+// payload in a pooled pending slot and retransmits to the not-yet-acked
+// subset on timeout, with RTO = base * 2^attempt + jitter, where the
+// jitters are drawn once per send from the stream forked at (transport
+// seed, sender, seq) — so retry schedules depend only on the run
+// configuration, never on thread scheduling, and sweep reports stay
+// byte-identical across `--jobs` counts.
 //
 // Budgets are twofold: a per-hop attempt cap and a hard deadline (the
 // sender's epoch cutoff) after which the slot gives up.  Give-ups strike
@@ -24,12 +24,14 @@
 // payload through the give-up hook.
 //
 // Retry timers are small inline captures in the pooled event slab, and
-// pending slots and ack payloads are recycled through free lists.  What
-// still allocates: per send, the `ArqDataPayload`, the `live_` entry and
-// the destination vector of the copy handed to the network (a retransmit
-// copies it too); per addressed reception, the ack's destination vector
-// and, for a first copy, the dedup-set entry.  An overheard reception
-// allocates nothing.  hotpath part D counts these.
+// pending slots and ack payloads are recycled through free lists.  A send
+// hands the network the caller's own message with its payload wrapped, and
+// its pending slot keeps the destinations in a reused vector.  What still
+// allocates: per send, the `ArqDataPayload` and the `live_` entry; per
+// retransmit, the destination vector of the message it builds; per
+// addressed reception, the ack's destination vector and, for a first copy,
+// the dedup-set entry.  An overheard reception allocates nothing.  hotpath
+// part D counts these.
 #pragma once
 
 #include <array>
@@ -146,9 +148,14 @@ class ArqTransport {
   std::uint64_t quarantines() const { return quarantines_; }
 
  private:
-  /// One in-flight reliable send, recycled through a free list.
+  /// One in-flight reliable send, recycled through a free list.  It keeps
+  /// what a retransmit needs: the class, the sender, the wrapped payload
+  /// and its size, and the destinations still silent.
   struct PendingSlot {
-    Message msg;
+    MessageClass cls = MessageClass::kResult;
+    NodeId sender = 0;
+    std::shared_ptr<const Payload> payload;
+    std::size_t payload_bytes = 0;
     std::vector<NodeId> unacked;
     SimTime deadline = 0;
     std::uint32_t seq = 0;

@@ -1,64 +1,17 @@
 #include "stats/selectivity.h"
 
+#include "sensing/attribute.h"
+
 namespace ttmqo {
 
-AttributeDistribution::AttributeDistribution(std::size_t bins) {
-  histograms_.reserve(kNumAttributes);
-  for (Attribute attr : kAllAttributes) {
-    histograms_.emplace_back(AttributeRange(attr), bins);
-  }
-}
-
-void AttributeDistribution::Observe(const Reading& reading) {
-  ++version_;
-  for (Attribute attr : kAllAttributes) {
-    if (attr == Attribute::kNodeId) continue;  // ids are not a distribution
-    const auto value = reading.Get(attr);
-    if (value.has_value()) histograms_[AttributeIndex(attr)].Add(*value);
-  }
-}
-
-double AttributeDistribution::Selectivity(
-    const PredicateSet& predicates) const {
+double UniformSelectivity(const PredicateSet& predicates) {
   double sel = 1.0;
   for (const Predicate& p : predicates.AsList()) {
-    sel *= histograms_[AttributeIndex(p.attribute)].SelectivityOf(p.range);
+    const Interval domain = AttributeRange(p.attribute);
+    const Interval overlap = domain.Intersect(p.range);
+    sel *= overlap.empty() ? 0.0 : overlap.Length() / domain.Length();
   }
   return sel;
-}
-
-double AttributeDistribution::WeightOf(Attribute attr) const {
-  return histograms_[AttributeIndex(attr)].TotalWeight();
-}
-
-SelectivityEstimator::SelectivityEstimator(std::size_t bins)
-    : bins_(bins), shared_(bins) {}
-
-AttributeDistribution& SelectivityEstimator::ForLevel(std::size_t level) {
-  auto it = per_level_.find(level);
-  if (it == per_level_.end()) {
-    it = per_level_.emplace(level, AttributeDistribution(bins_)).first;
-    ++structure_version_;
-  }
-  return it->second;
-}
-
-double SelectivityEstimator::Selectivity(const PredicateSet& predicates,
-                                         std::size_t level) const {
-  const auto it = per_level_.find(level);
-  if (it != per_level_.end()) return it->second.Selectivity(predicates);
-  return shared_.Selectivity(predicates);
-}
-
-double SelectivityEstimator::Selectivity(
-    const PredicateSet& predicates) const {
-  return shared_.Selectivity(predicates);
-}
-
-std::uint64_t SelectivityEstimator::Version() const {
-  std::uint64_t version = structure_version_ + shared_.version();
-  for (const auto& [level, dist] : per_level_) version += dist.version();
-  return version;
 }
 
 }  // namespace ttmqo

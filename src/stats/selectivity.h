@@ -1,84 +1,22 @@
-// Selectivity estimation for query predicates.
+// Selectivity of query predicates under the uniform prior.
 //
-// Implements the `sel(q_i, N_k)` term of Eq. (1): the fraction of nodes at
-// routing level k whose readings satisfy a predicate conjunction.  Attribute
-// independence is assumed (selectivities multiply), as is standard.  The
-// registry can hold one distribution per routing level or a single shared
-// distribution; the paper's experiments use the latter ("we only use one
-// distribution for all the levels, which actually biases against our
-// techniques", Section 3.1.2).
+// Implements the `sel(q_i, N_k)` term of Eq. (1): the fraction of nodes
+// whose readings satisfy a predicate conjunction.  Attribute independence
+// is assumed (selectivities multiply), and every attribute is taken to be
+// uniform over its physical range at every routing level, as in the
+// paper's experiments ("we only use one distribution for all the levels,
+// which actually biases against our techniques", Section 3.1.2).  The
+// estimate is a pure function of the predicates, so every cost derived
+// from it can be cached for as long as its query lives.
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <memory>
-#include <vector>
-
 #include "query/predicate.h"
-#include "sensing/attribute.h"
-#include "sensing/reading.h"
-#include "stats/histogram.h"
 
 namespace ttmqo {
 
-/// Per-attribute histograms describing the readings of one set of nodes.
-class AttributeDistribution {
- public:
-  /// Builds uniform-prior histograms (`bins` buckets per attribute).
-  explicit AttributeDistribution(std::size_t bins = 32);
-
-  /// Folds every sampled attribute of `reading` into the histograms.
-  void Observe(const Reading& reading);
-
-  /// Estimated fraction of nodes whose readings satisfy `predicates`
-  /// (product over constrained attributes).
-  double Selectivity(const PredicateSet& predicates) const;
-
-  /// Total observations folded into the `light` histogram (proxy for age).
-  double WeightOf(Attribute attr) const;
-
-  /// Bumped on every `Observe`; consumers caching selectivity-derived
-  /// values (the tier-1 cost memos) compare versions to detect staleness.
-  std::uint64_t version() const { return version_; }
-
- private:
-  std::vector<Histogram> histograms_;  // indexed by AttributeIndex
-  std::uint64_t version_ = 0;
-};
-
-/// Distributions per routing level with a shared fallback.
-class SelectivityEstimator {
- public:
-  /// Creates an estimator with only the shared (all-levels) distribution.
-  explicit SelectivityEstimator(std::size_t bins = 32);
-
-  /// The shared distribution (levels without their own use this one).
-  AttributeDistribution& shared() { return shared_; }
-  const AttributeDistribution& shared() const { return shared_; }
-
-  /// Creates (if needed) and returns the distribution for `level`.
-  AttributeDistribution& ForLevel(std::size_t level);
-
-  /// Estimated selectivity of `predicates` over nodes at `level`; falls back
-  /// to the shared distribution when the level has no observations.
-  double Selectivity(const PredicateSet& predicates, std::size_t level) const;
-
-  /// Estimated selectivity using the shared distribution.
-  double Selectivity(const PredicateSet& predicates) const;
-
-  /// Monotone counter covering every distribution in the estimator; changes
-  /// whenever any histogram absorbed an observation.  The tier-1 optimizer
-  /// keys its cost/benefit memo caches to this.
-  std::uint64_t Version() const;
-
- private:
-  std::size_t bins_;
-  AttributeDistribution shared_;
-  std::map<std::size_t, AttributeDistribution> per_level_;
-  // Bumped when the estimator's shape changes (a per-level distribution is
-  // created): even an observation-free level stops falling back to the
-  // shared distribution, so shape changes must look like new versions too.
-  std::uint64_t structure_version_ = 0;
-};
+/// Fraction of an attribute-uniform population satisfying `predicates`:
+/// the product, over the constrained attributes, of the share of the
+/// attribute's physical range the predicate's interval overlaps.
+double UniformSelectivity(const PredicateSet& predicates);
 
 }  // namespace ttmqo

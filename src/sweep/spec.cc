@@ -10,6 +10,7 @@
 #include <stdexcept>
 
 #include "core/bs/rewriter.h"
+#include "core/ttmqo_engine.h"
 #include "fault/fault_plan.h"
 #include "net/topology.h"
 #include "obs/build_info.h"
@@ -35,34 +36,6 @@ std::vector<std::string> SplitOn(const std::string& text, char sep) {
   }
   if (!current.empty()) parts.push_back(std::move(current));
   return parts;
-}
-
-OptimizationMode ParseModeName(const std::string& name) {
-  if (name == "baseline") return OptimizationMode::kBaseline;
-  if (name == "bs" || name == "bs-only") {
-    return OptimizationMode::kBaseStationOnly;
-  }
-  if (name == "innet" || name == "innet-only") {
-    return OptimizationMode::kInNetworkOnly;
-  }
-  if (name == "ttmqo") return OptimizationMode::kTwoTier;
-  throw std::invalid_argument("sweep spec: unknown mode '" + name +
-                              "' (baseline|bs|innet|ttmqo)");
-}
-
-std::string_view ShortModeName(OptimizationMode mode) {
-  switch (mode) {
-    case OptimizationMode::kBaseline:
-      return "baseline";
-    case OptimizationMode::kBaseStationOnly:
-      return "bs";
-    case OptimizationMode::kInNetworkOnly:
-      return "innet";
-    case OptimizationMode::kTwoTier:
-      return "ttmqo";
-  }
-  Check(false, "unknown optimization mode");
-  return "";
 }
 
 /// The query count k of workload "random:<k>", or 0 for a static workload
@@ -252,7 +225,12 @@ SweepSpec SweepSpec::Parse(const std::string& text) {
     } else if (key == "modes") {
       spec.modes.clear();
       for (const std::string& v : values) {
-        spec.modes.push_back(ParseModeName(v));
+        const auto mode = ParseOptimizationMode(v);
+        if (!mode) {
+          throw std::invalid_argument("sweep spec: unknown mode '" + v +
+                                      "' (baseline|bs|innet|ttmqo)");
+        }
+        spec.modes.push_back(*mode);
       }
     } else if (key == "faults") {
       for (const std::string& v : values) LinkLoss(v);

@@ -222,11 +222,16 @@ void TinyDbEngine::OnEpoch(NodeId self, QueryId id, SimTime epoch_time) {
   const Query& query = it->second;
 
   // Acquisitional sampling: each query samples on its own (the baseline
-  // shares nothing, Section 1).
-  const Reading sample = field_.SampleReading(
-      self, network_.topology().PositionOf(self), query.AcquiredAttributes(),
-      epoch_time);
-  const bool matches = query.predicates().Matches(sample);
+  // shares nothing, Section 1).  A node in a transient outage takes no
+  // sample and contributes nothing of its own, but keeps its aggregation
+  // slot and its epoch chain, so that children's partials reaching it
+  // after it recovers are still forwarded.
+  const bool down = network_.IsDown(self);
+  const Reading sample =
+      down ? Reading()
+           : field_.SampleReading(self, network_.topology().PositionOf(self),
+                                  query.AcquiredAttributes(), epoch_time);
+  const bool matches = !down && query.predicates().Matches(sample);
 
   if (query.kind() == QueryKind::kAcquisition) {
     if (matches) {

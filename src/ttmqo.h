@@ -35,7 +35,7 @@
 #include "routing/routing_tree.h"      // fixed tree + level DAG
 #include "routing/semantic_tree.h"     // SRT pruning
 #include "sensing/field_model.h"       // synthetic environments
-#include "stats/selectivity.h"         // selectivity estimation
+#include "stats/selectivity.h"         // uniform-prior selectivity (Eq. 1)
 #include "tinydb/tinydb_engine.h"      // the TinyDB baseline
 #include "workload/generator.h"        // workload models
 #include "workload/runner.h"           // the experiment harness

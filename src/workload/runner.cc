@@ -154,8 +154,6 @@ void ExportRunMetrics(MetricsRegistry& registry, const MetricLabels& labels,
         .Add(static_cast<double>(ix.pruned_candidates));
     registry.GetCounter("tier1_index_exact_evaluations_total", labels)
         .Add(static_cast<double>(ix.exact_evaluations));
-    registry.GetCounter("tier1_index_rebuilds_total", labels)
-        .Add(static_cast<double>(ix.index_rebuilds));
   }
 }
 

@@ -21,7 +21,6 @@
 #include "metrics/registry.h"
 #include "query/parser.h"
 #include "sensing/attribute.h"
-#include "sensing/reading.h"
 #include "sweep/fingerprint.h"
 #include "util/tracing.h"
 #include "workload/generator.h"
@@ -108,32 +107,22 @@ std::string RenderTerminations(const CollectingTraceSink& sink) {
   return out;
 }
 
-// Inputs of a differential run beyond the query stream.
-struct Churn {
-  // Every `observe_every`-th step the fixture's estimator folds in one
-  // reading, so the statistics move between a synthetic's re-sum and its
-  // next termination (0: they stand still).
-  QueryId observe_every = 0;
-  // Trace sinks.  On the naive oracle alone, the oracle derives the
-  // canonical query on every termination while the indexed side derives
-  // it only when Algorithm 2's alpha test passes.  On both, every
-  // tier1.terminate event (leaving cost, benefit, shrank) must match.
-  enum class Trace { kNone, kNaive, kBoth } trace = Trace::kNone;
-};
+// Trace sinks of a differential run.  On the naive oracle alone, the
+// oracle derives the canonical query on every termination while the indexed
+// side derives it only when Algorithm 2's alpha test passes.  On both, every
+// tier1.terminate event (leaving cost, benefit, shrank) must match.
+enum class Trace { kNone, kNaive, kBoth };
 
 // What a differential run exercised.
 struct Exercised {
   BaseStationOptimizer::DecisionStats decisions;
-  std::size_t max_members = 0;    // widest synthetic after any step
-  std::uint64_t stats_moves = 0;  // StatsVersion() advances mid-churn
+  std::size_t max_members = 0;  // widest synthetic after any step
 };
 
 class BsOptEquivalenceTest : public ::testing::Test {
  protected:
   BsOptEquivalenceTest()
-      : topology_(Topology::Grid(4)),
-        estimator_(),
-        cost_(topology_, RadioParams{}, estimator_) {}
+      : topology_(Topology::Grid(4)), cost_(topology_, RadioParams{}) {}
 
   BaseStationOptimizer Make(bool use_index) {
     BaseStationOptimizer::Options options;
@@ -141,32 +130,19 @@ class BsOptEquivalenceTest : public ::testing::Test {
     return BaseStationOptimizer(cost_, options);
   }
 
-  // Folds one reading from the bottom tenth of every sensed attribute's
-  // range into the shared distribution: a skewed sample, so the costs (and
-  // with them the decisions) really move.
-  void ObserveReading(QueryId step) {
-    Reading reading(static_cast<NodeId>(step % 16), 0);
-    const double frac = static_cast<double>(step % 10) / 100.0;
-    for (Attribute attr : kSensedAttributes) {
-      const Interval range = AttributeRange(attr);
-      reading.Set(attr, range.lo() + frac * (range.hi() - range.lo()));
-    }
-    estimator_.shared().Observe(reading);
-  }
-
   // Feeds `count` queries from the model into an indexed and a naive
   // optimizer; every third insert also terminates an earlier live query.
   // Every action pair, both cost totals after every step and the final
   // populations must match byte for byte.
   void RunDifferential(const QueryModelParams& params, std::uint64_t seed,
-                       std::size_t count, const Churn& churn = {},
+                       std::size_t count, Trace trace = Trace::kNone,
                        Exercised* exercised = nullptr) {
     BaseStationOptimizer indexed = Make(true);
     BaseStationOptimizer naive = Make(false);
     CollectingTraceSink indexed_trace;
     CollectingTraceSink naive_trace;
-    if (churn.trace != Churn::Trace::kNone) naive.SetTraceSink(&naive_trace);
-    if (churn.trace == Churn::Trace::kBoth) {
+    if (trace != Trace::kNone) naive.SetTraceSink(&naive_trace);
+    if (trace == Trace::kBoth) {
       indexed.SetTraceSink(&indexed_trace);
     }
     RandomQueryModel model(params, seed);
@@ -178,11 +154,6 @@ class BsOptEquivalenceTest : public ::testing::Test {
       }
     };
     for (QueryId id = 1; id <= count; ++id) {
-      if (churn.observe_every != 0 && id % churn.observe_every == 0) {
-        const std::uint64_t before = cost_.StatsVersion();
-        ObserveReading(id);
-        if (cost_.StatsVersion() != before) ++seen.stats_moves;
-      }
       const Query q = model.Next(id);
       const auto ai = indexed.InsertUserQuery(q);
       const auto an = naive.InsertUserQuery(q);
@@ -204,10 +175,10 @@ class BsOptEquivalenceTest : public ::testing::Test {
             << "terminate " << gone << " seed " << seed;
         ASSERT_EQ(RenderTotals(indexed), RenderTotals(naive))
             << "after terminate " << gone << " seed " << seed;
-        if (churn.trace != Churn::Trace::kNone) {
+        if (trace != Trace::kNone) {
           ASSERT_EQ(naive_trace.CountKind("tier1.terminate"), 1u);
         }
-        if (churn.trace == Churn::Trace::kBoth) {
+        if (trace == Trace::kBoth) {
           ASSERT_EQ(RenderTerminations(indexed_trace),
                     RenderTerminations(naive_trace))
               << "terminate " << gone << " seed " << seed;
@@ -228,7 +199,6 @@ class BsOptEquivalenceTest : public ::testing::Test {
   }
 
   Topology topology_;
-  SelectivityEstimator estimator_;
   CostModel cost_;
 };
 
@@ -260,31 +230,29 @@ TEST_F(BsOptEquivalenceTest, TwentySeedsAcrossFourShapesAgree) {
 }
 
 // Algorithm 2 where it does its work: synthetics hundreds of members wide,
-// statistics that move mid-churn (the cached member costs must go stale
-// together with the memos), and a trace sink on the oracle alone.
-TEST_F(BsOptEquivalenceTest, WideSyntheticsAndMovingStatisticsAgree) {
+// trace sinks on both paths (every tier1.terminate the indexed path emits
+// from its cached member costs must match the oracle's), and a trace sink
+// on the oracle alone.
+TEST_F(BsOptEquivalenceTest, WideSyntheticsAndTracedTerminationsAgree) {
   QueryModelParams mixed;
   mixed.predicate_selectivity = 1.0;
   mixed.randomize_selectivity = true;
 
   Exercised wide;
-  RunDifferential(mixed, 3, 2000, {}, &wide);
+  RunDifferential(mixed, 3, 2000, Trace::kNone, &wide);
   if (HasFatalFailure()) return;
   EXPECT_GT(wide.decisions.kept, 0u);
   EXPECT_GT(wide.decisions.rebuilt, 0u);
   EXPECT_GE(wide.max_members, 100u);
 
-  Exercised moving;
-  RunDifferential(mixed, 3, 1000,
-                  {.observe_every = 7, .trace = Churn::Trace::kBoth},
-                  &moving);
+  Exercised both;
+  RunDifferential(mixed, 3, 1000, Trace::kBoth, &both);
   if (HasFatalFailure()) return;
-  EXPECT_GT(moving.stats_moves, 0u);
-  EXPECT_GT(moving.decisions.kept, 0u);
-  EXPECT_GT(moving.decisions.rebuilt, 0u);
+  EXPECT_GT(both.decisions.kept, 0u);
+  EXPECT_GT(both.decisions.rebuilt, 0u);
 
   Exercised traced;
-  RunDifferential(mixed, 7, 1000, {.trace = Churn::Trace::kNaive}, &traced);
+  RunDifferential(mixed, 7, 1000, Trace::kNaive, &traced);
   if (HasFatalFailure()) return;
   EXPECT_GT(traced.decisions.kept, 0u);
   EXPECT_GT(traced.decisions.rebuilt, 0u);

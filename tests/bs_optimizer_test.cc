@@ -21,9 +21,7 @@ Query Acq(QueryId id, double lo, double hi, SimDuration epoch) {
 class BsOptimizerTest : public ::testing::Test {
  protected:
   BsOptimizerTest()
-      : topology_(Topology::Grid(4)),
-        estimator_(),
-        cost_(topology_, RadioParams{}, estimator_) {}
+      : topology_(Topology::Grid(4)), cost_(topology_, RadioParams{}) {}
 
   BaseStationOptimizer MakeOptimizer(double alpha = 0.6) {
     BaseStationOptimizer::Options options;
@@ -32,7 +30,6 @@ class BsOptimizerTest : public ::testing::Test {
   }
 
   Topology topology_;
-  SelectivityEstimator estimator_;
   CostModel cost_;
 };
 
@@ -200,7 +197,7 @@ TEST_F(BsOptimizerTest, ZeroCostQueryHasZeroBenefitRate) {
   // every query costs 0 and Algorithm 1 must treat merging as "no benefit"
   // instead of dividing by the zero cost.
   const Topology lone = Topology::Grid(1);
-  const CostModel cost(lone, RadioParams{}, estimator_);
+  const CostModel cost(lone, RadioParams{});
   BaseStationOptimizer opt(cost);
   (void)opt.InsertUserQuery(Acq(1, 0, 500, 4096));
   const SyntheticQuery* sq = opt.SyntheticOf(1);

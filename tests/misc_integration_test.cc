@@ -17,8 +17,7 @@ namespace {
 
 TEST(NodeIdRewriteTest, NodeIdQueriesMergeByHull) {
   const Topology topology = Topology::Grid(4);
-  const SelectivityEstimator estimator;
-  const CostModel cost(topology, RadioParams{}, estimator);
+  const CostModel cost(topology, RadioParams{});
   BaseStationOptimizer optimizer(cost);
   (void)optimizer.InsertUserQuery(
       ParseQuery(1, "SELECT light WHERE nodeid = 5 EPOCH DURATION 4096"));

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "json_checker.h"
@@ -193,6 +194,37 @@ TEST(SpanTest, ResetDiscardsEverything) {
   obs::ResetSpans();
   const SpanSnapshot snapshot = CollectSpans();
   EXPECT_EQ(FindStat(snapshot, "obs.test.discarded"), nullptr);
+}
+
+// A joined thread's spans keep their exact totals after a later thread
+// recycles its buffer, though the ring kept only its newest records.
+TEST(SpanTest, TotalsSurviveARecycledThreadBuffer) {
+  obs::ResetSpans();
+  obs::SetSpansEnabled(true);
+  constexpr std::uint64_t kSpans = 5000;  // more than one ring holds
+  std::thread([] {
+    for (std::uint64_t i = 0; i < kSpans; ++i) {
+      TTMQO_SPAN("obs.test.recycled");
+    }
+  }).join();
+  const SpanSnapshot parked = CollectSpans();
+  const SpanStat* before = FindStat(parked, "obs.test.recycled");
+  ASSERT_NE(before, nullptr);
+  EXPECT_EQ(before->count, kSpans);
+  // The newest thread to exit is the next to claim a parked buffer.
+  std::thread([] { TTMQO_SPAN("obs.test.claimer"); }).join();
+  const SpanSnapshot recycled = CollectSpans();
+  const SpanStat* after = FindStat(recycled, "obs.test.recycled");
+  ASSERT_NE(after, nullptr);
+  EXPECT_EQ(after->count, kSpans);
+  EXPECT_EQ(after->records, kSpans);
+  EXPECT_EQ(after->total_ns, before->total_ns);
+  ASSERT_NE(FindStat(recycled, "obs.test.claimer"), nullptr);
+  // The archived records are still there for the trace.
+  EXPECT_FALSE(AllRecords(recycled, "obs.test.recycled").empty());
+  obs::ResetSpans();
+  const SpanSnapshot reset = CollectSpans();
+  EXPECT_EQ(FindStat(reset, "obs.test.recycled"), nullptr);
 }
 
 // ------------------------------------------------------ chrome trace --

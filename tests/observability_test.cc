@@ -250,8 +250,7 @@ TEST(EpochSamplerTest, CsvAndJsonlExports) {
 
 TEST(DecisionTraceTest, Tier1InsertAndTerminateEmitStructuredEvents) {
   const Topology topology = Topology::Grid(4);
-  const SelectivityEstimator estimator;
-  const CostModel cost(topology, RadioParams{}, estimator);
+  const CostModel cost(topology, RadioParams{});
   BaseStationOptimizer optimizer(cost, {});
   CollectingTraceSink sink;
   optimizer.SetTraceSink(&sink);

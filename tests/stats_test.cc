@@ -1,102 +1,67 @@
-// Unit tests for histograms and selectivity estimation.
+// Unit tests for the uniform-prior selectivity of Eq. 1.
 #include <gtest/gtest.h>
 
-#include "stats/histogram.h"
 #include "stats/selectivity.h"
 
 namespace ttmqo {
 namespace {
 
-TEST(HistogramTest, UniformPriorWithoutObservations) {
-  Histogram h(Interval(0, 100), 10);
-  EXPECT_DOUBLE_EQ(h.SelectivityOf(Interval(0, 50)), 0.5);
-  EXPECT_DOUBLE_EQ(h.SelectivityOf(Interval(0, 100)), 1.0);
-  EXPECT_DOUBLE_EQ(h.SelectivityOf(Interval(200, 300)), 0.0);
+PredicateSet On(Attribute attr, double lo, double hi) {
+  return PredicateSet::Of({{attr, Interval(lo, hi)}});
 }
 
-TEST(HistogramTest, ObservationsShiftTheEstimate) {
-  Histogram h(Interval(0, 100), 10);
-  for (int i = 0; i < 100; ++i) h.Add(5.0);  // all mass in the first bucket
-  EXPECT_NEAR(h.SelectivityOf(Interval(0, 10)), 1.0, 1e-9);
-  EXPECT_NEAR(h.SelectivityOf(Interval(50, 100)), 0.0, 1e-9);
+TEST(UniformSelectivityTest, RangeFractionsOfTheLightDomain) {
+  // light's physical range is [0, 1000].
+  EXPECT_DOUBLE_EQ(UniformSelectivity(On(Attribute::kLight, 0, 500)), 0.5);
+  EXPECT_DOUBLE_EQ(UniformSelectivity(On(Attribute::kLight, 250, 500)), 0.25);
 }
 
-TEST(HistogramTest, PartialBucketOverlapInterpolates) {
-  Histogram h(Interval(0, 100), 10);
-  for (int i = 0; i < 100; ++i) h.Add(5.0);
-  // Half of the populated bucket [0,10) overlaps [5,10].
-  EXPECT_NEAR(h.SelectivityOf(Interval(5, 10)), 0.5, 1e-9);
+TEST(UniformSelectivityTest, RangeFractionsOfTheTempDomain) {
+  // temp's physical range is [0, 100].
+  EXPECT_DOUBLE_EQ(UniformSelectivity(On(Attribute::kTemp, 0, 50)), 0.5);
+  EXPECT_DOUBLE_EQ(UniformSelectivity(On(Attribute::kTemp, 0, 25)), 0.25);
+  EXPECT_DOUBLE_EQ(UniformSelectivity(On(Attribute::kTemp, 0, 100)), 1.0);
+  EXPECT_EQ(UniformSelectivity(On(Attribute::kTemp, 200, 300)), 0.0);
 }
 
-TEST(HistogramTest, OutOfDomainValuesClampToBoundaryBuckets) {
-  Histogram h(Interval(0, 100), 10);
-  h.Add(-50.0);
-  h.Add(500.0);
-  EXPECT_DOUBLE_EQ(h.TotalWeight(), 2.0);
-  EXPECT_NEAR(h.SelectivityOf(Interval(0, 10)), 0.5, 1e-9);
-  EXPECT_NEAR(h.SelectivityOf(Interval(90, 100)), 0.5, 1e-9);
-}
-
-TEST(HistogramTest, DecayAgesOutOldMass) {
-  Histogram h(Interval(0, 100), 10);
-  for (int i = 0; i < 10; ++i) h.Add(5.0);
-  for (int i = 0; i < 200; ++i) h.AddDecayed(95.0, 0.9);
-  EXPECT_GT(h.SelectivityOf(Interval(90, 100)), 0.95);
-}
-
-TEST(HistogramTest, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(Interval(), 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(Interval(0, 10), 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(Interval(5, 5), 4), std::invalid_argument);
-}
-
-TEST(AttributeDistributionTest, UniformPriorMatchesRangeFractions) {
-  AttributeDistribution dist;
-  PredicateSet preds =
-      PredicateSet::Of({{Attribute::kLight, Interval(0, 500)}});
-  // light range is [0, 1000]: fraction 0.5.
-  EXPECT_NEAR(dist.Selectivity(preds), 0.5, 1e-9);
-}
-
-TEST(AttributeDistributionTest, ConjunctionsMultiply) {
-  AttributeDistribution dist;
-  PredicateSet preds = PredicateSet::Of({
-      {Attribute::kLight, Interval(0, 500)},   // 0.5
-      {Attribute::kTemp, Interval(0, 25)},     // 0.25
+TEST(UniformSelectivityTest, ConjunctionsMultiply) {
+  const PredicateSet preds = PredicateSet::Of({
+      {Attribute::kLight, Interval(0, 500)},  // 0.5
+      {Attribute::kTemp, Interval(0, 25)},    // 0.25
   });
-  EXPECT_NEAR(dist.Selectivity(preds), 0.125, 1e-9);
+  EXPECT_DOUBLE_EQ(UniformSelectivity(preds), 0.125);
+  // The factors multiply in attribute order, each overlap / domain: the
+  // exact operation sequence every Eq. 1-3 cost is pinned to.
+  const PredicateSet three = PredicateSet::Of({
+      {Attribute::kVoltage, Interval(1, 2)},
+      {Attribute::kLight, Interval(100, 700)},
+      {Attribute::kTemp, Interval(10, 40)},
+  });
+  EXPECT_EQ(UniformSelectivity(three),
+            1.0 * (600.0 / 1000.0) * (30.0 / 100.0) * (1.0 / 5.0));
 }
 
-TEST(AttributeDistributionTest, ObservationsUpdateEstimates) {
-  AttributeDistribution dist;
-  for (int i = 0; i < 100; ++i) {
-    Reading r(1, 0);
-    r.Set(Attribute::kLight, 100.0);
-    dist.Observe(r);
-  }
-  PredicateSet low = PredicateSet::Of({{Attribute::kLight, Interval(0, 200)}});
-  EXPECT_GT(dist.Selectivity(low), 0.9);
+TEST(UniformSelectivityTest, UnconstrainedPredicateIsSelectivityOne) {
+  EXPECT_DOUBLE_EQ(UniformSelectivity(PredicateSet()), 1.0);
+  // A constraint spanning the whole range is vacuous and dropped.
+  EXPECT_DOUBLE_EQ(UniformSelectivity(On(Attribute::kLight, 0, 1000)), 1.0);
 }
 
-TEST(SelectivityEstimatorTest, PerLevelFallsBackToShared) {
-  SelectivityEstimator est;
-  PredicateSet preds =
-      PredicateSet::Of({{Attribute::kLight, Interval(0, 250)}});
-  EXPECT_NEAR(est.Selectivity(preds, 3), 0.25, 1e-9);
-  // Train level 3 away from uniform.
-  for (int i = 0; i < 200; ++i) {
-    Reading r(1, 0);
-    r.Set(Attribute::kLight, 900.0);
-    est.ForLevel(3).Observe(r);
-  }
-  EXPECT_LT(est.Selectivity(preds, 3), 0.05);
-  // Other levels still use the shared (uniform) distribution.
-  EXPECT_NEAR(est.Selectivity(preds, 1), 0.25, 1e-9);
+TEST(UniformSelectivityTest, RangesBeyondTheDomainCountOnlyTheirOverlap) {
+  EXPECT_DOUBLE_EQ(UniformSelectivity(On(Attribute::kLight, 500, 2000)), 0.5);
+  EXPECT_DOUBLE_EQ(UniformSelectivity(On(Attribute::kLight, -500, 250)), 0.25);
+  EXPECT_EQ(UniformSelectivity(On(Attribute::kLight, 2000, 3000)), 0.0);
 }
 
-TEST(SelectivityEstimatorTest, UnconstrainedPredicateIsSelectivityOne) {
-  SelectivityEstimator est;
-  EXPECT_DOUBLE_EQ(est.Selectivity(PredicateSet()), 1.0);
+TEST(UniformSelectivityTest, UnsatisfiableConjunctionIsSelectivityZero) {
+  // Disjoint constraints on one attribute intersect to the empty interval.
+  const PredicateSet none = PredicateSet::Of({
+      {Attribute::kLight, Interval(0, 100)},
+      {Attribute::kLight, Interval(200, 300)},
+      {Attribute::kTemp, Interval(0, 50)},
+  });
+  ASSERT_TRUE(none.IsUnsatisfiable());
+  EXPECT_EQ(UniformSelectivity(none), 0.0);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 // and unit tests of the base station's answer buffer both engines share.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "query/parser.h"
 #include "test_helpers.h"
 #include "tinydb/epoch_buffer.h"
@@ -161,6 +165,77 @@ Reading RowOf(NodeId node, SimTime epoch, double light, double temp) {
   row.Set(Attribute::kLight, light);
   row.Set(Attribute::kTemp, temp);
   return row;
+}
+
+// A field that records which nodes sampled at which instants.
+class CountingField final : public FieldModel {
+ public:
+  double Sample(NodeId node, const Position& pos, Attribute attr,
+                SimTime time) const override {
+    ++samples_[{node, time}];
+    return inner_.Sample(node, pos, attr, time);
+  }
+
+  /// Attribute samples `node` took at `time`.
+  std::size_t SamplesAt(NodeId node, SimTime time) const {
+    const auto it = samples_.find({node, time});
+    return it == samples_.end() ? 0 : it->second;
+  }
+
+ private:
+  UniformFieldModel inner_{7};
+  mutable std::map<std::pair<NodeId, SimTime>, std::size_t> samples_;
+};
+
+// A node in a transient outage at its epoch start takes no sample and
+// contributes nothing of its own, but still forwards its children's
+// partials once it is back.
+TEST(TinyDbTest, DownNodeTakesNoSample) {
+  constexpr SimDuration kEpoch = 4096;
+  const Topology topology = Topology::Grid(4);
+  Network network(topology, RadioParams{}, ChannelParams{}, 42);
+  const CountingField field;
+  ResultLog log;
+  TinyDbEngine engine(network, field, &log);
+  // The relay with the most children (the lowest id among equals).
+  std::vector<std::size_t> children(topology.size(), 0);
+  for (NodeId node = 1; node < topology.size(); ++node) {
+    ++children[engine.routing_tree().ParentOf(node)];
+  }
+  NodeId relay = 1;
+  for (NodeId node = 2; node < topology.size(); ++node) {
+    if (children[node] > children[relay]) relay = node;
+  }
+  ASSERT_GT(children[relay], 0u);
+  const std::size_t sensors = topology.size() - 1;
+
+  engine.SubmitQuery(ParseQuery(1, "SELECT light EPOCH DURATION 4096"));
+  engine.SubmitQuery(ParseQuery(2, "SELECT COUNT(light) EPOCH DURATION 4096"));
+  // Down across the starts of epochs 3-5; then down for 2 ms around the
+  // start of epoch 7, back before any child's slot.
+  network.sim().ScheduleAt(3 * kEpoch - 100, [&] { network.SetDown(relay); });
+  network.sim().ScheduleAt(6 * kEpoch - 100, [&] { network.Recover(relay); });
+  network.sim().ScheduleAt(7 * kEpoch - 1, [&] { network.SetDown(relay); });
+  network.sim().ScheduleAt(7 * kEpoch + 1, [&] { network.Recover(relay); });
+  network.sim().RunUntil(10 * kEpoch);
+
+  for (SimTime epoch = 1; epoch <= 8; ++epoch) {
+    const bool down = (epoch >= 3 && epoch <= 5) || epoch == 7;
+    EXPECT_EQ(field.SamplesAt(relay, epoch * kEpoch) == 0, down)
+        << "epoch " << epoch;
+  }
+  // The relay's own row and reading are missing from epoch 7 alone; its
+  // children's partials, sent after it recovered, are forwarded.
+  const EpochResult* rows = log.Find(1, 7 * kEpoch);
+  ASSERT_NE(rows, nullptr);
+  EXPECT_EQ(rows->rows.size(), sensors - 1);
+  const EpochResult* count = log.Find(2, 7 * kEpoch);
+  ASSERT_NE(count, nullptr);
+  ASSERT_TRUE(count->aggregates.at(0).second.has_value());
+  EXPECT_EQ(*count->aggregates.at(0).second, static_cast<double>(sensors - 1));
+  const EpochResult* after = log.Find(2, 8 * kEpoch);
+  ASSERT_NE(after, nullptr);
+  EXPECT_EQ(*after->aggregates.at(0).second, static_cast<double>(sensors));
 }
 
 TEST(EpochBufferTest, SecondRowFromOneSourceIsADuplicate) {

@@ -116,6 +116,23 @@ INSTANTIATE_TEST_SUITE_P(
       }
     });
 
+TEST(OptimizationModeTest, ShortNamesParseBackAndNothingElseDoes) {
+  const std::pair<const char*, OptimizationMode> names[] = {
+      {"baseline", OptimizationMode::kBaseline},
+      {"bs", OptimizationMode::kBaseStationOnly},
+      {"innet", OptimizationMode::kInNetworkOnly},
+      {"ttmqo", OptimizationMode::kTwoTier},
+  };
+  for (const auto& [name, mode] : names) {
+    EXPECT_EQ(ParseOptimizationMode(name), mode) << name;
+    EXPECT_EQ(ShortModeName(mode), name);
+  }
+  // Display names, other cases and the empty string are not mode names.
+  for (const char* name : {"bs-only", "innet-only", "TTMQO", ""}) {
+    EXPECT_EQ(ParseOptimizationMode(name), std::nullopt) << name;
+  }
+}
+
 TEST(TtmqoEngineModeTest, RewritingModesExposeTheOptimizer) {
   const Topology topology = Topology::Grid(4);
   UniformFieldModel field(1);

@@ -166,8 +166,7 @@ TEST(StaticWorkloadsTest, AllWellFormed) {
 TEST(StaticWorkloadsTest, WorkloadBResistsTier1) {
   // The design intent of WORKLOAD_B: tier 1 cannot collapse it much.
   const Topology topology = Topology::Grid(4);
-  const SelectivityEstimator estimator;
-  const CostModel cost(topology, RadioParams{}, estimator);
+  const CostModel cost(topology, RadioParams{});
   BaseStationOptimizer optimizer(cost);
   for (const Query& q : WorkloadB()) (void)optimizer.InsertUserQuery(q);
   EXPECT_GE(optimizer.NumSynthetic(), 6u);
@@ -175,8 +174,7 @@ TEST(StaticWorkloadsTest, WorkloadBResistsTier1) {
 
 TEST(StaticWorkloadsTest, WorkloadAIsHighlyMergeable) {
   const Topology topology = Topology::Grid(4);
-  const SelectivityEstimator estimator;
-  const CostModel cost(topology, RadioParams{}, estimator);
+  const CostModel cost(topology, RadioParams{});
   BaseStationOptimizer optimizer(cost);
   for (const Query& q : WorkloadA()) (void)optimizer.InsertUserQuery(q);
   EXPECT_LE(optimizer.NumSynthetic(), 2u);
