@@ -90,6 +90,35 @@ std::size_t IndexOf(const std::vector<QueryId>& keys, QueryId key) {
              : keys.size();
 }
 
+// The first entry of `partials` (ascending by query) whose query is not
+// below `query`.
+std::vector<QueryPartials>::iterator LowerBoundByQuery(
+    std::vector<QueryPartials>& partials, QueryId query) {
+  return std::lower_bound(
+      partials.begin(), partials.end(), query,
+      [](const QueryPartials& entry, QueryId key) { return entry.query < key; });
+}
+
+// The queries of `dest` in `split`, appended with none when absent.
+QueryList& BucketOf(DestQueries& split, NodeId dest) {
+  for (DestEntry& entry : split) {
+    if (entry.dest == dest) return entry.queries;
+  }
+  return split.emplace_back(DestEntry{dest, {}}).queries;
+}
+
+// Merges `partials` of `query` into `into` (ascending by query): inserted
+// in place when `into` has none for the query yet.
+void MergeInto(std::vector<QueryPartials>& into, QueryId query,
+               const PartialList& partials) {
+  const auto it = LowerBoundByQuery(into, query);
+  if (it != into.end() && it->query == query) {
+    MergePartialVectors(it->partials, partials);
+  } else {
+    into.insert(it, QueryPartials{query, partials});
+  }
+}
+
 }  // namespace
 
 void ApplyReliabilityProfile(ReliabilityProfile profile,
@@ -281,8 +310,8 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
     bool has_data = false;
     if (installed != nullptr) {
       const Reading sample = field_.SampleReading(
-          self, network_.topology().PositionOf(self), installed->acquired,
-          network_.sim().Now());
+          self, network_.topology().PositionOf(self),
+          installed->query.AcquiredAttributes(), network_.sim().Now());
       has_data = predicates.Matches(sample);
     }
     if (!srt_.ShouldForward(tree_, self, predicates)) return;
@@ -319,8 +348,8 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
                   row->entries[row->own_row].queries, row->epoch_time);
     }
     if (!addressed) return;
-    const auto it = row->dest_queries.find(self);
-    if (it == row->dest_queries.end() || it->second.empty()) return;
+    const QueryList* mine = FindDest(row->dest_queries, self);
+    if (mine == nullptr || mine->empty()) return;
     if (network_.IsAsleep(self)) network_.SetAsleep(self, false);
     if (self == kBaseStationId) {
       BsAccept(msg);
@@ -331,23 +360,16 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
     // packing slot is open, the kept rows ride along with our own reading in
     // one message; otherwise they leave right away.
     const SimTime t = row->epoch_time;
-    OpenSlot* slot = nullptr;
-    if (options_.shared_messages) {
-      const auto slot_it = state.open_slots.find(t);
-      if (slot_it != state.open_slots.end()) slot = &slot_it->second;
-    }
-    std::vector<RowEntry> direct;
-    std::vector<RowEntry>* mine = nullptr;
+    OpenSlot* slot = options_.shared_messages ? FindSlot(state, t) : nullptr;
+    std::vector<RowEntry>& direct = scratch_.rows;
+    direct.clear();
+    bool kept_any = false;
     std::vector<std::uint64_t>* seen = nullptr;
-    std::vector<QueryId>& kept = scratch_.queries;
     for (const RowEntry& entry : row->entries) {
-      kept.clear();
+      QueryList kept;
       for (QueryId q : entry.queries) {
-        if (std::find(it->second.begin(), it->second.end(), q) ==
-            it->second.end()) {
-          continue;
-        }
-        if (seen == nullptr) seen = &state.seen_rows[t];
+        if (std::find(mine->begin(), mine->end(), q) == mine->end()) continue;
+        if (seen == nullptr) seen = &SeenKeys(state, t);
         if (!InsertSorted(*seen, RowKey(q, entry.row.node()))) {
           ++duplicates_suppressed_;
           continue;
@@ -355,13 +377,16 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
         kept.push_back(q);
       }
       if (kept.empty()) continue;
-      if (mine == nullptr) mine = slot != nullptr ? &slot->rows : &direct;
-      mine->push_back(
-          RowEntry{entry.row, std::vector<QueryId>(kept.begin(), kept.end())});
+      kept_any = true;
+      if (slot != nullptr) {
+        AppendRow(*slot, RowEntry{entry.row, std::move(kept)});
+      } else {
+        direct.push_back(RowEntry{entry.row, std::move(kept)});
+      }
     }
-    if (mine == nullptr) return;
+    if (!kept_any) return;
     state.last_relay = network_.sim().Now();
-    if (slot == nullptr) SendRows(self, t, std::move(direct));
+    if (slot == nullptr) SendRows(self, t, direct);
     return;
   }
 
@@ -370,13 +395,13 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
     // it lets the aggregates merge one hop earlier.
     if (from_upper) {
       const std::size_t position = UpperPosition(self, msg.sender);
-      for (const auto& [dest, qs] : agg->dest_queries) {
-        NoteHasData(self, position, qs, agg->epoch_time);
+      for (const DestEntry& dest : agg->dest_queries) {
+        NoteHasData(self, position, dest.queries, agg->epoch_time);
       }
     }
     if (!addressed) return;
-    const auto it = agg->dest_queries.find(self);
-    if (it == agg->dest_queries.end() || it->second.empty()) return;
+    const QueryList* addressed_queries = FindDest(agg->dest_queries, self);
+    if (addressed_queries == nullptr || addressed_queries->empty()) return;
     if (network_.IsAsleep(self)) network_.SetAsleep(self, false);
     if (self == kBaseStationId) {
       BsAccept(msg);
@@ -384,24 +409,25 @@ void InNetworkEngine::HandleMessage(NodeId self, const Message& msg,
     }
     state.last_relay = network_.sim().Now();
     const SimTime t = agg->epoch_time;
-    std::map<QueryId, std::vector<PartialAggregate>> mine;
-    for (QueryId q : it->second) {
-      const auto part_it = agg->partials.find(q);
-      Check(part_it != agg->partials.end(),
-            "shared agg payload lacks partials for an addressed query");
-      mine.emplace(q, part_it->second);
-    }
-    const auto slot_it = state.open_slots.find(t);
-    if (slot_it != state.open_slots.end()) {
+    if (OpenSlot* slot = FindSlot(state, t)) {
       // Our own shared slot for this tick is open: merge and ride along
       // (the in-network aggregation saving).
-      auto& buffer = slot_it->second.partials;
-      for (auto& [q, partials] : mine) {
-        auto [buf_it, inserted] = buffer.try_emplace(q, partials);
-        if (!inserted) MergePartialVectors(buf_it->second, partials);
+      for (QueryId q : *addressed_queries) {
+        const QueryPartials* part = FindPartials(agg->partials, q);
+        Check(part != nullptr,
+              "shared agg payload lacks partials for an addressed query");
+        MergeInto(slot->partials, q, part->partials);
       }
     } else {
-      SendAgg(self, t, std::move(mine));
+      std::vector<QueryPartials>& mine = scratch_.partials;
+      mine.clear();
+      for (QueryId q : *addressed_queries) {
+        const QueryPartials* part = FindPartials(agg->partials, q);
+        Check(part != nullptr,
+              "shared agg payload lacks partials for an addressed query");
+        mine.push_back(*part);
+      }
+      SendAgg(self, t, mine);
     }
     return;
   }
@@ -456,7 +482,12 @@ void InNetworkEngine::RemoveQuery(NodeId self, QueryId id) {
     state.fact_queries.erase(state.fact_queries.begin() +
                              static_cast<std::ptrdiff_t>(row));
   }
-  for (auto& [t, slot] : state.open_slots) slot.partials.erase(id);
+  for (OpenSlot& slot : state.open_slots) {
+    const auto part = LowerBoundByQuery(slot.partials, id);
+    if (part != slot.partials.end() && part->query == id) {
+      slot.partials.erase(part);
+    }
+  }
   ScheduleTick(self);
 }
 
@@ -491,49 +522,41 @@ void InNetworkEngine::OnTick(NodeId self, SimTime t) {
 
   // Sharing over time: all queries firing at t use one sample acquisition.
   std::vector<const QueryEntry*>& triggered = scratch_.triggered;
-  std::vector<Attribute>& attrs = scratch_.attrs;
   triggered.clear();
-  attrs.clear();
+  AttributeSet attrs;
   for (const QueryEntry* entry : state.active) {
     if (t % entry->query.epoch() != 0) continue;
     triggered.push_back(entry);
-    attrs.insert(attrs.end(), entry->acquired.begin(), entry->acquired.end());
+    attrs |= entry->query.AcquiredAttributes();
   }
-  std::sort(attrs.begin(), attrs.end());
-  attrs.erase(std::unique(attrs.begin(), attrs.end()), attrs.end());
 
   bool any_match = false;
   if (!triggered.empty()) {
     const Reading sample = field_.SampleReading(
         self, network_.topology().PositionOf(self), attrs, t);
-    const auto [slot_it, opened] = state.open_slots.try_emplace(t);
-    OpenSlot& slot = slot_it->second;
+    bool opened = false;
+    OpenSlot& slot = OpenSlotAt(state, t, opened);
 
     std::vector<QueryId>& matched_acq = scratch_.matched;
-    std::vector<Attribute>& row_attrs = scratch_.row_attrs;
     matched_acq.clear();
-    row_attrs.clear();
+    AttributeSet row_attrs;
     for (const QueryEntry* entry : triggered) {
       const Query* query = &entry->query;
       const bool match = query->predicates().Matches(sample);
       if (query->kind() == QueryKind::kAggregation) {
         if (match) {
           any_match = true;
-          std::vector<PartialAggregate> own;
-          own.reserve(query->aggregates().size());
+          PartialList own;
           for (const AggregateSpec& spec : query->aggregates()) {
             own.push_back(PartialAggregate::OfValue(
                 spec, sample.GetOrThrow(spec.attribute)));
           }
-          auto [it, inserted] =
-              slot.partials.try_emplace(query->id(), std::move(own));
-          if (!inserted) MergePartialVectors(it->second, own);
+          MergeInto(slot.partials, query->id(), own);
         }
       } else if (match) {
         any_match = true;
         matched_acq.push_back(query->id());
-        row_attrs.insert(row_attrs.end(), query->attributes().begin(),
-                         query->attributes().end());
+        for (Attribute attr : query->attributes()) row_attrs.Insert(attr);
       }
     }
 
@@ -546,20 +569,17 @@ void InNetworkEngine::OnTick(NodeId self, SimTime t) {
     }
 
     if (!matched_acq.empty()) {
-      std::sort(row_attrs.begin(), row_attrs.end());
-      row_attrs.erase(std::unique(row_attrs.begin(), row_attrs.end()),
-                      row_attrs.end());
       RowEntry own;
       own.row = Reading(self, t);
       for (Attribute attr : row_attrs) {
         own.row.Set(attr, sample.GetOrThrow(attr));
       }
-      own.queries = matched_acq;
+      own.queries.assign(matched_acq.begin(), matched_acq.end());
       // Cache the matched reading so a gap-repair request for this tick
       // can be answered from memory after the original send was lost.
       if (arq_) state.own_rows[t] = own;
       if (options_.shared_messages) {
-        slot.rows.push_back(std::move(own));
+        AppendRow(slot, std::move(own));
       } else {
         // Ablation: no packing — one immediate message per query.
         network_.sim().ScheduleAfter(
@@ -567,10 +587,7 @@ void InNetworkEngine::OnTick(NodeId self, SimTime t) {
               if (nodes_[self].active.empty()) return;
               if (network_.IsAsleep(self)) network_.SetAsleep(self, false);
               for (QueryId q : own.queries) {
-                RowEntry single;
-                single.row = own.row;
-                single.queries = {q};
-                SendRows(self, t, {std::move(single)});
+                SendRows(self, t, {RowEntry{own.row, {q}}});
               }
             });
       }
@@ -578,11 +595,20 @@ void InNetworkEngine::OnTick(NodeId self, SimTime t) {
   }
   state.matched_last_tick = any_match;
 
-  // Prune stale per-tick bookkeeping: ticks before the horizon, as one
-  // range per container.
+  // Prune stale per-tick bookkeeping: ticks before the horizon.  Slot and
+  // key records are freed for reuse, keeping their buffers.
   const SimTime horizon = t - kPruneHorizonMs;
-  ErasePrefix(state.open_slots, horizon);
-  ErasePrefix(state.seen_rows, horizon);
+  for (OpenSlot& open : state.open_slots) {
+    if (open.tick == kNoTick || open.tick >= horizon) continue;
+    open.tick = kNoTick;
+    ReleaseRows(open);
+    open.partials.clear();
+  }
+  for (SeenTick& seen : state.seen_rows) {
+    if (seen.tick == kNoTick || seen.tick >= horizon) continue;
+    seen.tick = kNoTick;
+    seen.keys.clear();
+  }
   ErasePrefix(state.own_rows, horizon);
 
   ScheduleTick(self);
@@ -600,34 +626,105 @@ void InNetworkEngine::OnSlot(NodeId self, SimTime t) {
   NodeState& state = nodes_[self];
   // Crashed or in an outage: the slot stays open until the prune horizon.
   if (network_.IsDown(self)) return;
-  const auto it = state.open_slots.find(t);
-  if (it == state.open_slots.end()) return;  // pruned before it fired
-  std::vector<RowEntry> rows = std::move(it->second.rows);
-  std::map<QueryId, std::vector<PartialAggregate>> partials =
-      std::move(it->second.partials);
-  state.open_slots.erase(it);
+  OpenSlot* slot = FindSlot(state, t);
+  if (slot == nullptr) return;  // pruned before it fired
+  // Sending schedules only, so the record stays put while its contents
+  // are copied out; then it is freed with its buffers' capacity.
+  slot->tick = kNoTick;
 
   // Packed rows (own reading plus everything relayed before the slot).
-  if (!rows.empty()) {
+  if (slot->first_row != kNoRow) {
+    std::vector<RowEntry>& rows = scratch_.rows;
+    rows.clear();
+    for (std::uint32_t i = slot->first_row; i != kNoRow;
+         i = slot_rows_[i].next) {
+      rows.push_back(slot_rows_[i].entry);
+    }
+    ReleaseRows(*slot);
     if (network_.IsAsleep(self)) network_.SetAsleep(self, false);
-    SendRows(self, t, std::move(rows));
+    SendRows(self, t, rows);
   }
 
   // Merged partial aggregates.
-  std::erase_if(partials, [](const auto& entry) {
-    return entry.second.empty() || entry.second.front().count() == 0;
+  std::vector<QueryPartials>& partials = slot->partials;
+  std::erase_if(partials, [](const QueryPartials& entry) {
+    return entry.partials.empty() || entry.partials.front().count() == 0;
   });
   if (partials.empty()) return;
   if (network_.IsAsleep(self)) network_.SetAsleep(self, false);
   if (options_.shared_messages) {
-    SendAgg(self, t, std::move(partials));
+    SendAgg(self, t, partials);
   } else {
-    for (auto& [q, p] : partials) {
-      std::map<QueryId, std::vector<PartialAggregate>> single;
-      single.emplace(q, std::move(p));
-      SendAgg(self, t, std::move(single));
+    std::vector<QueryPartials>& single = scratch_.single;
+    for (const QueryPartials& entry : partials) {
+      single.assign(1, entry);
+      SendAgg(self, t, single);
     }
   }
+  partials.clear();
+}
+
+InNetworkEngine::OpenSlot* InNetworkEngine::FindSlot(NodeState& state,
+                                                     SimTime t) {
+  for (OpenSlot& slot : state.open_slots) {
+    if (slot.tick == t) return &slot;
+  }
+  return nullptr;
+}
+
+InNetworkEngine::OpenSlot& InNetworkEngine::OpenSlotAt(NodeState& state,
+                                                       SimTime t,
+                                                       bool& opened) {
+  OpenSlot* free = nullptr;
+  for (OpenSlot& slot : state.open_slots) {
+    if (slot.tick == t) {
+      opened = false;
+      return slot;
+    }
+    if (slot.tick == kNoTick && free == nullptr) free = &slot;
+  }
+  if (free == nullptr) free = &state.open_slots.emplace_back();
+  free->tick = t;
+  opened = true;
+  return *free;
+}
+
+void InNetworkEngine::AppendRow(OpenSlot& slot, RowEntry entry) {
+  std::uint32_t index = free_rows_;
+  if (index != kNoRow) {
+    free_rows_ = slot_rows_[index].next;
+    slot_rows_[index].entry = std::move(entry);
+  } else {
+    index = static_cast<std::uint32_t>(slot_rows_.size());
+    slot_rows_.push_back(PooledRow{std::move(entry), kNoRow});
+  }
+  slot_rows_[index].next = kNoRow;
+  if (slot.first_row == kNoRow) {
+    slot.first_row = index;
+  } else {
+    slot_rows_[slot.last_row].next = index;
+  }
+  slot.last_row = index;
+}
+
+void InNetworkEngine::ReleaseRows(OpenSlot& slot) {
+  if (slot.first_row == kNoRow) return;
+  slot_rows_[slot.last_row].next = free_rows_;
+  free_rows_ = slot.first_row;
+  slot.first_row = kNoRow;
+  slot.last_row = kNoRow;
+}
+
+std::vector<std::uint64_t>& InNetworkEngine::SeenKeys(NodeState& state,
+                                                      SimTime t) {
+  SeenTick* free = nullptr;
+  for (SeenTick& seen : state.seen_rows) {
+    if (seen.tick == t) return seen.keys;
+    if (seen.tick == kNoTick && free == nullptr) free = &seen;
+  }
+  if (free == nullptr) free = &state.seen_rows.emplace_back();
+  free->tick = t;
+  return free->keys;
 }
 
 // -----------------------------------------------------------------------
@@ -698,8 +795,8 @@ void InNetworkEngine::ChooseParents(NodeId self,
                                     DestQueries& out) {
   out.clear();
   if (!options_.query_aware_routing) {
-    out.emplace(tree_.ParentOf(self),
-                std::vector<QueryId>(queries.begin(), queries.end()));
+    out.push_back(DestEntry{tree_.ParentOf(self),
+                            QueryList(queries.begin(), queries.end())});
     return;
   }
   const std::span<const double> quality = UpperQualities(self);
@@ -744,7 +841,7 @@ void InNetworkEngine::ChooseParents(NodeId self,
         best_quality = quality[candidate];
       }
     }
-    auto& bucket = out[neighbors[best]];
+    QueryList& bucket = BucketOf(out, neighbors[best]);
     if (best_covered.empty()) {
       // Nobody advertises data for the rest: give it to the most stable
       // link (this degenerates to TinyDB's choice on a cold start).
@@ -753,7 +850,7 @@ void InNetworkEngine::ChooseParents(NodeId self,
       }
       break;
     }
-    bucket.insert(bucket.end(), best_covered.begin(), best_covered.end());
+    for (QueryId q : best_covered) bucket.push_back(q);
     // `best_covered` lists its queries in `remaining` order.
     std::size_t next = 0;
     std::erase_if(remaining, [&](const Scratch::Pending& pending) {
@@ -764,11 +861,17 @@ void InNetworkEngine::ChooseParents(NodeId self,
       return true;
     });
   }
-  for (auto& [parent, qs] : out) std::sort(qs.begin(), qs.end());
+  // Ascending by destination, each list ascending: the order a map of
+  // destinations to sorted lists would have.
+  std::sort(out.begin(), out.end(),
+            [](const DestEntry& a, const DestEntry& b) { return a.dest < b.dest; });
+  for (DestEntry& entry : out) {
+    std::sort(entry.queries.begin(), entry.queries.end());
+  }
 }
 
 void InNetworkEngine::SendRows(NodeId self, SimTime t,
-                               std::vector<RowEntry> entries) {
+                               const std::vector<RowEntry>& entries) {
   // Rows whose queries route to the same next-hop split pack into one
   // transmission; distinct splits become distinct messages.  A split
   // depends only on the query set, and at one instant the candidates do
@@ -778,43 +881,51 @@ void InNetworkEngine::SendRows(NodeId self, SimTime t,
   if (entries.empty()) return;
   const std::span<const std::size_t> upper = UsableParents(self);
   std::vector<Scratch::RowGroup>& groups = scratch_.row_groups;
+  std::vector<std::size_t>& group_of = scratch_.group_of;
   groups.clear();
-  for (RowEntry& entry : entries) {
-    auto group = std::find_if(
-        groups.begin(), groups.end(), [&](const Scratch::RowGroup& g) {
-          return g.rows.front().queries == entry.queries;
-        });
-    if (group == groups.end()) {
-      group = groups.emplace(groups.end());
-      ChooseParents(self, upper, entry.queries, group->dests);
+  group_of.clear();
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const QueryList& queries = entries[i].queries;
+    std::size_t g = 0;
+    while (g < groups.size() && entries[groups[g].first].queries != queries) {
+      ++g;
     }
-    group->rows.push_back(std::move(entry));
+    if (g == groups.size()) {
+      groups.emplace_back().first = i;
+      ChooseParents(self, upper, queries, groups.back().dests);
+    }
+    ++groups[g].rows;
+    group_of.push_back(g);
   }
   // Ascending by split: the goldens and traces pin this send order.
-  std::sort(groups.begin(), groups.end(),
-            [](const Scratch::RowGroup& a, const Scratch::RowGroup& b) {
-              return a.dests < b.dests;
-            });
-  for (Scratch::RowGroup& group : groups) {
+  std::vector<std::size_t>& order = scratch_.order;
+  order.clear();
+  for (std::size_t g = 0; g < groups.size(); ++g) order.push_back(g);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return groups[a].dests < groups[b].dests;
+  });
+  for (const std::size_t g : order) {
+    const Scratch::RowGroup& group = groups[g];
     auto payload = std::make_shared<SharedRowPayload>();
     payload->epoch_time = t;
-    payload->entries = std::move(group.rows);
-    payload->dest_queries = std::move(group.dests);
-    const auto own = std::find_if(
-        payload->entries.begin(), payload->entries.end(),
-        [self](const RowEntry& entry) { return entry.row.node() == self; });
-    if (own != payload->entries.end()) {
-      payload->own_row =
-          static_cast<std::size_t>(own - payload->entries.begin());
+    payload->entries.reserve(group.rows);
+    for (std::size_t i = group.first; i < entries.size(); ++i) {
+      if (group_of[i] != g) continue;
+      if (entries[i].row.node() == self &&
+          payload->own_row == SharedRowPayload::kNoOwnRow) {
+        payload->own_row = payload->entries.size();
+      }
+      payload->entries.push_back(entries[i]);
     }
+    payload->dest_queries = group.dests;
 
     Message msg;
     msg.cls = MessageClass::kResult;
     msg.mode = payload->dest_queries.size() == 1 ? AddressMode::kUnicast
                                                  : AddressMode::kMulticast;
     msg.sender = self;
-    for (const auto& [dest, qs] : payload->dest_queries) {
-      msg.destinations.push_back(dest);
+    for (const DestEntry& dest : payload->dest_queries) {
+      msg.destinations.push_back(dest.dest);
     }
     msg.payload_bytes = SharedRowBytes(*payload);
     const SimTime deadline = ResultDeadline(self, t, payload->dest_queries);
@@ -823,16 +934,15 @@ void InNetworkEngine::SendRows(NodeId self, SimTime t,
   }
 }
 
-void InNetworkEngine::SendAgg(
-    NodeId self, SimTime t,
-    std::map<QueryId, std::vector<PartialAggregate>> partials) {
+void InNetworkEngine::SendAgg(NodeId self, SimTime t,
+                              const std::vector<QueryPartials>& partials) {
   std::vector<QueryId>& queries = scratch_.queries;
   queries.clear();
-  for (const auto& [q, p] : partials) queries.push_back(q);
+  for (const QueryPartials& entry : partials) queries.push_back(entry.query);
 
   auto payload = std::make_shared<SharedAggPayload>();
   payload->epoch_time = t;
-  payload->partials = std::move(partials);
+  payload->partials = partials;
   ChooseParents(self, UsableParents(self), queries, payload->dest_queries);
 
   Message msg;
@@ -840,8 +950,8 @@ void InNetworkEngine::SendAgg(
   msg.mode = payload->dest_queries.size() == 1 ? AddressMode::kUnicast
                                                : AddressMode::kMulticast;
   msg.sender = self;
-  for (const auto& [dest, qs] : payload->dest_queries) {
-    msg.destinations.push_back(dest);
+  for (const DestEntry& dest : payload->dest_queries) {
+    msg.destinations.push_back(dest.dest);
   }
   msg.payload_bytes = SharedAggBytes(*payload);
   const SimTime deadline = ResultDeadline(self, t, payload->dest_queries);
@@ -869,8 +979,8 @@ SimTime InNetworkEngine::ResultDeadline(NodeId self, SimTime t,
   const NodeState& state = nodes_[self];
   SimDuration min_epoch = std::numeric_limits<SimDuration>::max();
   bool any = false;
-  for (const auto& [dest, queries] : dest_queries) {
-    for (QueryId q : queries) {
+  for (const DestEntry& dest : dest_queries) {
+    for (QueryId q : dest.queries) {
       const QueryEntry* entry = FindActive(state, q);
       if (entry == nullptr) continue;
       min_epoch = std::min(min_epoch, entry->query.epoch());
@@ -897,9 +1007,9 @@ void InNetworkEngine::OnArqGiveUp(const ArqTransport::GiveUpInfo& info) {
     // quarantine the give-up produced steers ChooseParents elsewhere.
     std::set<QueryId> lost;
     for (NodeId dest : info.unacked) {
-      const auto it = row->dest_queries.find(dest);
-      if (it == row->dest_queries.end()) continue;
-      lost.insert(it->second.begin(), it->second.end());
+      if (const QueryList* qs = FindDest(row->dest_queries, dest)) {
+        lost.insert(qs->begin(), qs->end());
+      }
     }
     std::vector<RowEntry> entries;
     for (const RowEntry& entry : row->entries) {
@@ -910,23 +1020,19 @@ void InNetworkEngine::OnArqGiveUp(const ArqTransport::GiveUpInfo& info) {
       }
       if (!kept.queries.empty()) entries.push_back(std::move(kept));
     }
-    if (!entries.empty()) {
-      SendRows(info.sender, row->epoch_time, std::move(entries));
-    }
+    if (!entries.empty()) SendRows(info.sender, row->epoch_time, entries);
   } else if (const auto* agg = PayloadAs<SharedAggPayload>(info.inner.get())) {
     std::set<QueryId> lost;
     for (NodeId dest : info.unacked) {
-      const auto it = agg->dest_queries.find(dest);
-      if (it == agg->dest_queries.end()) continue;
-      lost.insert(it->second.begin(), it->second.end());
+      if (const QueryList* qs = FindDest(agg->dest_queries, dest)) {
+        lost.insert(qs->begin(), qs->end());
+      }
     }
-    std::map<QueryId, std::vector<PartialAggregate>> partials;
-    for (const auto& [q, p] : agg->partials) {
-      if (lost.contains(q)) partials.emplace(q, p);
+    std::vector<QueryPartials> partials;
+    for (const QueryPartials& entry : agg->partials) {
+      if (lost.contains(entry.query)) partials.push_back(entry);
     }
-    if (!partials.empty()) {
-      SendAgg(info.sender, agg->epoch_time, std::move(partials));
-    }
+    if (!partials.empty()) SendAgg(info.sender, agg->epoch_time, partials);
   } else if (PayloadAs<RepairReplyPayload>(info.inner.get()) !=
              nullptr) {
     // The quarantined hop is now avoided by ControlParent; try another.
@@ -1221,12 +1327,11 @@ void InNetworkEngine::MaybeSleep(NodeId self, SimTime t) {
 
 void InNetworkEngine::BsAccept(const Message& msg) {
   if (const auto* row = PayloadAs<SharedRowPayload>(msg.payload.get())) {
-    const auto it = row->dest_queries.find(kBaseStationId);
-    if (it == row->dest_queries.end()) return;
+    const QueryList* mine = FindDest(row->dest_queries, kBaseStationId);
+    if (mine == nullptr) return;
     for (const RowEntry& entry : row->entries) {
       for (QueryId q : entry.queries) {
-        if (std::find(it->second.begin(), it->second.end(), q) ==
-            it->second.end()) {
+        if (std::find(mine->begin(), mine->end(), q) == mine->end()) {
           continue;  // another destination is responsible for this query
         }
         auto bs_it = bs_queries_.find(q);
@@ -1254,18 +1359,18 @@ void InNetworkEngine::BsAccept(const Message& msg) {
     return;
   }
   if (const auto* agg = PayloadAs<SharedAggPayload>(msg.payload.get())) {
-    const auto it = agg->dest_queries.find(kBaseStationId);
-    if (it == agg->dest_queries.end()) return;
-    for (QueryId q : it->second) {
+    const QueryList* mine = FindDest(agg->dest_queries, kBaseStationId);
+    if (mine == nullptr) return;
+    for (QueryId q : *mine) {
       auto bs_it = bs_queries_.find(q);
       if (bs_it == bs_queries_.end() || bs_it->second.terminated) continue;
       if (bs_it->second.answers.IsClosed(agg->epoch_time)) {
         ++late_drops_;
         continue;
       }
-      const auto part_it = agg->partials.find(q);
-      if (part_it == agg->partials.end()) continue;
-      bs_it->second.answers.AddPartials(agg->epoch_time, part_it->second);
+      const QueryPartials* part = FindPartials(agg->partials, q);
+      if (part == nullptr) continue;
+      bs_it->second.answers.AddPartials(agg->epoch_time, part->partials);
     }
   }
 }

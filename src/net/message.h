@@ -11,9 +11,9 @@
 #include <memory>
 #include <string_view>
 #include <type_traits>
-#include <vector>
 
 #include "util/ids.h"
+#include "util/inline_list.h"
 
 namespace ttmqo {
 
@@ -91,13 +91,18 @@ enum class AddressMode : std::uint8_t {
   kMulticast, ///< several addressed neighbors, one transmission
 };
 
+/// The addressed receivers of one transmission.  Result traffic addresses
+/// one or two neighbors, so four fit inline and a message allocates no
+/// list of its own; wider multicasts spill to the heap.
+using NodeList = InlineList<NodeId, 4>;
+
 /// One radio transmission.
 struct Message {
   MessageClass cls = MessageClass::kResult;
   AddressMode mode = AddressMode::kBroadcast;
   NodeId sender = kBaseStationId;
   /// Addressed receivers; empty for broadcast.
-  std::vector<NodeId> destinations;
+  NodeList destinations;
   /// Serialized payload size in bytes (excluding the fixed radio header).
   std::size_t payload_bytes = 0;
   /// Typed contents; shared because multicast delivers one payload to many.

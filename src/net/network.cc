@@ -199,9 +199,7 @@ void Network::CompleteAttempt(Message msg, int attempt) {
   if (channel_.collision_prob > 0.0) {
     const std::size_t interferers = CountInterferers(sender);
     if (interferers > 0) {
-      const double survive = std::pow(1.0 - channel_.collision_prob,
-                                      static_cast<double>(interferers));
-      collided = !rng_.Bernoulli(survive);
+      collided = !rng_.Bernoulli(SurviveProbability(interferers));
     }
   }
   if (!collided) {
@@ -222,6 +220,16 @@ void Network::CompleteAttempt(Message msg, int attempt) {
                   "the retry capture must stay in the inline buffer");
     sim_.ScheduleAfter(backoff, std::move(retry));
   }
+}
+
+double Network::SurviveProbability(std::size_t interferers) {
+  // The table grows to the largest count seen; each entry is the same
+  // std::pow call a completion would make, so the channel is unchanged.
+  while (survive_.size() <= interferers) {
+    survive_.push_back(std::pow(1.0 - channel_.collision_prob,
+                                static_cast<double>(survive_.size())));
+  }
+  return survive_[interferers];
 }
 
 std::size_t Network::CountInterferers(NodeId sender) const {

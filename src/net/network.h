@@ -172,6 +172,9 @@ class Network final : public TraceSink {
   void Deliver(const Message& msg);
   void BeaconTick(NodeId node, SimDuration period, std::size_t payload_bytes);
   std::size_t CountInterferers(NodeId sender) const;
+  /// (1 - collision_prob)^interferers, the chance that an attempt with
+  /// that many interferers survives; from `survive_`, filled on demand.
+  double SurviveProbability(std::size_t interferers);
 
   Simulator sim_;
   const Topology* topology_;
@@ -185,6 +188,9 @@ class Network final : public TraceSink {
   std::size_t num_failed_ = 0;
   std::size_t num_down_ = 0;
   double default_link_loss_ = 0.0;
+  /// survive_[k] = std::pow(1 - collision_prob, k), for every k up to the
+  /// largest interferer count a completion has seen.
+  std::vector<double> survive_;
   /// Per-link loss overrides, keyed by the normalized (low, high) pair.
   std::map<std::pair<NodeId, NodeId>, double> link_loss_;
   // ---- Per-node state, indexed by node id. ----

@@ -84,10 +84,10 @@ std::vector<Predicate> PredicateSet::AsList() const {
   return list;
 }
 
-std::vector<Attribute> PredicateSet::ReferencedAttributes() const {
-  std::vector<Attribute> attrs;
+AttributeSet PredicateSet::ReferencedAttributes() const {
+  AttributeSet attrs;
   for (Attribute attr : kAllAttributes) {
-    if (constraints_[AttributeIndex(attr)].has_value()) attrs.push_back(attr);
+    if (constraints_[AttributeIndex(attr)].has_value()) attrs.Insert(attr);
   }
   return attrs;
 }

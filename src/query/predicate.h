@@ -62,8 +62,8 @@ class PredicateSet {
   /// All non-vacuous predicates, in attribute order.
   std::vector<Predicate> AsList() const;
 
-  /// Attributes referenced by any predicate, in attribute order.
-  std::vector<Attribute> ReferencedAttributes() const;
+  /// Attributes referenced by any predicate.
+  AttributeSet ReferencedAttributes() const;
 
   /// True iff `reading` satisfies every predicate.
   bool Matches(const Reading& reading) const;

@@ -34,6 +34,8 @@ Query Query::Acquisition(QueryId id, std::vector<Attribute> attributes,
   q.attributes_ = std::move(attributes);
   q.predicates_ = std::move(predicates);
   q.epoch_ = epoch;
+  q.acquired_ = q.predicates_.ReferencedAttributes();
+  for (Attribute attr : q.attributes_) q.acquired_.Insert(attr);
   return q;
 }
 
@@ -50,19 +52,11 @@ Query Query::Aggregation(QueryId id, std::vector<AggregateSpec> aggregates,
   q.aggregates_ = std::move(aggregates);
   q.predicates_ = std::move(predicates);
   q.epoch_ = epoch;
+  q.acquired_ = q.predicates_.ReferencedAttributes();
+  for (const AggregateSpec& agg : q.aggregates_) {
+    q.acquired_.Insert(agg.attribute);
+  }
   return q;
-}
-
-std::vector<Attribute> Query::AcquiredAttributes() const {
-  std::vector<Attribute> attrs = attributes_;
-  for (const AggregateSpec& agg : aggregates_) {
-    attrs.push_back(agg.attribute);
-  }
-  for (Attribute attr : predicates_.ReferencedAttributes()) {
-    attrs.push_back(attr);
-  }
-  SortUnique(attrs);
-  return attrs;
 }
 
 std::size_t Query::ResultPayloadBytes() const {

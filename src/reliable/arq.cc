@@ -140,7 +140,7 @@ void ArqTransport::OnTimeout(std::uint32_t index, std::uint32_t generation) {
       info.sender = sender;
       info.inner = data->inner;
       info.inner_bytes = slot.payload_bytes - kArqHeaderBytes;
-      info.unacked = std::move(slot.unacked);
+      info.unacked.assign(slot.unacked.begin(), slot.unacked.end());
       info.deadline = slot.deadline;
       info.reroutes = slot.reroutes;
       ReleaseSlot(index);
@@ -217,7 +217,9 @@ void ArqTransport::OnReceive(NodeId self, const Message& msg,
       const auto it = live.find(ack->seq);
       if (it != live.end()) {
         PendingSlot& slot = slots_[it->second];
-        std::erase(slot.unacked, msg.sender);
+        slot.unacked.erase(
+            std::remove(slot.unacked.begin(), slot.unacked.end(), msg.sender),
+            slot.unacked.end());
         ClearStrikes(self, msg.sender);
         if (slot.unacked.empty()) ReleaseSlot(it->second);
       }

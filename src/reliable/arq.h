@@ -26,11 +26,10 @@
 // Retry timers are small inline captures in the pooled event slab, and
 // pending slots and ack payloads are recycled through free lists.  A send
 // hands the network the caller's own message with its payload wrapped, and
-// its pending slot keeps the destinations in a reused vector.  What still
-// allocates: per send, the `ArqDataPayload` and the `live_` entry; per
-// retransmit, the destination vector of the message it builds; per
-// addressed reception, the ack's destination vector and, for a first copy,
-// the dedup-set entry.  An overheard reception allocates nothing.  hotpath
+// its pending slot keeps the destinations in an inline list, as every
+// message does.  What still allocates: per send, the `ArqDataPayload` and
+// the `live_` entry; per addressed first copy, the dedup-set entry.  A
+// retransmit, an ack and an overheard reception allocate nothing.  hotpath
 // part D counts these.
 #pragma once
 
@@ -156,7 +155,7 @@ class ArqTransport {
     NodeId sender = 0;
     std::shared_ptr<const Payload> payload;
     std::size_t payload_bytes = 0;
-    std::vector<NodeId> unacked;
+    NodeList unacked;
     SimTime deadline = 0;
     std::uint32_t seq = 0;
     int attempt = 1;
@@ -207,8 +206,7 @@ class ArqTransport {
   /// Recycled ack payloads (reused when the network released its copy).
   std::vector<std::shared_ptr<ArqAckPayload>> ack_pool_;
   /// The unwrapped application message handed up on a data reception,
-  /// rebuilt in place each time so that its destination vector keeps its
-  /// capacity.
+  /// rebuilt in place each time.
   Message unwrapped_;
   GiveUpHook give_up_;
   QuarantineHook quarantine_hook_;

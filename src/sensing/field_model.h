@@ -18,6 +18,7 @@
 //    used by the example applications.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 
@@ -73,13 +74,23 @@ class UniformFieldModel final : public FieldModel {
 /// Its shape (amplitudes, period, extent) is fixed in field_model.cc.
 class CorrelatedFieldModel final : public FieldModel {
  public:
-  explicit CorrelatedFieldModel(std::uint64_t seed) : seed_(seed) {}
+  explicit CorrelatedFieldModel(std::uint64_t seed);
 
   double Sample(NodeId node, const Position& pos, Attribute attr,
                 SimTime time) const override;
 
  private:
+  /// What a (seed, attribute) pair fixes: the gradient's direction, as
+  /// its cosine and sine, and the temporal oscillation's phase offset.
+  /// Derived once per attribute in the constructor.
+  struct Gradient {
+    double cos_angle = 0.0;
+    double sin_angle = 0.0;
+    double phase_offset = 0.0;
+  };
+
   std::uint64_t seed_;
+  std::array<Gradient, kNumAttributes> gradients_;
 };
 
 /// A correlated field overlaid with a circular hotspot that orbits the

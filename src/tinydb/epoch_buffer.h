@@ -10,10 +10,16 @@
 // attribute list, each aggregate finalized — and drops everything up to
 // that epoch.  An arrival for a closed epoch is late and is not stored, so
 // the buffer stays bounded however many stragglers trickle in.
+//
+// An open epoch is one flat record: its rows in arrival order, a bitmap
+// of their sources for the duplicate test, and the merged partials.  A
+// closed epoch's record keeps its capacity for a later epoch, so a
+// buffer in steady state files rows without allocating.
 #pragma once
 
+#include <cstdint>
 #include <limits>
-#include <map>
+#include <span>
 #include <vector>
 
 #include "query/aggregate.h"
@@ -41,7 +47,7 @@ class EpochBuffer {
   /// Merges `partials` element-wise into `epoch`'s vector.  Never a
   /// duplicate: partials from different subtrees add up.
   Arrival AddPartials(SimTime epoch,
-                      const std::vector<PartialAggregate>& partials);
+                      std::span<const PartialAggregate> partials);
 
   /// True once `Close` ran for `epoch` or a later epoch.
   bool IsClosed(SimTime epoch) const { return epoch <= closed_through_; }
@@ -59,12 +65,34 @@ class EpochBuffer {
   /// Drops every epoch up to and including `epoch`.
   EpochResult Close(const Query& query, SimTime epoch);
 
-  /// Drops every buffered arrival (the query terminated).
+  /// Drops every buffered arrival (the query terminated) and returns the
+  /// records' memory.
   void Clear();
 
  private:
-  std::map<SimTime, std::map<NodeId, Reading>> rows_;
-  std::map<SimTime, std::vector<PartialAggregate>> partials_;
+  /// One open epoch's arrivals.
+  struct OpenEpoch {
+    SimTime epoch = 0;
+    /// At most one row per source, in arrival order.
+    std::vector<Reading> rows;
+    /// Bit `source % 64` of word `source / 64` is set when `rows` holds a
+    /// row from `source`.
+    std::vector<std::uint64_t> sources;
+    /// The element-wise merge of every partial vector received.
+    std::vector<PartialAggregate> partials;
+  };
+
+  /// `epoch`'s record, or nullptr when nothing arrived for it.
+  const OpenEpoch* Find(SimTime epoch) const;
+  /// `epoch`'s record, opened (from a recycled one when possible) if
+  /// absent.
+  OpenEpoch& Open(SimTime epoch);
+
+  /// The open epochs' records, in no particular order, followed by spare
+  /// records that keep the capacity of closed epochs.
+  std::vector<OpenEpoch> records_;
+  /// Number of open records at the front of `records_`.
+  std::size_t open_ = 0;
   /// Epochs at or before this are closed.
   SimTime closed_through_ = std::numeric_limits<SimTime>::min();
 };

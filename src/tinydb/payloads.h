@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "net/message.h"
@@ -107,7 +108,7 @@ struct AggPayload final : TaggedPayload<AggPayload> {
 std::size_t AggPayloadBytes(const std::vector<PartialAggregate>& partials);
 
 /// Merges `from` into `into` element-wise (same spec order).
-void MergePartialVectors(std::vector<PartialAggregate>& into,
-                         const std::vector<PartialAggregate>& from);
+void MergePartialVectors(std::span<PartialAggregate> into,
+                         std::span<const PartialAggregate> from);
 
 }  // namespace ttmqo

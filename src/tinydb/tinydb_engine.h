@@ -27,8 +27,6 @@
 
 #include <map>
 #include <memory>
-#include <set>
-#include <utility>
 #include <vector>
 
 #include "net/network.h"
@@ -61,21 +59,32 @@ class TinyDbEngine final : public QueryEngine {
   std::vector<QueryId> ActiveQueries() const;
 
  private:
-  /// Key of per-(query, epoch) bookkeeping.  It sorts query first, so one
-  /// query's entries (or its epochs before some horizon) form one range.
-  using QueryEpoch = std::pair<QueryId, SimTime>;
+  /// Partials of one epoch whose aggregation slot has not fired yet.
+  struct BufferedPartials {
+    SimTime epoch = 0;
+    /// The node's own partial and its children's, merged on arrival.
+    std::vector<PartialAggregate> partials;
+  };
+
+  /// One query installed at a node, with the node's aggregation state for
+  /// it.  Removing the query drops that state with it.
+  struct ActiveQuery {
+    explicit ActiveQuery(const Query& q) : query(q) {}
+    Query query;
+    /// Epochs whose aggregation slot already fired, ascending; late
+    /// partials for them are forwarded immediately.  Each epoch prunes
+    /// the epochs more than 4 of its own epochs old.
+    std::vector<SimTime> slots_done;
+    /// Epochs with buffered partials, merged at their slot.
+    std::vector<BufferedPartials> buffered;
+  };
 
   struct NodeState {
-    /// Queries installed on this node.
-    std::map<QueryId, Query> active;
+    /// Queries installed on this node, ascending by id.
+    std::vector<ActiveQuery> active;
     /// Flood de-duplication and the abort's prune, one record per query
     /// heard of (ascending by id).
     std::vector<FloodRecord> floods;
-    /// Buffered child partials per (query, epoch), merged at the agg slot.
-    std::map<QueryEpoch, std::vector<PartialAggregate>> agg_buffer;
-    /// (query, epoch) pairs whose aggregation slot already fired; late
-    /// partials are forwarded immediately.
-    std::set<QueryEpoch> agg_slot_done;
   };
 
   struct BsQueryState {
@@ -87,13 +96,19 @@ class TinyDbEngine final : public QueryEngine {
   };
 
   // --- node-side logic -----------------------------------------------
+  /// Query `id` as installed at `state`, or nullptr.
+  static ActiveQuery* FindActive(NodeState& state, QueryId id);
+  /// The buffered partials of `epoch` in `query`, or nullptr.
+  static BufferedPartials* FindBuffered(ActiveQuery& query, SimTime epoch);
   void HandleMessage(NodeId self, const Message& msg, bool addressed);
   void InstallQuery(NodeId self, const Query& query);
   void RemoveQuery(NodeId self, QueryId id);
   void ScheduleNextEpoch(NodeId self, QueryId id);
   void OnEpoch(NodeId self, QueryId id, SimTime epoch_time);
   void OnAggSlot(NodeId self, QueryId id, SimTime epoch_time);
-  void ForwardRow(NodeId self, const RowPayload& payload);
+  /// Forwards a received row one hop up the tree; the payload is
+  /// immutable, so the message shares it.
+  void ForwardRow(NodeId self, const Message& received, const RowPayload& row);
   void ForwardPartials(NodeId self, QueryId id, SimTime epoch_time,
                        std::vector<PartialAggregate> partials);
 

@@ -37,7 +37,7 @@ class InNetEngineTest : public ::testing::Test {
     entry.queries = {query};
     payload->entries.push_back(std::move(entry));
     if (source == from) payload->own_row = 0;
-    payload->dest_queries[to] = {query};
+    payload->dest_queries = {DestEntry{to, {query}}};
     Message msg;
     msg.cls = MessageClass::kResult;
     msg.mode = AddressMode::kUnicast;

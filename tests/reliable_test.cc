@@ -109,7 +109,7 @@ class ArqTransportTest : public ::testing::Test {
     msg.mode = to.size() == 1 ? AddressMode::kUnicast
                               : AddressMode::kMulticast;
     msg.sender = from;
-    msg.destinations = std::move(to);
+    msg.destinations.assign(to.begin(), to.end());
     msg.payload_bytes = 8;
     msg.payload = std::make_shared<ProbePayload>(value);
     return msg;

@@ -267,13 +267,16 @@ TEST(EpochBufferTest, ArrivalsAfterCloseAreLateAndNotStored) {
   EXPECT_EQ(buffer.AddRow(4096, RowOf(3, 4096, 10, 20)),
             EpochBuffer::Arrival::kLate);
   EXPECT_FALSE(buffer.HasRow(4096, 3));
-  EXPECT_EQ(buffer.AddPartials(4096, {PartialAggregate::OfValue(max_light, 7)}),
+  EXPECT_EQ(buffer.AddPartials(
+                4096, std::vector{PartialAggregate::OfValue(max_light, 7)}),
             EpochBuffer::Arrival::kLate);
   EXPECT_EQ(buffer.Contributors(4096), 0);
   // The next epoch is still open, and partials merge element-wise.
-  EXPECT_EQ(buffer.AddPartials(8192, {PartialAggregate::OfValue(max_light, 7)}),
+  EXPECT_EQ(buffer.AddPartials(
+                8192, std::vector{PartialAggregate::OfValue(max_light, 7)}),
             EpochBuffer::Arrival::kStored);
-  EXPECT_EQ(buffer.AddPartials(8192, {PartialAggregate::OfValue(max_light, 9)}),
+  EXPECT_EQ(buffer.AddPartials(
+                8192, std::vector{PartialAggregate::OfValue(max_light, 9)}),
             EpochBuffer::Arrival::kStored);
   EXPECT_EQ(buffer.Contributors(8192), 2);
   const EpochResult result = buffer.Close(q, 8192);

@@ -73,6 +73,14 @@ class FixtureTest(unittest.TestCase):
         _, other = self.lint_fixture("src/core/wall_clock_bad.cc")
         self.assertFalse([f for f in other if f[2] == "raw-alloc"])
 
+    def test_raw_alloc_rule_covers_tinydb(self):
+        # TinyDB's per-message code is a hot-path glob like src/net.
+        code, found = self.lint_fixture("src/tinydb/raw_alloc_bad.cc")
+        self.assertEqual(code, 1)
+        raw = [f for f in found if f[2] == "raw-alloc"]
+        # new, malloc, free; placement new and #include exempt.
+        self.assertEqual(len(raw), 3)
+
     def test_throwing_dtor_rule_fires(self):
         code, found = self.lint_fixture("src/core/throwing_dtor_bad.cc")
         self.assertEqual(code, 1)
@@ -116,7 +124,7 @@ class FixtureTest(unittest.TestCase):
         self.assertEqual(by_rule, {
             "wall-clock": 7,
             "unordered-container": 2,
-            "raw-alloc": 5,
+            "raw-alloc": 8,
             "throwing-dtor": 2,
             "orphan-header": 1,
         })
