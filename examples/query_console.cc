@@ -2,6 +2,9 @@
 //
 //   $ query_console [--side=4] [--mode=ttmqo|baseline|bs|innet]
 //
+// A bad flag value exits 1 with "query_console: <reason>" on stderr; an
+// unknown flag exits 2.
+//
 // Commands (stdin, one per line; '#' starts a comment):
 //   submit <sql>        register a query; its id is printed
 //   terminate <id>      stop a query
@@ -20,7 +23,9 @@
 //   quit
 #include <cstdio>
 #include <iostream>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "core/ttmqo_engine.h"
@@ -52,15 +57,27 @@ void PrintHelp() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags = Flags::Parse(argc, argv);
-  const auto side = static_cast<std::size_t>(flags.GetInt("side", 4));
-  const auto parsed = ParseOptimizationMode(flags.GetString("mode", "ttmqo"));
-  if (!parsed) {
-    throw std::invalid_argument("unknown --mode (baseline|bs|innet|ttmqo)");
+  // A bad flag, mode or grid ends the console with a message and exit 1
+  // (2 for a flag it does not know), as in run_experiment.
+  OptimizationMode mode = OptimizationMode::kTwoTier;
+  std::optional<Topology> grid;
+  try {
+    const Flags flags = Flags::Parse(argc, argv);
+    const std::size_t side = PositiveCount(flags, "side", 4);
+    const std::string mode_name = flags.GetString("mode", "ttmqo");
+    if (ReportUnreadFlags(flags)) return 2;
+    const auto parsed = ParseOptimizationMode(mode_name);
+    if (!parsed) {
+      throw std::invalid_argument("unknown --mode '" + mode_name +
+                                  "' (baseline|bs|innet|ttmqo)");
+    }
+    mode = *parsed;
+    grid.emplace(Topology::Grid(side));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "query_console: %s\n", e.what());
+    return 1;
   }
-  const OptimizationMode mode = *parsed;
-
-  const Topology topology = Topology::Grid(side);
+  const Topology& topology = *grid;
   Network network(topology, RadioParams{}, ChannelParams{}, 1);
   const CorrelatedFieldModel field(11);
   ConsoleSink sink;

@@ -4,9 +4,13 @@
 #include <array>
 #include <optional>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/check.h"
 #include "util/flags.h"
+#include "util/inline_list.h"
 #include "util/interval.h"
 #include "util/mathx.h"
 #include "util/rng.h"
@@ -304,6 +308,53 @@ TEST(FlagsTest, UnreadFlagsDetected) {
   const auto unread = flags.UnreadFlags();
   ASSERT_EQ(unread.size(), 1u);
   EXPECT_EQ(unread[0], "typo");
+}
+
+TEST(InlineListTest, SpillsPastItsInlineCapacity) {
+  InlineList<int, 2> list{1, 2};
+  const int* inline_data = list.data();
+  list.push_back(list[0]);  // spills, from an element of the list itself
+  list.push_back(3);
+  EXPECT_NE(list.data(), inline_data);
+  EXPECT_EQ(std::vector<int>(list.begin(), list.end()),
+            (std::vector<int>{1, 2, 1, 3}));
+  // Copies and moves keep the contents; a moved-from list is empty.
+  InlineList<int, 2> copy = list;
+  InlineList<int, 2> moved = std::move(list);
+  EXPECT_TRUE(list.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(copy, moved);
+  // Erasing a range compacts, clear keeps nothing, assign refills.
+  moved.erase(moved.begin() + 1, moved.begin() + 3);
+  EXPECT_EQ(moved, (InlineList<int, 2>{1, 3}));
+  moved.clear();
+  EXPECT_TRUE(moved.empty());
+  moved.assign(copy.begin(), copy.begin() + 1);
+  EXPECT_EQ(moved, (InlineList<int, 2>{1}));
+}
+
+TEST(InlineListTest, HoldsNonTrivialElements) {
+  InlineList<std::string, 1> list;
+  list.emplace_back(std::size_t{100}, 'a');
+  list.emplace_back("b");
+  InlineList<std::string, 1> other;
+  other = list;
+  list = std::move(other);
+  ASSERT_EQ(list.size(), 2u);
+  EXPECT_EQ(list[0], std::string(std::size_t{100}, 'a'));
+  EXPECT_EQ(list[1], "b");
+}
+
+TEST(InlineListTest, ComparesLikeAVector) {
+  const std::vector<std::vector<int>> lists = {
+      {}, {1}, {1, 2}, {1, 2, 3}, {1, 3}, {2}, {2, 1, 1}};
+  for (const auto& a : lists) {
+    for (const auto& b : lists) {
+      const InlineList<int, 2> x(a.begin(), a.end());
+      const InlineList<int, 2> y(b.begin(), b.end());
+      EXPECT_EQ(x < y, a < b);
+      EXPECT_EQ(x == y, a == b);
+    }
+  }
 }
 
 TEST(CheckTest, ThrowsWithMessage) {
