@@ -238,6 +238,21 @@ std::unique_ptr<FieldModel> MakeFieldModel(FieldKind kind,
   return nullptr;
 }
 
+TtmqoOptions EngineOptionsFor(const RunConfig& config) {
+  TtmqoOptions options;
+  options.mode = config.mode;
+  options.alpha = config.alpha;
+  options.tier1_use_index = config.tier1_use_index;
+  options.innet = config.innet;
+  ApplyReliabilityProfile(config.reliability, options.innet);
+  if (options.innet.arq.seed == 0) {
+    // Fork the ARQ jitter streams off the master seed so retry schedules
+    // are a pure function of the run configuration.
+    options.innet.arq.seed = config.seed ^ 0xa59aULL;
+  }
+  return options;
+}
+
 RunResult RunExperiment(const RunConfig& config,
                         const std::vector<WorkloadEvent>& schedule) {
   CheckArg(config.duration_ms > 0, "RunExperiment: duration must be positive");
@@ -273,18 +288,7 @@ RunResult RunExperiment(const RunConfig& config,
   }
 
   RunResult run;
-  TtmqoOptions options;
-  options.mode = config.mode;
-  options.alpha = config.alpha;
-  options.tier1_use_index = config.tier1_use_index;
-  options.innet = config.innet;
-  ApplyReliabilityProfile(config.reliability, options.innet);
-  if (options.innet.arq.seed == 0) {
-    // Fork the ARQ jitter streams off the master seed so retry schedules
-    // are a pure function of the run configuration.
-    options.innet.arq.seed = config.seed ^ 0xa59aULL;
-  }
-  TtmqoEngine engine(network, *field, &run.results, options);
+  TtmqoEngine engine(network, *field, &run.results, EngineOptionsFor(config));
   if (network.tracing()) {
     network.Emit(
         TraceEvent("run.start")

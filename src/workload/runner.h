@@ -116,6 +116,12 @@ struct RunResult {
   std::uint64_t events_executed = 0;
 };
 
+/// The engine options `RunExperiment` builds its `TtmqoEngine` with:
+/// `config`'s mode, alpha, index switch and tier-2 options under its
+/// reliability profile, with the ARQ jitter seed forked off the master
+/// seed unless `config.innet` sets one.
+TtmqoOptions EngineOptionsFor(const RunConfig& config);
+
 /// Runs `schedule` under `config` and returns the measurements.  Fully
 /// deterministic in the config.
 RunResult RunExperiment(const RunConfig& config,
