@@ -219,9 +219,10 @@ class BaseStationOptimizer {
   // BenefitRate by (inserted, synthetic) structural signature pair.  Rates
   // depend only on the two query structures, never on ids or time.
   std::map<std::pair<std::string, std::string>, double> rate_memo_;
-  // Coverage buckets: acquisition synthetics by (epoch, attribute mask);
-  // aggregation synthetics by (predicate signature, epoch) — aggregation
-  // coverage requires exactly equal predicates (integration.cc).
+  // Coverage buckets: acquisition synthetics by (epoch, `AttributeSet` mask
+  // of the projected attributes); aggregation synthetics by (predicate
+  // signature, epoch) — aggregation coverage requires exactly equal
+  // predicates (integration.cc).
   std::map<SimDuration, std::map<std::uint32_t, std::set<QueryId>>>
       acq_buckets_;
   std::map<std::pair<std::string, SimDuration>, std::set<QueryId>>
