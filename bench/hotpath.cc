@@ -1,4 +1,4 @@
-// Hot-path benchmark for the discrete-event core, in five parts:
+// Hot-path benchmark for the discrete-event core, in six parts:
 //
 //   A. sweep     — the committed BENCH_sweep.json spec at jobs=1; reports
 //                  serial events/sec.
@@ -29,6 +29,15 @@
 //                  warmup it counts, over an equal window, allocations,
 //                  radio messages and events, and their ratio
 //                  `allocs_per_message`.  Recorded, not gated.
+//   F. answer probe — the same counter around the base station's answer
+//                  path: one lossless 6x6 ttmqo deployment fed by the
+//                  Section 4.3 random model at perfbench's query_churn
+//                  settings (2500 queries, 100 ms mean inter-arrival, 60 s
+//                  mean lifetime, selectivity 1.0 randomized, seed 1),
+//                  built as `RunExperiment` builds it.  After a warmup it
+//                  counts, over an equal window, allocations, answers
+//                  logged and events, and their ratio `allocs_per_answer`.
+//                  Recorded, not gated.
 //
 // The artifact records absolute rates only; compare two builds by running
 // both on the same machine.
@@ -42,7 +51,7 @@
 //   --out=p.json        artifact path (default BENCH_hotpath.json)
 //   --dense-ms=N        simulated duration of part B (default 60000)
 //   --probe-ms=N        simulated warmup and measurement duration of parts
-//                       C, D and E (default 60000 each)
+//                       C, D, E and F (default 60000 each)
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -72,8 +81,8 @@
 // Global allocation counter.  Every path into the heap in this binary goes
 // through these replaceable operators; part C reads the counter around a
 // measured simulation window to prove the steady-state event loop never
-// touches the allocator, and parts D and E read it around the ARQ transport
-// and the engines' result traffic.
+// touches the allocator, and parts D, E and F read it around the ARQ
+// transport, the engines' result traffic and the base station's answers.
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
@@ -393,6 +402,72 @@ ResultProbe RunResultProbePart(OptimizationMode mode, SimDuration probe_ms) {
   return probe;
 }
 
+/// What part F counts over its measured window.
+struct AnswerProbe {
+  std::uint64_t allocations = 0;
+  std::uint64_t answers = 0;
+  std::uint64_t events = 0;
+
+  double AllocsPerAnswer() const {
+    return answers == 0 ? 0.0
+                        : static_cast<double>(allocations) /
+                              static_cast<double>(answers);
+  }
+};
+
+AnswerProbe RunAnswerProbePart(SimDuration probe_ms) {
+  std::printf("hotpath: part F — answer probe, %lld + %lld sim ms...\n",
+              static_cast<long long>(probe_ms),
+              static_cast<long long>(probe_ms));
+  // One run of perfbench's query_churn: about 600 random-model user
+  // queries live at once, which tier 1 merges into a few network queries,
+  // so the base station maps each synthetic epoch into many answers.
+  RunConfig config;
+  config.grid_side = 6;
+  config.seed = 1;
+  const Topology topology = Topology::Grid(
+      config.grid_side, config.grid_spacing_feet, config.radio.range_feet);
+  Network network(topology, config.radio, config.channel, config.seed);
+  const std::unique_ptr<FieldModel> field =
+      MakeFieldModel(config.field, config.seed);
+  ResultLog results;
+  TtmqoEngine engine(network, *field, &results, EngineOptionsFor(config));
+  network.StartMaintenanceBeacons(config.maintenance_period_ms,
+                                  config.maintenance_payload_bytes);
+  QueryModelParams params;
+  params.predicate_selectivity = 1.0;
+  params.randomize_selectivity = true;
+  RandomQueryModel model(params, config.seed);
+  const std::vector<WorkloadEvent> schedule =
+      DynamicSchedule(model, 2500, 100.0, 60'000.0, config.seed);
+  for (const WorkloadEvent& event : schedule) {
+    if (event.kind == WorkloadEvent::Kind::kSubmit) {
+      const Query* query = &*event.query;
+      network.sim().ScheduleAt(
+          event.time, [&engine, query] { engine.SubmitQuery(*query); });
+    } else {
+      const QueryId id = event.id;
+      network.sim().ScheduleAt(event.time,
+                               [&engine, id] { engine.TerminateQuery(id); });
+    }
+  }
+
+  // Warmup: hundreds of user queries are live and merged before the
+  // window opens.
+  network.sim().RunUntil(probe_ms);
+  const std::uint64_t allocs_before =
+      g_allocations.load(std::memory_order_relaxed);
+  const std::size_t answers_before = results.size();
+  const std::uint64_t events_before = network.sim().events_executed();
+  network.sim().RunUntil(2 * probe_ms);
+  AnswerProbe probe;
+  probe.allocations =
+      g_allocations.load(std::memory_order_relaxed) - allocs_before;
+  probe.answers = results.size() - answers_before;
+  probe.events = network.sim().events_executed() - events_before;
+  return probe;
+}
+
 std::string LoadSpecText(const std::string& arg) {
   if (arg.empty() || arg[0] != '@') return arg;
   std::ifstream in(arg.substr(1));
@@ -427,6 +502,7 @@ int Main(int argc, char** argv) {
   const std::vector<ResultProbe> result_probes = {
       RunResultProbePart(OptimizationMode::kBaseline, probe_ms),
       RunResultProbePart(OptimizationMode::kTwoTier, probe_ms)};
+  const AnswerProbe answers = RunAnswerProbePart(probe_ms);
   const double allocs_per_event =
       static_cast<double>(probe.allocations) /
       static_cast<double>(probe.events);
@@ -495,7 +571,18 @@ int Main(int argc, char** argv) {
         static_cast<unsigned long long>(r.events), r.AllocsPerMessage());
     out << buf;
   }
-  out << "\n  ]\n";
+  out << "\n  ],\n";
+  std::snprintf(
+      buf, sizeof(buf),
+      "  \"answer_probe\": {\"mode\": \"ttmqo\", \"sim_ms\": %lld, "
+      "\"allocations\": %llu, \"answers\": %llu, \"events\": %llu, "
+      "\"allocs_per_answer\": %.3f}\n",
+      static_cast<long long>(probe_ms),
+      static_cast<unsigned long long>(answers.allocations),
+      static_cast<unsigned long long>(answers.answers),
+      static_cast<unsigned long long>(answers.events),
+      answers.AllocsPerAnswer());
+  out << buf;
   out << "}\n";
 
   std::printf(
@@ -503,7 +590,7 @@ int Main(int argc, char** argv) {
       "retransmissions, %llu link drops; probe %llu allocs over %llu events "
       "(%g/event); arq probe %llu allocs over %llu sends, %llu data "
       "receptions; result probe %.3f (baseline) and %.3f (ttmqo) allocs per "
-      "message; wrote %s\n",
+      "message; answer probe %.3f allocs per answer; wrote %s\n",
       sweep_eps, EventsPerSec(dense.events, dense.wall_ms),
       static_cast<unsigned long long>(dense.retransmissions),
       static_cast<unsigned long long>(dense.link_drops),
@@ -514,7 +601,7 @@ int Main(int argc, char** argv) {
       static_cast<unsigned long long>(arq.delivered + arq.duplicates_dropped +
                                       arq.overheard),
       result_probes[0].AllocsPerMessage(), result_probes[1].AllocsPerMessage(),
-      out_path.c_str());
+      answers.AllocsPerAnswer(), out_path.c_str());
   if (probe.allocations != 0) {
     std::fprintf(stderr,
                  "hotpath: WARNING — steady state allocated (%llu allocs); "
