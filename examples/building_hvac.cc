@@ -29,7 +29,7 @@ class AlertingSink final : public ResultSink {
   AlertingSink(QueryId safety_query, double limit)
       : safety_query_(safety_query), limit_(limit) {}
 
-  void OnResult(const EpochResult& result) override {
+  void OnResult(EpochResult result) override {
     ++results_;
     if (result.query != safety_query_) return;
     for (const auto& [spec, value] : result.aggregates) {

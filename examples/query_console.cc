@@ -41,7 +41,7 @@ using namespace ttmqo;
 
 class ConsoleSink final : public ResultSink {
  public:
-  void OnResult(const EpochResult& result) override {
+  void OnResult(EpochResult result) override {
     std::printf("  [%8.1fs] %s\n",
                 static_cast<double>(result.epoch_time) / 1000.0,
                 result.ToString().c_str());

@@ -19,7 +19,7 @@ namespace {
 // Results arrive epoch by epoch through a ResultSink.
 class PrintingSink final : public ttmqo::ResultSink {
  public:
-  void OnResult(const ttmqo::EpochResult& result) override {
+  void OnResult(ttmqo::EpochResult result) override {
     std::printf("  [%6.1fs] %s\n",
                 static_cast<double>(result.epoch_time) / 1000.0,
                 result.ToString().c_str());

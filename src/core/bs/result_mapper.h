@@ -2,7 +2,7 @@
 //
 // "After the sensor network returns results for the synthetic queries,
 // corresponding results for user queries can be easily obtained through
-// mapping and calculation" (Section 1).  For each member user query whose
+// mapping and calculation" (Section 1).  For a member user query whose
 // epoch fires at the synthetic result's epoch time:
 //
 //  * acquisition member over an acquisition synthetic: re-filter the rows
@@ -13,18 +13,17 @@
 //    rows and compute the aggregates at the base station.
 #pragma once
 
-#include <vector>
-
-#include "core/bs/rewriter.h"
+#include "query/query.h"
 #include "query/result.h"
 
 namespace ttmqo {
 
-/// Derives the per-user results implied by one synthetic epoch result.
-/// Only members whose epoch divides the result's epoch time are answered
-/// (the synthetic query runs at the GCD of the member epochs, so it also
-/// fires at instants no member needs).
-std::vector<EpochResult> MapSyntheticResult(const EpochResult& synthetic,
-                                            const SyntheticQuery& sq);
+/// The answer `member` receives from one epoch result of the synthetic
+/// query `synthetic_query` that serves it.  The caller answers only members
+/// whose epoch divides the result's epoch time (the synthetic query runs at
+/// the GCD of the member epochs, so it also fires at instants no member
+/// needs), and maps a member only when the answer will be delivered.
+EpochResult MapMemberResult(const EpochResult& synthetic,
+                            const Query& synthetic_query, const Query& member);
 
 }  // namespace ttmqo

@@ -1460,7 +1460,7 @@ void InNetworkEngine::CloseEpoch(QueryId id, SimTime epoch_time) {
                       .With("aggregates", static_cast<std::int64_t>(
                                               result.aggregates.size())));
   }
-  if (sink_ != nullptr) sink_->OnResult(result);
+  if (sink_ != nullptr) sink_->OnResult(std::move(result));
   ScheduleEpochClose(id, epoch_time + state.query.epoch());
 }
 

@@ -66,7 +66,10 @@ class TtmqoEngine final : public QueryEngine {
   /// engine's decision events ("engine.*", "tier1.*", "tier2.*") go to the
   /// network's trace sink; the optimizer is wired to it only when the
   /// network is already tracing here, so an untraced optimizer keeps a
-  /// null sink and skips its trace-only work.
+  /// null sink and skips its trace-only work.  `user_sink` receives each
+  /// answer while the engine walks a synthetic query's members, so it must
+  /// not submit or terminate queries on this engine from `OnResult`
+  /// (either throws); it can schedule the call on the simulator instead.
   TtmqoEngine(Network& network, const FieldModel& field,
               ResultSink* user_sink, TtmqoOptions options = {});
 
@@ -111,8 +114,8 @@ class TtmqoEngine final : public QueryEngine {
   class NetworkSink final : public ResultSink {
    public:
     explicit NetworkSink(TtmqoEngine* owner) : owner_(owner) {}
-    void OnResult(const EpochResult& result) override {
-      owner_->OnNetworkResult(result);
+    void OnResult(EpochResult result) override {
+      owner_->OnNetworkResult(std::move(result));
     }
 
    private:
@@ -125,7 +128,7 @@ class TtmqoEngine final : public QueryEngine {
   }
 
   void ApplyActions(const BaseStationOptimizer::Actions& actions);
-  void OnNetworkResult(const EpochResult& result);
+  void OnNetworkResult(EpochResult result);
   void EmitToUser(EpochResult result);
 
   Network& network_;
@@ -136,6 +139,8 @@ class TtmqoEngine final : public QueryEngine {
   std::unique_ptr<BaseStationOptimizer> optimizer_;
   std::unique_ptr<QueryEngine> inner_;
   std::map<QueryId, UserState> users_;
+  /// True while the user sink holds an answer.
+  bool delivering_ = false;
 };
 
 }  // namespace ttmqo

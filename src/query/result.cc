@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 namespace ttmqo {
@@ -103,15 +104,18 @@ std::string EpochResult::ToString() const {
   return out.str();
 }
 
-void ResultLog::OnResult(const EpochResult& result) {
-  results_[{result.query, result.epoch_time}] = result;
+void ResultLog::OnResult(EpochResult result) {
+  const std::pair key(result.query, result.epoch_time);
+  results_.insert_or_assign(key, std::move(result));
 }
 
 std::vector<const EpochResult*> ResultLog::ResultsFor(QueryId query) const {
+  const auto first = results_.lower_bound(
+      {query, std::numeric_limits<SimTime>::min()});
+  const auto last = results_.upper_bound(
+      {query, std::numeric_limits<SimTime>::max()});
   std::vector<const EpochResult*> out;
-  for (const auto& [key, value] : results_) {
-    if (key.first == query) out.push_back(&value);
-  }
+  for (auto it = first; it != last; ++it) out.push_back(&it->second);
   return out;
 }
 

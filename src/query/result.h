@@ -51,14 +51,17 @@ class ResultSink {
  public:
   virtual ~ResultSink() = default;
 
-  /// Called once per (query, epoch) that produced an answer.
-  virtual void OnResult(const EpochResult& result) = 0;
+  /// Called once per (query, epoch) that produced an answer.  The sink
+  /// owns the answer: the engines move each one in, so it is never
+  /// copied; a caller that keeps its own passes an lvalue, which copies.
+  virtual void OnResult(EpochResult result) = 0;
 };
 
 /// A `ResultSink` that stores everything, keyed by (query, epoch time).
+/// A later answer for the same key replaces the earlier one.
 class ResultLog final : public ResultSink {
  public:
-  void OnResult(const EpochResult& result) override;
+  void OnResult(EpochResult result) override;
 
   /// All recorded epochs of `query`, in time order.
   std::vector<const EpochResult*> ResultsFor(QueryId query) const;

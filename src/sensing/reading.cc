@@ -2,33 +2,7 @@
 
 #include <sstream>
 
-#include "util/check.h"
-
 namespace ttmqo {
-
-Reading::Reading(NodeId node, SimTime time) : node_(node), time_(time) {
-  Set(Attribute::kNodeId, static_cast<double>(node));
-}
-
-void Reading::Set(Attribute attr, double value) {
-  values_[AttributeIndex(attr)] = value;
-  present_[AttributeIndex(attr)] = true;
-}
-
-std::optional<double> Reading::Get(Attribute attr) const {
-  if (!present_[AttributeIndex(attr)]) return std::nullopt;
-  return values_[AttributeIndex(attr)];
-}
-
-double Reading::GetOrThrow(Attribute attr) const {
-  Check(present_[AttributeIndex(attr)],
-        "Reading::GetOrThrow: attribute not sampled");
-  return values_[AttributeIndex(attr)];
-}
-
-bool Reading::Has(Attribute attr) const {
-  return present_[AttributeIndex(attr)];
-}
 
 std::string Reading::ToString() const {
   std::ostringstream out;

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "sensing/attribute.h"
+#include "util/check.h"
 #include "util/ids.h"
 #include "util/time.h"
 
@@ -18,7 +19,9 @@ class Reading {
   Reading() = default;
 
   /// Creates a reading for `node` at `time` with `nodeid` pre-populated.
-  Reading(NodeId node, SimTime time);
+  Reading(NodeId node, SimTime time) : node_(node), time_(time) {
+    Set(Attribute::kNodeId, static_cast<double>(node));
+  }
 
   /// The node that produced the reading.
   NodeId node() const { return node_; }
@@ -27,16 +30,26 @@ class Reading {
   SimTime time() const { return time_; }
 
   /// Stores an attribute value (overwrites any previous value).
-  void Set(Attribute attr, double value);
+  void Set(Attribute attr, double value) {
+    values_[AttributeIndex(attr)] = value;
+    present_[AttributeIndex(attr)] = true;
+  }
 
   /// The value of `attr`, or nullopt when it was not sampled.
-  std::optional<double> Get(Attribute attr) const;
+  std::optional<double> Get(Attribute attr) const {
+    if (!present_[AttributeIndex(attr)]) return std::nullopt;
+    return values_[AttributeIndex(attr)];
+  }
 
   /// The value of `attr`; throws when absent.
-  double GetOrThrow(Attribute attr) const;
+  double GetOrThrow(Attribute attr) const {
+    Check(present_[AttributeIndex(attr)],
+          "Reading::GetOrThrow: attribute not sampled");
+    return values_[AttributeIndex(attr)];
+  }
 
   /// True when `attr` was sampled.
-  bool Has(Attribute attr) const;
+  bool Has(Attribute attr) const { return present_[AttributeIndex(attr)]; }
 
   /// Human-readable rendering for logs.
   std::string ToString() const;

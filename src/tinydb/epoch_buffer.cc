@@ -98,6 +98,7 @@ EpochResult EpochBuffer::Close(const Query& query, SimTime epoch) {
     const std::vector<PartialAggregate>* merged =
         record != nullptr ? &record->partials : nullptr;
     const std::vector<AggregateSpec>& specs = query.aggregates();
+    result.aggregates.reserve(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
       result.aggregates.emplace_back(
           specs[i], merged != nullptr && i < merged->size()

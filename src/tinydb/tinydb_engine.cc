@@ -392,8 +392,8 @@ void TinyDbEngine::CloseEpoch(QueryId id, SimTime epoch_time) {
   auto it = bs_queries_.find(id);
   if (it == bs_queries_.end() || it->second.terminated) return;
   BsQueryState& state = it->second;
-  const EpochResult result = state.answers.Close(state.query, epoch_time);
-  if (sink_ != nullptr) sink_->OnResult(result);
+  EpochResult result = state.answers.Close(state.query, epoch_time);
+  if (sink_ != nullptr) sink_->OnResult(std::move(result));
   ScheduleEpochClose(id, epoch_time + state.query.epoch());
 }
 
