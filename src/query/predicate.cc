@@ -25,11 +25,6 @@ std::string FixedNumber(double value) {
 
 }  // namespace
 
-bool Predicate::Matches(const Reading& reading) const {
-  const std::optional<double> value = reading.Get(attribute);
-  return value.has_value() && range.Contains(*value);
-}
-
 std::string Predicate::ToString() const {
   std::string out(AttributeName(attribute));
   // An empty range keeps no bounds; BETWEEN 1 AND 0 parses back to the

@@ -24,7 +24,10 @@ struct Predicate {
   /// True iff the reading's value for `attribute` lies in `range`.  Readings
   /// lacking the attribute do not match (predicates are evaluated where the
   /// attribute was acquired).
-  bool Matches(const Reading& reading) const;
+  bool Matches(const Reading& reading) const {
+    const std::optional<double> value = reading.Get(attribute);
+    return value.has_value() && range.Contains(*value);
+  }
 
   /// "light BETWEEN 100 AND 600", in SQL that `ParseQuery` reads back to
   /// the same range; an empty range prints as "light BETWEEN 1 AND 0".
