@@ -1,4 +1,4 @@
-// Golden-run regression suite: nine pinned scenarios whose canonical
+// Golden-run regression suite: ten pinned scenarios whose canonical
 // fingerprints (see sweep/fingerprint.h) are stored under tests/golden/,
 // plus the JSONL trace of one of them.
 // Any change to simulated behavior — row counts, message totals,
@@ -352,6 +352,30 @@ TEST(GoldenRegressionTest, BaselineChurnSixBySix) {
   const RunResult run = RunExperiment(
       ChurnConfig(OptimizationMode::kBaseline, schedule), schedule);
   CheckGolden("baseline_churn_6x6.txt", FingerprintRun(run));
+}
+
+// Scenario 10: scenario 5 under 10% loss on every link.  TinyDB
+// never exploits overhearing, so the radio may hand its unicasts straight
+// to their destinations, but only on a lossless channel: this run pins
+// every loss draw the full neighbor loop makes, overheard neighbors'
+// included.
+TEST(GoldenRegressionTest, BaselineLossySixBySix) {
+  RunConfig config;
+  config.grid_side = 6;
+  config.mode = OptimizationMode::kBaseline;
+  config.field = FieldKind::kCorrelated;
+  config.channel.collision_prob = 0.02;
+  config.duration_ms = 8 * 12288;
+  config.seed = 5;
+  config.faults.SetDefaultLinkLoss(0.10);
+  CollectingTraceSink trace;
+  config.obs.trace = &trace;
+  const RunResult run = RunExperiment(config, StaticSchedule(WorkloadB()));
+  const auto link_drops = std::count_if(
+      trace.events().begin(), trace.events().end(),
+      [](const auto& event) { return event.kind == "linkdrop"; });
+  EXPECT_GT(link_drops, 0);
+  CheckGolden("baseline_lossy_6x6.txt", FingerprintRun(run));
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -349,6 +350,50 @@ TEST(SimulatorSemanticsTest, SmallCapturesStayInline) {
   static_assert(Simulator::EventFn::kFitsInline<decltype([p = Probe{}] {})>);
   Simulator::EventFn fn = [] {};
   EXPECT_TRUE(fn.is_inline());
+}
+
+TEST(SimulatorSemanticsTest, AThrowingHandlerReleasesItsSlot) {
+  // An exception from a handler leaves nothing of its event behind: by the
+  // time the caller catches, the capture is destroyed and the slot is free,
+  // and the loop goes on firing later events.
+  Simulator sim;
+  auto probe = std::make_shared<int>(0);
+  sim.ScheduleAt(1, [probe] {
+    ++*probe;
+    throw std::runtime_error("handler failed");
+  });
+  EXPECT_THROW(sim.RunUntil(10), std::runtime_error);
+  EXPECT_EQ(*probe, 1);
+  EXPECT_EQ(probe.use_count(), 1);
+  EXPECT_EQ(sim.pending(), 0u);
+  int fired = 0;
+  sim.ScheduleAt(5, [&fired] { ++fired; });
+  sim.RunUntil(10);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(SimulatorSemanticsTest, AHandlerKeepsItsCaptureWhileTheSlabGrows) {
+  // A handler that schedules many events grows the slab while it runs; its
+  // own capture must stay valid throughout, and pending() inside it counts
+  // only the new events, not the one firing.
+  Simulator sim;
+  const std::string expected = "a capture longer than the small-string buffer";
+  std::string seen;
+  std::size_t pending_inside = 0;
+  sim.ScheduleAt(1, [&sim, &seen, &pending_inside, text = expected] {
+    for (int i = 0; i < 10000; ++i) {
+      sim.ScheduleAt(2 + i % 7, [] {});
+    }
+    pending_inside = sim.pending();
+    seen = text;
+  });
+  sim.RunUntil(1);
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(pending_inside, 10000u);
+  sim.RunUntil(100);
+  EXPECT_EQ(sim.events_executed(), 10001u);
+  EXPECT_EQ(sim.pending(), 0u);
 }
 
 TEST(SimulatorSemanticsTest, SchedulingInThePastStillThrows) {
