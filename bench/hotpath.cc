@@ -185,7 +185,8 @@ DenseResult RunDensePart(SimDuration duration_ms) {
   // Per-receiver loss is only rolled for neighbors that could actually
   // receive, so the lossy path needs installed receivers to be exercised.
   for (NodeId node = 0; node < topology.size(); ++node) {
-    net.SetReceiver(node, [](const Message&, bool) {});
+    net.SetReceiver(
+        node, [](const Message&, bool) {}, Network::Hearing::kOverheard);
   }
   std::vector<NodeTicker> tickers;
   StartTickers(tickers, net, /*period=*/128, AddressMode::kMulticast,

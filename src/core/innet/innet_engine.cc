@@ -167,10 +167,12 @@ InNetworkEngine::InNetworkEngine(Network& network, const FieldModel& field,
     }
   } else {
     for (NodeId node : network_.topology().AllNodes()) {
-      network_.SetReceiver(node, [this, node](const Message& msg,
-                                              bool addressed) {
-        HandleMessage(node, msg, addressed);
-      });
+      network_.SetReceiver(
+          node,
+          [this, node](const Message& msg, bool addressed) {
+            HandleMessage(node, msg, addressed);
+          },
+          Network::Hearing::kOverheard);
     }
   }
 }

@@ -39,6 +39,7 @@ Network::Network(const Topology& topology, RadioParams radio,
       rng_(seed),
       loss_rng_(seed ^ 0x6c6f7373ULL),
       receivers_(topology.size()),
+      overhears_(topology.size(), 0),
       asleep_(topology.size(), 0),
       failed_(topology.size(), 0),
       down_(topology.size(), 0),
@@ -52,8 +53,11 @@ Network::Network(const Topology& topology, RadioParams radio,
            "Network: a transmission must take positive time");
 }
 
-void Network::SetReceiver(NodeId node, Receiver receiver) {
-  receivers_.at(node) = std::move(receiver);
+void Network::SetReceiver(NodeId node, Receiver receiver, Hearing hearing) {
+  if (overhears_.at(node) != 0) --num_overhearing_;
+  overhears_[node] = receiver && hearing == Hearing::kOverheard ? 1 : 0;
+  if (overhears_[node] != 0) ++num_overhearing_;
+  receivers_[node] = std::move(receiver);
 }
 
 void Network::Emit(const TraceEvent& event) {
@@ -250,9 +254,22 @@ std::size_t Network::CountInterferers(NodeId sender) const {
 void Network::Deliver(const Message& msg) {
   TTMQO_SPAN_SAMPLED("net.deliver", 8);
   // The loss lookup is skipped entirely on a lossless channel — the common
-  // case.  Destinations are found by a linear scan: tier 2's multicasts
-  // address at most a few parents.
+  // case.
   const bool lossy = default_link_loss_ > 0.0 || !link_loss_.empty();
+  if (msg.mode == AddressMode::kUnicast && !lossy && num_overhearing_ == 0) {
+    // No neighbor draws a loss and none acts on overheard traffic, so the
+    // loop below would call the destination alone: call it directly.  A
+    // sleeping destination still receives (low-power listening).
+    const NodeId dest = msg.destinations.front();
+    if (failed_[dest] || down_[dest]) return;
+    const Receiver& receiver = receivers_[dest];
+    if (!receiver) return;
+    ledger_.CountReceive(dest);
+    receiver(msg, /*addressed=*/true);
+    return;
+  }
+  // Destinations are found by a linear scan: tier 2's multicasts address
+  // at most a few parents.
   for (NodeId neighbor : topology_->NeighborsOf(msg.sender)) {
     if (failed_[neighbor] || down_[neighbor]) continue;
     const Receiver& receiver = receivers_[neighbor];
@@ -279,6 +296,9 @@ void Network::Deliver(const Message& msg) {
         continue;
       }
     }
+    // Skipped only after its loss draw, so the loss stream and the link-drop
+    // counts do not depend on who listens.
+    if (!addressed && !overhears_[neighbor]) continue;
     if (addressed) ledger_.CountReceive(neighbor);
     receiver(msg, addressed);
   }

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <limits>
-#include <utility>
 
 #include "obs/span.h"
 
@@ -11,25 +10,14 @@ namespace ttmqo {
 Simulator::Simulator()
     : wheel_(std::make_unique_for_overwrite<Bucket[]>(kWheelMs)) {}
 
-void Simulator::ScheduleAt(SimTime t, EventFn fn) {
-  CheckArg(t >= now_, "Simulator::ScheduleAt: cannot schedule in the past");
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    Check(slab_.size() < std::numeric_limits<std::uint32_t>::max(),
-          "Simulator: event slab exhausted");
-    slot = static_cast<std::uint32_t>(slab_.size());
-    slab_.emplace_back();
-  }
-  slab_[slot].fn = std::move(fn);
-  Place(slot, t, next_seq_++);
-}
-
-void Simulator::ScheduleAfter(SimDuration delay, EventFn fn) {
-  CheckArg(delay >= 0, "Simulator::ScheduleAfter: delay must be >= 0");
-  ScheduleAt(now_ + delay, std::move(fn));
+void Simulator::AddChunk() {
+  // Slot numbers stay below kNoSlot.
+  Check(chunks_.size() + 1 < (std::size_t{1} << (32 - kChunkShift)),
+        "Simulator: event slab exhausted");
+  chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+  // The free list can hold every slot of every chunk the table has room
+  // for, so it reallocates only when the chunk table does.
+  free_slots_.reserve(chunks_.capacity() * kChunkSlots);
 }
 
 void Simulator::RunUntil(SimTime until) {
@@ -55,20 +43,20 @@ bool Simulator::ReadyBy(SimTime until) {
 }
 
 void Simulator::Place(std::uint32_t slot, SimTime t, std::uint64_t seq) {
-  slab_[slot].next = kNoSlot;
+  SlotAt(slot).next = kNoSlot;
   const SimDuration ahead = t - now_;
   if (ahead == 0) {
     if (current_.head == kNoSlot) {
       current_.head = slot;
     } else {
-      slab_[current_.tail].next = slot;
+      SlotAt(current_.tail).next = slot;
     }
     current_.tail = slot;
   } else if (ahead <= kWheelMs) {
     const auto index = static_cast<std::uint64_t>(t) & kWheelMask;
     Bucket& bucket = wheel_[index];
     if (Occupied(index)) {
-      slab_[bucket.tail].next = slot;
+      SlotAt(bucket.tail).next = slot;
     } else {
       bucket.head = slot;
       const std::uint64_t bit = std::uint64_t{1} << (index % 64);
@@ -135,15 +123,25 @@ void Simulator::AdvanceTo(SimTime t) {
 
 void Simulator::FireCurrent() {
   const std::uint32_t slot = current_.head;
-  current_.head = slab_[slot].next;
+  Slot& fired = SlotAt(slot);
+  current_.head = fired.next;
   TTMQO_SPAN_SAMPLED("sim.event", 8);
-  // Move the callable out and recycle its slot *before* invoking: the
-  // handler may schedule new events, which can reuse the slot or grow the
-  // slab (invalidating slab references, never this local).
-  EventFn fn = std::move(slab_[slot].fn);
-  free_slots_.push_back(slot);
+  --pending_;
   ++executed_;
-  fn();
+  // The callable runs where it was built.  New events the handler
+  // schedules cannot take this slot, which is not free yet, and cannot move
+  // it, since the slab grows by whole chunks.  The slot is freed once the
+  // handler returns or throws.
+  struct Recycle {
+    Simulator& sim;
+    Slot& fired;
+    std::uint32_t slot;
+    ~Recycle() {
+      fired.fn.Reset();
+      sim.free_slots_.push_back(slot);
+    }
+  } recycle{*this, fired, slot};
+  fired.fn();
 }
 
 void Simulator::PushOverflow(QueuedEvent event) {

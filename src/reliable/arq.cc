@@ -71,10 +71,13 @@ ArqTransport::ArqTransport(Network& network, ArqOptions options)
 
 void ArqTransport::Attach(NodeId node, Network::Receiver upper) {
   upper_[node] = std::move(upper);
-  network_.SetReceiver(node, [this, node](const Message& msg,
-                                          bool addressed) {
-    OnReceive(node, msg, addressed);
-  });
+  // Tier 2 learns liveness and has-data facts from overheard traffic.
+  network_.SetReceiver(
+      node,
+      [this, node](const Message& msg, bool addressed) {
+        OnReceive(node, msg, addressed);
+      },
+      Network::Hearing::kOverheard);
 }
 
 void ArqTransport::Send(Message msg, SimTime deadline, int reroutes) {

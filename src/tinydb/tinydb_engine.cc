@@ -64,10 +64,13 @@ TinyDbEngine::TinyDbEngine(Network& network, const FieldModel& field,
       srt_(network.topology(), tree_),
       nodes_(network.topology().size()) {
   for (NodeId node : network_.topology().AllNodes()) {
-    network_.SetReceiver(node, [this, node](const Message& msg,
-                                            bool addressed) {
-      HandleMessage(node, msg, addressed);
-    });
+    // The baseline never exploits overhearing.
+    network_.SetReceiver(
+        node,
+        [this, node](const Message& msg, bool /*addressed*/) {
+          HandleMessage(node, msg);
+        },
+        Network::Hearing::kAddressedOnly);
   }
 }
 
@@ -118,10 +121,7 @@ void TinyDbEngine::TerminateQuery(QueryId id) {
 // Node-side logic
 // ---------------------------------------------------------------------
 
-void TinyDbEngine::HandleMessage(NodeId self, const Message& msg,
-                                 bool addressed) {
-  if (!addressed) return;  // the baseline never exploits overhearing
-
+void TinyDbEngine::HandleMessage(NodeId self, const Message& msg) {
   if (const auto* prop =
           PayloadAs<QueryPropagationPayload>(msg.payload.get())) {
     // Each query floods once, as round 0.  Only the round is checked: a

@@ -100,7 +100,9 @@ class TinyDbEngine final : public QueryEngine {
   static ActiveQuery* FindActive(NodeState& state, QueryId id);
   /// The buffered partials of `epoch` in `query`, or nullptr.
   static BufferedPartials* FindBuffered(ActiveQuery& query, SimTime epoch);
-  void HandleMessage(NodeId self, const Message& msg, bool addressed);
+  /// Handles a message addressed to `self`; the receiver is registered
+  /// addressed-only, so the network never hands it overheard traffic.
+  void HandleMessage(NodeId self, const Message& msg);
   void InstallQuery(NodeId self, const Query& query);
   void RemoveQuery(NodeId self, QueryId id);
   void ScheduleNextEpoch(NodeId self, QueryId id);
