@@ -23,7 +23,7 @@ using Residual = InlineList<Predicate, kNumAttributes>;
 Residual ResidualPredicates(const Query& member, const Query& synthetic) {
   Residual residual;
   for (Attribute attr : kAllAttributes) {
-    const std::optional<Interval> range =
+    const std::optional<Interval>& range =
         member.predicates().ConstraintOn(attr);
     if (!range.has_value()) continue;
     if (synthetic.predicates().ConstraintOn(attr) == range) continue;

@@ -66,10 +66,6 @@ bool PredicateSet::IsUnsatisfiable() const {
   return false;
 }
 
-std::optional<Interval> PredicateSet::ConstraintOn(Attribute attribute) const {
-  return constraints_[AttributeIndex(attribute)];
-}
-
 std::vector<Predicate> PredicateSet::AsList() const {
   std::vector<Predicate> list;
   for (Attribute attr : kAllAttributes) {

@@ -60,7 +60,9 @@ class PredicateSet {
   bool IsUnsatisfiable() const;
 
   /// The constraint on `attribute`, or nullopt when unconstrained.
-  std::optional<Interval> ConstraintOn(Attribute attribute) const;
+  const std::optional<Interval>& ConstraintOn(Attribute attribute) const {
+    return constraints_[AttributeIndex(attribute)];
+  }
 
   /// All non-vacuous predicates, in attribute order.
   std::vector<Predicate> AsList() const;
