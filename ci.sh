@@ -332,6 +332,9 @@ run_step "hotpath-bench (release)" blocking hotpath_bench
 # event count and delivery of every grid are deterministic (the binary
 # exits non-zero if its 5 passes of a grid disagree on them), so CI
 # regenerates BENCH_scale.json and diffs it with timings and RSS stripped.
+# Under its table the binary prints the 60x60 / 10x10 cost per event
+# within each pass (median, min, max; ROADMAP item 6), so the log shows
+# the ratio right above the count diff; the diff strips it as a timing.
 scale_bench() {
   ./build-release/bench/scalability \
     --scale-out="${ARTIFACTS}/BENCH_scale.json" &&

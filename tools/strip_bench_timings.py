@@ -30,6 +30,8 @@ VOLATILE_KEYS = {
     "hardware_concurrency",
     "ns_per_event",
     "ru_maxrss_kb",
+    # The scale curve's per-pass 60x60 / 10x10 cost ratio (a timing too).
+    "ratio_60_10",
 }
 
 
