@@ -12,6 +12,11 @@
 
 namespace ttmqo::testing {
 
+/// Both ways a receiver can register, for network tests that must hold
+/// whichever way the receivers listen.
+inline constexpr Network::Hearing kBothHearings[] = {
+    Network::Hearing::kAddressedOnly, Network::Hearing::kOverheard};
+
 /// Computes the ground-truth answer of `query` at epoch `t` directly from
 /// the field model, bypassing the network entirely.  This is an independent
 /// oracle: every engine must reproduce it on a lossless channel.
